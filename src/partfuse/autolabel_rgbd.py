@@ -25,7 +25,6 @@ import numpy as np
 from .containers import LabelTriple
 from .errors import ValidationError
 from .imaging import HsvRange, Image, rgb_to_hsv
-from .kdtree import KdTree
 from .pointcloud import (
     CameraModel,
     PmfParams,
@@ -174,6 +173,10 @@ def label_parts(
     return replace(labeled, part_id=part)
 
 
+# (pixel, neighbour) pairs handled per block; bounds memory for any k
+_BLOCK = 1 << 17
+
+
 def project_labels(
     labeled: LabeledPointCloud,
     camera: CameraModel,
@@ -182,59 +185,91 @@ def project_labels(
 ) -> LabelTriple:
     """Carry per-point labels into pixel space by k-NN voting.
 
-    Pixels whose nearest projected point is farther than
+    Each pixel (col, row) is voted on by its k nearest projected points,
+    ranked by distance with equal distances going to the lower point
+    index.  Pixels whose nearest projected point is farther than
     ``max_pixel_radius`` stay void.  Votes are counted independently per
     channel; a tied count is resolved in favour of the tied label whose
     supporting voter is nearest.
     """
+    from scipy.spatial import cKDTree
+
     taxonomy.semantic_class(config.object_class_id)
     if config.background_class_id:
         taxonomy.semantic_class(config.background_class_id)
 
     proj = project(labeled.cloud, camera)
     idx = np.nonzero(proj.in_frame)[0]
-    sem_map = np.zeros((camera.height, camera.width), dtype=np.uint16)
-    inst_map = np.zeros_like(sem_map)
-    part_map = np.zeros_like(sem_map)
+    shape = (camera.height, camera.width)
+    maps = np.zeros((3, camera.height * camera.width), dtype=np.uint16)
     if idx.size == 0:
-        return LabelTriple(sem_map, inst_map, part_map)
+        return LabelTriple(*maps.reshape(3, *shape))
 
-    sem_votes = np.where(
-        labeled.object_flag[idx],
-        config.object_class_id,
-        np.where(labeled.table_flag[idx], config.background_class_id, 0),
+    votes = np.stack(
+        [
+            np.where(
+                labeled.object_flag[idx],
+                config.object_class_id,
+                np.where(labeled.table_flag[idx], config.background_class_id, 0),
+            ),
+            labeled.instance_id[idx],
+            labeled.part_id[idx],
+        ]
     )
-    inst_votes = labeled.instance_id[idx]
-    part_votes = labeled.part_id[idx]
+    if votes.min() < 0 or votes.max() > np.iinfo(np.uint16).max:
+        raise ValidationError("label ids must fit in 16 bits")
 
     coords = np.stack([proj.u[idx], proj.v[idx]], axis=1)
-    tree = KdTree(coords)
+    tree = cKDTree(coords)
     k = min(config.knn_k, idx.size)
-    max_r = config.max_pixel_radius
-    for row in range(camera.height):
-        for col in range(camera.width):
-            hits = tree.nearest((float(col), float(row)), k)
-            if not hits or hits[0][0] > max_r:
-                continue
-            voters = [i for _, i in hits]
-            sem_map[row, col] = _majority(sem_votes, voters)
-            inst_map[row, col] = _majority(inst_votes, voters)
-            part_map[row, col] = _majority(part_votes, voters)
-    return LabelTriple(sem_map, inst_map, part_map)
+    step = max(1, _BLOCK // (k + 1))
+    for start in range(0, maps.shape[1], step):
+        pixels = np.arange(start, min(start + step, maps.shape[1]))
+        rows, cols = np.divmod(pixels, camera.width)
+        centres = np.stack([cols, rows], axis=1).astype(np.float64)
+        voters, d2 = _nearest(tree, coords, centres, k)
+        hit = np.sqrt(d2[:, 0]) <= config.max_pixel_radius
+        for channel, values in zip(maps, votes):
+            channel[pixels[hit]] = _majority(values[voters[hit]])
+    return LabelTriple(*maps.reshape(3, *shape))
 
 
-def _majority(values: np.ndarray, voters: list[int]) -> int:
-    """Most frequent label among voters; ties go to the tied label with
-    the nearest (earliest-ranked) supporter."""
-    counts: dict[int, int] = {}
-    first_rank: dict[int, int] = {}
-    for rank, voter in enumerate(voters):
-        label = int(values[voter])
-        counts[label] = counts.get(label, 0) + 1
-        first_rank.setdefault(label, rank)
-    best = max(counts.values())
-    tied = [label for label, c in counts.items() if c == best]
-    return min(tied, key=lambda label: first_rank[label])
+def _sq_dist(points: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Squared distances, shaped like ``points`` without its last axis."""
+    diff = (points - query).reshape(-1, 2)
+    return np.einsum("ij,ij->i", diff, diff).reshape(points.shape[:-1])
+
+
+def _nearest(tree, coords: np.ndarray, centres: np.ndarray, k: int):
+    """The k nearest points to each centre ranked by (d2, index), as
+    (indices, d2), both (len(centres), k)."""
+    kq = min(k + 1, len(coords))
+    dist, cand = tree.query(centres, k=kq)
+    dist = dist.reshape(len(centres), kq)
+    cand = cand.reshape(len(centres), kq)[:, :k]
+    d2 = _sq_dist(coords[cand], centres[:, None, :])
+    if kq > k:
+        # points tying the k-th distance may lie past the k + 1 queried:
+        # re-collect all of them (with a margin for cKDTree's rounding)
+        # so the lower indices win
+        reach = dist[:, k - 1] * (1 + 1e-9)
+        for p in np.nonzero(dist[:, k] <= reach)[0]:
+            ball = np.asarray(tree.query_ball_point(centres[p], reach[p]), dtype=np.intp)
+            ball_d2 = _sq_dist(coords[ball], centres[p])
+            pick = np.lexsort((ball, ball_d2))[:k]
+            cand[p], d2[p] = ball[pick], ball_d2[pick]
+    order = np.lexsort((cand, d2))
+    return np.take_along_axis(cand, order, 1), np.take_along_axis(d2, order, 1)
+
+
+def _majority(labels: np.ndarray) -> np.ndarray:
+    """Per row, the most frequent label; ties go to the tied label with
+    the earliest-ranked (nearest) supporter."""
+    counts = np.zeros(labels.shape, dtype=np.int64)
+    for rank in range(labels.shape[1]):
+        counts += labels == labels[:, rank : rank + 1]
+    # argmax takes the first maximum, i.e. the earliest-ranked supporter
+    return labels[np.arange(len(labels)), counts.argmax(axis=1)]
 
 
 def generate_rgbd_sample(

@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .kdtree import KdTree
 from .rng import SplitMix64
 
 _PLY_PROPERTIES = ("x", "y", "z", "red", "green", "blue")
@@ -142,9 +141,17 @@ class Projection(NamedTuple):
 
 
 def read_ply(path: str | Path) -> PointCloud:
-    """Read an ASCII PLY with float x,y,z and uchar red,green,blue."""
+    """Read an ASCII PLY with float x,y,z and uchar red,green,blue.
+
+    Every malformed input (bad header, non-numeric or missing fields,
+    colours that are not integers in 0..255, non-ASCII bytes) raises
+    FormatError.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not an ASCII PLY file: {exc}") from exc
     if not lines or lines[0].strip() != "ply":
         raise FormatError(f"{path}: not a PLY file")
     count = None
@@ -160,9 +167,12 @@ def read_ply(path: str | Path) -> PointCloud:
                 raise FormatError(f"{path}: only 'format ascii 1.0' is supported")
             saw_format = True
         elif tokens[0] == "element":
-            if tokens[1] != "vertex" or len(tokens) != 3:
+            if len(tokens) != 3 or tokens[1] != "vertex":
                 raise FormatError(f"{path}: only a vertex element is supported")
-            count = int(tokens[2])
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                raise FormatError(f"{path}: bad vertex count {tokens[2]!r}") from None
         elif tokens[0] == "property":
             if count is None:
                 raise FormatError(f"{path}: property before element")
@@ -180,21 +190,25 @@ def read_ply(path: str | Path) -> PointCloud:
     if missing:
         raise FormatError(f"{path}: missing vertex properties {missing}")
 
-    rows = [ln for ln in lines[body_start:] if ln.strip()]
-    if len(rows) != count:
+    body = lines[body_start:]
+    table = np.empty((0, len(props)))
+    # loadtxt warns on a body without rows; blank lines are skipped
+    if any(map(str.strip, body)):
+        try:
+            table = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed vertex rows: {exc}") from exc
+    if table.shape[0] != count:
         raise FormatError(
-            f"{path}: header announces {count} vertices but file has {len(rows)}"
+            f"{path}: header announces {count} vertices but file has {table.shape[0]}"
         )
-    xyz = np.zeros((count, 3), dtype=np.float64)
-    rgb = np.zeros((count, 3), dtype=np.uint8)
-    col = {name: props.index(name) for name in _PLY_PROPERTIES}
-    for r, line in enumerate(rows):
-        fields = line.split()
-        if len(fields) != len(props):
-            raise FormatError(f"{path}: vertex row {r} has {len(fields)} fields")
-        xyz[r] = [float(fields[col[n]]) for n in ("x", "y", "z")]
-        rgb[r] = [int(fields[col[n]]) for n in ("red", "green", "blue")]
-    return PointCloud(xyz, rgb)
+    if table.shape[1] != len(props):
+        raise FormatError(f"{path}: vertex rows have {table.shape[1]} fields")
+    col = [props.index(name) for name in _PLY_PROPERTIES]
+    rgb = table[:, col[3:]]
+    if not ((rgb >= 0) & (rgb <= 255) & (rgb == np.floor(rgb))).all():
+        raise FormatError(f"{path}: colours must be integers in 0..255")
+    return PointCloud(table[:, col[:3]], rgb.astype(np.uint8))
 
 
 def write_ply(cloud: PointCloud, path: str | Path) -> None:
@@ -336,33 +350,32 @@ def euclidean_clusters(
     points: np.ndarray, radius: float = 0.01, min_points: int = 30
 ) -> np.ndarray:
     """Cluster id per point: connected components of the fixed-radius
-    neighbour graph.  Components smaller than ``min_points`` get id 0;
-    survivors are numbered 1..N in order of their lowest point index."""
+    neighbour graph, whose edges join points at distance <= ``radius``.
+    Components smaller than ``min_points`` get id 0; survivors are
+    numbered 1..N in order of their lowest point index."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    if radius < 0:
+        raise ValidationError("radius must be >= 0")
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return np.zeros(0, dtype=np.int64)
-    tree = KdTree(pts)
     n = pts.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    next_id = 1
-    for seed_idx in range(n):
-        if visited[seed_idx]:
-            continue
-        component = [seed_idx]
-        visited[seed_idx] = True
-        frontier = [seed_idx]
-        while frontier:
-            current = frontier.pop()
-            for nb in tree.within(pts[current], radius):
-                if not visited[nb]:
-                    visited[nb] = True
-                    component.append(nb)
-                    frontier.append(nb)
-        if len(component) >= min_points:
-            labels[component] = next_id
-            next_id += 1
-    return labels
+    # widen the query past rounding, then decide each edge on the exact d2
+    pairs = cKDTree(pts).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
+    diff = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    pairs = pairs[np.einsum("ij,ij->i", diff, diff) <= radius * radius]
+    graph = coo_matrix(
+        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+    )
+    n_comp, comp = connected_components(graph, directed=False)
+    _, lowest, sizes = np.unique(comp, return_index=True, return_counts=True)
+    kept = np.sort(lowest[sizes >= min_points])
+    ids = np.zeros(n_comp, dtype=np.int64)
+    ids[comp[kept]] = np.arange(1, kept.size + 1)
+    return ids[comp]
 
 
 def project(cloud: PointCloud, camera: CameraModel) -> Projection:

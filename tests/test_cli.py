@@ -413,6 +413,30 @@ def test_label_rgbd_deterministic_across_jobs(tmp_path, taxonomy_json):
     assert tree_bytes(out1) == tree_bytes(out2)
 
 
+def test_label_rgbd_malformed_ply_exit_code(tmp_path, taxonomy_json):
+    scene = write_rgbd_scene_dir(tmp_path)
+    ply = scene / "cloud.ply"
+    lines = ply.read_text().splitlines()
+    fields = lines[-1].split()
+    lines[-1] = " ".join(fields[:3] + ["300"] + fields[4:])  # colour out of range
+    ply.write_text("\n".join(lines) + "\n")
+    config = write_rgbd_config(tmp_path)
+    code = main(
+        [
+            "label",
+            "rgbd",
+            "--taxonomy",
+            str(taxonomy_json),
+            "--config",
+            str(config),
+            "--out",
+            str(tmp_path / "out"),
+            str(scene),
+        ]
+    )
+    assert code == 2
+
+
 def write_monitor_dataset(tmp_path):
     root = tmp_path / "dataset"
     root.mkdir()

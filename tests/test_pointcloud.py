@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from partfuse.autolabel_rgbd import LabeledPointCloud, RgbdLabelConfig, project_labels
 from partfuse.errors import FormatError, ValidationError
-from partfuse.kdtree import KdTree
 from partfuse.pointcloud import (
     CameraModel,
     PmfParams,
@@ -43,7 +45,9 @@ def test_ply_round_trip(tmp_path):
 def test_ply_empty_round_trip(tmp_path):
     path = tmp_path / "empty.ply"
     write_ply(cloud_of(np.zeros((0, 3))), path)
-    back = read_ply(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_ply(path)
     assert len(back) == 0
 
 
@@ -71,6 +75,38 @@ def test_ply_malformed_header(tmp_path):
     path = tmp_path / "bad.ply"
     path.write_text("ply\nformat ascii 1.0\nwhatever\nend_header\n")
     with pytest.raises(FormatError, match="malformed|element"):
+        read_ply(path)
+
+
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {n}\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    "end_header\n"
+)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        PLY_HEADER.format(n=1) + "0 0 0 300 0 0\n",  # colour above 255
+        PLY_HEADER.format(n=1) + "0 0 0 -1 0 0\n",  # negative colour
+        PLY_HEADER.format(n=1) + "0 0 0 1.5 0 0\n",  # fractional colour
+        PLY_HEADER.format(n=1) + "0 0 0 nan 0 0\n",
+        PLY_HEADER.format(n=1) + "x 0 0 1 2 3\n",  # non-numeric coordinate
+        PLY_HEADER.format(n=1) + "0 0 0 1 2 3 # note\n",  # no comments in rows
+        PLY_HEADER.format(n=2) + "0 0 0 1 2 3\n0 0 0 1 2\n",  # ragged rows
+        PLY_HEADER.format(n=1) + "0 0 0 1 2 3 4\n",  # extra field
+        PLY_HEADER.format(n=1),  # announced row missing
+        PLY_HEADER.format(n="abc"),
+        PLY_HEADER.format(n=1).replace("element vertex 1", "element") + "0 0 0 1 2 3\n",
+        PLY_HEADER.format(n=1) + "0 0 0 1 2 3\n".replace("1", "\u00e9"),  # non-ASCII
+    ],
+)
+def test_ply_malformed_input_is_format_error(tmp_path, payload):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(payload.encode("utf-8"))
+    with pytest.raises(FormatError):
         read_ply(path)
 
 
@@ -346,51 +382,130 @@ def test_camera_rejects_reflection():
         CameraModel(width=8, height=8, fx=1, fy=1, cx=4, cy=4, extrinsic=ext)
 
 
-# ---------------------------------------------------------------- kdtree
+# ------------------------------------------------- k-NN label projection
 
 
-def brute_knn(pts, q, k):
-    d = np.linalg.norm(pts - q, axis=1)
-    order = sorted(range(len(pts)), key=lambda i: (d[i], i))[:k]
-    return [(d[i], i) for i in order]
+def plane_camera(width, height):
+    """Camera that maps the point (x, y, 1) to the pixel position (x, y)."""
+    return CameraModel(
+        width=width, height=height, fx=1.0, fy=1.0, cx=0.0, cy=0.0, extrinsic=np.eye(4)
+    )
 
 
-def test_kdtree_nearest_matches_brute_force():
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(0, 1, (300, 2))
-    tree = KdTree(pts)
-    for _ in range(100):
-        q = rng.uniform(0, 1, 2)
-        got = tree.nearest(q, k=5)
-        want = brute_knn(pts, q, 5)
-        assert [i for _, i in got] == [i for _, i in want]
-        assert np.allclose([d for d, _ in got], [d for d, _ in want])
+def labeled_at(uv, rng):
+    """Random labels for points at pixel positions ``uv``, depth 1."""
+    n = len(uv)
+    obj = rng.random(n) < 0.5
+    return LabeledPointCloud(
+        cloud=cloud_of(np.column_stack([uv, np.ones(n)])),
+        object_flag=obj,
+        instance_id=np.where(obj, rng.integers(1, 4, n), 0),
+        part_id=np.where(obj, rng.integers(0, 3, n), 0),
+        table_flag=~obj & (rng.random(n) < 0.7),
+    )
 
 
-def test_kdtree_tie_breaks_by_index():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # duplicate coordinates
-    tree = KdTree(pts)
-    got = tree.nearest((1.0, 0.0), k=2)
-    assert [i for _, i in got] == [0, 2]
+def tie_heavy_scene(rng, width, height, n):
+    """Points on the integer and half-integer grid, a quarter duplicated."""
+    uv = rng.integers(0, 2 * width, (n, 2)) / 2.0
+    uv[:, 1] %= height
+    uv = np.vstack([uv, uv[rng.integers(0, n, n // 4)]])
+    return labeled_at(uv, rng)
 
 
-def test_kdtree_within_matches_brute_force():
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(0, 1, (300, 3))
-    tree = KdTree(pts)
-    for _ in range(50):
-        q = rng.uniform(0, 1, 3)
-        got = tree.within(q, 0.2)
-        want = [
-            i for i in range(len(pts)) if np.linalg.norm(pts[i] - q) <= 0.2
-        ]
-        assert got == want
+def projection_oracle(labeled, width, height, config):
+    """Brute force: rank by (distance, point index), then vote per channel
+    with ties going to the earliest-ranked supporter."""
+    uv = labeled.cloud.xyz[:, :2]
+    inside = (uv[:, 0] < width) & (uv[:, 1] < height)
+    idx = np.nonzero(inside)[0]
+    values = (
+        np.where(
+            labeled.object_flag,
+            config.object_class_id,
+            np.where(labeled.table_flag, config.background_class_id, 0),
+        ),
+        labeled.instance_id,
+        labeled.part_id,
+    )
+    maps = np.zeros((3, height, width), dtype=np.uint16)
+    for row in range(height):
+        for col in range(width):
+            d2 = ((uv[idx] - (col, row)) ** 2).sum(axis=1)
+            ranked = sorted(range(len(idx)), key=lambda j: (d2[j], idx[j]))
+            ranked = ranked[: config.knn_k]
+            if not ranked or np.sqrt(d2[ranked[0]]) > config.max_pixel_radius:
+                continue
+            for channel, vals in enumerate(values):
+                labels = [int(vals[idx[j]]) for j in ranked]
+                best = max(labels.count(label) for label in labels)
+                maps[channel, row, col] = next(
+                    label for label in labels if labels.count(label) == best
+                )
+    return maps
 
 
-def test_kdtree_handles_small_and_duplicate_inputs():
-    tree = KdTree(np.zeros((5, 2)))
-    assert [i for _, i in tree.nearest((0.0, 0.0), k=3)] == [0, 1, 2]
-    assert tree.within((0.0, 0.0), 0.0) == [0, 1, 2, 3, 4]
-    empty = KdTree(np.zeros((0, 2)))
-    assert empty.nearest((0.0, 0.0), k=1) == []
-    assert empty.within((0.0, 0.0), 1.0) == []
+def assert_matches_projection_oracle(labeled, width, height, config, taxonomy):
+    triple = project_labels(labeled, plane_camera(width, height), taxonomy, config)
+    want = projection_oracle(labeled, width, height, config)
+    got = np.stack([triple.semantic_map, triple.instance_map, triple.part_map])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("knn_k", range(1, 8))
+def test_project_labels_matches_oracle_on_ties(taxonomy, knn_k):
+    rng = np.random.default_rng(100 + knn_k)
+    for radius in (1.0, 1.5, 3.0):
+        labeled = tie_heavy_scene(rng, 12, 9, int(rng.integers(3, 40)))
+        config = RgbdLabelConfig(
+            object_class_id=1, background_class_id=4, knn_k=knn_k, max_pixel_radius=radius
+        )
+        assert_matches_projection_oracle(labeled, 12, 9, config, taxonomy)
+
+
+def test_project_labels_knn_k_above_point_count(taxonomy):
+    rng = np.random.default_rng(11)
+    uv = np.vstack([rng.integers(0, 16, (8, 2)) / 2.0, [[20.0, 3.0], [3.0, 20.0]]])
+    labeled = labeled_at(uv, rng)  # 8 points in frame, 2 outside
+    config = RgbdLabelConfig(
+        object_class_id=1, background_class_id=4, knn_k=20, max_pixel_radius=4.0
+    )
+    assert_matches_projection_oracle(labeled, 10, 8, config, taxonomy)
+
+
+def test_project_labels_knn_k_64(taxonomy):
+    rng = np.random.default_rng(12)
+    labeled = tie_heavy_scene(rng, 10, 8, 80)
+    config = RgbdLabelConfig(
+        object_class_id=1, background_class_id=4, knn_k=64, max_pixel_radius=2.0
+    )
+    assert_matches_projection_oracle(labeled, 10, 8, config, taxonomy)
+
+
+def test_project_labels_rejects_ids_beyond_16_bits(taxonomy):
+    labeled = labeled_at(np.array([[1.0, 1.0]]), np.random.default_rng(14))
+    labeled = LabeledPointCloud(
+        cloud=labeled.cloud,
+        object_flag=np.array([True]),
+        instance_id=np.array([70000]),
+        part_id=np.array([0]),
+        table_flag=np.array([False]),
+    )
+    config = RgbdLabelConfig(object_class_id=1, background_class_id=4)
+    with pytest.raises(ValidationError, match="16 bits"):
+        project_labels(labeled, plane_camera(4, 4), taxonomy, config)
+
+
+def test_clusters_radius_is_inclusive_on_lattice():
+    radius = 0.25
+    rng = np.random.default_rng(13)
+    # lattice points exactly ``radius`` apart, with holes and duplicates
+    pts = rng.integers(0, 8, (60, 3)) * radius
+    pts = np.vstack([pts, pts[:10]])
+    got = euclidean_clusters(pts, radius=radius, min_points=2)
+    assert np.array_equal(got, brute_force_clusters(pts, radius, 2))
+
+    chain = np.column_stack([np.arange(5) * radius, np.zeros(5), np.zeros(5)])
+    assert euclidean_clusters(chain, radius=radius, min_points=2).tolist() == [1] * 5
+    below = np.nextafter(radius, 0.0)
+    assert euclidean_clusters(chain, radius=below, min_points=2).tolist() == [0] * 5
