@@ -11,7 +11,6 @@ from .containers import (
 )
 from .errors import FormatError, PartfuseError, ValidationError
 from .fusion import (
-    EnhancedLogits,
     FusionParams,
     agreement_part_sem,
     agreement_sem_inst,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassTaxonomy",
-    "EnhancedLogits",
     "FormatError",
     "FusionParams",
     "InstanceProposal",

@@ -21,8 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
 from .autolabel_monitor import (
     augment_flips,
@@ -219,8 +217,8 @@ def cmd_fuse(args) -> int:
         if sem.ndim != 3 or part.ndim != 3:
             raise ValidationError(f"{stem}: logit tensors must be rank 3")
         stack = LogitStack(
-            semantic_logits=sem.astype(np.float64),
-            part_logits=part.astype(np.float64),
+            semantic_logits=sem,
+            part_logits=part,
             semantic_channel_ids=taxonomy.semantic_ids,
             part_channel_ids=taxonomy.part_ids,
             instance_proposals=proposals,
@@ -253,28 +251,60 @@ def cmd_eval(args) -> int:
     if not stems:
         raise ValidationError(f"no label triples in {gt_dir}")
 
-    rows: list[tuple[str, MetricReport]] = []
+    # Directories are checked in argument order; the first bad one is
+    # reported only after the directories before it have been scored.
+    pred_dirs: list[Path] = []
+    dir_error: ValidationError | None = None
     for pred_raw in args.pred_dirs:
         pred_dir = Path(pred_raw)
         if not pred_dir.is_dir():
-            raise ValidationError(f"prediction directory not found: {pred_dir}")
+            dir_error = ValidationError(f"prediction directory not found: {pred_dir}")
+            break
         missing = [s for s in stems if not (pred_dir / f"{s}.sem.pgm").exists()]
         if missing:
-            raise ValidationError(
+            dir_error = ValidationError(
                 f"{pred_dir} is missing predictions for {missing[:5]}"
             )
+            break
+        pred_dirs.append(pred_dir)
 
-        def work(stem: str):
+    def work(stem: str) -> list:
+        """Match every prediction against one ground-truth triple, read
+        and validated once.  Each entry is a MatchResult or the error that
+        scoring this directory on its own would have raised first."""
+        try:
             gt = formats.read_label_triple(gt_dir / stem)
-            pred = formats.read_label_triple(pred_dir / stem)
+        except (PartfuseError, OSError) as exc:
+            return [exc] * len(pred_dirs)
+        try:
             gt.validate(taxonomy)
-            pred.validate(taxonomy)
-            return match_segments(pred, gt, taxonomy)
+            gt_error = None
+        except ValidationError as exc:
+            gt_error = exc
+        outcomes: list = []
+        for pred_dir in pred_dirs:
+            try:
+                pred = formats.read_label_triple(pred_dir / stem)
+                if gt_error is None:
+                    pred.validate(taxonomy)
+                    outcomes.append(match_segments(pred, gt, taxonomy))
+                else:
+                    outcomes.append(gt_error)
+            except (PartfuseError, OSError) as exc:
+                outcomes.append(exc)
+        return outcomes
 
-        matches, error = _run_items(stems, work, cfg.jobs, keep_going=False)
+    per_stem, _ = _run_items(stems if pred_dirs else [], work, cfg.jobs, keep_going=False)
+    rows: list[tuple[str, MetricReport]] = []
+    for column, pred_dir in enumerate(pred_dirs):
+        matches = [outcomes[column] for outcomes in per_stem]
+        error = next((m for m in matches if isinstance(m, BaseException)), None)
         if error is not None:
+            log.warning("item failed: %s", error)
             return _exit_code_for(error)
         rows.append((pred_dir.name, aggregate_dataset(matches, taxonomy)))
+    if dir_error is not None:
+        raise dir_error
 
     sys.stdout.write(
         render_table(rows, taxonomy, percent=cfg.percent, metric="pq", corner="PQ")

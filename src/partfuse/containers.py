@@ -59,11 +59,11 @@ class LabelTriple:
         pixels, if one instance id spans two semantic classes, or if a map
         uses ids missing from the taxonomy.
         """
-        sem_ids = np.unique(self.semantic_map)
+        sem_ids = np.flatnonzero(np.bincount(self.semantic_map.ravel()))
         for sid in sem_ids:
             if sid != VOID_ID and not taxonomy.has_semantic(int(sid)):
                 raise ValidationError(f"semantic map uses unknown class id {sid}")
-        part_ids = np.unique(self.part_map)
+        part_ids = np.flatnonzero(np.bincount(self.part_map.ravel()))
         for pid in part_ids:
             if pid != VOID_ID and not taxonomy.has_part(int(pid)):
                 raise ValidationError(f"part map uses unknown part id {pid}")
@@ -72,22 +72,23 @@ class LabelTriple:
         sem = self.semantic_map
         nonzero = inst != 0
         if nonzero.any():
-            thing_lut = np.zeros(int(sem.max()) + 1, dtype=bool)
+            thing_lut = np.zeros(int(sem_ids[-1]) + 1, dtype=bool)
             for sid in sem_ids:
                 if sid != VOID_ID and taxonomy.is_thing(int(sid)):
                     thing_lut[sid] = True
-            if not thing_lut[sem[nonzero]].all():
+            inst_ids, classes = inst[nonzero], sem[nonzero]
+            if not thing_lut[classes].all():
                 raise ValidationError(
                     "instance ids present on non-thing pixels"
                 )
-            # one semantic class per instance id
-            pairs = np.stack([inst[nonzero], sem[nonzero]], axis=1)
-            uniq = np.unique(pairs, axis=0)
-            ids, counts = np.unique(uniq[:, 0], return_counts=True)
-            if (counts > 1).any():
-                bad = int(ids[counts > 1][0])
+            # one semantic class per instance id: every pixel must carry
+            # the class that one of its instance's pixels was seen with
+            seen = np.zeros(int(inst_ids.max()) + 1, dtype=LABEL_DTYPE)
+            seen[inst_ids] = classes
+            spanning = inst_ids[seen[inst_ids] != classes]
+            if spanning.size:
                 raise ValidationError(
-                    f"instance id {bad} spans more than one semantic class"
+                    f"instance id {int(spanning.min())} spans more than one semantic class"
                 )
 
     @staticmethod

@@ -32,7 +32,7 @@ _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a PPT1 tensor file."""
+    """Read a PPT1 tensor file as a read-only view of its bytes."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 8:
@@ -57,13 +57,12 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: dimension product overflow ({count} elements)")
     dtype = _DTYPES[code]
     expected = count * dtype.itemsize
-    payload = data[dims_end:]
-    if len(payload) < expected:
+    payload = len(data) - dims_end
+    if payload < expected:
         raise FormatError(f"{path}: truncated payload")
-    if len(payload) > expected:
+    if payload > expected:
         raise FormatError(f"{path}: trailing bytes after payload")
-    arr = np.frombuffer(payload, dtype=dtype).copy()
-    return arr.reshape(dims).astype(dtype.newbyteorder("="))
+    return np.frombuffer(data, dtype, count, dims_end).reshape(dims)
 
 
 def write_tensor(tensor: np.ndarray, path: str | Path) -> None:
@@ -145,7 +144,7 @@ def read_proposals(path: str | Path) -> tuple[InstanceProposal, ...]:
             InstanceProposal(
                 class_id=class_id,
                 confidence=confidence,
-                mask_logits=mask.astype(np.float64),
+                mask_logits=mask,
             )
         )
     return tuple(out)

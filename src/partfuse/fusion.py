@@ -23,7 +23,7 @@ keeping them, voiding everything, or voiding only the part label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,29 +55,10 @@ class FusionParams:
             raise ValidationError("mask_logit_threshold must be finite")
 
 
-@dataclass(frozen=True)
-class EnhancedLogits:
-    """Semantic and part logits after agreement-based enhancement."""
-
-    enhanced_semantic: np.ndarray  # [C_sem, H, W]
-    enhanced_part: np.ndarray  # [C_part, H, W]
-    semantic_channel_ids: tuple[int, ...] = field(default=())
-    part_channel_ids: tuple[int, ...] = field(default=())
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid_rescaled(x):
-    """2*sigma(x) - 1: the logistic function rescaled to (-1, 1)."""
+    """2*sigma(x) - 1: the logistic function rescaled to (-1, 1), as tanh(x/2)."""
     arr = np.asarray(x, dtype=np.float64)
-    out = 2.0 * _stable_sigmoid(arr) - 1.0
+    out = np.tanh(arr * 0.5)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -85,7 +66,8 @@ def agreement_part_sem(a, b):
     """(sigma'(a) + sigma'(b)) * (a + b); symmetric in its arguments."""
     aa = np.asarray(a, dtype=np.float64)
     bb = np.asarray(b, dtype=np.float64)
-    out = (sigmoid_rescaled(aa) + sigmoid_rescaled(bb)) * (aa + bb)
+    out = sigmoid_rescaled(aa) + sigmoid_rescaled(bb)
+    out *= aa + bb
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out
@@ -93,9 +75,11 @@ def agreement_part_sem(a, b):
 
 def agreement_sem_inst(a, b):
     """(sigma(a) + sigma(b)) * (a + b); symmetric in its arguments."""
+    from scipy.special import expit
+
     aa = np.asarray(a, dtype=np.float64)
     bb = np.asarray(b, dtype=np.float64)
-    out = (_stable_sigmoid(aa) + _stable_sigmoid(bb)) * (aa + bb)
+    out = (expit(aa) + expit(bb)) * (aa + bb)
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out
@@ -110,15 +94,14 @@ def semantic_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray
     through unchanged.  Channel order matches the input stack.
     """
     stack.validate(taxonomy)
-    sem = stack.semantic_logits.astype(np.float64, copy=False)
-    enhanced = sem.copy()
+    enhanced = stack.semantic_logits.astype(np.float64)
     for channel, class_id in enumerate(stack.semantic_channel_ids):
         parts = taxonomy.parts_of(class_id)
         if not parts:
             continue
         part_channels = [stack.part_channel(p.id) for p in parts]
-        flat = stack.part_logits[part_channels].astype(np.float64).max(axis=0)
-        enhanced[channel] = agreement_part_sem(flat, sem[channel])
+        flat = stack.part_logits[part_channels].max(axis=0)
+        enhanced[channel] = agreement_part_sem(flat, stack.semantic_logits[channel])
     return enhanced
 
 
@@ -133,41 +116,55 @@ def part_wise_fuse(
     decide whether to suppress parts on partless regions.
     """
     stack.validate(taxonomy)
+    enhanced = np.empty(stack.part_logits.shape, dtype=np.float64)
+    return enhanced, _part_map(stack, taxonomy, enhanced)
+
+
+def _part_map(
+    stack: LogitStack, taxonomy: ClassTaxonomy, enhanced: np.ndarray | None = None
+) -> np.ndarray:
+    """Part map of part-wise fusion, one enhanced channel at a time.
+
+    Each part channel is fused with its parent's semantic channel and
+    folded into a running argmax; ``enhanced``, when given, receives the
+    enhanced channels in stack order.
+    """
     if not stack.part_channel_ids:
         raise ValidationError("part-wise fusion requires at least one part class")
-    sem = stack.semantic_logits.astype(np.float64, copy=False)
-    part = stack.part_logits.astype(np.float64, copy=False)
-    enhanced = np.empty_like(part)
-    for channel, part_id in enumerate(stack.part_channel_ids):
-        parent = taxonomy.parent_of(part_id)
-        parent_channel = stack.semantic_channel(parent)
-        enhanced[channel] = agreement_part_sem(part[channel], sem[parent_channel])
-    part_map = _argmax_labels(enhanced, stack.part_channel_ids)
-    return enhanced, part_map
+
+    def channels():
+        for part_id, channel in _id_order(stack.part_channel_ids):
+            parent_channel = stack.semantic_channel(taxonomy.parent_of(part_id))
+            scores = agreement_part_sem(
+                stack.part_logits[channel], stack.semantic_logits[parent_channel]
+            )
+            if enhanced is not None:
+                enhanced[channel] = scores
+            yield part_id, scores
+
+    return _running_argmax(channels(), stack.part_logits.shape[1:])[1]
 
 
-def _argmax_labels(
-    tensor: np.ndarray, channel_ids: tuple[int, ...]
-) -> np.ndarray:
-    """Per-pixel argmax over channels, ties resolved by the lowest id."""
-    order = np.argsort(np.asarray(channel_ids), kind="stable")
-    winners = np.argmax(tensor[order], axis=0)
-    ids = np.asarray(channel_ids, dtype=LABEL_DTYPE)[order]
-    return ids[winners]
+def _id_order(channel_ids) -> list[tuple[int, int]]:
+    """(id, channel index) pairs in ascending id order."""
+    return sorted(zip(channel_ids, range(len(channel_ids))))
 
 
-def compute_enhanced_logits(
-    stack: LogitStack, taxonomy: ClassTaxonomy
-) -> EnhancedLogits:
-    """Run both enhancement branches and bundle the tensors."""
-    enhanced_sem = semantic_wise_fuse(stack, taxonomy)
-    enhanced_part, _ = part_wise_fuse(stack, taxonomy)
-    return EnhancedLogits(
-        enhanced_semantic=enhanced_sem,
-        enhanced_part=enhanced_part,
-        semantic_channel_ids=stack.semantic_channel_ids,
-        part_channel_ids=stack.part_channel_ids,
-    )
+def _running_argmax(channels, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel maximum score and its label over (label, scores) pairs.
+
+    Pairs come in ascending label order and a later channel takes a pixel
+    only with a strictly greater score, so ties go to the lowest label, as
+    with np.argmax's first maximum.  Without channels every pixel has
+    score -inf and label void.
+    """
+    best = np.full(shape, -np.inf)
+    winner = np.zeros(shape, dtype=LABEL_DTYPE)
+    for label, scores in channels:
+        better = scores > best
+        np.maximum(best, scores, out=best)
+        winner[better] = label
+    return best, winner
 
 
 def panoptic_fuse(
@@ -188,8 +185,9 @@ def panoptic_fuse(
     its mask logits and its class's enhanced semantic channel; the winner
     is the highest score, ties to the lowest class id then lowest
     instance id.  Instances that end up with fewer than
-    ``min_instance_area`` pixels are removed and their pixels relabelled
-    by one repeat of the argmax without them.
+    ``min_instance_area`` pixels are removed and their pixels go to the
+    stuff winner.  Accepted footprints are disjoint, so each instance is
+    scored on its own footprint pixels against the stuff argmax alone.
     """
     params = params or FusionParams()
     if enhanced_semantic.ndim != 3:
@@ -197,7 +195,8 @@ def panoptic_fuse(
     if enhanced_semantic.shape[0] != len(semantic_channel_ids):
         raise ValidationError("channel id mapping length mismatch")
     h, w = enhanced_semantic.shape[1:]
-    enhanced_semantic = enhanced_semantic.astype(np.float64, copy=False)
+    # a float64 threshold keeps the comparison in float64 for float32 masks
+    threshold = np.float64(params.mask_logit_threshold)
 
     kept = [p for p in proposals if p.confidence >= params.confidence_min]
     order = sorted(
@@ -205,78 +204,50 @@ def panoptic_fuse(
     )
 
     occupancy = np.zeros((h, w), dtype=bool)
-    accepted: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, footprint, logits)
+    accepted: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, pixels, logits)
     for idx in order:
         prop = kept[idx]
         if prop.mask_logits.shape != (h, w):
             raise ValidationError("proposal mask dimensions disagree with logits")
-        footprint = prop.mask_logits > params.mask_logit_threshold
-        own = int(footprint.sum())
+        footprint = prop.mask_logits > threshold
+        own = int(np.count_nonzero(footprint))
         if own == 0:
             continue
-        overlap = int((footprint & occupancy).sum())
+        overlap = int(np.count_nonzero(footprint & occupancy))
         if overlap / own >= params.overlap_discard_ratio:
             continue
         surviving = footprint & ~occupancy
         occupancy |= surviving
-        accepted.append((prop.class_id, surviving, prop.mask_logits))
+        accepted.append((prop.class_id, np.flatnonzero(surviving), prop.mask_logits))
 
-    # candidate rows: stuff classes then instances, sorted so that
-    # np.argmax's first-maximum rule realizes the id-based tie breaking
     channel_of = {cid: ch for ch, cid in enumerate(semantic_channel_ids)}
-    stuff = [
-        (class_id, channel)
-        for channel, class_id in enumerate(semantic_channel_ids)
+    stuff = (
+        (class_id, enhanced_semantic[channel])
+        for class_id, channel in _id_order(semantic_channel_ids)
         if taxonomy.has_semantic(class_id) and not taxonomy.is_thing(class_id)
-    ]
-    candidates: list[tuple[int, int, np.ndarray]] = []  # (class, instance, scores)
-    for class_id, channel in stuff:
-        candidates.append((class_id, 0, enhanced_semantic[channel]))
-    for seq, (class_id, surviving, mask_logits) in enumerate(accepted, start=1):
+    )
+    stuff_best, stuff_winner = _running_argmax(stuff, (h, w))
+    stuff_best, stuff_winner = stuff_best.ravel(), stuff_winner.ravel()
+
+    sem_map = stuff_winner.copy()
+    inst_map = np.zeros(h * w, dtype=LABEL_DTYPE)
+    instance_id = 0
+    for class_id, pixels, mask_logits in accepted:
         if class_id not in channel_of:
             raise ValidationError(f"no semantic channel for proposal class {class_id}")
         fused = agreement_sem_inst(
-            mask_logits.astype(np.float64, copy=False),
-            enhanced_semantic[channel_of[class_id]],
+            mask_logits.ravel()[pixels],
+            enhanced_semantic[channel_of[class_id]].ravel()[pixels],
         )
-        scores = np.where(surviving, fused, -np.inf)
-        candidates.append((class_id, seq, scores))
-
-    sem_map, inst_map = _argmax_panoptic(candidates, (h, w))
-
-    if accepted and params.min_instance_area > 0:
-        counts = {
-            seq: int((inst_map == seq).sum()) for seq in range(1, len(accepted) + 1)
-        }
-        small = {seq for seq, n in counts.items() if n < params.min_instance_area}
-        if small:
-            survivors = [c for c in candidates if c[1] not in small]
-            sem_map, inst_map = _argmax_panoptic(survivors, (h, w))
-
-    # compact surviving instance ids to 1..M in acceptance order
-    present = sorted({int(i) for i in np.unique(inst_map) if i != 0})
-    remap = np.zeros(len(accepted) + 1, dtype=LABEL_DTYPE)
-    for new_id, seq in enumerate(present, start=1):
-        remap[seq] = new_id
-    inst_map = remap[inst_map]
-    return sem_map, inst_map
-
-
-def _argmax_panoptic(
-    candidates: list[tuple[int, int, np.ndarray]], shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    if not candidates:
-        z = np.zeros(shape, dtype=LABEL_DTYPE)
-        return z, z.copy()
-    ranked = sorted(range(len(candidates)), key=lambda i: candidates[i][:2])
-    scores = np.stack([candidates[i][2] for i in ranked])
-    winner = np.argmax(scores, axis=0)
-    valid = np.take_along_axis(scores, winner[None], axis=0)[0] > -np.inf
-    class_ids = np.array([candidates[i][0] for i in ranked], dtype=LABEL_DTYPE)
-    inst_ids = np.array([candidates[i][1] for i in ranked], dtype=np.int64)
-    sem_map = np.where(valid, class_ids[winner], 0).astype(LABEL_DTYPE)
-    inst_map = np.where(valid, inst_ids[winner], 0)
-    return sem_map, inst_map
+        best = stuff_best[pixels]
+        wins = (fused > best) | ((fused == best) & (class_id < stuff_winner[pixels]))
+        won = pixels[wins]
+        if won.size < max(params.min_instance_area, 1):
+            continue
+        instance_id += 1
+        sem_map[won] = class_id
+        inst_map[won] = instance_id
+    return sem_map.reshape(h, w), inst_map.reshape(h, w)
 
 
 def fuse_part_panoptic(
@@ -286,7 +257,7 @@ def fuse_part_panoptic(
 ) -> LabelTriple:
     """Full part-panoptic fusion: enhancement, panoptic merge, part argmax."""
     enhanced_sem = semantic_wise_fuse(stack, taxonomy)
-    _, part_map = part_wise_fuse(stack, taxonomy)
+    part_map = _part_map(stack, taxonomy)
     sem_map, inst_map = panoptic_fuse(
         enhanced_sem,
         stack.semantic_channel_ids,
@@ -317,21 +288,20 @@ def fuse_baseline(
             f"unknown strategy {strategy!r}; expected one of {BASELINE_STRATEGIES}"
         )
     stack.validate(taxonomy)
-    raw_sem = stack.semantic_logits.astype(np.float64, copy=False)
     sem_map, inst_map = panoptic_fuse(
-        raw_sem,
+        stack.semantic_logits,
         stack.semantic_channel_ids,
         stack.instance_proposals,
         taxonomy,
         params,
     )
-    if stack.part_channel_ids:
-        part_map = _argmax_labels(
-            stack.part_logits.astype(np.float64, copy=False),
-            stack.part_channel_ids,
-        )
-    else:
-        part_map = np.zeros_like(sem_map)
+    _, part_map = _running_argmax(
+        (
+            (part_id, stack.part_logits[channel])
+            for part_id, channel in _id_order(stack.part_channel_ids)
+        ),
+        sem_map.shape,
+    )
 
     if strategy == "none":
         return LabelTriple.from_arrays(sem_map, inst_map, part_map)
@@ -342,9 +312,6 @@ def fuse_baseline(
             parent_lut[pid] = taxonomy.parent_of(pid)
     conflict = (part_map != 0) & (parent_lut[part_map] != sem_map)
 
-    sem_map = sem_map.copy()
-    inst_map = inst_map.copy()
-    part_map = part_map.copy()
     if strategy == "consensus":
         sem_map[conflict] = 0
         inst_map[conflict] = 0

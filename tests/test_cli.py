@@ -309,6 +309,74 @@ def test_eval_dimension_mismatch_exit_code(tmp_path, taxonomy_json):
     assert code == 3
 
 
+def make_three_pred_dirs(tmp_path):
+    """Ground truth plus three prediction directories (p1..p3) with two
+    stems each, all copies of make_eval_dirs' triples."""
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    formats.write_label_triple(formats.read_label_triple(gt_dir / "a"), gt_dir / "b")
+    preds = []
+    for name in ("p1", "p2", "p3"):
+        target = tmp_path / name
+        target.mkdir()
+        for stem in ("a", "b"):
+            triple = formats.read_label_triple(pred_dir / "a")
+            formats.write_label_triple(triple, target / stem)
+        preds.append(target)
+    return gt_dir, preds
+
+
+def eval_three(taxonomy_json, gt_dir, preds):
+    return main(
+        ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir)]
+        + [str(p) for p in preds]
+    )
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def test_eval_three_dirs_corrupt_ground_truth_exit_code(tmp_path, taxonomy_json):
+    gt_dir, preds = make_three_pred_dirs(tmp_path)
+    truncate(gt_dir / "b.inst.pgm")
+    assert eval_three(taxonomy_json, gt_dir, preds) == 2
+
+
+def test_eval_three_dirs_invalid_ground_truth_exit_code(tmp_path, taxonomy_json):
+    gt_dir, preds = make_three_pred_dirs(tmp_path)
+    triple = formats.read_label_triple(gt_dir / "b")
+    inst = triple.instance_map.copy()
+    inst[0, 45:] = 1  # instance 1 now spans two semantic classes
+    formats.write_label_triple(
+        make_triple(triple.semantic_map, inst, triple.part_map), gt_dir / "b"
+    )
+    assert eval_three(taxonomy_json, gt_dir, preds) == 3
+
+
+def test_eval_errors_resolve_in_directory_order(tmp_path, taxonomy_json):
+    # the first directory with a fault decides the exit code, as if the
+    # directories were scored one after another
+    gt_dir, preds = make_three_pred_dirs(tmp_path)
+    truncate(preds[1] / "b.sem.pgm")  # corrupt: 2
+    formats.write_label_triple(  # invalid: 3
+        make_triple(np.full((2, 50), 99, dtype=np.uint16)), preds[2] / "a"
+    )
+    assert eval_three(taxonomy_json, gt_dir, preds) == 2
+    missing = tmp_path / "absent"
+    assert eval_three(taxonomy_json, gt_dir, [preds[0], preds[2], missing]) == 3
+    assert eval_three(taxonomy_json, gt_dir, [preds[0], missing, preds[1]]) == 3
+    # a corrupt prediction is read before the ground truth is validated
+    triple = formats.read_label_triple(gt_dir / "a")
+    formats.write_label_triple(
+        make_triple(np.full((2, 50), 99, dtype=np.uint16)), gt_dir / "a"
+    )
+    assert eval_three(taxonomy_json, gt_dir, [preds[1]]) == 3
+    truncate(preds[1] / "a.part.pgm")
+    assert eval_three(taxonomy_json, gt_dir, [preds[1]]) == 2
+    formats.write_label_triple(triple, gt_dir / "a")
+    assert eval_three(taxonomy_json, gt_dir, [preds[0], preds[1]]) == 2
+
+
 def test_report_renders_tsv(tmp_path, taxonomy_json, capsys):
     gt_dir, pred_dir = make_eval_dirs(tmp_path)
     tsv = tmp_path / "m_b.tsv"

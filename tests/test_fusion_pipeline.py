@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfuse.containers import InstanceProposal, LogitStack
 from partfuse.errors import ValidationError
@@ -418,3 +420,219 @@ def test_all_zero_logits_no_proposals():
     triple = fuse_baseline(stack, tax, None, "none")
     assert (triple.semantic_map == 3).all()
     assert (triple.instance_map == 0).all()
+
+
+# ------------------------------------------------------------------ oracle
+#
+# Brute-force reference: every candidate (stuff class or instance) gets a
+# full-frame score row, -inf off an instance's surviving footprint, and one
+# np.argmax over the rows sorted by (class id, instance) picks the winner;
+# instances below min_instance_area are dropped and the argmax repeated.
+# Masks are compared in float64.  The part map is np.argmax over the
+# enhanced part channels sorted by part id.
+
+
+def _oracle_argmax(candidates, shape):
+    if not candidates:
+        z = np.zeros(shape, dtype=np.uint16)
+        return z, z.copy()
+    ranked = sorted(range(len(candidates)), key=lambda i: candidates[i][:2])
+    scores = np.stack([candidates[i][2] for i in ranked])
+    winner = np.argmax(scores, axis=0)
+    valid = np.take_along_axis(scores, winner[None], axis=0)[0] > -np.inf
+    class_ids = np.array([candidates[i][0] for i in ranked], dtype=np.uint16)
+    inst_ids = np.array([candidates[i][1] for i in ranked], dtype=np.int64)
+    sem_map = np.where(valid, class_ids[winner], 0).astype(np.uint16)
+    inst_map = np.where(valid, inst_ids[winner], 0)
+    return sem_map, inst_map
+
+
+def oracle_panoptic(enhanced, channel_ids, proposals, taxonomy, params, stats):
+    h, w = enhanced.shape[1:]
+    enhanced = enhanced.astype(np.float64)
+    kept = [p for p in proposals if p.confidence >= params.confidence_min]
+    order = sorted(range(len(kept)), key=lambda i: (-kept[i].confidence, i))
+    occupancy = np.zeros((h, w), dtype=bool)
+    accepted = []
+    for idx in order:
+        raw = kept[idx].mask_logits
+        mask = raw.astype(np.float64)
+        footprint = mask > params.mask_logit_threshold
+        # pixels a float32 comparison would read the other way
+        stats["float32_flips"] += int((footprint != (raw > np.float32(params.mask_logit_threshold))).sum())
+        own = int(footprint.sum())
+        if own == 0 or (footprint & occupancy).sum() / own >= params.overlap_discard_ratio:
+            continue
+        surviving = footprint & ~occupancy
+        occupancy |= surviving
+        accepted.append((kept[idx].class_id, surviving, mask))
+
+    channel_of = {cid: ch for ch, cid in enumerate(channel_ids)}
+    candidates = [
+        (cid, 0, enhanced[ch])
+        for ch, cid in enumerate(channel_ids)
+        if not taxonomy.is_thing(cid)
+    ]
+    stuff_best = (
+        np.max([c[2] for c in candidates], axis=0) if candidates else np.full((h, w), -np.inf)
+    )
+    for seq, (cid, surviving, mask) in enumerate(accepted, start=1):
+        fused = agreement_sem_inst(mask, enhanced[channel_of[cid]])
+        stats["stuff_ties"] += int((surviving & (fused == stuff_best)).sum())
+        candidates.append((cid, seq, np.where(surviving, fused, -np.inf)))
+    sem_map, inst_map = _oracle_argmax(candidates, (h, w))
+
+    if accepted and params.min_instance_area > 0:
+        small = {
+            seq
+            for seq in range(1, len(accepted) + 1)
+            if 0 < (inst_map == seq).sum() < params.min_instance_area
+        }
+        if small:
+            stats["removed"] += len(small)
+            survivors = [c for c in candidates if c[1] not in small]
+            sem_map, inst_map = _oracle_argmax(survivors, (h, w))
+    present = sorted(int(i) for i in np.unique(inst_map) if i != 0)
+    remap = np.zeros(len(accepted) + 1, dtype=np.uint16)
+    remap[present] = np.arange(1, len(present) + 1)
+    return sem_map, remap[inst_map]
+
+
+def oracle_part_map(part_scores, part_ids, stats):
+    order = np.argsort(np.asarray(part_ids), kind="stable")
+    ranked = part_scores[order]
+    top = ranked.max(axis=0)
+    stats["part_ties"] += int(((ranked == top).sum(axis=0) > 1).sum())
+    return np.asarray(part_ids, dtype=np.uint16)[order][np.argmax(ranked, axis=0)]
+
+
+def oracle_fuse(stack, taxonomy, params, strategy, stats):
+    if strategy == "partpanoptic":
+        sem = semantic_wise_fuse(stack, taxonomy)
+        part_scores = np.stack(
+            [
+                agreement_part_sem(
+                    stack.part_logits[ch],
+                    stack.semantic_logits[stack.semantic_channel(taxonomy.parent_of(pid))],
+                )
+                for ch, pid in enumerate(stack.part_channel_ids)
+            ]
+        )
+    else:
+        sem = stack.semantic_logits
+        part_scores = stack.part_logits.astype(np.float64)
+    sem_map, inst_map = oracle_panoptic(
+        sem, stack.semantic_channel_ids, stack.instance_proposals, taxonomy, params, stats
+    )
+    part_map = oracle_part_map(part_scores, stack.part_channel_ids, stats)
+    return sem_map, inst_map, part_map
+
+
+def random_scene(seed):
+    """A small scene built to hit the fusion's tie and removal rules.
+
+    Integer logits tie stuff against instance scores (fused == 0 when the
+    mask and semantic logits cancel) and part channels against each
+    other; masks are float32 and hold float32(0.1), which only a float64
+    comparison reads as above a 0.1 threshold; proposals overlap, repeat
+    confidences and are often small enough for min_instance_area; every
+    fourth taxonomy has no stuff class, and the channels come shuffled.
+    """
+    rng = np.random.default_rng(seed)
+    n_sem = int(rng.integers(1, 5))
+    sem_ids = [int(i) for i in rng.choice(np.arange(1, 30), n_sem, replace=False)]
+    no_stuff = seed % 4 == 0
+    semantic = [
+        {"id": cid, "name": f"c{cid}", "is_thing": bool(no_stuff or rng.random() < 0.5)}
+        for cid in sem_ids
+    ]
+    n_part = int(rng.integers(1, 6))
+    part_ids = [int(i) for i in rng.choice(np.arange(30, 60), n_part, replace=False)]
+    parts = [
+        {"id": pid, "name": f"p{pid}", "parent_semantic_id": int(rng.choice(sem_ids))}
+        for pid in part_ids
+    ]
+    taxonomy = validate_taxonomy({"semantic_classes": semantic, "part_classes": parts})
+
+    h, w = int(rng.integers(4, 11)), int(rng.integers(4, 11))
+    sem_order = [sem_ids[i] for i in rng.permutation(n_sem)]
+    part_order = [part_ids[i] for i in rng.permutation(n_part)]
+    sem = rng.integers(-2, 3, size=(n_sem, h, w)).astype(np.float32)
+    part = rng.integers(-2, 3, size=(n_part, h, w)).astype(np.float32)
+
+    things = [c["id"] for c in semantic if c["is_thing"]]
+    proposals = []
+    for _ in range(int(rng.integers(0, 6)) if things else 0):
+        mask = np.full((h, w), -3.0, dtype=np.float32)
+        y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+        dy, dx = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+        values = np.array([0.1, 0.1, 1.0, 2.0, -1.0], dtype=np.float32)
+        mask[y : y + dy, x : x + dx] = rng.choice(values, size=mask[y : y + dy, x : x + dx].shape)
+        proposals.append(
+            InstanceProposal(
+                class_id=int(rng.choice(things)),
+                confidence=float(rng.choice([0.4, 0.6, 0.6, 0.9])),
+                mask_logits=mask,
+            )
+        )
+    stack = LogitStack(
+        semantic_logits=sem,
+        part_logits=part,
+        semantic_channel_ids=tuple(sem_order),
+        part_channel_ids=tuple(part_order),
+        instance_proposals=tuple(proposals),
+    )
+    params = FusionParams(
+        confidence_min=0.5,
+        overlap_discard_ratio=float(rng.choice([0.3, 0.5, 1.0])),
+        min_instance_area=int(rng.choice([0, 1, 3, 6])),
+        mask_logit_threshold=float(rng.choice([0.0, 0.1])),
+    )
+    return taxonomy, stack, params
+
+
+def test_fusion_matches_stacked_argmax_oracle():
+    stats = {"float32_flips": 0, "stuff_ties": 0, "part_ties": 0, "removed": 0}
+    no_stuff_with_instances = 0
+    for seed in range(100):
+        taxonomy, stack, params = random_scene(seed)
+        # consensus and topdown only void pixels of the "none" maps
+        for strategy in ("partpanoptic", "none"):
+            triple = fuse(stack, taxonomy, params, strategy)
+            sem_map, inst_map, part_map = oracle_fuse(
+                stack, taxonomy, params, strategy, stats
+            )
+            assert np.array_equal(triple.semantic_map, sem_map), (seed, strategy)
+            assert np.array_equal(triple.instance_map, inst_map), (seed, strategy)
+            assert np.array_equal(triple.part_map, part_map), (seed, strategy)
+            if seed % 4 == 0 and inst_map.any():
+                no_stuff_with_instances += 1
+    # the scenes really exercise the rules the fast path must keep
+    assert stats["float32_flips"] > 0
+    assert stats["stuff_ties"] > 0
+    assert stats["part_ties"] > 0
+    assert stats["removed"] > 0
+    assert no_stuff_with_instances > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_fuse_invariant_under_channel_permutation(seed, data):
+    from partfuse.fusion import STRATEGIES
+
+    taxonomy, stack, params = random_scene(seed)
+    sem_perm = data.draw(st.permutations(range(len(stack.semantic_channel_ids))))
+    part_perm = data.draw(st.permutations(range(len(stack.part_channel_ids))))
+    permuted = LogitStack(
+        semantic_logits=np.asarray(stack.semantic_logits)[list(sem_perm)],
+        part_logits=np.asarray(stack.part_logits)[list(part_perm)],
+        semantic_channel_ids=tuple(stack.semantic_channel_ids[i] for i in sem_perm),
+        part_channel_ids=tuple(stack.part_channel_ids[i] for i in part_perm),
+        instance_proposals=stack.instance_proposals,
+    )
+    for strategy in STRATEGIES:
+        a = fuse(stack, taxonomy, params, strategy)
+        b = fuse(permuted, taxonomy, params, strategy)
+        assert np.array_equal(a.semantic_map, b.semantic_map), strategy
+        assert np.array_equal(a.instance_map, b.instance_map), strategy
+        assert np.array_equal(a.part_map, b.part_map), strategy

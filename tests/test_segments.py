@@ -4,7 +4,7 @@ import pytest
 from partfuse.containers import LabelTriple, derive_segments
 from partfuse.errors import ValidationError
 
-from conftest import BAG, TABLE, make_triple
+from conftest import BAG, BOTTLE, CENTER, MEDICAL_BAG, OTHER, SEAL, TABLE, make_triple
 
 
 def test_all_void_yields_empty_list(taxonomy):
@@ -95,3 +95,68 @@ def test_maps_must_share_shape():
             np.zeros((2, 3), dtype=np.uint16),
             np.zeros((2, 2), dtype=np.uint16),
         )
+
+
+def test_validate_messages_name_the_offending_id(taxonomy):
+    sem = np.array([[BAG, 99], [TABLE, 98]], dtype=np.uint16)
+    with pytest.raises(ValidationError, match=r"^semantic map uses unknown class id 98$"):
+        make_triple(sem).validate(taxonomy)
+    part = np.array([[SEAL, 77]], dtype=np.uint16)
+    with pytest.raises(ValidationError, match=r"^part map uses unknown part id 77$"):
+        make_triple(np.array([[BAG, BAG]]), part=part).validate(taxonomy)
+    sem = np.array([[BAG, TABLE]], dtype=np.uint16)
+    with pytest.raises(ValidationError, match=r"^instance ids present on non-thing pixels$"):
+        make_triple(sem, np.array([[1, 2]])).validate(taxonomy)
+    # ids 5 and 3 both span two classes; the lower one is named
+    sem = np.array([[BAG, BOTTLE, BAG, BOTTLE, BAG]], dtype=np.uint16)
+    inst = np.array([[5, 5, 3, 3, 4]], dtype=np.uint16)
+    with pytest.raises(
+        ValidationError, match=r"^instance id 3 spans more than one semantic class$"
+    ):
+        make_triple(sem, inst).validate(taxonomy)
+
+
+def _validate_oracle(triple, taxonomy):
+    """The sorting formulation: np.unique id sets and (instance, class) rows."""
+    sem, inst, part = triple.semantic_map, triple.instance_map, triple.part_map
+    for sid in np.unique(sem):
+        if sid != 0 and not taxonomy.has_semantic(int(sid)):
+            return f"semantic map uses unknown class id {sid}"
+    for pid in np.unique(part):
+        if pid != 0 and not taxonomy.has_part(int(pid)):
+            return f"part map uses unknown part id {pid}"
+    nonzero = inst != 0
+    if not nonzero.any():
+        return None
+    if not all(s != 0 and taxonomy.is_thing(int(s)) for s in np.unique(sem[nonzero])):
+        return "instance ids present on non-thing pixels"
+    rows = np.unique(np.stack([inst[nonzero], sem[nonzero]], axis=1), axis=0)
+    ids, counts = np.unique(rows[:, 0], return_counts=True)
+    if (counts > 1).any():
+        return f"instance id {ids[counts > 1][0]} spans more than one semantic class"
+    return None
+
+
+def test_validate_matches_sorting_oracle(taxonomy):
+    rng = np.random.default_rng(31)
+    sem_pool = np.array([0, BAG, BOTTLE, MEDICAL_BAG, TABLE, TABLE, 60], dtype=np.uint16)
+    part_pool = np.array([0, 0, SEAL, CENTER, OTHER, 70], dtype=np.uint16)
+    outcomes = set()
+    for _ in range(400):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        sem = rng.choice(sem_pool[: int(rng.integers(2, 8))], size=shape)
+        part = rng.choice(part_pool[: int(rng.integers(1, 7))], size=shape)
+        inst = rng.integers(0, int(rng.integers(1, 6)), size=shape).astype(np.uint16)
+        if rng.random() < 0.5:  # mostly consistent: one class per instance
+            inst[~np.isin(sem, [BAG, BOTTLE, MEDICAL_BAG])] = 0
+        triple = make_triple(sem, inst, part)
+        expected = _validate_oracle(triple, taxonomy)
+        try:
+            triple.validate(taxonomy)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected
+        kinds = ("unknown class", "unknown part", "non-thing", "spans")
+        outcomes.add(got and next(k for k in kinds if k in got))
+    assert outcomes == {None, "unknown class", "unknown part", "non-thing", "spans"}
