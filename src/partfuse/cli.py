@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 on I/O errors (unreadable or corrupt files),
 3 on validation errors (missing required inputs, bad taxonomy or
-dimensions, unknown strategy).  Messages go to standard error; verbosity
-is controlled by the PARTFUSE_LOG environment variable (error, warn,
-info, debug).
+dimensions, unknown strategy).  Handlers raise; ``main`` alone maps an
+error to its code.  Messages go to standard error; verbosity is
+controlled by the PARTFUSE_LOG environment variable (error, warn, info,
+debug).
 
 All commands are deterministic: rerunning with the same inputs and seed
 produces byte-identical outputs, and --jobs only changes wall time.
@@ -16,9 +17,12 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import formats
@@ -32,7 +36,7 @@ from .autolabel_monitor import (
 )
 from .autolabel_rgbd import generate_rgbd_sample, load_rgbd_config
 from .containers import LogitStack
-from .errors import FormatError, PartfuseError, ValidationError
+from .errors import PartfuseError, ValidationError
 from .fusion import STRATEGIES, FusionParams, fuse
 from .imaging import read_pnm, write_pnm
 from .metrics import (
@@ -69,6 +73,23 @@ class RunConfig:
     fusion: FusionParams = FusionParams()
 
 
+def _optional_path(value) -> Path | None:
+    return Path(value) if value else None
+
+
+# (key, type, default) for every setting that a flag or the --config file
+# can give.  A flag beats the file and the file beats the default; a
+# subcommand without the flag takes the file's value.
+_SETTINGS = (
+    ("taxonomy", _optional_path, None),
+    ("out", _optional_path, None),
+    ("strategy", str, "partpanoptic"),
+    ("seed", int, 0),
+    ("jobs", int, 1),
+    *((f.name, type(f.default), f.default) for f in fields(FusionParams)),
+)
+
+
 def _merge_run_config(args) -> RunConfig:
     file_cfg: dict = {}
     if getattr(args, "config", None):
@@ -79,44 +100,22 @@ def _merge_run_config(args) -> RunConfig:
             file_cfg = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    fusion = FusionParams(
-        confidence_min=float(
-            pick(getattr(args, "confidence_min", None), "confidence_min", 0.5)
-        ),
-        overlap_discard_ratio=float(
-            pick(
-                getattr(args, "overlap_discard_ratio", None),
-                "overlap_discard_ratio",
-                0.5,
-            )
-        ),
-        min_instance_area=int(
-            pick(getattr(args, "min_instance_area", None), "min_instance_area", 64)
-        ),
-        mask_logit_threshold=float(
-            pick(
-                getattr(args, "mask_logit_threshold", None),
-                "mask_logit_threshold",
-                0.0,
-            )
-        ),
-    )
-    taxonomy = pick(getattr(args, "taxonomy", None), "taxonomy", None)
-    out = pick(getattr(args, "out", None), "out", None)
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"{path}: a config file must hold a JSON object")
+    values = {}
+    for key, kind, default in _SETTINGS:
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key, default)
+        try:
+            values[key] = kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad value for {key}: {value!r}") from exc
+    fusion = FusionParams(**{f.name: values.pop(f.name) for f in fields(FusionParams)})
     return RunConfig(
-        taxonomy=Path(taxonomy) if taxonomy else None,
-        out=Path(out) if out else None,
-        strategy=pick(getattr(args, "strategy", None), "strategy", "partpanoptic"),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
-        jobs=int(pick(getattr(args, "jobs", None), "jobs", 1)),
-        keep_going=bool(getattr(args, "keep_going", False)),
-        percent=bool(getattr(args, "percent", False)),
+        **values,
+        keep_going=getattr(args, "keep_going", False),
+        percent=getattr(args, "percent", False),
         fusion=fusion,
     )
 
@@ -136,45 +135,58 @@ def _ensure_out(out: Path | None) -> Path:
     return out
 
 
-def _run_items(items, worker, jobs: int, keep_going: bool):
-    """Run worker(item) for every item, jobs at a time.
+def _run_items(
+    items, worker, jobs: int, keep_going: bool = False, out_dir: Path | None = None
+):
+    """Run worker(item, stage) for every item on a pool of ``jobs`` threads.
 
-    Results are collected in input order.  Errors stop the run unless
-    keep_going is set, in which case failed items are skipped with a
-    warning.  Returns (results, first_error)."""
+    With ``out_dir``, each item writes its files into its own new staging
+    directory ``stage`` under ``out_dir``.  The calling thread then moves
+    them into ``out_dir`` with ``os.replace``, item by item in input order,
+    so no file there is ever half-written and, where two items write the
+    same name, the later item wins.  Without ``out_dir``, ``stage`` is None.
+
+    The first failure in input order stops the run and is raised: later
+    items are cancelled or their staged files discarded, so what reaches
+    ``out_dir`` does not depend on ``jobs``.  With ``keep_going``, a failed
+    item is logged and skipped instead.  Returns ``(results, errors)``:
+    the committed items' results and the skipped items' errors, each in
+    input order."""
+    items = list(items)
+    started = time.perf_counter()
+    results: list = []
     errors: list[PartfuseError | OSError] = []
-    results = []
-    if jobs <= 1:
-        outcomes = []
-        for item in items:
+    stage_root = None
+    if out_dir is not None:
+        stage_root = Path(tempfile.mkdtemp(prefix=".partfuse-stage-", dir=out_dir))
+
+    def run(item):
+        stage = Path(tempfile.mkdtemp(dir=stage_root)) if stage_root else None
+        return worker(item, stage), stage
+
+    pool = ThreadPoolExecutor(max_workers=max(jobs, 1))
+    try:
+        for future in [pool.submit(run, item) for item in items]:
             try:
-                outcomes.append((worker(item), None))
+                result, stage = future.result()
             except (PartfuseError, OSError) as exc:
-                outcomes.append((None, exc))
+                errors.append(exc)
                 if not keep_going:
-                    break
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(worker, item) for item in items]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append((future.result(), None))
-                except (PartfuseError, OSError) as exc:
-                    outcomes.append((None, exc))
-    for value, exc in outcomes:
-        if exc is None:
-            results.append(value)
-        else:
-            errors.append(exc)
-            log.warning("item failed: %s", exc)
-    return results, (errors[0] if errors else None)
-
-
-def _exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, ValidationError):
-        return EXIT_VALIDATION
-    return EXIT_IO
+                    raise
+                log.warning("item failed: %s", exc)
+                continue
+            if stage is not None:
+                for path in sorted(stage.iterdir()):
+                    os.replace(path, out_dir / path.name)
+            results.append(result)
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if stage_root is not None:
+            shutil.rmtree(stage_root, ignore_errors=True)
+        skipped = len(items) - len(results) - len(errors)
+        log.info("%d ok, %d failed, %d skipped in %.2f s", len(results), len(errors),
+                 skipped, time.perf_counter() - started)
+    return results, errors
 
 
 # ---------------------------------------------------------------- fuse
@@ -194,7 +206,7 @@ def _discover_stems(inputs: list[str], suffix: str) -> list[Path]:
     return stems
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> None:
     cfg = _merge_run_config(args)
     if cfg.strategy not in STRATEGIES:
         raise ValidationError(
@@ -210,7 +222,7 @@ def cmd_fuse(args) -> int:
             if not Path(str(stem) + suffix).exists():
                 raise ValidationError(f"missing input file {stem}{suffix}")
 
-    def work(stem: Path):
+    def work(stem: Path, stage: Path):
         sem = formats.read_tensor(str(stem) + ".sem.ppt1")
         part = formats.read_tensor(str(stem) + ".part.ppt1")
         proposals = formats.read_proposals(str(stem) + ".proposals.json")
@@ -224,14 +236,11 @@ def cmd_fuse(args) -> int:
             instance_proposals=proposals,
         )
         triple = fuse(stack, taxonomy, cfg.fusion, cfg.strategy)
-        formats.write_label_triple(triple, out_dir / stem.name)
+        formats.write_label_triple(triple, stage / stem.name)
         log.info("fused %s", stem.name)
         return stem.name
 
-    _, error = _run_items(stems, work, cfg.jobs, cfg.keep_going)
-    if error is not None:
-        return _exit_code_for(error)
-    return EXIT_OK
+    _run_items(stems, work, cfg.jobs, cfg.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- eval
@@ -241,7 +250,7 @@ def _triple_stems(directory: Path) -> list[str]:
     return sorted(p.name[: -len(".sem.pgm")] for p in directory.glob("*.sem.pgm"))
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     gt_dir = Path(args.gt)
@@ -268,7 +277,7 @@ def cmd_eval(args) -> int:
             break
         pred_dirs.append(pred_dir)
 
-    def work(stem: str) -> list:
+    def work(stem: str, _stage) -> list:
         """Match every prediction against one ground-truth triple, read
         and validated once.  Each entry is a MatchResult or the error that
         scoring this directory on its own would have raised first."""
@@ -294,14 +303,13 @@ def cmd_eval(args) -> int:
                 outcomes.append(exc)
         return outcomes
 
-    per_stem, _ = _run_items(stems if pred_dirs else [], work, cfg.jobs, keep_going=False)
+    per_stem, _ = _run_items(stems if pred_dirs else [], work, cfg.jobs)
     rows: list[tuple[str, MetricReport]] = []
     for column, pred_dir in enumerate(pred_dirs):
         matches = [outcomes[column] for outcomes in per_stem]
         error = next((m for m in matches if isinstance(m, BaseException)), None)
         if error is not None:
-            log.warning("item failed: %s", error)
-            return _exit_code_for(error)
+            raise error
         rows.append((pred_dir.name, aggregate_dataset(matches, taxonomy)))
     if dir_error is not None:
         raise dir_error
@@ -323,7 +331,6 @@ def cmd_eval(args) -> int:
             for label, report in rows:
                 target = tsv_path.with_name(f"{tsv_path.stem}_{label}{tsv_path.suffix}")
                 target.write_text(report_to_tsv(report, taxonomy), encoding="utf-8")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- label
@@ -335,7 +342,7 @@ def _write_provenance(path: Path, payload: dict) -> None:
     )
 
 
-def cmd_label_rgbd(args) -> int:
+def cmd_label_rgbd(args) -> None:
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
@@ -350,7 +357,7 @@ def cmd_label_rgbd(args) -> int:
         if not scene.is_dir():
             raise ValidationError(f"scene directory not found: {scene}")
 
-    def work(scene: Path):
+    def work(scene: Path, stage: Path):
         for name in ("rgb.ppm", "cloud.ply", "camera.json"):
             if not (scene / name).exists():
                 raise ValidationError(f"{scene} is missing {name}")
@@ -358,7 +365,7 @@ def cmd_label_rgbd(args) -> int:
         cloud = read_ply(scene / "cloud.ply")
         camera = load_camera(scene / "camera.json")
         image, triple = generate_rgbd_sample(rgb, cloud, camera, taxonomy, label_cfg)
-        stem = out_dir / scene.name
+        stem = stage / scene.name
         write_pnm(image, stem.with_suffix(".ppm"))
         formats.write_label_triple(triple, stem)
         _write_provenance(
@@ -383,13 +390,10 @@ def cmd_label_rgbd(args) -> int:
         log.info("labelled scene %s", scene.name)
         return scene.name
 
-    _, error = _run_items(scenes, work, cfg.jobs, cfg.keep_going)
-    if error is not None and not cfg.keep_going:
-        return _exit_code_for(error)
-    return EXIT_OK
+    _run_items(scenes, work, cfg.jobs, cfg.keep_going, out_dir)
 
 
-def cmd_label_monitor(args) -> int:
+def cmd_label_monitor(args) -> None:
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
@@ -417,7 +421,7 @@ def cmd_label_monitor(args) -> int:
 
     indexed = list(enumerate(scenes))
 
-    def work(item):
+    def work(item, stage: Path):
         ordinal, scene = item
         for name in ("blue.ppm", "black.ppm"):
             if not (scene / name).exists():
@@ -431,7 +435,7 @@ def cmd_label_monitor(args) -> int:
         for target_path in sorted(scene.glob("target_*.ppm")):
             target = read_pnm(target_path)
             image, triple = transfer_labels(reference, target, taxonomy)
-            stem = out_dir / f"{scene.name}_{target_path.stem}"
+            stem = stage / f"{scene.name}_{target_path.stem}"
             write_pnm(image, stem.with_suffix(".ppm"))
             formats.write_label_triple(triple, stem)
             emitted.append(stem.name)
@@ -441,13 +445,13 @@ def cmd_label_monitor(args) -> int:
         for i in range(args.composites):
             bg = read_pnm(backgrounds[rng.below(len(backgrounds))])
             image, triple = composite_synthetic(img_black, reference, bg)
-            stem = out_dir / f"{scene.name}_synth_{i:03d}"
+            stem = stage / f"{scene.name}_synth_{i:03d}"
             write_pnm(image, stem.with_suffix(".ppm"))
             formats.write_label_triple(triple, stem)
             emitted.append(stem.name)
 
         _write_provenance(
-            out_dir / f"{scene.name}.provenance.json",
+            stage / f"{scene.name}.provenance.json",
             {
                 "variant": "monitor",
                 "scene": scene.name,
@@ -465,10 +469,7 @@ def cmd_label_monitor(args) -> int:
         log.info("labelled scene %s (%d samples)", scene.name, len(emitted))
         return scene.name
 
-    _, error = _run_items(indexed, work, cfg.jobs, cfg.keep_going)
-    if error is not None and not cfg.keep_going:
-        return _exit_code_for(error)
-    return EXIT_OK
+    _run_items(indexed, work, cfg.jobs, cfg.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- overlay
@@ -497,7 +498,7 @@ def _overlay_spec_from_args(args, taxonomy) -> OverlaySpec:
     return spec
 
 
-def cmd_overlay(args) -> int:
+def cmd_overlay(args) -> None:
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     image_path = Path(args.image)
@@ -508,13 +509,12 @@ def cmd_overlay(args) -> int:
     spec = _overlay_spec_from_args(args, taxonomy)
     rendered = render_overlay(image, triple, spec)
     write_pnm(rendered, args.output)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- augment
 
 
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> None:
     cfg = _merge_run_config(args)
     out_dir = _ensure_out(cfg.out)
     dataset = Path(args.dataset)
@@ -524,26 +524,22 @@ def cmd_augment(args) -> int:
     if not stems:
         raise ValidationError(f"no samples in {dataset}")
 
-    def work(stem: str):
+    def work(stem: str, stage: Path):
         image = read_pnm(dataset / f"{stem}.ppm")
         triple = formats.read_label_triple(dataset / stem)
         for suffix, img, trip in augment_flips(image, triple):
-            out_stem = out_dir / f"{stem}{suffix}"
+            out_stem = stage / f"{stem}{suffix}"
             write_pnm(img, out_stem.with_suffix(".ppm"))
             formats.write_label_triple(trip, out_stem)
         return stem
 
-    _, error = _run_items(stems, work, cfg.jobs, cfg.keep_going)
-    if error is not None and not cfg.keep_going:
-        # per-sample failures in augmentation are input problems
-        return EXIT_VALIDATION
-    return EXIT_OK
+    _run_items(stems, work, cfg.jobs, cfg.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- report
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     rows: list[tuple[str, MetricReport]] = []
@@ -557,7 +553,6 @@ def cmd_report(args) -> int:
             rows, taxonomy, percent=cfg.percent, metric="part_pq", corner="PartPQ"
         )
     )
-    return EXIT_OK
 
 
 def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
@@ -593,19 +588,23 @@ def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--taxonomy", help="taxonomy JSON file")
-    parser.add_argument("--config", help="JSON config file (flags win)")
-    parser.add_argument("--seed", type=int, default=None, help="PRNG seed")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="continue past per-item failures",
-    )
-    parser.add_argument(
-        "--percent", action="store_true", help="display scores as percentages"
-    )
+_FLAGS = {
+    "taxonomy": {"help": "taxonomy JSON file"},
+    "config": {"help": "JSON config file (flags win)"},
+    "out": {"help": "output directory"},
+    "seed": {"type": int, "help": "PRNG seed"},
+    "jobs": {"type": int, "help": "parallel workers"},
+    "keep_going": {"action": "store_true", "help": "skip failed items and exit 0"},
+    "percent": {"action": "store_true", "help": "display scores as percentages"},
+    "strategy": {"choices": STRATEGIES, "help": "fusion strategy (default partpanoptic)"},
+    **{f.name: {"type": type(f.default)} for f in fields(FusionParams)},
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared flags a subcommand reads, and no others."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,27 +616,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fuse = sub.add_parser("fuse", help="fuse logit tensors into label triples")
-    _add_common(p_fuse)
-    p_fuse.add_argument("--out", help="output directory")
-    p_fuse.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default=None,
-        help="fusion strategy (default partpanoptic)",
-    )
-    p_fuse.add_argument("--confidence-min", dest="confidence_min", type=float)
-    p_fuse.add_argument(
-        "--overlap-discard-ratio", dest="overlap_discard_ratio", type=float
-    )
-    p_fuse.add_argument("--min-instance-area", dest="min_instance_area", type=int)
-    p_fuse.add_argument(
-        "--mask-logit-threshold", dest="mask_logit_threshold", type=float
-    )
+    _add_flags(p_fuse, "taxonomy", "config", "out", "jobs", "keep_going", "strategy",
+               *(f.name for f in fields(FusionParams)))
     p_fuse.add_argument("inputs", nargs="+", help="sample stems or directories")
     p_fuse.set_defaults(handler=cmd_fuse)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
-    _add_common(p_eval)
+    _add_flags(p_eval, "taxonomy", "config", "jobs", "percent")
     p_eval.add_argument("--gt", required=True, help="ground-truth triple directory")
     p_eval.add_argument("--tsv", help="write a TSV report to this path")
     p_eval.add_argument(
@@ -649,26 +634,21 @@ def build_parser() -> argparse.ArgumentParser:
     label_sub = p_label.add_subparsers(dest="variant", required=True)
 
     p_rgbd = label_sub.add_parser("rgbd", help="label RGB + point-cloud scenes")
-    _add_common(p_rgbd)
-    p_rgbd.add_argument("--out", help="output directory")
+    _add_flags(p_rgbd, "taxonomy", "config", "out", "seed", "jobs", "keep_going")
     p_rgbd.add_argument("scenes", nargs="+", help="scene directories")
     p_rgbd.set_defaults(handler=cmd_label_rgbd)
 
     p_mon = label_sub.add_parser("monitor", help="label monitor-background scenes")
-    _add_common(p_mon)
-    p_mon.add_argument("--out", help="output directory")
+    _add_flags(p_mon, "taxonomy", "config", "out", "seed", "jobs", "keep_going")
     p_mon.add_argument("--backgrounds", help="directory of background PPMs")
     p_mon.add_argument(
-        "--composites",
-        type=int,
-        default=0,
-        help="synthetic composites per scene",
+        "--composites", type=int, default=0, help="synthetic composites per scene"
     )
     p_mon.add_argument("dataset_root", help="directory of scene_<n> folders")
     p_mon.set_defaults(handler=cmd_label_monitor)
 
     p_overlay = sub.add_parser("overlay", help="render a colour overlay")
-    _add_common(p_overlay)
+    _add_flags(p_overlay, "taxonomy", "config")
     p_overlay.add_argument("--colors", help="JSON colour table override")
     p_overlay.add_argument("--alpha", type=float, default=None)
     p_overlay.add_argument("--no-boxes", action="store_true")
@@ -678,13 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_overlay.set_defaults(handler=cmd_overlay)
 
     p_aug = sub.add_parser("augment", help="write the four flip variants")
-    _add_common(p_aug)
-    p_aug.add_argument("--out", help="output directory")
+    _add_flags(p_aug, "config", "out", "jobs", "keep_going")
     p_aug.add_argument("dataset", help="directory of image + triple samples")
     p_aug.set_defaults(handler=cmd_augment)
 
     p_report = sub.add_parser("report", help="render TSV reports as a table")
-    _add_common(p_report)
+    _add_flags(p_report, "taxonomy", "config", "percent")
     p_report.add_argument("tsv_files", nargs="+", help="TSV reports from eval")
     p_report.set_defaults(handler=cmd_report)
 
@@ -711,16 +690,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except ValidationError as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
-    except FormatError as exc:
+    except (PartfuseError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_IO
-    except OSError as exc:
-        log.error("%s", exc)
-        return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

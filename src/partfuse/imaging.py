@@ -1,9 +1,11 @@
 """Raster primitives: PNM I/O, morphology, quantization, HSV thresholds,
-connected components, hole filling and contour tracing.
+connected components, hole filling and boundary masks.
 
 Morphological operators use clipped windows (neighbourhoods intersected
 with the image domain), which keeps closing extensive and idempotent all
-the way to the border.
+the way to the border.  scipy.ndimage is imported inside the functions
+that use it: it is most of the CLI's start-up time, and ``fuse``,
+``eval`` and ``report`` never need it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ValidationError
 from .pnm import read_pnm8, write_pnm8
@@ -113,17 +114,6 @@ def write_pnm(image: Image, path: str | Path) -> None:
     write_pnm8(image.pixels, path)
 
 
-def mask_to_image(mask: BitMask) -> Image:
-    """Serialize form of a mask: P5 with values {0, 255}."""
-    return Image(np.where(mask.bits, 255, 0).astype(np.uint8))
-
-
-def image_to_mask(image: Image) -> BitMask:
-    if image.channels != 1:
-        raise ValidationError("masks deserialize from 1-channel images")
-    return BitMask(image.pixels != 0)
-
-
 def _check_window(window: int) -> None:
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 1, got {window}")
@@ -135,6 +125,8 @@ def morphological_close(subject, window: int):
     Dilation (windowed max) followed by erosion (windowed min) with a
     square window; extensive and idempotent.
     """
+    from scipy import ndimage
+
     _check_window(window)
     if isinstance(subject, BitMask):
         grid = subject.bits.astype(np.uint8)
@@ -240,6 +232,8 @@ def connected_components(
     background; sizes[i] is the pixel count of component i (sizes[0] is
     the background count).
     """
+    from scipy import ndimage
+
     if connectivity not in (4, 8):
         raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
     structure = (
@@ -277,56 +271,11 @@ def fill_holes(mask: BitMask) -> BitMask:
 
 def boundary_mask(mask: BitMask) -> BitMask:
     """Inner 1-px boundary: set pixels with a 4-neighbour outside the mask."""
+    from scipy import ndimage
+
     grid = mask.bits.astype(np.uint8)
     eroded = ndimage.minimum_filter(
         grid, footprint=ndimage.generate_binary_structure(2, 1), mode="constant", cval=1
     )
     return BitMask(mask.bits & (eroded == 0))
 
-
-# clockwise Moore neighbourhood (rows grow downward), starting at west
-_MOORE = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
-_MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
-
-
-def trace_outer_contour(mask: BitMask) -> list[tuple[int, int]]:
-    """Moore-neighbour border trace of the outermost contour.
-
-    Starts at the first set pixel in raster order and walks clockwise;
-    stops when the start is re-entered from the original backtrack
-    (Jacob's criterion).  Returns the boundary as (row, col) pairs; an
-    empty mask gives [].
-    """
-    bits = mask.bits
-    rows, cols = np.nonzero(bits)
-    if rows.size == 0:
-        return []
-    start = (int(rows[0]), int(cols[0]))
-
-    def is_set(p):
-        r, c = p
-        return 0 <= r < bits.shape[0] and 0 <= c < bits.shape[1] and bool(bits[r, c])
-
-    # the raster-order start has an unset west neighbour: enter from there
-    initial = (start, (start[0], start[1] - 1))
-    current, backtrack = initial
-    contour = [start]
-    for _ in range(8 * rows.size + 8):
-        offset = (backtrack[0] - current[0], backtrack[1] - current[1])
-        scan_from = _MOORE_INDEX[offset]
-        nxt = None
-        prev = backtrack
-        for step in range(1, 9):
-            d = _MOORE[(scan_from + step) % 8]
-            cand = (current[0] + d[0], current[1] + d[1])
-            if is_set(cand):
-                nxt = cand
-                break
-            prev = cand
-        if nxt is None:
-            return contour  # isolated pixel
-        current, backtrack = nxt, prev
-        if (current, backtrack) == initial:
-            return contour
-        contour.append(current)
-    raise ValidationError("contour trace failed to terminate")

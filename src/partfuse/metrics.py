@@ -21,6 +21,7 @@ counts before the final quotient, never by averaging per-image scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,18 +250,15 @@ def aggregate_dataset(
     pq_values: list[float] = []
     ppq_values: list[float] = []
     for cls in taxonomy.semantic_ids:
-        tp = fp = fn = 0
-        iou_sum = 0.0
-        part_sum = 0.0
-        for m in matches:
-            cm = m.per_class.get(cls)
-            if cm is None:
-                continue
-            tp += len(cm.tp)
-            fp += len(cm.fp)
-            fn += len(cm.fn)
-            iou_sum += sum(t.iou for t in cm.tp)
-            part_sum += sum(t.part_score for t in cm.tp)
+        found = [m.per_class[cls] for m in matches if cls in m.per_class]
+        tps = [t for cm in found for t in cm.tp]
+        tp = len(tps)
+        fp = sum(len(cm.fp) for cm in found)
+        fn = sum(len(cm.fn) for cm in found)
+        # fsum rounds once, so the sums do not depend on the order of the
+        # true positives, which follows the instance ids
+        iou_sum = math.fsum(t.iou for t in tps)
+        part_sum = math.fsum(t.part_score for t in tps)
         if cls in gt_present:
             cls_pq = _quotient(iou_sum, tp, fp, fn)
             cls_ppq = _quotient(part_sum, tp, fp, fn)

@@ -1,8 +1,15 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+import partfuse
 
 from partfuse import formats
 from partfuse.cli import main
@@ -668,9 +675,9 @@ def test_augment_writes_four_variants(tmp_path):
 
 def test_augment_unreadable_sample_exit_code(tmp_path):
     dataset = write_augment_dataset(tmp_path)
-    (dataset / "s0.sem.pgm").unlink()  # break one sample
+    (dataset / "s0.sem.pgm").unlink()  # break one sample: an I/O error
     code = main(["augment", "--out", str(tmp_path / "aug"), str(dataset)])
-    assert code == 3
+    assert code == 2
     code = main(
         ["augment", "--out", str(tmp_path / "aug2"), "--keep-going", str(dataset)]
     )
@@ -780,3 +787,56 @@ def test_config_file_flags_win(tmp_path, taxonomy_json):
     assert code == 0
     sem, _, part = read_triple_trio(out / "img0")
     assert (part == SEAL).all()  # "none" keeps the conflicting part labels
+
+
+def fuse_args(taxonomy_json, out, inputs, *flags):
+    return ["fuse", "--taxonomy", str(taxonomy_json), "--out", str(out),
+            "--min-instance-area", "1", *flags, str(inputs)]
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+def test_fuse_failure_commits_same_tree_for_any_jobs(tmp_path, taxonomy_json, broken):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(3):
+        write_fuse_sample(inputs, f"img{i}")
+    (inputs / f"img{broken}.sem.ppt1").write_bytes(b"XXXX garbage")
+    for keep_going, code, kept in ((False, 2, range(broken)), (True, 0, (0, 1, 2))):
+        flags = ["--keep-going"] if keep_going else []
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out_{keep_going}_{jobs}"
+            argv = fuse_args(taxonomy_json, out, inputs, "--jobs", jobs, *flags)
+            assert main(argv) == code
+            assert not [p for p in out.iterdir() if not p.is_file()]  # no staging left
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        kinds = ("sem", "inst", "part")
+        expected = {f"img{i}.{k}.pgm" for i in kept if i != broken for k in kinds}
+        assert set(trees[0]) == expected
+
+
+def test_fuse_failed_triple_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_fuse_sample(inputs, "img0")
+    write_pgm16 = formats.write_pgm16
+
+    def failing(grid, path):
+        if str(path).endswith(".inst.pgm"):
+            raise OSError(f"{path}: no space left on device")
+        write_pgm16(grid, path)
+
+    # the binding write_label_triple calls
+    monkeypatch.setattr(formats, "write_pgm16", failing)
+    out = tmp_path / "out"
+    assert main(fuse_args(taxonomy_json, out, inputs)) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    src = Path(partfuse.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    check = "import sys, partfuse.cli; assert 'scipy.ndimage' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)

@@ -11,14 +11,11 @@ from partfuse.imaging import (
     boundary_mask,
     connected_components,
     fill_holes,
-    image_to_mask,
-    mask_to_image,
     morphological_close,
     quantize_colors,
     read_pnm,
     rgb_to_hsv,
     threshold_hsv,
-    trace_outer_contour,
     write_pnm,
 )
 
@@ -71,13 +68,6 @@ def test_pnm_header_comments(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     img = read_pnm(path)
     assert img.pixels.tolist() == [[1, 2], [3, 4]]
-
-
-def test_mask_serialization(tmp_path):
-    mask = BitMask(np.array([[True, False], [False, True]]))
-    img = mask_to_image(mask)
-    assert set(np.unique(img.pixels)) == {0, 255}
-    assert np.array_equal(image_to_mask(img).bits, mask.bits)
 
 
 # ------------------------------------------------------------ morphology
@@ -338,30 +328,7 @@ def test_fill_holes_preserves_outer_contour():
     outer = disk_mask(r=8)
     inner = disk_mask(r=3)
     ring = BitMask(outer & ~inner)
-    assert trace_outer_contour(fill_holes(ring)) == trace_outer_contour(ring)
-
-
-# --------------------------------------------------------------- contours
-
-
-def test_trace_single_pixel():
-    bits = np.zeros((3, 3), dtype=bool)
-    bits[1, 1] = True
-    assert trace_outer_contour(BitMask(bits)) == [(1, 1)]
-
-
-def test_trace_square_perimeter():
-    bits = np.zeros((5, 5), dtype=bool)
-    bits[1:4, 1:4] = True
-    contour = trace_outer_contour(BitMask(bits))
-    assert set(contour) == {
-        (1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1),
-    }
-    assert contour[0] == (1, 1)
-
-
-def test_trace_empty_mask():
-    assert trace_outer_contour(BitMask(np.zeros((3, 3), dtype=bool))) == []
+    assert np.array_equal(fill_holes(ring).bits, outer)
 
 
 def test_boundary_mask_is_one_pixel_ring():

@@ -4,6 +4,8 @@ arithmetic."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfuse.metrics import (
     aggregate_dataset,
@@ -17,7 +19,17 @@ from partfuse.metrics import (
 from partfuse.errors import ValidationError
 from partfuse.taxonomy import validate_taxonomy
 
-from conftest import BAG, BOTTLE, CENTER, MEDICAL_BAG, OTHER, SEAL, TABLE, make_triple
+from conftest import (
+    BAG,
+    BOTTLE,
+    CENTER,
+    HOSPITAL_TAXONOMY,
+    MEDICAL_BAG,
+    OTHER,
+    SEAL,
+    TABLE,
+    make_triple,
+)
 
 
 # ------------------------------------------------------------------ oracle
@@ -110,10 +122,12 @@ def oracle_scores(pred, gt, taxonomy):
     return pq_scores, ppq_scores
 
 
-def random_triple(rng, shape=(16, 16), n_rects=5):
-    sem = np.zeros(shape, dtype=np.uint16)
-    inst = np.zeros(shape, dtype=np.uint16)
-    next_inst = 1
+def random_triple(rng, shape=(16, 16), n_rects=5, base=None):
+    """Random rectangles of random classes, painted over base's maps if
+    given; every thing rectangle gets a new instance id."""
+    sem = np.zeros(shape, dtype=np.uint16) if base is None else base.semantic_map.copy()
+    inst = np.zeros(shape, dtype=np.uint16) if base is None else base.instance_map.copy()
+    next_inst = int(inst.max()) + 1
     for _ in range(n_rects):
         r0 = int(rng.integers(0, shape[0] - 1))
         r1 = int(rng.integers(r0 + 1, shape[0] + 1))
@@ -403,21 +417,29 @@ def test_matches_agree_with_oracle(taxonomy):
                 assert row.part_pq == pytest.approx(value, abs=1e-9)
 
 
-def test_instance_relabelling_changes_nothing(taxonomy):
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        pred = random_triple(rng)
-        gt = random_triple(rng)
-        top = int(pred.instance_map.max()) + 1
-        perm = rng.permutation(np.arange(1, top + 1))
-        lut = np.zeros(top + 1, dtype=np.uint16)
-        lut[1:] = perm
-        shuffled = make_triple(
-            pred.semantic_map, lut[pred.instance_map], pred.part_map
-        )
-        a = aggregate_dataset([match_segments(pred, gt, taxonomy)], taxonomy)
-        b = aggregate_dataset([match_segments(shuffled, gt, taxonomy)], taxonomy)
-        assert a == b
+def relabelled(triple, rng):
+    """The triple with its instance ids renamed by a random injection into
+    1..65535; each instance keeps its pixels and its class."""
+    ids = np.unique(triple.instance_map[triple.instance_map != 0])
+    lut = np.zeros(1 << 16, dtype=np.uint16)
+    lut[ids] = rng.choice(np.arange(1, 1 << 16), size=ids.size, replace=False)
+    return make_triple(triple.semantic_map, lut[triple.instance_map], triple.part_map)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 3))
+def test_instance_relabelling_changes_nothing(seed, pairs):
+    # prediction and ground truth are relabelled independently, over a
+    # dataset of several pairs whose predictions overlap the truth
+    taxonomy = validate_taxonomy(HOSPITAL_TAXONOMY)
+    rng = np.random.default_rng(seed)
+    original, renamed = [], []
+    for _ in range(pairs):
+        gt = random_triple(rng, n_rects=8)
+        pred = random_triple(rng, n_rects=3, base=gt)
+        original.append(match_segments(pred, gt, taxonomy))
+        renamed.append(match_segments(relabelled(pred, rng), relabelled(gt, rng), taxonomy))
+    assert aggregate_dataset(renamed, taxonomy) == aggregate_dataset(original, taxonomy)
 
 
 def test_render_table_shapes(taxonomy):
