@@ -17,7 +17,7 @@ surviving cluster vote as void.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +162,7 @@ def label_parts(
     part[~labeled.object_flag] = 0
     obj_idx = np.nonzero(labeled.object_flag)[0]
     if obj_idx.size and rules:
-        rgb = labeled.cloud.rgb[obj_idx]
-        hsv = np.array([rgb_to_hsv(int(r), int(g), int(b)) for r, g, b in rgb])
-        h, s, v = hsv[:, 0], hsv[:, 1], hsv[:, 2]
+        h, s, v = rgb_to_hsv(labeled.cloud.rgb[obj_idx])
         assigned = np.zeros(obj_idx.size, dtype=bool)
         for _, rule in rules:
             hit = ~assigned & rule.hsv_range.contains(h, s, v)
@@ -294,14 +292,10 @@ def generate_rgbd_sample(
 
 
 def _hsv_range_from_json(raw: dict) -> HsvRange:
-    return HsvRange(
-        h_min=float(raw.get("h_min", 0.0)),
-        h_max=float(raw.get("h_max", 360.0 - 1e-9)),
-        s_min=float(raw.get("s_min", 0.0)),
-        s_max=float(raw.get("s_max", 1.0)),
-        v_min=float(raw.get("v_min", 0.0)),
-        v_max=float(raw.get("v_max", 1.0)),
-    )
+    if not isinstance(raw, dict):
+        raise TypeError(f"an HSV range must be a JSON object, got {raw!r}")
+    names = {f.name for f in fields(HsvRange)}
+    return HsvRange(**{key: float(value) for key, value in raw.items() if key in names})
 
 
 def _rules_from_json(raw) -> tuple[PartColorRule, ...]:

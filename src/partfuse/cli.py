@@ -325,12 +325,13 @@ def cmd_eval(args) -> None:
     )
     if args.tsv:
         tsv_path = Path(args.tsv)
-        if len(rows) == 1:
-            tsv_path.write_text(report_to_tsv(rows[0][1], taxonomy), encoding="utf-8")
-        else:
-            for label, report in rows:
-                target = tsv_path.with_name(f"{tsv_path.stem}_{label}{tsv_path.suffix}")
-                target.write_text(report_to_tsv(report, taxonomy), encoding="utf-8")
+
+        def write(row, stage: Path):
+            label, report = row
+            name = f"{tsv_path.stem}_{label}{tsv_path.suffix}" if len(rows) > 1 else tsv_path.name
+            (stage / name).write_text(report_to_tsv(report, taxonomy), encoding="utf-8")
+
+        _run_items(rows, write, 1, out_dir=tsv_path.parent)
 
 
 # ---------------------------------------------------------------- label
@@ -482,20 +483,32 @@ def _overlay_spec_from_args(args, taxonomy) -> OverlaySpec:
         path = Path(args.colors)
         if not path.exists():
             raise ValidationError(f"colour table not found: {path}")
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        class_colors = dict(spec.class_colors)
-        part_colors = dict(spec.part_colors)
-        for key, value in raw.get("class_colors", {}).items():
-            class_colors[int(key)] = tuple(int(c) for c in value)
-        for key, value in raw.get("part_colors", {}).items():
-            part_colors[int(key)] = tuple(int(c) for c in value)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: a colour table must hold a JSON object")
         spec = OverlaySpec(
-            class_colors=class_colors,
-            part_colors=part_colors,
+            class_colors={**spec.class_colors, **_color_table(raw, "class_colors", path)},
+            part_colors={**spec.part_colors, **_color_table(raw, "part_colors", path)},
             draw_boxes=spec.draw_boxes,
             alpha=spec.alpha,
         )
     return spec
+
+
+def _color_table(raw: dict, name: str, path: Path) -> dict[int, tuple[int, int, int]]:
+    """``raw[name]`` as {id: (r, g, b)}: integer ids, integer samples in 0..255."""
+    table = raw.get(name, {})
+    try:
+        colors = {int(key): tuple(value) for key, value in table.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"{path}: {name} must map integer ids to colours") from None
+    for ident, color in colors.items():
+        if len(color) != 3 or not all(type(c) is int and 0 <= c <= 255 for c in color):
+            raise ValidationError(f"{path}: {name}[{ident}] must be 3 integers in 0..255")
+    return colors
 
 
 def cmd_overlay(args) -> None:
@@ -508,7 +521,9 @@ def cmd_overlay(args) -> None:
     triple = formats.read_label_triple(args.triple_stem)
     spec = _overlay_spec_from_args(args, taxonomy)
     rendered = render_overlay(image, triple, spec)
-    write_pnm(rendered, args.output)
+    output = Path(args.output)
+    _run_items([output], lambda path, stage: write_pnm(rendered, stage / path.name), 1,
+               out_dir=output.parent)
 
 
 # ---------------------------------------------------------------- augment
@@ -562,10 +577,13 @@ def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split("\t") != ["class", "pq", "part_pq", "tp", "fp", "fn"]:
         raise ValidationError(f"{path}: not a partfuse metrics TSV")
-    for line in lines[1:]:
-        name, pq_cell, ppq_cell, tp, fp, fn = line.split("\t")
-        pq_val = None if pq_cell == "-" else float(pq_cell)
-        ppq_val = None if ppq_cell == "-" else float(ppq_cell)
+    for number, line in enumerate(lines[1:], start=2):
+        try:  # six cells: a name, two ratios or '-', three counts
+            name, pq_cell, ppq_cell, tp, fp, fn = line.split("\t")
+            pq_val, ppq_val = (None if c == "-" else float(c) for c in (pq_cell, ppq_cell))
+            tp, fp, fn = int(tp), int(fp), int(fn)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {number}: {exc}") from None
         if name == "total":
             mean_pq, mean_ppq = pq_val, ppq_val
             continue
@@ -574,9 +592,9 @@ def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
         per_class[name_to_id[name]] = ClassReport(
             pq=pq_val,
             part_pq=ppq_val,
-            tp=int(tp),
-            fp=int(fp),
-            fn=int(fn),
+            tp=tp,
+            fp=fp,
+            fn=fn,
             present_in_gt=pq_val is not None,
         )
     for cid in taxonomy.semantic_ids:

@@ -10,7 +10,6 @@ that use it: it is most of the CLI's start-up time, and ``fuse``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,25 +128,13 @@ def morphological_close(subject, window: int):
 
     _check_window(window)
     if isinstance(subject, BitMask):
-        grid = subject.bits.astype(np.uint8)
-        dilated = ndimage.maximum_filter(grid, size=window, mode="constant", cval=0)
-        eroded = ndimage.minimum_filter(dilated, size=window, mode="constant", cval=1)
-        return BitMask(eroded.astype(bool))
+        closed = morphological_close(Image(subject.bits.astype(np.uint8)), window)
+        return BitMask(closed.pixels.astype(bool))
     if isinstance(subject, Image):
         px = subject.pixels
-        if px.ndim == 2:
-            channels = [px]
-        else:
-            channels = [px[:, :, c] for c in range(3)]
-        closed = []
-        for ch in channels:
-            dilated = ndimage.maximum_filter(ch, size=window, mode="constant", cval=0)
-            closed.append(
-                ndimage.minimum_filter(dilated, size=window, mode="constant", cval=255)
-            )
-        if px.ndim == 2:
-            return Image(closed[0])
-        return Image(np.stack(closed, axis=-1))
+        size = (window, window, 1)[: px.ndim]
+        dilated = ndimage.maximum_filter(px, size=size, mode="constant", cval=0)
+        return Image(ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255))
     raise ValidationError(f"cannot close object of type {type(subject).__name__}")
 
 
@@ -165,61 +152,59 @@ def quantize_colors(image: Image, levels: int = 8) -> Image:
     return Image(lut[image.pixels])
 
 
-def rgb_to_hsv(r: int, g: int, b: int) -> tuple[float, float, float]:
-    """Hexcone conversion of one 8-bit RGB triple.
+def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hexcone conversion of uint8 RGB triples of shape (..., 3).
 
-    Returns hue in degrees [0, 360), saturation and value in [0, 1].
-    Hue is reported as 0 for achromatic inputs.
+    Returns float64 arrays of shape (...): hue in degrees [0, 360),
+    saturation and value in [0, 1].  With r, g, b scaled to [0, 1],
+    max = v and delta = max - min, hue is ``60 * mod((g - b) / delta, 6)``
+    where red is the maximum, ``60 * ((b - r) / delta + 2)`` where green
+    is, ``60 * ((r - g) / delta + 4)`` otherwise, then taken mod 360;
+    ties go to red, then green.  Hue is 0 for achromatic inputs.
     """
-    rf, gf, bf = r / 255.0, g / 255.0, b / 255.0
-    maxc = max(rf, gf, bf)
-    minc = min(rf, gf, bf)
-    delta = maxc - minc
-    v = maxc
-    s = 0.0 if maxc == 0.0 else delta / maxc
-    if delta == 0.0:
-        return 0.0, s, v
-    if maxc == rf:
-        h = 60.0 * math.fmod((gf - bf) / delta, 6.0)
-    elif maxc == gf:
-        h = 60.0 * ((bf - rf) / delta + 2.0)
-    else:
-        h = 60.0 * ((rf - gf) / delta + 4.0)
-    if h < 0.0:
-        h += 360.0
-    return h, s, v
-
-
-def rgb_image_to_hsv(image: Image) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized hexcone conversion of a 3-channel image."""
-    if image.channels != 3:
-        raise ValidationError("HSV conversion needs a 3-channel image")
-    px = image.pixels.astype(np.float64) / 255.0
-    r, g, b = px[:, :, 0], px[:, :, 1], px[:, :, 2]
-    maxc = px.max(axis=2)
-    minc = px.min(axis=2)
-    delta = maxc - minc
-    v = maxc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-        h = np.zeros_like(maxc)
-        chromatic = delta > 0
-        rmax = chromatic & (maxc == r)
-        gmax = chromatic & (maxc == g) & ~rmax
-        bmax = chromatic & ~rmax & ~gmax
-        safe = np.where(chromatic, delta, 1.0)
-        h = np.where(rmax, 60.0 * np.mod((g - b) / safe, 6.0), h)
-        h = np.where(gmax, 60.0 * ((b - r) / safe + 2.0), h)
-        h = np.where(bmax, 60.0 * ((r - g) / safe + 4.0), h)
-    h = np.mod(h, 360.0)
-    h[~chromatic] = 0.0
-    return h, s, v
+    if rgb.shape[-1:] != (3,):
+        raise ValidationError(f"HSV conversion needs (..., 3) triples, got {rgb.shape}")
+    px = rgb.astype(np.float64) / 255.0
+    r, g, b = px[..., 0], px[..., 1], px[..., 2]
+    v = px.max(axis=-1)
+    delta = v - px.min(axis=-1)
+    s = np.where(v > 0, delta / np.where(v > 0, v, 1.0), 0.0)
+    chromatic = delta > 0
+    safe = np.where(chromatic, delta, 1.0)
+    h = np.select(
+        [chromatic & (v == r), chromatic & (v == g), chromatic],
+        [
+            60.0 * np.mod((g - b) / safe, 6.0),
+            60.0 * ((b - r) / safe + 2.0),
+            60.0 * ((r - g) / safe + 4.0),
+        ],
+    )
+    return np.mod(h, 360.0), s, v
 
 
 def threshold_hsv(image: Image, hsv_range: HsvRange) -> BitMask:
-    """Pixels whose HSV lies inside the (possibly hue-wrapping) range."""
-    h, s, v = rgb_image_to_hsv(image)
-    return BitMask(hsv_range.contains(h, s, v))
+    """Pixels whose HSV lies inside the (possibly hue-wrapping) range.
+
+    Each distinct colour is converted and tested once, and its pixels take
+    its result: pixels sorted by 24-bit colour key form one run per colour.
+    This holds one index per pixel, where ``np.unique(...,
+    return_inverse=True)`` would hold three.
+    """
+    if image.channels != 3:
+        raise ValidationError("HSV conversion needs a 3-channel image")
+    px = image.pixels.reshape(-1, 3)
+    keys = px[:, 0].astype(np.uint32) << 16
+    keys |= px[:, 1].astype(np.uint32) << 8
+    keys |= px[:, 2]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    inside = hsv_range.contains(*rgb_to_hsv(px[order[starts]]))
+    bits = np.empty(keys.size, dtype=bool)
+    bits[order] = np.repeat(inside, np.diff(starts, append=keys.size))
+    return BitMask(bits.reshape(image.pixels.shape[:2]))
 
 
 def connected_components(

@@ -1,17 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
+from partfuse.autolabel_monitor import load_monitor_config
 from partfuse.autolabel_rgbd import (
     LabeledPointCloud,
     PartColorRule,
     RgbdLabelConfig,
     generate_rgbd_sample,
     label_parts,
+    load_rgbd_config,
     project_labels,
     segment_objects,
 )
 from partfuse.errors import ValidationError
-from partfuse.imaging import HsvRange, Image
+from partfuse.imaging import HsvRange, Image, rgb_to_hsv
 from partfuse.pointcloud import PointCloud, project
 
 from conftest import BAG, CENTER, OTHER, SEAL, TABLE
@@ -110,6 +114,35 @@ def test_label_parts_priority_wins():
     labeled = hand_labeled([(220, 30, 30), (235, 235, 235)], [True, True])
     out = label_parts(labeled, rules)
     assert out.part_id.tolist() == [SEAL, CENTER]
+
+
+def label_parts_per_point(labeled, rules, catchall):
+    """Reference: convert each object point's colour on its own and take
+    the first matching rule in descending priority."""
+    order = sorted(range(len(rules)), key=lambda i: (-rules[i].priority, i))
+    parts = []
+    for rgb, is_object in zip(labeled.cloud.rgb, labeled.object_flag):
+        h, s, v = rgb_to_hsv(rgb)
+        hits = (rules[i].part_id for i in order if rules[i].hsv_range.contains(h, s, v))
+        parts.append(next(hits, catchall) if is_object else 0)
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_label_parts_matches_per_point_oracle(seed):
+    rng = np.random.default_rng(seed)
+    palette = rng.integers(0, 256, (int(rng.integers(1, 40)), 3))
+    colors = palette[rng.integers(0, len(palette), 300)]
+    labeled = hand_labeled(colors, rng.random(300) < 0.8)
+    h, s, v = rgb_to_hsv(labeled.cloud.rgb)
+    rules = []
+    for part_id in (SEAL, CENTER, OTHER, SEAL):
+        pick = rng.integers(0, 300, 4)  # bounds on present values; may wrap
+        hsv_range = HsvRange(h_min=h[pick[0]], h_max=h[pick[1]], s_min=s[pick[2]], v_max=v[pick[3]])
+        rules.append(PartColorRule(part_id, hsv_range, priority=int(rng.integers(0, 3))))
+    out = label_parts(labeled, rules, catchall_part_id=OTHER)
+    assert out.part_id.tolist() == label_parts_per_point(labeled, rules, OTHER)
+    check_labeled_invariants(out)
 
 
 def test_label_parts_unknown_part_rejected(taxonomy):
@@ -343,3 +376,25 @@ def test_generate_rgbd_sample_dims_checked(taxonomy):
     wrong = Image(np.zeros((10, 10, 3), dtype=np.uint8))
     with pytest.raises(ValidationError, match="camera"):
         generate_rgbd_sample(wrong, cloud, camera, taxonomy, rgbd_config())
+
+
+@pytest.mark.parametrize("loader, config", [
+    (load_rgbd_config, {"object_class_id": 1, "part_rules": [{"part_id": SEAL, "hsv_range": 5}]}),
+    (load_rgbd_config, {"object_class_id": 1, "part_rules": [{"part_id": SEAL, "hsv_range": [0]}]}),
+    (load_monitor_config, {"object_class_id": 1, "blue_range": [200, 260]}),
+    (load_monitor_config, {"object_class_id": 1, "black_range": "dark"}),
+])
+def test_config_hsv_range_must_be_an_object(tmp_path, loader, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValidationError, match="HSV range must be a JSON object"):
+        loader(path)
+
+
+def test_config_hsv_range_defaults_fill_missing_bounds(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"object_class_id": 1, "part_rules": [
+        {"part_id": SEAL, "hsv_range": {"h_min": 345, "h_max": 15, "s_min": 0.5, "v_min": 0.3, "note": "seal"}},
+    ]}))
+    (rule,) = load_rgbd_config(path).part_rules
+    assert rule.hsv_range == SEAL_RANGE

@@ -840,3 +840,113 @@ def test_cli_import_leaves_out_scipy_ndimage():
     env = {**os.environ, "PYTHONPATH": path}
     check = "import sys, partfuse.cli; assert 'scipy.ndimage' not in sys.modules"
     subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+
+
+def write_overlay_inputs(tmp_path):
+    """A 6x6 black image under a triple that is all table."""
+    write_pnm(Image(np.zeros((6, 6, 3), dtype=np.uint8)), tmp_path / "img.ppm")
+    sem = np.full((6, 6), TABLE, dtype=np.uint16)
+    formats.write_label_triple(make_triple(sem), tmp_path / "img")
+
+
+def overlay_args(taxonomy_json, tmp_path, out_path, *extra):
+    return ["overlay", "--taxonomy", str(taxonomy_json), *extra,
+            str(tmp_path / "img.ppm"), str(tmp_path / "img"), str(out_path)]
+
+
+def test_overlay_colors_table_overrides_class_colour(tmp_path, taxonomy_json):
+    write_overlay_inputs(tmp_path)
+    colors = tmp_path / "colors.json"
+    colors.write_text(json.dumps({"class_colors": {str(TABLE): [10, 20, 30]}}))
+    out_path = tmp_path / "o.ppm"
+    args = overlay_args(taxonomy_json, tmp_path, out_path, "--alpha", "1.0", "--colors", str(colors))
+    assert main(args) == 0
+    from partfuse.imaging import read_pnm
+
+    assert (read_pnm(out_path).pixels == (10, 20, 30)).all()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        "{not json",
+        b'{"class_colors": {"1": [1, 2, 3]}}\xff',
+        "[1, 2, 3]",
+        '{"class_colors": [1, 2]}',
+        '{"class_colors": {"bag": [1, 2, 3]}}',
+        '{"part_colors": {"11": [1, 2]}}',
+        '{"part_colors": {"11": [1.5, 2, 3]}}',
+        '{"part_colors": {"11": ["1", 2, 3]}}',
+        '{"class_colors": {"1": [1, 2, 256]}}',
+        '{"class_colors": {"1": 7}}',
+    ],
+    ids=["not-json", "not-utf8", "array", "table-not-object", "key-not-int", "two-samples",
+         "float-sample", "string-sample", "sample-256", "colour-not-list"],
+)
+def test_overlay_malformed_colors_exit_code(tmp_path, taxonomy_json, table):
+    write_overlay_inputs(tmp_path)
+    colors = tmp_path / "colors.json"
+    colors.write_bytes(table if isinstance(table, bytes) else table.encode())
+    out_path = tmp_path / "o.ppm"
+    assert main(overlay_args(taxonomy_json, tmp_path, out_path, "--colors", str(colors))) == 3
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "transfusion_bag\t0.8",
+        "transfusion_bag\t0.8\t0.75\t1\t0\t0\textra",
+        "transfusion_bag\tgood\t0.75\t1\t0\t0",
+        "transfusion_bag\t0.8\t0.75\tone\t0\t0",
+        "total\t0.8\t0.75\t1\t0\t0.5",
+    ],
+    ids=["two-cells", "seven-cells", "text-ratio", "text-count", "fractional-count"],
+)
+def test_report_malformed_tsv_row_exit_code(tmp_path, taxonomy_json, caplog, row):
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    tsv = tmp_path / "m.tsv"
+    eval_args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), "--tsv", str(tsv)]
+    assert main([*eval_args, str(pred_dir)]) == 0
+    lines = tsv.read_text().splitlines()
+    bad = 1 + next(i for i, line in enumerate(lines) if line.startswith(row.split("\t")[0]))
+    lines[bad - 1] = row
+    tsv.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--taxonomy", str(taxonomy_json), str(tsv)]) == 3
+    assert f"{tsv}: line {bad}:" in caplog.text
+
+
+def test_overlay_failed_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):
+    import partfuse.imaging
+
+    write_pnm8 = partfuse.imaging.write_pnm8
+
+    def half_then_fail(arr, path):
+        write_pnm8(arr, path)
+        os.truncate(path, os.path.getsize(path) // 2)
+        raise OSError(f"{path}: no space left on device")
+
+    write_overlay_inputs(tmp_path)
+    # the binding write_pnm calls
+    monkeypatch.setattr(partfuse.imaging, "write_pnm8", half_then_fail)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(overlay_args(taxonomy_json, tmp_path, out_dir / "o.ppm")) == 2
+    assert list(out_dir.iterdir()) == []
+
+
+def test_eval_failed_tsv_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):
+    write_text = Path.write_text
+
+    def half_then_fail(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(f"{self}: no space left on device")
+
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir),
+            "--tsv", str(out_dir / "m.tsv"), str(pred_dir)]
+    assert main(args) == 2
+    assert list(out_dir.iterdir()) == []

@@ -1,4 +1,5 @@
 import colorsys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,11 +153,12 @@ def test_quantize_range_check():
 
 
 def test_rgb_to_hsv_primaries():
-    assert rgb_to_hsv(255, 0, 0) == pytest.approx((0.0, 1.0, 1.0))
-    assert rgb_to_hsv(0, 0, 255) == pytest.approx((240.0, 1.0, 1.0))
-    h, s, v = rgb_to_hsv(128, 128, 128)
-    assert (h, s) == (0.0, 0.0)
-    assert v == pytest.approx(128 / 255, abs=1e-9)
+    h, s, v = rgb_to_hsv(np.array([[255, 0, 0], [0, 0, 255], [128, 128, 128]], np.uint8))
+    assert h[:2] == pytest.approx([0.0, 240.0])
+    assert s[:2] == pytest.approx([1.0, 1.0])
+    assert v[:2] == pytest.approx([1.0, 1.0])
+    assert (h[2], s[2]) == (0.0, 0.0)
+    assert v[2] == pytest.approx(128 / 255, abs=1e-9)
 
 
 def test_rgb_to_hsv_matches_colorsys_reference():
@@ -164,14 +166,13 @@ def test_rgb_to_hsv_matches_colorsys_reference():
         d = abs(a - b) % 360.0
         return min(d, 360.0 - d)
 
-    for r in range(0, 256, 17):
-        for g in range(0, 256, 17):
-            for b in range(0, 256, 17):
-                h, s, v = rgb_to_hsv(r, g, b)
-                rh, rs, rv = colorsys.rgb_to_hsv(r / 255, g / 255, b / 255)
-                assert hue_delta(h, rh * 360.0) < 1e-9
-                assert abs(s - rs) < 1e-9
-                assert abs(v - rv) < 1e-9
+    levels = range(0, 256, 17)
+    rgb = np.array([(r, g, b) for r in levels for g in levels for b in levels], np.uint8)
+    for (r, g, b), h, s, v in zip(rgb.tolist(), *rgb_to_hsv(rgb)):
+        rh, rs, rv = colorsys.rgb_to_hsv(r / 255, g / 255, b / 255)
+        assert hue_delta(h, rh * 360.0) < 1e-9
+        assert abs(s - rs) < 1e-9
+        assert abs(v - rv) < 1e-9
 
 
 def test_threshold_blue_image():
@@ -196,6 +197,59 @@ def test_threshold_universal_range():
     rng = np.random.default_rng(6)
     img = Image(rng.integers(0, 256, (5, 5, 3)).astype(np.uint8))
     assert threshold_hsv(img, HsvRange()).bits.all()
+
+
+def random_ranges(rng, h, s, v):
+    """HSV boxes with random bounds, some of them exactly on a present
+    hue, saturation or value, about half of them wrapping through 0."""
+    ranges = []
+    for _ in range(8):
+        pick = rng.integers(0, h.size, 4)
+        h_lo, h_hi = h.flat[pick[0]], h.flat[pick[1]]
+        if rng.random() < 0.3:
+            h_lo, h_hi = rng.uniform(0, 360, 2)
+        s_lo, v_lo = s.flat[pick[2]], v.flat[pick[3]]
+        ranges.append(HsvRange(h_min=h_lo, h_max=h_hi, s_min=s_lo, v_min=v_lo))
+        ranges.append(HsvRange(h_min=h_hi, h_max=h_lo, s_max=s_lo, v_max=v_lo))
+    return ranges
+
+
+@pytest.mark.parametrize(
+    "shape, colours",
+    [((96, 128), None), ((40, 50), 1), ((40, 50), 2), ((40, 50), 3), ((1, 1), None),
+     ((1, 37), None), ((37, 1), 2), ((64, 64), 512)],
+    ids=["full-colour", "1-colour", "2-colours", "3-colours", "1x1", "1xN", "Nx1", "512-colours"],
+)
+def test_threshold_matches_per_pixel_oracle(shape, colours):
+    rng = np.random.default_rng(sum(shape) * 10 + (colours or 0))
+    if colours is None:  # full colour: about 10^4 distinct colours on 96x128
+        px = rng.integers(0, 256, (*shape, 3)).astype(np.uint8)
+    else:
+        palette = rng.integers(0, 256, (colours, 3)).astype(np.uint8)
+        px = palette[rng.integers(0, colours, shape)]
+    image = Image(px)
+    h, s, v = rgb_to_hsv(px)
+    for hsv_range in random_ranges(rng, h, s, v) + [HsvRange()]:
+        expected = hsv_range.contains(h, s, v)
+        assert np.array_equal(threshold_hsv(image, hsv_range).bits, expected)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_threshold_peak_memory_below_third_of_per_pixel_path():
+    rng = np.random.default_rng(11)
+    image = quantize_colors(Image(rng.integers(0, 256, (480, 640, 3)).astype(np.uint8)))
+    blue = HsvRange(h_min=200.0, h_max=260.0, s_min=0.35, v_min=0.2)
+    per_pixel = traced_peak(lambda: blue.contains(*rgb_to_hsv(image.pixels)))
+    per_colour = traced_peak(lambda: threshold_hsv(image, blue))
+    assert per_colour < per_pixel / 3
 
 
 def test_threshold_rejects_single_channel():
