@@ -29,7 +29,6 @@ from .metrics import (
     match_segments,
     part_iou,
     part_pq,
-    pq,
 )
 from .taxonomy import ClassTaxonomy, load_taxonomy, validate_taxonomy
 
@@ -60,7 +59,6 @@ __all__ = [
     "part_iou",
     "part_pq",
     "part_wise_fuse",
-    "pq",
     "semantic_wise_fuse",
     "sigmoid_rescaled",
     "validate_taxonomy",

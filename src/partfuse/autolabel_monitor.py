@@ -263,7 +263,7 @@ def load_monitor_config(path: str | Path) -> MonitorLabelConfig:
     """Read a MonitorLabelConfig from JSON."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     try:
         kwargs = dict(

@@ -315,7 +315,7 @@ def load_rgbd_config(path: str | Path) -> RgbdLabelConfig:
     """Read an RgbdLabelConfig from JSON."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     try:
         pmf = PmfParams(**raw.get("pmf", {}))

@@ -98,7 +98,7 @@ def _merge_run_config(args) -> RunConfig:
             raise ValidationError(f"config file not found: {path}")
         try:
             file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"{path}: a config file must hold a JSON object")
@@ -574,7 +574,10 @@ def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
     name_to_id = {taxonomy.semantic_class(c).name: c for c in taxonomy.semantic_ids}
     per_class: dict[int, ClassReport] = {}
     mean_pq = mean_ppq = None
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].split("\t") != ["class", "pq", "part_pq", "tp", "fp", "fn"]:
         raise ValidationError(f"{path}: not a partfuse metrics TSV")
     for number, line in enumerate(lines[1:], start=2):

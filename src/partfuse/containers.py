@@ -208,47 +208,41 @@ class PanopticSegment:
     class_id: int
     instance_id: int
     pixel_count: int
-    pixels: np.ndarray  # sorted flat indices into the H*W grid
 
     def __post_init__(self):
         if self.pixel_count <= 0:
             raise ValidationError("segment pixel_count must be positive")
-        _freeze(self.pixels)
+
+    @property
+    def key(self) -> int:
+        """The segment's key in ``segment_keys``."""
+        return (self.class_id << 16) | self.instance_id
+
+
+def segment_keys(triple: LabelTriple) -> np.ndarray:
+    """Per-pixel segment key ``(class_id << 16) | instance_id`` as a flat
+    uint32 array; void pixels carry key 0 whatever their instance bits."""
+    sem = triple.semantic_map.ravel().astype(np.uint32)
+    keys = sem << np.uint32(16)
+    keys |= triple.instance_map.ravel()
+    keys[sem == VOID_ID] = 0
+    return keys
 
 
 def derive_segments(
     triple: LabelTriple, taxonomy: ClassTaxonomy
 ) -> list[PanopticSegment]:
-    """Split a triple into panoptic segments.
+    """Split a triple into panoptic segments, ordered by (class, instance).
 
     One segment per distinct (class_id, instance_id) pair with a non-void
     class.  Stuff segments are per class (instance 0), never split by
     connectivity.  The segments partition the non-void pixels.
     """
-    sem = triple.semantic_map.ravel()
-    inst = triple.instance_map.ravel()
-    keys = sem.astype(np.uint32) << np.uint32(16)
-    keys |= inst.astype(np.uint32)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, sorted_keys.size)
-
+    keys, counts = np.unique(segment_keys(triple), return_counts=True)
     segments: list[PanopticSegment] = []
-    for i, key in enumerate(uniq):
-        class_id = int(key >> np.uint32(16))
-        if class_id == VOID_ID:
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        if key == 0:
             continue
-        instance_id = int(key & np.uint32(0xFFFF))
-        taxonomy.semantic_class(class_id)
-        pix = np.sort(order[bounds[i] : bounds[i + 1]])
-        segments.append(
-            PanopticSegment(
-                class_id=class_id,
-                instance_id=instance_id,
-                pixel_count=int(pix.size),
-                pixels=pix,
-            )
-        )
-    segments.sort(key=lambda s: (s.class_id, s.instance_id))
+        taxonomy.semantic_class(key >> 16)
+        segments.append(PanopticSegment(key >> 16, key & 0xFFFF, count))
     return segments

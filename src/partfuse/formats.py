@@ -123,7 +123,7 @@ def read_proposals(path: str | Path) -> tuple[InstanceProposal, ...]:
     path = Path(path)
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise FormatError(f"{path}: proposal sidecar must be a JSON array")

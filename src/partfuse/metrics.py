@@ -15,6 +15,11 @@ IoU when every part id is absent.  This part-score rule is one concrete
 reading of part-aware quality; it is documented in the README so results
 can be compared like for like.
 
+Both come from label histograms of the image pair, never from per-segment
+pixel lists: segment areas, pairwise intersections and void overlaps from
+the counts of (gt segment, pred segment) per pixel, and part overlaps
+from the counts of (segment pair, gt part, pred part).
+
 Scores aggregate over a dataset by pooling matched IoU sums and TP/FP/FN
 counts before the final quotient, never by averaging per-image scores.
 """
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import LabelTriple, PanopticSegment, derive_segments
+from .containers import LabelTriple, PanopticSegment, derive_segments, segment_keys
 from .errors import ValidationError
 from .taxonomy import ClassTaxonomy
 
@@ -36,8 +41,8 @@ VOID_DISCARD_RATIO = 0.5
 
 @dataclass(frozen=True)
 class TruePositive:
-    pred_segment: PanopticSegment
-    gt_segment: PanopticSegment
+    pred_key: int  # segment key: (class_id << 16) | instance_id
+    gt_key: int
     iou: float
     part_score: float  # part-aware IoU for classes with parts, else == iou
 
@@ -55,7 +60,6 @@ class MatchResult:
 
     per_class: dict[int, ClassMatch]
     gt_classes: frozenset[int]
-    pred_classes: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -80,57 +84,49 @@ class MetricReport:
 def match_segments(
     pred: LabelTriple, gt: LabelTriple, taxonomy: ClassTaxonomy
 ) -> MatchResult:
-    """Match prediction segments against ground truth segments per class."""
+    """Match prediction segments against ground truth segments per class.
+
+    One histogram of the per-pixel (gt key, pred key) pairs gives every
+    intersection, including each prediction's overlap with void (gt key 0).
+    """
     if pred.shape != gt.shape:
         raise ValidationError(
             f"prediction and ground truth differ in size: {pred.shape} vs {gt.shape}"
         )
-    pred_segs = derive_segments(pred, taxonomy)
-    gt_segs = derive_segments(gt, taxonomy)
+    pred_by_key = {s.key: s for s in derive_segments(pred, taxonomy)}
+    gt_by_key = {s.key: s for s in derive_segments(gt, taxonomy)}
 
-    pred_key = _segment_keys(pred)
-    gt_key = _segment_keys(gt)
-    pair = gt_key.astype(np.uint64) << np.uint64(32)
-    pair |= pred_key.astype(np.uint64)
-    pair_ids, pair_counts = np.unique(pair, return_counts=True)
-    intersections = dict(zip(pair_ids.tolist(), pair_counts.tolist()))
+    pixel_pairs = segment_keys(gt).astype(np.uint64) << np.uint64(32)
+    pixel_pairs |= segment_keys(pred)
+    pairs, pair_counts = np.unique(pixel_pairs, return_counts=True)
+    intersections = dict(zip(pairs.tolist(), pair_counts.tolist()))
+    # a pair with gt key 0 (void) packs to the pred key alone
+    void_overlap = {pk: intersections.get(pk, 0) for pk in pred_by_key}
 
-    pred_by_key = {_key_of(s): s for s in pred_segs}
-    gt_by_key = {_key_of(s): s for s in gt_segs}
-
-    void_overlap: dict[int, int] = {}
-    for pk in pred_by_key:
-        void_overlap[pk] = intersections.get(pk, 0)  # gt key 0 contributes high bits 0
-
-    tp_by_class: dict[int, list[TruePositive]] = {}
-    matched_pred: set[int] = set()
-    matched_gt: set[int] = set()
+    matched: list[tuple[int, int, float]] = []  # (gt key, pred key, iou)
     for combined, inter in intersections.items():
-        gk = int(combined >> 32)
-        pk = int(combined & 0xFFFFFFFF)
+        gk = combined >> 32
+        pk = combined & 0xFFFFFFFF
         if gk == 0 or pk == 0:
             continue
         if (gk >> 16) != (pk >> 16):  # different classes never match
             continue
-        gt_seg = gt_by_key[gk]
-        pred_seg = pred_by_key[pk]
         union = (
-            gt_seg.pixel_count
-            + pred_seg.pixel_count
+            gt_by_key[gk].pixel_count
+            + pred_by_key[pk].pixel_count
             - inter
             - void_overlap[pk]
         )
         iou = inter / union
         if iou > IOU_MATCH_THRESHOLD:
-            class_id = gk >> 16
-            score = iou
-            if taxonomy.parts_of(class_id):
-                score = part_iou(pred, gt, pred_seg, gt_seg, iou, taxonomy)
-            tp_by_class.setdefault(class_id, []).append(
-                TruePositive(pred_seg, gt_seg, iou, score)
-            )
-            matched_pred.add(pk)
-            matched_gt.add(gk)
+            matched.append((gk, pk, iou))
+
+    scores = part_iou(pred, gt, pixel_pairs, pairs, matched, taxonomy)
+    tp_by_class: dict[int, list[TruePositive]] = {}
+    for (gk, pk, iou), score in zip(matched, scores):
+        tp_by_class.setdefault(gk >> 16, []).append(TruePositive(pk, gk, iou, score))
+    matched_gt = {gk for gk, _, _ in matched}
+    matched_pred = {pk for _, pk, _ in matched}
 
     fp_by_class: dict[int, list[PanopticSegment]] = {}
     for pk, seg in pred_by_key.items():
@@ -156,68 +152,57 @@ def match_segments(
     }
     return MatchResult(
         per_class=per_class,
-        gt_classes=frozenset(s.class_id for s in gt_segs),
-        pred_classes=frozenset(s.class_id for s in pred_segs),
+        gt_classes=frozenset(s.class_id for s in gt_by_key.values()),
     )
-
-
-def _segment_keys(triple: LabelTriple) -> np.ndarray:
-    sem = triple.semantic_map.ravel().astype(np.uint32)
-    inst = triple.instance_map.ravel().astype(np.uint32)
-    keys = (sem << np.uint32(16)) | inst
-    keys[sem == 0] = 0  # void pixels carry key 0 regardless of instance bits
-    return keys
-
-
-def _key_of(seg: PanopticSegment) -> int:
-    return (seg.class_id << 16) | seg.instance_id
 
 
 def part_iou(
     pred: LabelTriple,
     gt: LabelTriple,
-    pred_segment: PanopticSegment,
-    gt_segment: PanopticSegment,
-    segment_iou: float,
+    pixel_pairs: np.ndarray,
+    pairs: np.ndarray,
+    matched: list[tuple[int, int, float]],
     taxonomy: ClassTaxonomy,
-) -> float:
-    """Part-aware score of one matched pair.
+) -> list[float]:
+    """Part-aware scores of the matched (gt key, pred key, segment IoU)
+    triples of one image pair.
 
-    Over the union of the two segments' pixels, compute the part-map IoU
-    for every part id of the segment class; average the ids whose union
-    there is non-empty.  If every part id is absent on both sides, fall
-    back to the segment IoU.
+    ``pixel_pairs`` holds each pixel's ``(gt key << 32) | pred key`` and
+    ``pairs`` its sorted distinct values.  For each match, over the union
+    of the two segments' pixels, compute the part-map IoU for every part
+    id of the segment class; average the ids whose union there is
+    non-empty.  If every part id is absent on both sides, or the class
+    has no parts, the score is the segment IoU.
     """
-    parts = taxonomy.parts_of(pred_segment.class_id)
-    if not parts:
-        raise ValidationError(
-            f"class {pred_segment.class_id} has no parts; use the segment IoU"
-        )
-    region = np.union1d(pred_segment.pixels, gt_segment.pixels)
-    pred_parts = pred.part_map.ravel()[region]
-    gt_parts = gt.part_map.ravel()[region]
-    ious = []
-    for part in parts:
-        p = pred_parts == part.id
-        g = gt_parts == part.id
-        union = int((p | g).sum())
-        if union == 0:
-            continue
-        ious.append(int((p & g).sum()) / union)
-    if not ious:
-        return segment_iou
-    return float(np.mean(ious))
+    if not any(taxonomy.parts_of(gk >> 16) for gk, _, _ in matched):
+        return [iou for _, _, iou in matched]
+    # one histogram of (pair index, gt part, pred part) over all pixels
+    cells = np.searchsorted(pairs, pixel_pairs).astype(np.uint64) << np.uint64(32)
+    cells |= gt.part_map.ravel().astype(np.uint64) << np.uint64(16)
+    cells |= pred.part_map.ravel()
+    cells, counts = np.unique(cells, return_counts=True)
+    cell_pairs = pairs[cells >> np.uint64(32)]
+    cell_gk = cell_pairs >> np.uint64(32)
+    cell_pk = cell_pairs & np.uint64(0xFFFFFFFF)
+    cell_gt_part = (cells >> np.uint64(16)) & np.uint64(0xFFFF)
+    cell_pred_part = cells & np.uint64(0xFFFF)
 
-
-def pq(match: MatchResult) -> tuple[dict[int, float], float | None]:
-    """Per-class PQ and the mean over classes present in prediction or truth."""
-    per_class: dict[int, float] = {}
-    for class_id, cm in match.per_class.items():
-        per_class[class_id] = _quotient(
-            sum(t.iou for t in cm.tp), len(cm.tp), len(cm.fp), len(cm.fn)
-        )
-    mean = float(np.mean(list(per_class.values()))) if per_class else None
-    return per_class, mean
+    scores = []
+    for gk, pk, segment_iou in matched:
+        region = (cell_gk == gk) | (cell_pk == pk)
+        gt_parts = cell_gt_part[region]
+        pred_parts = cell_pred_part[region]
+        n = counts[region]
+        ious = []
+        for part in taxonomy.parts_of(gk >> 16):
+            p = pred_parts == part.id
+            g = gt_parts == part.id
+            union = int(n[p | g].sum())
+            if union == 0:
+                continue
+            ious.append(int(n[p & g].sum()) / union)
+        scores.append(float(np.mean(ious)) if ious else segment_iou)
+    return scores
 
 
 def _quotient(iou_sum: float, tp: int, fp: int, fn: int) -> float:

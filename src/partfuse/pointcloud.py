@@ -420,7 +420,7 @@ def load_camera(path: str | Path) -> CameraModel:
     """Read a camera JSON: {width, height, fx, fy, cx, cy, extrinsic: [16]}."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     try:
         ext = np.asarray(raw["extrinsic"], dtype=np.float64).reshape(4, 4)

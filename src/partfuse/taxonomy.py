@@ -161,7 +161,7 @@ def load_taxonomy(path: str | Path) -> ClassTaxonomy:
     """Read and validate a JSON taxonomy file."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValidationError(f"taxonomy file is not valid JSON: {exc}") from exc
     return validate_taxonomy(raw)
 

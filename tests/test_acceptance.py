@@ -30,7 +30,7 @@ from partfuse.fusion import (
     sigmoid_rescaled,
 )
 from partfuse.imaging import Image, read_pnm, write_pnm
-from partfuse.metrics import aggregate_dataset, match_segments, part_pq, pq
+from partfuse.metrics import aggregate_dataset, match_segments, part_pq
 from partfuse.overlay import default_overlay_spec, instance_boxes, render_overlay
 from partfuse.pointcloud import write_ply
 from partfuse.taxonomy import validate_taxonomy
@@ -48,7 +48,7 @@ from test_cli import (
     write_rgbd_scene_dir,
 )
 from test_fusion_pipeline import conflict_fixture
-from test_metrics import build_part_scene, oracle_scores, random_triple
+from test_metrics import assert_report_matches_oracle, build_part_scene, random_triple
 
 
 @contextmanager
@@ -144,24 +144,11 @@ def test_criterion_4_metrics_vs_oracle(taxonomy):
         started = time.perf_counter()
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            pred = random_triple(rng)
-            gt = random_triple(rng)
-            match = match_segments(pred, gt, taxonomy)
-            got_pq, _ = pq(match)
-            want_pq, want_ppq = oracle_scores(pred, gt, taxonomy)
-            assert set(got_pq) == set(want_pq)
-            for cls, value in want_pq.items():
-                assert abs(got_pq[cls] - value) < 1e-9
-            report = aggregate_dataset([match], taxonomy)
-            for cls, value in want_ppq.items():
-                row = report.per_class[cls]
-                if row.present_in_gt:
-                    assert abs(row.part_pq - value) < 1e-9
+            assert_report_matches_oracle(random_triple(rng), random_triple(rng), taxonomy)
 
         # exactness and definitional collapse
         gt = random_triple(rng)
-        _, mean = pq(match_segments(gt, gt, taxonomy))
-        assert mean == 1.0
+        assert aggregate_dataset([match_segments(gt, gt, taxonomy)], taxonomy).mean_pq == 1.0
         partless = validate_taxonomy(
             {
                 "semantic_classes": [
@@ -200,9 +187,9 @@ def test_criterion_4_metrics_vs_oracle(taxonomy):
         sem2[1, :10] = BAG
         inst2[1, :10] = 3
         gt2 = make_triple(sem2, inst2, gt.part_map)
-        per_class, _ = pq(match_segments(pred, gt2, taxonomy))
-        assert abs(per_class[BAG] - 0.8 / 1.5) < 1e-9
-        assert abs(round(per_class[BAG], 4) - 0.5333) < 1e-12
+        bag_pq = part_pq(pred, gt2, taxonomy).per_class[BAG].pq
+        assert abs(bag_pq - 0.8 / 1.5) < 1e-9
+        assert abs(round(bag_pq, 4) - 0.5333) < 1e-12
 
         report = part_pq(pred, gt, taxonomy)
         assert abs(report.per_class[BAG].part_pq - 0.75) < 1e-9

@@ -12,7 +12,10 @@ import pytest
 import partfuse
 
 from partfuse import formats
+from partfuse.autolabel_monitor import load_monitor_config
+from partfuse.autolabel_rgbd import load_rgbd_config
 from partfuse.cli import main
+from partfuse.errors import ValidationError
 from partfuse.imaging import Image, write_pnm
 from partfuse.pointcloud import save_camera, write_ply
 
@@ -950,3 +953,54 @@ def test_eval_failed_tsv_write_leaves_no_file(tmp_path, taxonomy_json, monkeypat
             "--tsv", str(out_dir / "m.tsv"), str(pred_dir)]
     assert main(args) == 2
     assert list(out_dir.iterdir()) == []
+
+
+def non_utf8_case(tmp_path, taxonomy_json, target):
+    """Arguments of a command that succeeds, and the one text input it
+    reads that the test then replaces with non-UTF-8 bytes."""
+    if target in ("fuse-taxonomy", "fuse-config", "proposals"):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        write_fuse_sample(inputs, "img0")
+        config = tmp_path / "run.json"
+        config.write_text("{}")
+        args = fuse_args(taxonomy_json, tmp_path / "out", inputs, "--config", str(config))
+        files = {"fuse-taxonomy": taxonomy_json, "fuse-config": config,
+                 "proposals": inputs / "img0.proposals.json"}
+    elif target == "camera":
+        scene = write_rgbd_scene_dir(tmp_path)
+        args = ["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config",
+                str(write_rgbd_config(tmp_path)), "--out", str(tmp_path / "out"), str(scene)]
+        files = {"camera": scene / "camera.json"}
+    else:
+        gt_dir, pred_dir = make_eval_dirs(tmp_path)
+        tsv = tmp_path / "m.tsv"
+        eval_args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), "--tsv", str(tsv)]
+        assert main([*eval_args, str(pred_dir)]) == 0
+        args = ["report", "--taxonomy", str(taxonomy_json), str(tsv)]
+        files = {"tsv": tsv, "report-taxonomy": taxonomy_json}
+    return args, files[target]
+
+
+@pytest.mark.parametrize(
+    "target, code",
+    [("fuse-taxonomy", 3), ("fuse-config", 3), ("proposals", 2), ("camera", 2),
+     ("tsv", 3), ("report-taxonomy", 3)],
+)
+def test_non_utf8_text_input_exit_code(tmp_path, taxonomy_json, caplog, target, code):
+    args, path = non_utf8_case(tmp_path, taxonomy_json, target)
+    assert main(args) == 0
+    path.write_bytes(b'{"name": "\xff"}\n')
+    assert main(args) == code
+    assert caplog.records[-1].levelname == "ERROR"
+    assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("loader", [load_rgbd_config, load_monitor_config])
+def test_label_config_loaders_reject_non_utf8(tmp_path, loader):
+    # label --config reads the file as run settings first; the loaders
+    # must still fail alone with a ValidationError
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"object_class_id": "\xff"}\n')
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        loader(path)

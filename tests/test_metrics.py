@@ -1,6 +1,8 @@
-"""Metric tests, including a brute-force oracle built from plain Python
-sets so the vectorized matching path is checked against independent
-arithmetic."""
+"""Metric tests, including a brute-force oracle built from one boolean
+mask per segment so the histogram-based matching path is checked
+against independent arithmetic."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,7 @@ from hypothesis import strategies as st
 from partfuse.metrics import (
     aggregate_dataset,
     match_segments,
-    part_iou,
     part_pq,
-    pq,
     render_table,
     report_to_tsv,
 )
@@ -36,90 +36,90 @@ from conftest import (
 
 
 def oracle_segments(triple):
-    segs = {}
-    h, w = triple.shape
-    for r in range(h):
-        for c in range(w):
-            s = int(triple.semantic_map[r, c])
-            if s == 0:
-                continue
-            key = (s, int(triple.instance_map[r, c]))
-            segs.setdefault(key, set()).add((r, c))
-    return segs
+    """{(class, instance): boolean mask} of the non-void segments."""
+    sem, inst = triple.semantic_map, triple.instance_map
+    keys = {(int(s), int(i)) for s, i in zip(sem.ravel(), inst.ravel()) if s}
+    return {(s, i): (sem == s) & (inst == i) for s, i in sorted(keys)}
+
+
+def oracle_part_score(pred, gt, region, iou, class_id, taxonomy):
+    """Mean part IoU over the pixels of ``region``, in taxonomy part order,
+    skipping parts absent from both sides; the segment IoU when all are."""
+    values = []
+    for part in taxonomy.parts_of(class_id):
+        p = region & (pred.part_map == part.id)
+        g = region & (gt.part_map == part.id)
+        union = int((p | g).sum())
+        if union:
+            values.append(int((p & g).sum()) / union)
+    return float(np.mean(values)) if values else iou
 
 
 def oracle_match(pred, gt, taxonomy):
-    """All-pairs matching with per-pixel set arithmetic."""
+    """All-pairs matching with per-segment boolean masks.
+
+    Returns {class: [(pred key, gt key, iou, part score)]} for the true
+    positives and {class: [key]} for the false positives and negatives;
+    keys are (class, instance) tuples.
+    """
     pseg = oracle_segments(pred)
     gseg = oracle_segments(gt)
-    h, w = gt.shape
-    void = {
-        (r, c) for r in range(h) for c in range(w) if gt.semantic_map[r, c] == 0
-    }
+    void = gt.semantic_map == 0
     tps = {}
     matched_p, matched_g = set(), set()
-    for gk, gpix in gseg.items():
-        for pk, ppix in pseg.items():
+    for gk, g in gseg.items():
+        for pk, p in pseg.items():
             if gk[0] != pk[0]:
                 continue
-            inter = len(gpix & ppix)
+            inter = int((g & p).sum())
             if inter == 0:
                 continue
-            union = len(gpix | (ppix - void))
-            iou = inter / union
+            iou = inter / int((g | (p & ~void)).sum())
             if iou > 0.5:
                 assert gk not in matched_g and pk not in matched_p  # uniqueness
                 matched_g.add(gk)
                 matched_p.add(pk)
-                tps.setdefault(gk[0], []).append((pk, gk, iou))
+                score = oracle_part_score(pred, gt, g | p, iou, gk[0], taxonomy)
+                tps.setdefault(gk[0], []).append((pk, gk, iou, score))
     fps = {}
-    for pk, ppix in pseg.items():
-        if pk in matched_p:
-            continue
-        if len(ppix & void) / len(ppix) > 0.5:
-            continue
-        fps.setdefault(pk[0], []).append(pk)
+    for pk, p in pseg.items():
+        if pk not in matched_p and int((p & void).sum()) / int(p.sum()) <= 0.5:
+            fps.setdefault(pk[0], []).append(pk)
     fns = {}
     for gk in gseg:
         if gk not in matched_g:
             fns.setdefault(gk[0], []).append(gk)
-    return pseg, gseg, tps, fps, fns
-
-
-def oracle_part_score(pred, gt, ppix, gpix, iou, class_id, taxonomy):
-    parts = taxonomy.parts_of(class_id)
-    if not parts:
-        return iou
-    region = ppix | gpix
-    values = []
-    for part in parts:
-        p = {q for q in region if pred.part_map[q] == part.id}
-        g = {q for q in region if gt.part_map[q] == part.id}
-        union = len(p | g)
-        if union == 0:
-            continue
-        values.append(len(p & g) / union)
-    if not values:
-        return iou
-    return sum(values) / len(values)
+    return tps, fps, fns
 
 
 def oracle_scores(pred, gt, taxonomy):
-    """Returns ({class: pq}, {class: part_pq}) for classes with activity."""
-    pseg, gseg, tps, fps, fns = oracle_match(pred, gt, taxonomy)
-    classes = set(tps) | set(fps) | set(fns)
-    pq_scores, ppq_scores = {}, {}
-    for cls in classes:
-        tp_list = tps.get(cls, [])
-        denom = len(tp_list) + 0.5 * len(fps.get(cls, [])) + 0.5 * len(fns.get(cls, []))
-        iou_sum = sum(iou for _, _, iou in tp_list)
-        part_sum = sum(
-            oracle_part_score(pred, gt, pseg[pk], gseg[gk], iou, cls, taxonomy)
-            for pk, gk, iou in tp_list
-        )
-        pq_scores[cls] = iou_sum / denom if denom else 0.0
-        ppq_scores[cls] = part_sum / denom if denom else 0.0
-    return pq_scores, ppq_scores
+    """{class: (pq, part_pq, tp, fp, fn)} for classes with activity."""
+    tps, fps, fns = oracle_match(pred, gt, taxonomy)
+    out = {}
+    for cls in set(tps) | set(fps) | set(fns):
+        tp, fp, fn = len(tps.get(cls, [])), len(fps.get(cls, [])), len(fns.get(cls, []))
+        denom = tp + 0.5 * fp + 0.5 * fn
+        iou_sum = sum(t[2] for t in tps.get(cls, []))
+        part_sum = sum(t[3] for t in tps.get(cls, []))
+        out[cls] = (iou_sum / denom, part_sum / denom, tp, fp, fn)
+    return out
+
+
+def assert_report_matches_oracle(pred, gt, taxonomy):
+    """PQ/PartPQ of one pair against the oracle.  A class that appears
+    only as false positives is counted but not scored."""
+    report = part_pq(pred, gt, taxonomy)
+    want = oracle_scores(pred, gt, taxonomy)
+    active = {c for c, row in report.per_class.items() if row.tp or row.fp or row.fn}
+    assert active == set(want)
+    for cls, (pq_value, ppq_value, tp, fp, fn) in want.items():
+        row = report.per_class[cls]
+        assert (row.tp, row.fp, row.fn) == (tp, fp, fn)
+        if row.present_in_gt:
+            assert row.pq == pytest.approx(pq_value, abs=1e-9)
+            assert row.part_pq == pytest.approx(ppq_value, abs=1e-9)
+        else:
+            assert (row.pq, row.part_pq, tp, fn) == (None, None, 0, 0)
 
 
 def random_triple(rng, shape=(16, 16), n_rects=5, base=None):
@@ -156,9 +156,9 @@ def test_identical_triples_all_tp(taxonomy):
         assert not cm.fp and not cm.fn
         for tp in cm.tp:
             assert tp.iou == 1.0
-    per_class, mean = pq(match)
-    assert all(v == 1.0 for v in per_class.values())
-    assert mean == 1.0
+    report = aggregate_dataset([match], taxonomy)
+    assert all(report.per_class[c].pq == 1.0 for c in match.per_class)
+    assert report.mean_pq == 1.0
 
 
 def test_partial_overlap_is_tp(taxonomy):
@@ -176,8 +176,8 @@ def test_partial_overlap_is_tp(taxonomy):
     cm = match.per_class[BAG]
     assert len(cm.tp) == 1 and not cm.fp and not cm.fn
     assert cm.tp[0].iou == pytest.approx(50 / 70, abs=1e-12)
-    per_class, _ = pq(match)
-    assert per_class[BAG] == pytest.approx(50 / 70, abs=1e-12)
+    report = aggregate_dataset([match], taxonomy)
+    assert report.per_class[BAG].pq == pytest.approx(50 / 70, abs=1e-12)
 
 
 def test_exact_half_iou_is_not_a_match(taxonomy):
@@ -192,8 +192,7 @@ def test_exact_half_iou_is_not_a_match(taxonomy):
     )
     cm = match.per_class[BAG]
     assert not cm.tp and len(cm.fp) == 1 and len(cm.fn) == 1
-    per_class, _ = pq(match)
-    assert per_class[BAG] == 0.0
+    assert aggregate_dataset([match], taxonomy).per_class[BAG].pq == 0.0
 
 
 def test_pq_with_one_fn(taxonomy):
@@ -213,8 +212,8 @@ def test_pq_with_one_fn(taxonomy):
     match = match_segments(
         make_triple(sem_pr, inst_pr), make_triple(sem_gt, inst_gt), taxonomy
     )
-    per_class, _ = pq(match)
-    assert per_class[BAG] == pytest.approx(0.8 / 1.5, abs=1e-12)
+    report = aggregate_dataset([match], taxonomy)
+    assert report.per_class[BAG].pq == pytest.approx(0.8 / 1.5, abs=1e-12)
 
 
 def test_mostly_void_prediction_discarded(taxonomy):
@@ -263,8 +262,7 @@ def build_part_scene():
 def test_part_iou_identical_maps(taxonomy):
     pred, gt = build_part_scene()
     match = match_segments(gt, gt, taxonomy)
-    tp = match.per_class[BAG].tp[0]
-    assert part_iou(gt, gt, tp.pred_segment, tp.gt_segment, tp.iou, taxonomy) == 1.0
+    assert match.per_class[BAG].tp[0].part_score == 1.0
 
 
 def test_part_iou_mixed_parts(taxonomy):
@@ -272,8 +270,6 @@ def test_part_iou_mixed_parts(taxonomy):
     match = match_segments(pred, gt, taxonomy)
     tp = match.per_class[BAG].tp[0]
     assert tp.iou == pytest.approx(0.8, abs=1e-12)
-    score = part_iou(pred, gt, tp.pred_segment, tp.gt_segment, tp.iou, taxonomy)
-    assert score == pytest.approx(0.75, abs=1e-12)
     assert tp.part_score == pytest.approx(0.75, abs=1e-12)
 
 
@@ -289,9 +285,7 @@ def test_part_iou_skips_empty_unions(taxonomy):
     pred = make_triple(sem, inst, part_pr)
     gt = make_triple(sem, inst, part_gt)
     match = match_segments(pred, gt, taxonomy)
-    tp = match.per_class[BAG].tp[0]
-    score = part_iou(pred, gt, tp.pred_segment, tp.gt_segment, tp.iou, taxonomy)
-    assert score == pytest.approx(0.6, abs=1e-12)
+    assert match.per_class[BAG].tp[0].part_score == pytest.approx(0.6, abs=1e-12)
 
 
 def test_part_iou_full_fallback_to_segment_iou(taxonomy):
@@ -301,7 +295,57 @@ def test_part_iou_full_fallback_to_segment_iou(taxonomy):
     pred = make_triple(sem, inst)  # no parts anywhere
     match = match_segments(pred, pred, taxonomy)
     tp = match.per_class[BAG].tp[0]
-    assert part_iou(pred, pred, tp.pred_segment, tp.gt_segment, tp.iou, taxonomy) == tp.iou
+    assert tp.part_score == tp.iou
+
+
+@pytest.mark.parametrize("neighbour_part", [SEAL, CENTER])
+def test_part_score_counts_other_side_segment_pixels(taxonomy, neighbour_part):
+    """Parts are scored over the union of the two matched segments, so
+    the part labels of a neighbouring predicted segment that lie inside
+    the ground-truth segment count.  Scoring each side within its own
+    segment would give 0.9 for both neighbours."""
+    sem_gt = np.full((1, 20), TABLE, dtype=np.uint16)
+    sem_gt[0, :10] = BAG
+    inst_gt = (sem_gt == BAG).astype(np.uint16)
+    part_gt = np.zeros_like(sem_gt)
+    part_gt[0, :5] = CENTER
+    part_gt[0, 5:10] = SEAL
+
+    sem_pr = np.full((1, 20), TABLE, dtype=np.uint16)
+    sem_pr[0, :13] = BAG
+    inst_pr = np.zeros_like(sem_pr)
+    inst_pr[0, :9] = 1  # iou 9/10 with the gt bag
+    inst_pr[0, 9:13] = 2  # the neighbour: one pixel inside the gt bag
+    part_pr = np.zeros_like(sem_pr)
+    part_pr[0, :5] = CENTER
+    part_pr[0, 5:9] = SEAL
+    part_pr[0, 9:13] = neighbour_part
+
+    match = match_segments(
+        make_triple(sem_pr, inst_pr, part_pr), make_triple(sem_gt, inst_gt, part_gt), taxonomy
+    )
+    (tp,) = match.per_class[BAG].tp
+    assert (tp.pred_key, tp.gt_key, tp.iou) == ((BAG << 16) | 1, (BAG << 16) | 1, 0.9)
+    assert len(match.per_class[BAG].fp) == 1
+    # seal 5/5 and center 5/5; or seal 4/5 and center 5/6 (taxonomy order)
+    want = 1.0 if neighbour_part == SEAL else float(np.mean([4 / 5, 5 / 6]))
+    assert tp.part_score == want
+
+
+def test_part_score_counts_gt_part_void_against_predicted_part(taxonomy):
+    """Ground-truth part void under a predicted part is not ignored: it
+    is that part's union without intersection."""
+    sem = np.full((1, 10), BAG, dtype=np.uint16)
+    inst = np.ones_like(sem)
+    part_gt = np.zeros_like(sem)
+    part_gt[0, :5] = CENTER  # the rest is part void
+    part_pr = np.zeros_like(sem)
+    part_pr[0, :5] = CENTER
+    part_pr[0, 5:] = SEAL
+    match = match_segments(make_triple(sem, inst, part_pr), make_triple(sem, inst, part_gt), taxonomy)
+    (tp,) = match.per_class[BAG].tp
+    assert tp.iou == 1.0
+    assert tp.part_score == 0.5  # seal 0/5, center 5/5
 
 
 def test_part_pq_single_tp(taxonomy):
@@ -402,19 +446,57 @@ def test_aggregate_empty_dataset_rejected(taxonomy):
 def test_matches_agree_with_oracle(taxonomy):
     rng = np.random.default_rng(42)
     for _ in range(100):
-        pred = random_triple(rng)
-        gt = random_triple(rng)
+        assert_report_matches_oracle(random_triple(rng), random_triple(rng), taxonomy)
+
+
+def test_match_segments_equals_mask_oracle(taxonomy):
+    """Exactly the oracle's TP/FP/FN keys and bit-equal iou and part
+    score, on tie-heavy pairs with void and stuff: half unrelated, half
+    predictions painted over their ground truth."""
+    rng = np.random.default_rng(6)
+
+    def key(k):
+        return (k >> 16, k & 0xFFFF)
+
+    for i in range(200):
+        gt = random_triple(rng, n_rects=8)
+        pred = random_triple(rng, n_rects=3, base=gt) if i % 2 else random_triple(rng)
+        tps, fps, fns = oracle_match(pred, gt, taxonomy)
         match = match_segments(pred, gt, taxonomy)
-        got_pq, _ = pq(match)
-        want_pq, want_ppq = oracle_scores(pred, gt, taxonomy)
-        assert set(got_pq) == set(want_pq)
-        for cls, value in want_pq.items():
-            assert got_pq[cls] == pytest.approx(value, abs=1e-9)
-        report = aggregate_dataset([match], taxonomy)
-        for cls, value in want_ppq.items():
-            row = report.per_class[cls]
-            if row.present_in_gt:
-                assert row.part_pq == pytest.approx(value, abs=1e-9)
+        got_tps = {
+            c: sorted((key(t.pred_key), key(t.gt_key), t.iou, t.part_score) for t in cm.tp)
+            for c, cm in match.per_class.items()
+            if cm.tp
+        }
+        got_fps = {
+            c: [(s.class_id, s.instance_id) for s in cm.fp]
+            for c, cm in match.per_class.items()
+            if cm.fp
+        }
+        got_fns = {
+            c: [(s.class_id, s.instance_id) for s in cm.fn]
+            for c, cm in match.per_class.items()
+            if cm.fn
+        }
+        assert got_tps == {c: sorted(v) for c, v in tps.items()}
+        assert got_fps == fps
+        assert got_fns == fns
+
+
+def test_match_result_keeps_no_pixel_arrays(taxonomy):
+    # a 512x1024 pair: the result holds counts and scores, not pixels
+    rng = np.random.default_rng(11)
+    gt = random_triple(rng, shape=(512, 1024), n_rects=40)
+    pred = random_triple(rng, shape=(512, 1024), n_rects=10, base=gt)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        match = match_segments(pred, gt, taxonomy)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert any(cm.tp for cm in match.per_class.values())
+    assert held < 256 * 1024
 
 
 def relabelled(triple, rng):
