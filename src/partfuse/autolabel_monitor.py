@@ -14,9 +14,7 @@ connected components of the object mask.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -259,12 +257,8 @@ def augment_flips(
     ]
 
 
-def load_monitor_config(path: str | Path) -> MonitorLabelConfig:
-    """Read a MonitorLabelConfig from JSON."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+def load_monitor_config(raw: dict) -> MonitorLabelConfig:
+    """Build a MonitorLabelConfig from a config file's parsed JSON object."""
     try:
         kwargs = dict(
             object_class_id=int(raw["object_class_id"]),
@@ -281,4 +275,4 @@ def load_monitor_config(path: str | Path) -> MonitorLabelConfig:
             kwargs["black_range"] = _hsv_range_from_json(raw["black_range"])
         return MonitorLabelConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed config: {exc}") from exc
+        raise ValidationError(f"malformed monitor config: {exc}") from exc

@@ -16,9 +16,7 @@ surviving cluster vote as void.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -311,12 +309,8 @@ def _rules_from_json(raw) -> tuple[PartColorRule, ...]:
     return tuple(rules)
 
 
-def load_rgbd_config(path: str | Path) -> RgbdLabelConfig:
-    """Read an RgbdLabelConfig from JSON."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+def load_rgbd_config(raw: dict) -> RgbdLabelConfig:
+    """Build an RgbdLabelConfig from a config file's parsed JSON object."""
     try:
         pmf = PmfParams(**raw.get("pmf", {}))
         return RgbdLabelConfig(
@@ -334,4 +328,4 @@ def load_rgbd_config(path: str | Path) -> RgbdLabelConfig:
             max_pixel_radius=float(raw.get("max_pixel_radius", 3.0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed config: {exc}") from exc
+        raise ValidationError(f"malformed rgbd config: {exc}") from exc

@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import formats
@@ -71,6 +71,7 @@ class RunConfig:
     keep_going: bool = False
     percent: bool = False
     fusion: FusionParams = FusionParams()
+    file: dict = field(default_factory=dict)  # the --config file's JSON object
 
 
 def _optional_path(value) -> Path | None:
@@ -117,6 +118,7 @@ def _merge_run_config(args) -> RunConfig:
         keep_going=getattr(args, "keep_going", False),
         percent=getattr(args, "percent", False),
         fusion=fusion,
+        file=file_cfg,
     )
 
 
@@ -349,7 +351,7 @@ def cmd_label_rgbd(args) -> None:
     out_dir = _ensure_out(cfg.out)
     if not getattr(args, "config", None):
         raise ValidationError("label rgbd requires --config")
-    label_cfg = load_rgbd_config(args.config)
+    label_cfg = load_rgbd_config(cfg.file)
     if args.seed is not None:
         label_cfg = replace(label_cfg, seed=int(args.seed))
 
@@ -400,7 +402,7 @@ def cmd_label_monitor(args) -> None:
     out_dir = _ensure_out(cfg.out)
     if not getattr(args, "config", None):
         raise ValidationError("label monitor requires --config")
-    label_cfg = load_monitor_config(args.config)
+    label_cfg = load_monitor_config(cfg.file)
 
     root = Path(args.dataset_root)
     if not root.is_dir():

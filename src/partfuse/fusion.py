@@ -19,10 +19,16 @@ its part channel, and the per-pixel argmax of those enhanced part logits
 is the part map.  Three baseline strategies ("none", "consensus",
 "topdown") skip the enhancement and resolve part/semantic conflicts by
 keeping them, voiding everything, or voiding only the part label.
+
+Both branches run on row tiles and enhance only what they read: the part
+map and the stuff argmax are built tile by tile, and a thing class's
+semantic channel is enhanced only on the footprints of accepted
+instances.  The arithmetic is per pixel, so tiling changes no result.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,11 @@ from .taxonomy import ClassTaxonomy
 
 BASELINE_STRATEGIES = ("none", "consensus", "topdown")
 STRATEGIES = ("partpanoptic",) + BASELINE_STRATEGIES
+
+# fusion works on row tiles of about this many pixels (16 rows of a
+# 1024-wide frame), so no stage holds a full-frame float64 tensor with a
+# channel axis; see tile_rows
+TILE_PIXELS = 2**14
 
 
 @dataclass(frozen=True)
@@ -85,64 +96,65 @@ def agreement_sem_inst(a, b):
     return out
 
 
-def semantic_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray:
-    """Enhance each semantic channel with its parts' evidence.
-
-    For a class with parts, the part logits are flattened by a per-pixel
-    maximum over the class's part channels and fused with the semantic
-    channel through agreement_part_sem.  Classes without parts pass
-    through unchanged.  Channel order matches the input stack.
-    """
-    stack.validate(taxonomy)
-    enhanced = stack.semantic_logits.astype(np.float64)
-    for channel, class_id in enumerate(stack.semantic_channel_ids):
-        parts = taxonomy.parts_of(class_id)
-        if not parts:
-            continue
-        part_channels = [stack.part_channel(p.id) for p in parts]
-        flat = stack.part_logits[part_channels].max(axis=0)
-        enhanced[channel] = agreement_part_sem(flat, stack.semantic_logits[channel])
-    return enhanced
-
-
-def part_wise_fuse(
-    stack: LogitStack, taxonomy: ClassTaxonomy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enhance each part channel with its parent's semantic evidence.
-
-    Returns the enhanced part tensor (stack channel order) and the part
-    map: per-pixel argmax over the enhanced part channels, ties broken by
-    the lowest part id.  The part map is emitted everywhere; consumers
-    decide whether to suppress parts on partless regions.
-    """
-    stack.validate(taxonomy)
-    enhanced = np.empty(stack.part_logits.shape, dtype=np.float64)
-    return enhanced, _part_map(stack, taxonomy, enhanced)
-
-
-def _part_map(
-    stack: LogitStack, taxonomy: ClassTaxonomy, enhanced: np.ndarray | None = None
+def semantic_wise_fuse(
+    stack: LogitStack, taxonomy: ClassTaxonomy, channel: int, index
 ) -> np.ndarray:
-    """Part map of part-wise fusion, one enhanced channel at a time.
+    """Semantic channel ``channel`` enhanced with its parts' evidence.
 
-    Each part channel is fused with its parent's semantic channel and
-    folded into a running argmax; ``enhanced``, when given, receives the
-    enhanced channels in stack order.
+    ``index`` selects pixels of the raveled H*W frame: a slice (a row
+    tile) or an integer array (an instance footprint).  For a class with
+    parts, the part logits are flattened by a per-pixel maximum over the
+    class's part channels and fused with the semantic logits through
+    agreement_part_sem.  A class without parts passes through, cast to
+    float64.  The caller validates the stack once per frame.
     """
+    semantic = stack.semantic_logits[channel].reshape(-1)[index]
+    parts = taxonomy.parts_of(stack.semantic_channel_ids[channel])
+    if not parts:
+        return semantic.astype(np.float64)
+    flat = functools.reduce(
+        np.maximum,
+        (stack.part_logits[stack.part_channel(p.id)].reshape(-1)[index] for p in parts),
+    )
+    return agreement_part_sem(flat, semantic)
+
+
+def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray:
+    """Part map of part-wise fusion.
+
+    Each part channel is fused with its parent's semantic channel through
+    agreement_part_sem, and the part map is the per-pixel argmax of those
+    enhanced part logits, ties broken by the lowest part id.  The work
+    runs on row tiles: in each tile every parent's semantic logits are
+    cast to float64 and rescaled once, then each part channel is fused
+    and folded into a running argmax in part-id order.  The part map is
+    emitted everywhere; consumers decide whether to suppress parts on
+    partless regions.
+    """
+    stack.validate(taxonomy)
     if not stack.part_channel_ids:
         raise ValidationError("part-wise fusion requires at least one part class")
+    order = [
+        (part_id, channel, stack.semantic_channel(taxonomy.parent_of(part_id)))
+        for part_id, channel in _id_order(stack.part_channel_ids)
+    ]
 
-    def channels():
-        for part_id, channel in _id_order(stack.part_channel_ids):
-            parent_channel = stack.semantic_channel(taxonomy.parent_of(part_id))
-            scores = agreement_part_sem(
-                stack.part_logits[channel], stack.semantic_logits[parent_channel]
-            )
-            if enhanced is not None:
-                enhanced[channel] = scores
+    def tile_channels(tile):
+        parents = {}  # parent channel -> (float64 logits, rescaled sigmoid)
+        for part_id, channel, parent in order:
+            if parent not in parents:
+                sem = stack.semantic_logits[parent].reshape(-1)[tile].astype(np.float64)
+                parents[parent] = sem, sigmoid_rescaled(sem)
+            sem, sem_rescaled = parents[parent]
+            part = stack.part_logits[channel].reshape(-1)[tile].astype(np.float64)
+            # agreement_part_sem(part, sem), sharing the parent's term
+            scores = sigmoid_rescaled(part)
+            scores += sem_rescaled
+            scores *= part + sem
             yield part_id, scores
 
-    return _running_argmax(channels(), stack.part_logits.shape[1:])[1]
+    shape = stack.part_logits.shape[1:]
+    return _tiled_argmax(shape, tile_channels).reshape(shape)
 
 
 def _id_order(channel_ids) -> list[tuple[int, int]]:
@@ -150,31 +162,53 @@ def _id_order(channel_ids) -> list[tuple[int, int]]:
     return sorted(zip(channel_ids, range(len(channel_ids))))
 
 
-def _running_argmax(channels, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel maximum score and its label over (label, scores) pairs.
+def tile_rows(width: int) -> int:
+    """Rows of one fusion tile in a frame ``width`` pixels wide."""
+    return max(1, TILE_PIXELS // max(width, 1))
 
-    Pairs come in ascending label order and a later channel takes a pixel
-    only with a strictly greater score, so ties go to the lowest label, as
-    with np.argmax's first maximum.  Without channels every pixel has
-    score -inf and label void.
+
+def _tiled_argmax(shape, tile_channels, best=None) -> np.ndarray:
+    """Per-pixel label of the maximum score, one row tile at a time.
+
+    ``tile_channels(tile)`` yields (label, scores) pairs for the pixels of
+    one tile, a slice of the raveled frame, in ascending label order.  A
+    later channel takes a pixel only with a strictly greater score, so
+    ties go to the lowest label, as with np.argmax's first maximum.
+    Without channels every pixel has score -inf and label void.  The
+    labels are raveled; ``best``, a raveled float64 array of the frame
+    when given, receives the maximum scores.
     """
-    best = np.full(shape, -np.inf)
-    winner = np.zeros(shape, dtype=LABEL_DTYPE)
-    for label, scores in channels:
-        better = scores > best
-        np.maximum(best, scores, out=best)
-        winner[better] = label
-    return best, winner
+    size = shape[0] * shape[1]
+    step = tile_rows(shape[1]) * shape[1]
+    winner = np.zeros(size, dtype=LABEL_DTYPE)
+    for start in range(0, size, step):
+        tile = slice(start, min(start + step, size))
+        tile_best = np.empty(tile.stop - start) if best is None else best[tile]
+        tile_best.fill(-np.inf)
+        tile_winner = winner[tile]
+        for label, scores in tile_channels(tile):
+            better = scores > tile_best
+            np.maximum(tile_best, scores, out=tile_best)
+            tile_winner[better] = label
+    return winner
 
 
 def panoptic_fuse(
-    enhanced_semantic: np.ndarray,
+    semantic_logits: np.ndarray,
     semantic_channel_ids: tuple[int, ...],
     proposals,
     taxonomy: ClassTaxonomy,
     params: FusionParams | None = None,
+    scores=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge stuff logits and instance proposals into semantic/instance maps.
+
+    Semantic scores are read through ``scores(channel, index)``, which
+    returns float64 scores of one channel at ``index``, a slice or an
+    integer array of the raveled frame; by default it casts
+    ``semantic_logits``, the [C, H, W] tensor that also sets the frame
+    shape.  Stuff channels are read tile by tile, thing channels only at
+    the footprints of accepted instances.
 
     Proposals below the confidence floor are dropped; the rest are
     accepted greedily in descending confidence (ties by submission order)
@@ -182,19 +216,22 @@ def panoptic_fuse(
     at least ``overlap_discard_ratio`` of its own area.  Overlapped pixels
     are removed from the later proposal.  Each accepted instance competes
     per pixel with the stuff-class logits via agreement_sem_inst between
-    its mask logits and its class's enhanced semantic channel; the winner
-    is the highest score, ties to the lowest class id then lowest
-    instance id.  Instances that end up with fewer than
-    ``min_instance_area`` pixels are removed and their pixels go to the
-    stuff winner.  Accepted footprints are disjoint, so each instance is
-    scored on its own footprint pixels against the stuff argmax alone.
+    its mask logits and its class's semantic score; the winner is the
+    highest score, ties to the lowest class id then lowest instance id.
+    Instances that end up with fewer than ``min_instance_area`` pixels are
+    removed and their pixels go to the stuff winner.  Accepted footprints
+    are disjoint, so each instance is scored on its own footprint pixels
+    against the stuff argmax alone.
     """
     params = params or FusionParams()
-    if enhanced_semantic.ndim != 3:
-        raise ValidationError("enhanced semantic tensor must be [C, H, W]")
-    if enhanced_semantic.shape[0] != len(semantic_channel_ids):
+    if semantic_logits.ndim != 3:
+        raise ValidationError("semantic logit tensor must be [C, H, W]")
+    if semantic_logits.shape[0] != len(semantic_channel_ids):
         raise ValidationError("channel id mapping length mismatch")
-    h, w = enhanced_semantic.shape[1:]
+    h, w = semantic_logits.shape[1:]
+    if scores is None:
+        def scores(channel, index):
+            return semantic_logits[channel].reshape(-1)[index].astype(np.float64)
     # a float64 threshold keeps the comparison in float64 for float32 masks
     threshold = np.float64(params.mask_logit_threshold)
 
@@ -221,26 +258,28 @@ def panoptic_fuse(
         accepted.append((prop.class_id, np.flatnonzero(surviving), prop.mask_logits))
 
     channel_of = {cid: ch for ch, cid in enumerate(semantic_channel_ids)}
-    stuff = (
-        (class_id, enhanced_semantic[channel])
+    stuff = [
+        (class_id, channel)
         for class_id, channel in _id_order(semantic_channel_ids)
         if taxonomy.has_semantic(class_id) and not taxonomy.is_thing(class_id)
+    ]
+    stuff_best = np.empty(h * w)
+    sem_map = _tiled_argmax(
+        (h, w), lambda tile: ((cid, scores(ch, tile)) for cid, ch in stuff), stuff_best
     )
-    stuff_best, stuff_winner = _running_argmax(stuff, (h, w))
-    stuff_best, stuff_winner = stuff_best.ravel(), stuff_winner.ravel()
 
-    sem_map = stuff_winner.copy()
+    # footprints are disjoint, so sem_map still holds the stuff winner on
+    # every pixel of the instance being scored
     inst_map = np.zeros(h * w, dtype=LABEL_DTYPE)
     instance_id = 0
     for class_id, pixels, mask_logits in accepted:
         if class_id not in channel_of:
             raise ValidationError(f"no semantic channel for proposal class {class_id}")
         fused = agreement_sem_inst(
-            mask_logits.ravel()[pixels],
-            enhanced_semantic[channel_of[class_id]].ravel()[pixels],
+            mask_logits.ravel()[pixels], scores(channel_of[class_id], pixels)
         )
         best = stuff_best[pixels]
-        wins = (fused > best) | ((fused == best) & (class_id < stuff_winner[pixels]))
+        wins = (fused > best) | ((fused == best) & (class_id < sem_map[pixels]))
         won = pixels[wins]
         if won.size < max(params.min_instance_area, 1):
             continue
@@ -255,15 +294,16 @@ def fuse_part_panoptic(
     taxonomy: ClassTaxonomy,
     params: FusionParams | None = None,
 ) -> LabelTriple:
-    """Full part-panoptic fusion: enhancement, panoptic merge, part argmax."""
-    enhanced_sem = semantic_wise_fuse(stack, taxonomy)
-    part_map = _part_map(stack, taxonomy)
+    """Full part-panoptic fusion: part argmax, then the panoptic merge on
+    semantic channels enhanced where it reads them."""
+    part_map = part_wise_fuse(stack, taxonomy)
     sem_map, inst_map = panoptic_fuse(
-        enhanced_sem,
+        stack.semantic_logits,
         stack.semantic_channel_ids,
         stack.instance_proposals,
         taxonomy,
         params,
+        functools.partial(semantic_wise_fuse, stack, taxonomy),
     )
     return LabelTriple.from_arrays(sem_map, inst_map, part_map)
 
@@ -295,21 +335,21 @@ def fuse_baseline(
         taxonomy,
         params,
     )
-    _, part_map = _running_argmax(
-        (
-            (part_id, stack.part_logits[channel])
-            for part_id, channel in _id_order(stack.part_channel_ids)
-        ),
+    order = _id_order(stack.part_channel_ids)
+    part_map = _tiled_argmax(
         sem_map.shape,
-    )
+        lambda tile: (
+            (part_id, stack.part_logits[channel].reshape(-1)[tile])
+            for part_id, channel in order
+        ),
+    ).reshape(sem_map.shape)
 
     if strategy == "none":
         return LabelTriple.from_arrays(sem_map, inst_map, part_map)
 
-    parent_lut = np.zeros(int(part_map.max()) + 1, dtype=np.int64)
-    for pid in stack.part_channel_ids:
-        if pid <= part_map.max():
-            parent_lut[pid] = taxonomy.parent_of(pid)
+    parent_lut = np.zeros(max(taxonomy.part_ids, default=0) + 1, dtype=np.int64)
+    for pid in taxonomy.part_ids:
+        parent_lut[pid] = taxonomy.parent_of(pid)
     conflict = (part_map != 0) & (parent_lut[part_map] != sem_map)
 
     if strategy == "consensus":

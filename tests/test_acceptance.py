@@ -106,9 +106,18 @@ def test_criterion_2_structural_identity():
                 semantic_channel_ids=(1, 2, 3),
                 part_channel_ids=(11, 12, 13),
             )
-            enhanced_sem = semantic_wise_fuse(stack, tax)
-            enhanced_part, _ = part_wise_fuse(stack, tax)
+            # each semantic channel, enhanced by its one part, equals that
+            # part enhanced by its parent, exactly
+            enhanced_sem = np.stack(
+                [
+                    semantic_wise_fuse(stack, tax, ch, slice(None)).reshape(8, 8)
+                    for ch in range(3)
+                ]
+            )
+            enhanced_part = agreement_part_sem(stack.part_logits, stack.semantic_logits)
             assert np.array_equal(enhanced_sem, enhanced_part)  # exact
+            part_map = part_wise_fuse(stack, tax)
+            assert np.array_equal(part_map, np.array([11, 12, 13])[enhanced_sem.argmax(axis=0)])
 
 
 def test_criterion_3_ablation_contracts():

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -384,17 +383,13 @@ def test_generate_rgbd_sample_dims_checked(taxonomy):
     (load_monitor_config, {"object_class_id": 1, "blue_range": [200, 260]}),
     (load_monitor_config, {"object_class_id": 1, "black_range": "dark"}),
 ])
-def test_config_hsv_range_must_be_an_object(tmp_path, loader, config):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+def test_config_hsv_range_must_be_an_object(loader, config):
     with pytest.raises(ValidationError, match="HSV range must be a JSON object"):
-        loader(path)
+        loader(config)
 
 
-def test_config_hsv_range_defaults_fill_missing_bounds(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"object_class_id": 1, "part_rules": [
+def test_config_hsv_range_defaults_fill_missing_bounds():
+    (rule,) = load_rgbd_config({"object_class_id": 1, "part_rules": [
         {"part_id": SEAL, "hsv_range": {"h_min": 345, "h_max": 15, "s_min": 0.5, "v_min": 0.3, "note": "seal"}},
-    ]}))
-    (rule,) = load_rgbd_config(path).part_rules
+    ]}).part_rules
     assert rule.hsv_range == SEAL_RANGE

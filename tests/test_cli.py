@@ -12,10 +12,7 @@ import pytest
 import partfuse
 
 from partfuse import formats
-from partfuse.autolabel_monitor import load_monitor_config
-from partfuse.autolabel_rgbd import load_rgbd_config
 from partfuse.cli import main
-from partfuse.errors import ValidationError
 from partfuse.imaging import Image, write_pnm
 from partfuse.pointcloud import save_camera, write_ply
 
@@ -996,11 +993,20 @@ def test_non_utf8_text_input_exit_code(tmp_path, taxonomy_json, caplog, target, 
     assert "Traceback" not in caplog.text
 
 
-@pytest.mark.parametrize("loader", [load_rgbd_config, load_monitor_config])
-def test_label_config_loaders_reject_non_utf8(tmp_path, loader):
-    # label --config reads the file as run settings first; the loaders
-    # must still fail alone with a ValidationError
-    path = tmp_path / "config.json"
-    path.write_bytes(b'{"object_class_id": "\xff"}\n')
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        loader(path)
+@pytest.mark.parametrize("variant", ["rgbd", "monitor"])
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"object_class_id": "\xff"}\n', "not valid JSON"),
+     (b'{"object_class_id": "one"}\n', "malformed"),
+     (b'{"seed": 1}\n', "malformed")],
+)
+def test_label_config_errors_exit_3(tmp_path, taxonomy_json, caplog, variant, content, message):
+    # label --config is parsed once, as run settings; the labelling
+    # settings are read from the same JSON object
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    args = ["label", variant, "--taxonomy", str(taxonomy_json), "--config", str(config),
+            "--out", str(tmp_path / "out"), str(tmp_path)]
+    assert main(args) == 3
+    assert message in caplog.records[-1].getMessage()
+    assert "Traceback" not in caplog.text

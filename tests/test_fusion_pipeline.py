@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from partfuse.containers import InstanceProposal, LogitStack
 from partfuse.errors import ValidationError
 from partfuse.fusion import (
+    STRATEGIES,
     FusionParams,
     agreement_part_sem,
     agreement_sem_inst,
@@ -15,6 +16,7 @@ from partfuse.fusion import (
     panoptic_fuse,
     part_wise_fuse,
     semantic_wise_fuse,
+    tile_rows,
 )
 from partfuse.taxonomy import validate_taxonomy
 
@@ -51,6 +53,16 @@ def make_stack(sem, part, sem_ids, part_ids, proposals=()):
     )
 
 
+def enhanced_semantic(stack, taxonomy):
+    """Every semantic channel enhanced over the whole frame, [C, H, W]."""
+    return np.stack(
+        [
+            semantic_wise_fuse(stack, taxonomy, channel, slice(None)).reshape(sem.shape)
+            for channel, sem in enumerate(stack.semantic_logits)
+        ]
+    )
+
+
 def test_semantic_wise_max_then_agreement():
     tax = two_class_taxonomy()
     h = w = 2
@@ -61,7 +73,7 @@ def test_semantic_wise_max_then_agreement():
     part[0] = 1.0  # obj_top
     part[1] = 3.0  # obj_body
     stack = make_stack(sem, part, (1, 2), (5, 6))
-    enhanced = semantic_wise_fuse(stack, tax)
+    enhanced = enhanced_semantic(stack, tax)
     assert np.allclose(enhanced[0], APS_3_2, atol=1e-12)  # max(1, 3) fused with 2
     assert np.array_equal(enhanced[1], sem[1])  # partless class passes through
 
@@ -76,7 +88,7 @@ def test_semantic_wise_single_part_is_identity_of_max():
     sem = np.full((1, 3, 3), 2.0)
     part = np.full((1, 3, 3), 2.0)
     stack = make_stack(sem, part, (1,), (5,))
-    enhanced = semantic_wise_fuse(stack, tax)
+    enhanced = enhanced_semantic(stack, tax)
     assert np.allclose(enhanced[0], APS_2_2, atol=1e-12)
 
 
@@ -85,11 +97,24 @@ def test_semantic_wise_invariant_under_part_channel_permutation():
     rng = np.random.default_rng(2)
     sem = rng.normal(size=(2, 4, 4))
     part = rng.normal(size=(2, 4, 4))
-    direct = semantic_wise_fuse(make_stack(sem, part, (1, 2), (5, 6)), tax)
-    swapped = semantic_wise_fuse(
+    direct = enhanced_semantic(make_stack(sem, part, (1, 2), (5, 6)), tax)
+    swapped = enhanced_semantic(
         make_stack(sem, part[::-1].copy(), (1, 2), (6, 5)), tax
     )
     assert np.array_equal(direct, swapped)
+
+
+def test_semantic_wise_footprint_reads_match_tile_reads():
+    # a footprint (integer index) and a tile (slice) of the raveled frame
+    # must give the same enhanced values, bit for bit
+    tax = two_class_taxonomy()
+    rng = np.random.default_rng(8)
+    stack = make_stack(rng.normal(size=(2, 5, 7)), rng.normal(size=(2, 5, 7)), (1, 2), (5, 6))
+    pixels = np.array([0, 3, 8, 9, 20, 34])
+    for channel in range(2):
+        tile = semantic_wise_fuse(stack, tax, channel, slice(0, 35))
+        assert tile.dtype == np.float64
+        assert np.array_equal(semantic_wise_fuse(stack, tax, channel, pixels), tile[pixels])
 
 
 def test_part_wise_single_part_everywhere():
@@ -103,7 +128,7 @@ def test_part_wise_single_part_everywhere():
     stack = make_stack(
         rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 4, 4)), (1,), (5,)
     )
-    _, part_map = part_wise_fuse(stack, tax)
+    part_map = part_wise_fuse(stack, tax)
     assert (part_map == 5).all()
 
 
@@ -113,7 +138,7 @@ def test_part_wise_tie_goes_to_lower_part_id():
     sem[0] = 1.0
     part = np.full((2, 1, 1), 2.0)  # equal logits, same parent -> tie
     stack = make_stack(sem, part, (1, 2), (5, 6))
-    _, part_map = part_wise_fuse(stack, tax)
+    part_map = part_wise_fuse(stack, tax)
     assert part_map[0, 0] == 5
 
 
@@ -136,11 +161,11 @@ def test_part_wise_parent_semantics_break_tie():
     sem[0] = 3.0
     sem[1] = -3.0
     part = np.ones((2, 1, 1))
-    stack = make_stack(sem, part, (1, 2), (5, 6))
-    enhanced, part_map = part_wise_fuse(stack, tax)
-    assert enhanced[0, 0, 0] == pytest.approx(APS_1_3, abs=1e-12)
-    assert enhanced[1, 0, 0] == pytest.approx(APS_1_M3, abs=1e-12)
-    assert part_map[0, 0] == 5
+    # the enhanced part logits: APS_1_3 for part 5, APS_1_M3 for part 6
+    assert agreement_part_sem(1.0, 3.0) == pytest.approx(APS_1_3, abs=1e-12)
+    assert agreement_part_sem(1.0, -3.0) == pytest.approx(APS_1_M3, abs=1e-12)
+    assert part_wise_fuse(make_stack(sem, part, (1, 2), (5, 6)), tax)[0, 0] == 5
+    assert part_wise_fuse(make_stack(sem[::-1].copy(), part, (1, 2), (5, 6)), tax)[0, 0] == 6
 
 
 def test_part_wise_requires_parts():
@@ -388,11 +413,13 @@ def test_single_part_taxonomy_structural_identity():
         sem = rng.normal(size=(2, 8, 8))
         part = rng.normal(size=(2, 8, 8))
         stack = make_stack(sem, part, (1, 2), (5, 6))
-        enhanced_sem = semantic_wise_fuse(stack, tax)
-        enhanced_part, _ = part_wise_fuse(stack, tax)
+        enhanced_sem = enhanced_semantic(stack, tax)
         # exactly equal: same inputs reach the same agreement function
-        assert np.array_equal(enhanced_sem[0], enhanced_part[0])
-        assert np.array_equal(enhanced_sem[1], enhanced_part[1])
+        assert np.array_equal(enhanced_sem[0], agreement_part_sem(part[0], sem[0]))
+        assert np.array_equal(enhanced_sem[1], agreement_part_sem(part[1], sem[1]))
+        # so the part map is the argmax of the enhanced semantic channels
+        part_map = part_wise_fuse(stack, tax)
+        assert np.array_equal(part_map, np.array([5, 6])[np.argmax(enhanced_sem, axis=0)])
 
 
 def test_channel_permutation_leaves_outputs_unchanged():
@@ -508,7 +535,12 @@ def oracle_part_map(part_scores, part_ids, stats):
 
 def oracle_fuse(stack, taxonomy, params, strategy, stats):
     if strategy == "partpanoptic":
-        sem = semantic_wise_fuse(stack, taxonomy)
+        sem = stack.semantic_logits.astype(np.float64)
+        for ch, cid in enumerate(stack.semantic_channel_ids):
+            parts = [stack.part_channel(p.id) for p in taxonomy.parts_of(cid)]
+            if parts:
+                flat = stack.part_logits[parts].max(axis=0)
+                sem[ch] = agreement_part_sem(flat, stack.semantic_logits[ch])
         part_scores = np.stack(
             [
                 agreement_part_sem(
@@ -525,10 +557,19 @@ def oracle_fuse(stack, taxonomy, params, strategy, stats):
         sem, stack.semantic_channel_ids, stack.instance_proposals, taxonomy, params, stats
     )
     part_map = oracle_part_map(part_scores, stack.part_channel_ids, stats)
+    if strategy in ("consensus", "topdown"):
+        parent = np.zeros(max(stack.part_channel_ids) + 1, dtype=np.uint16)
+        for pid in stack.part_channel_ids:
+            parent[pid] = taxonomy.parent_of(pid)
+        conflict = (part_map != 0) & (parent[part_map] != sem_map)
+        part_map = np.where(conflict, 0, part_map)
+        if strategy == "consensus":
+            sem_map = np.where(conflict, 0, sem_map)
+            inst_map = np.where(conflict, 0, inst_map)
     return sem_map, inst_map, part_map
 
 
-def random_scene(seed):
+def random_scene(seed, shape=None):
     """A small scene built to hit the fusion's tie and removal rules.
 
     Integer logits tie stuff against instance scores (fused == 0 when the
@@ -537,6 +578,7 @@ def random_scene(seed):
     comparison reads as above a 0.1 threshold; proposals overlap, repeat
     confidences and are often small enough for min_instance_area; every
     fourth taxonomy has no stuff class, and the channels come shuffled.
+    ``shape`` fixes (H, W); by default both are drawn from 4..10.
     """
     rng = np.random.default_rng(seed)
     n_sem = int(rng.integers(1, 5))
@@ -555,6 +597,8 @@ def random_scene(seed):
     taxonomy = validate_taxonomy({"semantic_classes": semantic, "part_classes": parts})
 
     h, w = int(rng.integers(4, 11)), int(rng.integers(4, 11))
+    if shape is not None:
+        h, w = shape
     sem_order = [sem_ids[i] for i in rng.permutation(n_sem)]
     part_order = [part_ids[i] for i in rng.permutation(n_part)]
     sem = rng.integers(-2, 3, size=(n_sem, h, w)).astype(np.float32)
@@ -615,11 +659,36 @@ def test_fusion_matches_stacked_argmax_oracle():
     assert no_stuff_with_instances > 0
 
 
+def test_fusion_matches_oracle_across_tile_boundaries():
+    # frames of 1, T-1, T, T+1 and 2T+3 rows, T the tile height: a frame
+    # inside one tile, exactly filled tiles and a partial last tile
+    seen = {"stuff_with_parts": 0, "multi_tile_instances": 0}
+    for w in (1, 7):
+        t = tile_rows(w)
+        for h in (1, t - 1, t, t + 1, 2 * t + 3):
+            for seed in (1, 2, 3):
+                taxonomy, stack, params = random_scene(seed, shape=(h, w))
+                if any(
+                    taxonomy.parts_of(c) and not taxonomy.is_thing(c)
+                    for c in stack.semantic_channel_ids
+                ):
+                    seen["stuff_with_parts"] += 1
+                for strategy in STRATEGIES:
+                    stats = {"float32_flips": 0, "stuff_ties": 0, "part_ties": 0, "removed": 0}
+                    triple = fuse(stack, taxonomy, params, strategy)
+                    expected = oracle_fuse(stack, taxonomy, params, strategy, stats)
+                    got = (triple.semantic_map, triple.instance_map, triple.part_map)
+                    for name, a, b in zip(("sem", "inst", "part"), got, expected):
+                        assert np.array_equal(a, b), (w, h, seed, strategy, name)
+                rows = [np.flatnonzero(triple.instance_map == i) // w // t for i in range(1, 10)]
+                seen["multi_tile_instances"] += sum(r.size and r.min() != r.max() for r in rows)
+    assert seen["stuff_with_parts"] > 0
+    assert seen["multi_tile_instances"] > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_fuse_invariant_under_channel_permutation(seed, data):
-    from partfuse.fusion import STRATEGIES
-
     taxonomy, stack, params = random_scene(seed)
     sem_perm = data.draw(st.permutations(range(len(stack.semantic_channel_ids))))
     part_perm = data.draw(st.permutations(range(len(stack.part_channel_ids))))
@@ -636,3 +705,34 @@ def test_fuse_invariant_under_channel_permutation(seed, data):
         assert np.array_equal(a.semantic_map, b.semantic_map), strategy
         assert np.array_equal(a.instance_map, b.instance_map), strategy
         assert np.array_equal(a.part_map, b.part_map), strategy
+
+
+def test_partpanoptic_fusion_holds_no_channel_tensor():
+    # the traced peak of fusing a 256x512 frame stays below half of one
+    # [C_sem, H, W] float64 tensor
+    import tracemalloc
+
+    semantic = [{"id": i, "name": f"c{i}", "is_thing": i > 4} for i in range(1, 9)]
+    parts = [
+        {"id": 20 + i, "name": f"p{i}", "parent_semantic_id": 1 + i % 8} for i in range(10)
+    ]
+    taxonomy = validate_taxonomy({"semantic_classes": semantic, "part_classes": parts})
+    rng = np.random.default_rng(11)
+    h, w = 256, 512
+    proposals = []
+    for k in range(4):
+        mask = rng.normal(scale=0.5, size=(h, w)).astype(np.float32) - 3.0
+        mask[64 * k : 64 * k + 96, 100 * k : 100 * k + 200] += 6.0
+        proposals.append(InstanceProposal(class_id=5 + k, confidence=0.9, mask_logits=mask))
+    stack = make_stack(
+        rng.normal(size=(8, h, w)), rng.normal(size=(10, h, w)), range(1, 9), range(20, 30), proposals
+    )
+    fuse(stack, taxonomy, None, "partpanoptic")  # imports scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        triple = fuse(stack, taxonomy, None, "partpanoptic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert triple.instance_map.max() == 4
+    assert peak < 8 * h * w * 8 / 2
