@@ -30,8 +30,9 @@ from .imaging import (
     quantize_colors,
     threshold_hsv,
 )
+from .autolabel_rgbd import PartColorRule, ordered_part_rules
+from .jsonio import decode
 from .taxonomy import ClassTaxonomy
-from .autolabel_rgbd import PartColorRule, _hsv_range_from_json, _rules_from_json
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,7 @@ def extract_part_masks(
     """
     if img_black.pixels.shape[:2] != object_mask.bits.shape:
         raise ValidationError("object mask dimensions disagree with captures")
-    if taxonomy is not None:
-        for rule in config.part_rules:
-            taxonomy.part_class(rule.part_id)
-        if config.catchall_part_id:
-            taxonomy.part_class(config.catchall_part_id)
-
+    rules = ordered_part_rules(config.part_rules, taxonomy, config.catchall_part_id)
     masked_black = Image(
         np.where(object_mask.bits[..., None], img_black.pixels, 0).astype(np.uint8)
     )
@@ -166,12 +162,9 @@ def extract_part_masks(
         config.quantize_levels,
     )
 
-    rules = sorted(
-        enumerate(config.part_rules), key=lambda item: (-item[1].priority, item[0])
-    )
     remaining = object_mask.bits.copy()
     part_masks: dict[int, BitMask] = {}
-    for _, rule in rules:
+    for rule in rules:
         hit = threshold_hsv(processed, rule.hsv_range).bits & remaining
         prior = part_masks.get(rule.part_id)
         if prior is not None:
@@ -259,20 +252,4 @@ def augment_flips(
 
 def load_monitor_config(raw: dict) -> MonitorLabelConfig:
     """Build a MonitorLabelConfig from a config file's parsed JSON object."""
-    try:
-        kwargs = dict(
-            object_class_id=int(raw["object_class_id"]),
-            background_class_id=int(raw.get("background_class_id", 0)),
-            closing_window=int(raw.get("closing_window", 5)),
-            quantize_levels=int(raw.get("quantize_levels", 8)),
-            part_rules=_rules_from_json(raw.get("part_rules", [])),
-            catchall_part_id=int(raw.get("catchall_part_id", 0)),
-            min_component_area=int(raw.get("min_component_area", 100)),
-        )
-        if "blue_range" in raw:
-            kwargs["blue_range"] = _hsv_range_from_json(raw["blue_range"])
-        if "black_range" in raw:
-            kwargs["black_range"] = _hsv_range_from_json(raw["black_range"])
-        return MonitorLabelConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed monitor config: {exc}") from exc
+    return decode(MonitorLabelConfig, raw, "monitor config")

@@ -16,13 +16,14 @@ surviving cluster vote as void.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .containers import LabelTriple
 from .errors import ValidationError
 from .imaging import HsvRange, Image, rgb_to_hsv
+from .jsonio import decode
 from .pointcloud import (
     CameraModel,
     PmfParams,
@@ -41,8 +42,22 @@ class PartColorRule:
     higher priority wins where ranges overlap."""
 
     part_id: int
-    hsv_range: HsvRange
+    hsv_range: HsvRange = HsvRange()
     priority: int = 0
+
+
+def ordered_part_rules(
+    rules, taxonomy: ClassTaxonomy | None = None, catchall_part_id: int = 0
+) -> list[PartColorRule]:
+    """Rules in the order they are tried: descending priority, given order
+    among equals.  With a taxonomy, every rule's part id and a nonzero
+    catch-all must be part classes."""
+    if taxonomy is not None:
+        for rule in rules:
+            taxonomy.part_class(rule.part_id)
+        if catchall_part_id:
+            taxonomy.part_class(catchall_part_id)
+    return sorted(rules, key=lambda rule: -rule.priority)
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,7 @@ class LabeledPointCloud:
 @dataclass(frozen=True)
 class RgbdLabelConfig:
     object_class_id: int
-    background_class_id: int
+    background_class_id: int = 0
     pmf: PmfParams = field(default_factory=PmfParams)
     ransac_iterations: int = 500
     ransac_threshold: float = 0.004
@@ -147,22 +162,14 @@ def label_parts(
     the first match wins.  Unmatched object points receive the catch-all
     part id, or 0 if none is configured.
     """
-    rules = sorted(
-        enumerate(part_rules), key=lambda item: (-item[1].priority, item[0])
-    )
-    if taxonomy is not None:
-        for _, rule in rules:
-            taxonomy.part_class(rule.part_id)
-        if catchall_part_id:
-            taxonomy.part_class(catchall_part_id)
-
+    rules = ordered_part_rules(part_rules, taxonomy, catchall_part_id)
     part = np.full(len(labeled.cloud), catchall_part_id, dtype=np.int64)
     part[~labeled.object_flag] = 0
     obj_idx = np.nonzero(labeled.object_flag)[0]
     if obj_idx.size and rules:
         h, s, v = rgb_to_hsv(labeled.cloud.rgb[obj_idx])
         assigned = np.zeros(obj_idx.size, dtype=bool)
-        for _, rule in rules:
+        for rule in rules:
             hit = ~assigned & rule.hsv_range.contains(h, s, v)
             part[obj_idx[hit]] = rule.part_id
             assigned |= hit
@@ -289,43 +296,6 @@ def generate_rgbd_sample(
     return rgb, triple
 
 
-def _hsv_range_from_json(raw: dict) -> HsvRange:
-    if not isinstance(raw, dict):
-        raise TypeError(f"an HSV range must be a JSON object, got {raw!r}")
-    names = {f.name for f in fields(HsvRange)}
-    return HsvRange(**{key: float(value) for key, value in raw.items() if key in names})
-
-
-def _rules_from_json(raw) -> tuple[PartColorRule, ...]:
-    rules = []
-    for entry in raw:
-        rules.append(
-            PartColorRule(
-                part_id=int(entry["part_id"]),
-                hsv_range=_hsv_range_from_json(entry.get("hsv_range", {})),
-                priority=int(entry.get("priority", 0)),
-            )
-        )
-    return tuple(rules)
-
-
 def load_rgbd_config(raw: dict) -> RgbdLabelConfig:
     """Build an RgbdLabelConfig from a config file's parsed JSON object."""
-    try:
-        pmf = PmfParams(**raw.get("pmf", {}))
-        return RgbdLabelConfig(
-            object_class_id=int(raw["object_class_id"]),
-            background_class_id=int(raw.get("background_class_id", 0)),
-            pmf=pmf,
-            ransac_iterations=int(raw.get("ransac_iterations", 500)),
-            ransac_threshold=float(raw.get("ransac_threshold", 0.004)),
-            seed=int(raw.get("seed", 0)),
-            cluster_radius=float(raw.get("cluster_radius", 0.01)),
-            cluster_min_points=int(raw.get("cluster_min_points", 30)),
-            part_rules=_rules_from_json(raw.get("part_rules", [])),
-            catchall_part_id=int(raw.get("catchall_part_id", 0)),
-            knn_k=int(raw.get("knn_k", 5)),
-            max_pixel_radius=float(raw.get("max_pixel_radius", 3.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed rgbd config: {exc}") from exc
+    return decode(RgbdLabelConfig, raw, "rgbd config")

@@ -1,11 +1,11 @@
 """Command-line surface: fuse, eval, label, overlay, augment, report.
 
-Exit codes: 0 on success, 2 on I/O errors (unreadable or corrupt files),
-3 on validation errors (missing required inputs, bad taxonomy or
-dimensions, unknown strategy).  Handlers raise; ``main`` alone maps an
-error to its code.  Messages go to standard error; verbosity is
-controlled by the PARTFUSE_LOG environment variable (error, warn, info,
-debug).
+Exit codes: 0 on success, 2 on I/O errors (unreadable files, corrupt
+PPT1/PNM/PLY containers), 3 on validation errors (malformed JSON inputs,
+missing required inputs, bad taxonomy or dimensions, unknown strategy).
+Handlers raise; ``main`` alone maps an error to its code.  Messages go to
+standard error; verbosity is controlled by the PARTFUSE_LOG environment
+variable (error, warn, info, debug).
 
 All commands are deterministic: rerunning with the same inputs and seed
 produces byte-identical outputs, and --jobs only changes wall time.
@@ -39,6 +39,7 @@ from .containers import LogitStack
 from .errors import PartfuseError, ValidationError
 from .fusion import STRATEGIES, FusionParams, fuse
 from .imaging import read_pnm, write_pnm
+from .jsonio import decode, read_json
 from .metrics import (
     ClassReport,
     MetricReport,
@@ -59,74 +60,38 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Merged settings: defaults, then config file values, then flags."""
+    """Settings that a flag or the --config file can give.  A flag beats
+    the file and the file beats the default; a subcommand without the flag
+    takes the file's value.  The file's values have the JSON types of
+    these fields and of FusionParams' fields."""
 
     taxonomy: Path | None = None
     out: Path | None = None
     strategy: str = "partpanoptic"
     seed: int = 0
     jobs: int = 1
-    keep_going: bool = False
-    percent: bool = False
     fusion: FusionParams = FusionParams()
     file: dict = field(default_factory=dict)  # the --config file's JSON object
 
 
-def _optional_path(value) -> Path | None:
-    return Path(value) if value else None
-
-
-# (key, type, default) for every setting that a flag or the --config file
-# can give.  A flag beats the file and the file beats the default; a
-# subcommand without the flag takes the file's value.
-_SETTINGS = (
-    ("taxonomy", _optional_path, None),
-    ("out", _optional_path, None),
-    ("strategy", str, "partpanoptic"),
-    ("seed", int, 0),
-    ("jobs", int, 1),
-    *((f.name, type(f.default), f.default) for f in fields(FusionParams)),
-)
+_SETTINGS = ("taxonomy", "out", "strategy", "seed", "jobs",
+             *(f.name for f in fields(FusionParams)))
 
 
 def _merge_run_config(args) -> RunConfig:
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValidationError(f"{path}: a config file must hold a JSON object")
-    values = {}
-    for key, kind, default in _SETTINGS:
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, default)
-        try:
-            values[key] = kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad value for {key}: {value!r}") from exc
-    fusion = FusionParams(**{f.name: values.pop(f.name) for f in fields(FusionParams)})
-    return RunConfig(
-        **values,
-        keep_going=getattr(args, "keep_going", False),
-        percent=getattr(args, "percent", False),
-        fusion=fusion,
-        file=file_cfg,
-    )
+    file = read_json(args.config, dict) if getattr(args, "config", None) else {}
+    given = {key: file[key] for key in _SETTINGS if key in file}
+    given.update((key, value) for key in _SETTINGS
+                 if (value := getattr(args, key, None)) is not None)
+    config = decode(RunConfig, given, "run config")
+    return replace(config, fusion=decode(FusionParams, given, "run config"), file=file)
 
 
 def _load_taxonomy_checked(path: Path | None) -> ClassTaxonomy:
     if path is None:
         raise ValidationError("a taxonomy file is required (--taxonomy)")
-    if not path.exists():
-        raise ValidationError(f"taxonomy file not found: {path}")
     return load_taxonomy(path)
 
 
@@ -242,7 +207,7 @@ def cmd_fuse(args) -> None:
         log.info("fused %s", stem.name)
         return stem.name
 
-    _run_items(stems, work, cfg.jobs, cfg.keep_going, out_dir)
+    _run_items(stems, work, cfg.jobs, args.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- eval
@@ -317,12 +282,12 @@ def cmd_eval(args) -> None:
         raise dir_error
 
     sys.stdout.write(
-        render_table(rows, taxonomy, percent=cfg.percent, metric="pq", corner="PQ")
+        render_table(rows, taxonomy, percent=args.percent, metric="pq", corner="PQ")
     )
     sys.stdout.write("\n")
     sys.stdout.write(
         render_table(
-            rows, taxonomy, percent=cfg.percent, metric="part_pq", corner="PartPQ"
+            rows, taxonomy, percent=args.percent, metric="part_pq", corner="PartPQ"
         )
     )
     if args.tsv:
@@ -351,9 +316,7 @@ def cmd_label_rgbd(args) -> None:
     out_dir = _ensure_out(cfg.out)
     if not getattr(args, "config", None):
         raise ValidationError("label rgbd requires --config")
-    label_cfg = load_rgbd_config(cfg.file)
-    if args.seed is not None:
-        label_cfg = replace(label_cfg, seed=int(args.seed))
+    label_cfg = replace(load_rgbd_config(cfg.file), seed=cfg.seed)
 
     scenes = [Path(s) for s in args.scenes]
     for scene in scenes:
@@ -393,7 +356,7 @@ def cmd_label_rgbd(args) -> None:
         log.info("labelled scene %s", scene.name)
         return scene.name
 
-    _run_items(scenes, work, cfg.jobs, cfg.keep_going, out_dir)
+    _run_items(scenes, work, cfg.jobs, args.keep_going, out_dir)
 
 
 def cmd_label_monitor(args) -> None:
@@ -472,7 +435,7 @@ def cmd_label_monitor(args) -> None:
         log.info("labelled scene %s (%d samples)", scene.name, len(emitted))
         return scene.name
 
-    _run_items(indexed, work, cfg.jobs, cfg.keep_going, out_dir)
+    _run_items(indexed, work, cfg.jobs, args.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- overlay
@@ -483,14 +446,7 @@ def _overlay_spec_from_args(args, taxonomy) -> OverlaySpec:
     spec = default_overlay_spec(taxonomy, alpha=alpha, draw_boxes=not args.no_boxes)
     if args.colors:
         path = Path(args.colors)
-        if not path.exists():
-            raise ValidationError(f"colour table not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: a colour table must hold a JSON object")
+        raw = read_json(path, dict)
         spec = OverlaySpec(
             class_colors={**spec.class_colors, **_color_table(raw, "class_colors", path)},
             part_colors={**spec.part_colors, **_color_table(raw, "part_colors", path)},
@@ -550,7 +506,7 @@ def cmd_augment(args) -> None:
             formats.write_label_triple(trip, out_stem)
         return stem
 
-    _run_items(stems, work, cfg.jobs, cfg.keep_going, out_dir)
+    _run_items(stems, work, cfg.jobs, args.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- report
@@ -567,7 +523,7 @@ def cmd_report(args) -> None:
         rows.append((path.stem, _report_from_tsv(path, taxonomy)))
     sys.stdout.write(
         render_table(
-            rows, taxonomy, percent=cfg.percent, metric="part_pq", corner="PartPQ"
+            rows, taxonomy, percent=args.percent, metric="part_pq", corner="PartPQ"
         )
     )
 

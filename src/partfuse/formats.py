@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .containers import InstanceProposal, LabelTriple
 from .errors import FormatError, ValidationError
+from .jsonio import decode, read_json
 from .pnm import read_pgm16, write_pgm16
 
 _MAGIC = b"PPT1"
@@ -114,6 +116,13 @@ def write_label_triple(triple: LabelTriple, stem: str | Path) -> None:
     write_pgm16(triple.part_map, part_p)
 
 
+@dataclass(frozen=True)
+class _SidecarEntry:
+    class_id: int
+    confidence: float
+    mask_tensor_path: Path
+
+
 def read_proposals(path: str | Path) -> tuple[InstanceProposal, ...]:
     """Read an instance-proposal sidecar.
 
@@ -121,32 +130,18 @@ def read_proposals(path: str | Path) -> tuple[InstanceProposal, ...]:
     mask paths are resolved relative to the sidecar's directory.
     """
     path = Path(path)
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: proposal sidecar must be a JSON array")
+    entries = decode(
+        tuple[_SidecarEntry, ...], read_json(path, list), f"proposal sidecar {path}"
+    )
     out = []
-    for i, entry in enumerate(entries):
-        try:
-            class_id = int(entry["class_id"])
-            confidence = float(entry["confidence"])
-            mask_path = path.parent / entry["mask_tensor_path"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed proposal entry {i}: {exc}") from exc
+    for entry in entries:
+        mask_path = path.parent / entry.mask_tensor_path
         mask = read_tensor(mask_path)
         if mask.ndim != 2:
             raise ValidationError(
                 f"{mask_path}: proposal mask must be rank 2, got rank {mask.ndim}"
             )
-        out.append(
-            InstanceProposal(
-                class_id=class_id,
-                confidence=confidence,
-                mask_logits=mask,
-            )
-        )
+        out.append(InstanceProposal(entry.class_id, entry.confidence, mask))
     return tuple(out)
 
 

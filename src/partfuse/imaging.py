@@ -74,6 +74,8 @@ class BitMask:
 class HsvRange:
     """Inclusive HSV box; a hue range with h_min > h_max wraps through 0."""
 
+    noun = "an HSV range"  # in decode's messages
+
     h_min: float = 0.0
     h_max: float = 360.0 - 1e-9
     s_min: float = 0.0

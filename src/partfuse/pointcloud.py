@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .jsonio import decode, read_json
 from .rng import SplitMix64
 
 _PLY_PROPERTIES = ("x", "y", "z", "red", "green", "blue")
@@ -94,6 +96,9 @@ class PmfParams:
             self.max_height_threshold,
         ) <= 0:
             raise ValidationError("all filter parameters must be positive")
+        windows = (self.initial_window, self.max_window)
+        if not all(isinstance(w, numbers.Integral) for w in windows):
+            raise ValidationError("initial_window and max_window must be integers")
         if self.initial_window > self.max_window:
             raise ValidationError("initial_window must not exceed max_window")
         if self.initial_height_threshold > self.max_height_threshold:
@@ -117,11 +122,17 @@ class CameraModel:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("camera dimensions must be positive")
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValidationError("focal lengths and principal point must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
-        ext = np.ascontiguousarray(self.extrinsic, dtype=np.float64)
-        if ext.shape != (4, 4):
-            raise ValidationError("extrinsic must be a 4x4 matrix")
+        try:  # 16 numbers in row-major order, flat or 4x4
+            ext = np.array(self.extrinsic)
+        except ValueError:  # ragged nesting
+            ext = np.array(None)
+        if ext.dtype.kind not in "iuf" or ext.size != 16 or not np.isfinite(ext).all():
+            raise ValidationError("extrinsic must be a 4x4 matrix of finite numbers")
+        ext = ext.astype(np.float64).reshape(4, 4)
         rot = ext[:3, :3]
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-6):
             raise ValidationError("extrinsic rotation block is not orthonormal")
@@ -418,23 +429,7 @@ def back_project(
 
 def load_camera(path: str | Path) -> CameraModel:
     """Read a camera JSON: {width, height, fx, fy, cx, cy, extrinsic: [16]}."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        ext = np.asarray(raw["extrinsic"], dtype=np.float64).reshape(4, 4)
-        return CameraModel(
-            width=int(raw["width"]),
-            height=int(raw["height"]),
-            fx=float(raw["fx"]),
-            fy=float(raw["fy"]),
-            cx=float(raw["cx"]),
-            cy=float(raw["cy"]),
-            extrinsic=ext,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed camera model: {exc}") from exc
+    return decode(CameraModel, read_json(path, dict), f"camera model {path}")
 
 
 def save_camera(camera: CameraModel, path: str | Path) -> None:

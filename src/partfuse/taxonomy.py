@@ -7,15 +7,31 @@ parent semantic class, and ``parts_of`` enumerates them in file order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ValidationError
+from .jsonio import decode, read_json
 
 VOID_ID = 0
 MAX_ID = 65535  # label maps are 16-bit
+
+
+def _check_id(value: int, what: str) -> None:
+    if value == VOID_ID:
+        raise ValidationError(f"{what} id 0 is reserved for void")
+    if value < 0 or value > MAX_ID:
+        raise ValidationError(f"{what} id {value} outside [1, {MAX_ID}]")
+
+
+def _by_id(classes, what: str) -> dict:
+    by_id = {}
+    for c in classes:
+        if c.id in by_id:
+            raise ValidationError(f"duplicate {what} id {c.id}")
+        by_id[c.id] = c
+    return by_id
 
 
 @dataclass(frozen=True)
@@ -24,6 +40,9 @@ class SemanticClass:
     name: str
     is_thing: bool
 
+    def __post_init__(self):
+        _check_id(self.id, "semantic class")
+
 
 @dataclass(frozen=True)
 class PartClass:
@@ -31,16 +50,20 @@ class PartClass:
     name: str
     parent_semantic_id: int
 
+    def __post_init__(self):
+        _check_id(self.id, "part class")
+
 
 @dataclass(frozen=True)
 class ClassTaxonomy:
-    """Validated label vocabulary. Instances are immutable."""
+    """Validated label vocabulary. Instances are immutable.
+
+    Raises ValidationError on an empty semantic class list, duplicate
+    ids, use of the reserved id 0 or unknown parent ids.
+    """
 
     semantic_classes: tuple[SemanticClass, ...]
-    part_classes: tuple[PartClass, ...]
-    _parts_by_parent: Mapping[int, tuple[PartClass, ...]] = field(
-        repr=False, compare=False, default_factory=dict
-    )
+    part_classes: tuple[PartClass, ...] = ()
 
     @property
     def void_id(self) -> int:
@@ -92,89 +115,28 @@ class ClassTaxonomy:
         return self.part_class(part_id).parent_semantic_id
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_sem_by_id", {c.id: c for c in self.semantic_classes}
-        )
-        object.__setattr__(
-            self, "_part_by_id", {p.id: p for p in self.part_classes}
-        )
+        if not self.semantic_classes:
+            raise ValidationError("semantic class list is empty")
+        sem_by_id = _by_id(self.semantic_classes, "semantic class")
         by_parent: dict[int, list[PartClass]] = {}
         for p in self.part_classes:
+            if p.parent_semantic_id not in sem_by_id:
+                raise ValidationError(
+                    f"part class {p.id} references unknown parent_semantic_id "
+                    f"{p.parent_semantic_id}"
+                )
             by_parent.setdefault(p.parent_semantic_id, []).append(p)
+        object.__setattr__(self, "_sem_by_id", sem_by_id)
+        object.__setattr__(self, "_part_by_id", _by_id(self.part_classes, "part class"))
         object.__setattr__(
-            self,
-            "_parts_by_parent",
-            {k: tuple(v) for k, v in by_parent.items()},
+            self, "_parts_by_parent", {k: tuple(v) for k, v in by_parent.items()}
         )
-
 
 def validate_taxonomy(raw: Mapping) -> ClassTaxonomy:
-    """Build a ClassTaxonomy from a parsed taxonomy description.
-
-    Raises ValidationError on duplicate ids, use of the reserved id 0,
-    unknown parent ids, or an empty semantic class list.
-    """
-    if not isinstance(raw, Mapping):
-        raise ValidationError("taxonomy description must be a JSON object")
-    sem_raw = raw.get("semantic_classes")
-    part_raw = raw.get("part_classes", [])
-    if not isinstance(sem_raw, Sequence) or isinstance(sem_raw, (str, bytes)):
-        raise ValidationError("taxonomy is missing a semantic_classes array")
-    if not sem_raw:
-        raise ValidationError("semantic class list is empty")
-
-    semantics: list[SemanticClass] = []
-    seen_sem: set[int] = set()
-    for entry in sem_raw:
-        cid = _require_id(entry, "id", "semantic class")
-        if cid in seen_sem:
-            raise ValidationError(f"duplicate semantic class id {cid}")
-        seen_sem.add(cid)
-        semantics.append(
-            SemanticClass(
-                id=cid,
-                name=str(entry["name"]),
-                is_thing=bool(entry["is_thing"]),
-            )
-        )
-
-    parts: list[PartClass] = []
-    seen_part: set[int] = set()
-    for entry in part_raw:
-        pid = _require_id(entry, "id", "part class")
-        if pid in seen_part:
-            raise ValidationError(f"duplicate part class id {pid}")
-        seen_part.add(pid)
-        parent = entry.get("parent_semantic_id")
-        if parent not in seen_sem:
-            raise ValidationError(
-                f"part class {pid} references unknown parent_semantic_id {parent}"
-            )
-        parts.append(
-            PartClass(id=pid, name=str(entry["name"]), parent_semantic_id=parent)
-        )
-
-    return ClassTaxonomy(tuple(semantics), tuple(parts))
+    """Build a ClassTaxonomy from a parsed taxonomy description."""
+    return decode(ClassTaxonomy, raw, "taxonomy")
 
 
 def load_taxonomy(path: str | Path) -> ClassTaxonomy:
     """Read and validate a JSON taxonomy file."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"taxonomy file is not valid JSON: {exc}") from exc
-    return validate_taxonomy(raw)
-
-
-def _require_id(entry: Mapping, key: str, what: str) -> int:
-    try:
-        value = entry[key]
-    except (KeyError, TypeError):
-        raise ValidationError(f"{what} entry is missing '{key}'") from None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} {key} must be an integer, got {value!r}")
-    if value == VOID_ID:
-        raise ValidationError(f"{what} id 0 is reserved for void")
-    if value < 0 or value > MAX_ID:
-        raise ValidationError(f"{what} id {value} outside [1, {MAX_ID}]")
-    return value
+    return decode(ClassTaxonomy, read_json(path, dict), f"taxonomy {path}")

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from partfuse.autolabel_monitor import load_monitor_config
+from partfuse.autolabel_monitor import MonitorLabelConfig, load_monitor_config
 from partfuse.autolabel_rgbd import (
     LabeledPointCloud,
     PartColorRule,
@@ -390,6 +390,40 @@ def test_config_hsv_range_must_be_an_object(loader, config):
 
 def test_config_hsv_range_defaults_fill_missing_bounds():
     (rule,) = load_rgbd_config({"object_class_id": 1, "part_rules": [
-        {"part_id": SEAL, "hsv_range": {"h_min": 345, "h_max": 15, "s_min": 0.5, "v_min": 0.3, "note": "seal"}},
+        {"part_id": SEAL, "hsv_range": {"h_min": 345, "h_max": 15, "s_min": 0.5, "v_min": 0.3}},
     ]}).part_rules
     assert rule.hsv_range == SEAL_RANGE
+
+
+@pytest.mark.parametrize("loader, config, key", [
+    (load_rgbd_config, {"part_rules": [
+        {"part_id": SEAL, "hsv_range": {"h_min": 345, "note": "seal"}}]}, "note"),
+    (load_rgbd_config, {"part_rules": [{"part_id": SEAL, "colour": "red"}]}, "colour"),
+    (load_rgbd_config, {"pmf": {"cell": 0.01}}, "cell"),
+    (load_monitor_config, {"blue_range": {"h_min": 200, "hue": 1}}, "hue"),
+])
+def test_config_rejects_unknown_nested_keys(loader, config, key):
+    with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+        loader({"object_class_id": 1, **config})
+
+
+@pytest.mark.parametrize("loader, config", [
+    (load_rgbd_config, {"ransac_iterations": 500.0}),
+    (load_rgbd_config, {"seed": True}),
+    (load_rgbd_config, {"pmf": {"initial_window": 1.5}}),
+    (load_rgbd_config, {"part_rules": {"part_id": SEAL}}),
+    (load_monitor_config, {"closing_window": "5"}),
+    (load_monitor_config, {"object_class_id": None}),
+])
+def test_config_values_take_their_json_type(loader, config):
+    with pytest.raises(ValidationError, match="malformed"):
+        loader({"object_class_id": 1, **config})
+
+
+def test_config_loaders_take_the_dataclass_defaults():
+    # top-level keys of other readers (run settings) are ignored
+    raw = {"object_class_id": BAG, "taxonomy": "t.json", "jobs": 2}
+    assert load_rgbd_config(raw) == RgbdLabelConfig(object_class_id=BAG)
+    assert load_monitor_config(raw) == MonitorLabelConfig(object_class_id=BAG)
+    (rule,) = load_rgbd_config({**raw, "part_rules": [{"part_id": SEAL}]}).part_rules
+    assert rule == PartColorRule(part_id=SEAL, hsv_range=HsvRange())

@@ -954,7 +954,7 @@ def test_eval_failed_tsv_write_leaves_no_file(tmp_path, taxonomy_json, monkeypat
 
 def non_utf8_case(tmp_path, taxonomy_json, target):
     """Arguments of a command that succeeds, and the one text input it
-    reads that the test then replaces with non-UTF-8 bytes."""
+    reads that the test then replaces or damages."""
     if target in ("fuse-taxonomy", "fuse-config", "proposals"):
         inputs = tmp_path / "in"
         inputs.mkdir()
@@ -964,11 +964,17 @@ def non_utf8_case(tmp_path, taxonomy_json, target):
         args = fuse_args(taxonomy_json, tmp_path / "out", inputs, "--config", str(config))
         files = {"fuse-taxonomy": taxonomy_json, "fuse-config": config,
                  "proposals": inputs / "img0.proposals.json"}
-    elif target == "camera":
+    elif target in ("camera", "rgbd-config"):
         scene = write_rgbd_scene_dir(tmp_path)
+        config = write_rgbd_config(tmp_path)
         args = ["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config",
-                str(write_rgbd_config(tmp_path)), "--out", str(tmp_path / "out"), str(scene)]
-        files = {"camera": scene / "camera.json"}
+                str(config), "--out", str(tmp_path / "out"), str(scene)]
+        files = {"camera": scene / "camera.json", "rgbd-config": config}
+    elif target == "monitor-config":
+        root, _, config = write_monitor_dataset(tmp_path)
+        args = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config),
+                "--out", str(tmp_path / "out"), str(root)]
+        files = {"monitor-config": config}
     else:
         gt_dir, pred_dir = make_eval_dirs(tmp_path)
         tsv = tmp_path / "m.tsv"
@@ -981,7 +987,7 @@ def non_utf8_case(tmp_path, taxonomy_json, target):
 
 @pytest.mark.parametrize(
     "target, code",
-    [("fuse-taxonomy", 3), ("fuse-config", 3), ("proposals", 2), ("camera", 2),
+    [("fuse-taxonomy", 3), ("fuse-config", 3), ("proposals", 3), ("camera", 3),
      ("tsv", 3), ("report-taxonomy", 3)],
 )
 def test_non_utf8_text_input_exit_code(tmp_path, taxonomy_json, caplog, target, code):
@@ -1009,4 +1015,48 @@ def test_label_config_errors_exit_3(tmp_path, taxonomy_json, caplog, variant, co
             "--out", str(tmp_path / "out"), str(tmp_path)]
     assert main(args) == 3
     assert message in caplog.records[-1].getMessage()
+    assert "Traceback" not in caplog.text
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "target, where, value",
+    [("fuse-config", ["jobs"], "<1e400>"),
+     ("fuse-config", ["min_instance_area"], "<1e400>"),
+     ("fuse-config", ["seed"], "3"),
+     ("proposals", [0, "class_id"], "<1e400>"),
+     ("rgbd-config", ["ransac_iterations"], "<1e400>"),
+     ("rgbd-config", ["pmf"], {"initial_window": 1.5}),
+     ("rgbd-config", ["part_rules", 0, "hsv_range", "note"], "seal"),
+     ("monitor-config", ["closing_window"], "<1e400>"),
+     ("camera", ["width"], "<1e400>"),
+     ("camera", ["cx"], "<NaN>"),
+     ("fuse-taxonomy", ["semantic_classes", 0, "name"], DROP),
+     ("fuse-taxonomy", ["semantic_classes", 0, "is_thing"], DROP),
+     ("fuse-taxonomy", ["part_classes"], 5),
+     ("fuse-taxonomy", ["part_classes", 0, "parent_semantic_id"], [1])],
+    ids=["jobs-1e400", "min-area-1e400", "seed-string", "class-id-1e400", "ransac-1e400",
+         "pmf-window-1.5", "hsv-unknown-key", "closing-1e400", "width-1e400", "cx-nan",
+         "no-name", "no-is-thing", "part-classes-5", "parent-list"],
+)
+def test_malformed_json_input_exit_code(tmp_path, taxonomy_json, caplog, target, where, value):
+    args, path = non_utf8_case(tmp_path, taxonomy_json, target)
+    assert main(args) == 0
+    raw = json.loads(path.read_text())
+    *parents, key = where
+    node = raw
+    for step in parents:
+        node = node[step]
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    text = json.dumps(raw).replace('"<1e400>"', "1e400").replace('"<NaN>"', "NaN")
+    path.write_text(text)
+    caplog.clear()
+    assert main(args) == 3
+    (record,) = caplog.records
+    assert record.levelname == "ERROR" and "\n" not in record.getMessage()
     assert "Traceback" not in caplog.text

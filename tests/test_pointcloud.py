@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -509,3 +510,20 @@ def test_clusters_radius_is_inclusive_on_lattice():
     assert euclidean_clusters(chain, radius=radius, min_points=2).tolist() == [1] * 5
     below = np.nextafter(radius, 0.0)
     assert euclidean_clusters(chain, radius=below, min_points=2).tolist() == [0] * 5
+
+
+@pytest.mark.parametrize("window", [{"initial_window": 1.5}, {"max_window": 16.0}])
+def test_pmf_params_reject_non_integer_windows(window):
+    with pytest.raises(ValidationError, match="integers"):
+        PmfParams(**window)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy", "extrinsic"])
+def test_camera_rejects_non_finite_intrinsics(name, value):
+    ext = np.eye(4)
+    ext[0, 3] = value
+    fields = dict(width=8, height=8, fx=1.0, fy=1.0, cx=4.0, cy=4.0, extrinsic=np.eye(4))
+    fields[name] = ext if name == "extrinsic" else value
+    with pytest.raises(ValidationError, match="finite"):
+        CameraModel(**fields)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -92,3 +93,36 @@ def test_things_and_stuff_split(taxonomy):
     assert taxonomy.stuff_ids == (4,)
     assert taxonomy.is_thing(1)
     assert not taxonomy.is_thing(4)
+
+
+def _drop(key):
+    return lambda entry: entry.pop(key)
+
+
+@pytest.mark.parametrize(
+    "where, edit, message",
+    [
+        ("semantic_classes", _drop("name"), "semantic_classes[0].name is missing"),
+        ("semantic_classes", _drop("is_thing"), "semantic_classes[0].is_thing is missing"),
+        ("semantic_classes", lambda e: e.update(is_thing=1), "is_thing must be true or false"),
+        ("semantic_classes", lambda e: e.update(name=7), "name must be a string"),
+        ("semantic_classes", lambda e: e.update(colour="red"), "unknown key 'colour'"),
+        ("part_classes", lambda e: e.update(parent_semantic_id=[1]),
+         "part_classes[0].parent_semantic_id must be an integer"),
+        ("part_classes", lambda e: e.update(id=11.0), "part_classes[0].id must be an integer"),
+        ("part_classes", _drop("name"), "part_classes[0].name is missing"),
+    ],
+    ids=["no-name", "no-is-thing", "int-is-thing", "int-name", "unknown-key",
+         "list-parent", "float-id", "no-part-name"],
+)
+def test_malformed_entry_rejected(where, edit, message):
+    raw = json.loads(json.dumps(HOSPITAL_TAXONOMY))
+    edit(raw[where][0])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_taxonomy(raw)
+
+
+@pytest.mark.parametrize("part_classes", [5, "parts", {"id": 11}, None])
+def test_part_classes_must_be_an_array(part_classes):
+    with pytest.raises(ValidationError, match="part_classes must be an array"):
+        validate_taxonomy({**HOSPITAL_TAXONOMY, "part_classes": part_classes})
