@@ -664,10 +664,28 @@ def _configure_logging() -> None:
     )
 
 
+def _raise_open_file_limit() -> None:
+    """Lift the soft open-file limit towards the hard one, best-effort:
+    every mapped PPT1 tensor holds a descriptor while it lives."""
+    try:
+        import resource
+    except ImportError:  # not POSIX
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    for target in (hard, 10240):  # macOS refuses a soft limit above OPEN_MAX
+        if soft < target <= hard:
+            try:
+                resource.setrlimit(resource.RLIMIT_NOFILE, (target, hard))
+                return
+            except (ValueError, OSError):
+                pass
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    _raise_open_file_limit()
     try:
         args.handler(args)
     except ValidationError as exc:

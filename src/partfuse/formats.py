@@ -15,6 +15,8 @@ Label triples are stored as three 16-bit PGMs sharing one stem:
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,11 +36,16 @@ _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a PPT1 tensor file as a read-only view of its bytes."""
+    """Map a PPT1 tensor file and return a read-only view of its payload.
+
+    The map holds a file descriptor while the array lives.  Replacing the
+    file is safe; a mapped file that shrinks kills the process (SIGBUS).
+    """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 8:
-        raise FormatError(f"{path}: file shorter than the fixed header")
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size < 8:  # mmap refuses empty files
+            raise FormatError(f"{path}: file shorter than the fixed header")
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     if data[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
     code, rank = data[4], data[5]

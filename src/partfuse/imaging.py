@@ -134,7 +134,8 @@ def morphological_close(subject, window: int):
         return BitMask(closed.pixels.astype(bool))
     if isinstance(subject, Image):
         px = subject.pixels
-        size = (window, window, 1)[: px.ndim]
+        h, w = px.shape[:2]  # a window of 2n - 1 already covers n pixels everywhere
+        size = (min(window, 2 * h - 1), min(window, 2 * w - 1), 1)[: px.ndim]
         dilated = ndimage.maximum_filter(px, size=size, mode="constant", cval=0)
         return Image(ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255))
     raise ValidationError(f"cannot close object of type {type(subject).__name__}")

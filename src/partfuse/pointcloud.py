@@ -1,4 +1,4 @@
-"""Point-cloud primitives: PLY I/O, ground filtering, plane fitting,
+"""Point-cloud primitives: PLY reading, ground filtering, plane fitting,
 clustering and pinhole projection.
 
 The progressive morphological filter rasterizes the cloud's minimum
@@ -16,7 +16,6 @@ sized here for tabletop scenes rather than airborne scans.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -222,35 +221,15 @@ def read_ply(path: str | Path) -> PointCloud:
     return PointCloud(table[:, col[:3]], rgb.astype(np.uint8))
 
 
-def write_ply(cloud: PointCloud, path: str | Path) -> None:
-    """Write ASCII PLY; reals are printed with 9 significant digits."""
-    out = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-        "end_header",
-    ]
-    for (x, y, z), (r, g, b) in zip(cloud.xyz, cloud.rgb):
-        out.append(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
-
-
 def _windowed(surface: np.ndarray, radius: int, pad_value: float, op) -> np.ndarray:
     """Separable windowed min/max with constant padding (window = 2r + 1)."""
     out = surface
     for axis in range(2):
+        r = min(radius, surface.shape[axis] - 1)  # r = n - 1 already covers an axis
         pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
+        pad[axis] = (r, r)
         padded = np.pad(out, pad, constant_values=pad_value)
-        view = np.lib.stride_tricks.sliding_window_view(
-            padded, 2 * radius + 1, axis=axis
-        )
+        view = np.lib.stride_tricks.sliding_window_view(padded, 2 * r + 1, axis=axis)
         out = op(view, axis=-1)
     return out
 
@@ -430,18 +409,3 @@ def back_project(
 def load_camera(path: str | Path) -> CameraModel:
     """Read a camera JSON: {width, height, fx, fy, cx, cy, extrinsic: [16]}."""
     return decode(CameraModel, read_json(path, dict), f"camera model {path}")
-
-
-def save_camera(camera: CameraModel, path: str | Path) -> None:
-    payload = {
-        "width": camera.width,
-        "height": camera.height,
-        "fx": camera.fx,
-        "fy": camera.fy,
-        "cx": camera.cx,
-        "cy": camera.cy,
-        "extrinsic": [float(x) for x in camera.extrinsic.ravel()],
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -1,6 +1,9 @@
-"""Synthetic scene builders shared by the labelling and acceptance tests."""
+"""Synthetic scenes and the PLY and camera writers shared by the tests."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -102,4 +105,38 @@ def rgbd_config(seed=0):
 def scene_image(camera) -> Image:
     return Image(
         np.full((camera.height, camera.width, 3), 40, dtype=np.uint8)
+    )
+
+
+def write_ply(cloud: PointCloud, path: str | Path) -> None:
+    """Write ASCII PLY; reals are printed with 9 significant digits."""
+    out = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(cloud)}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
+        "end_header",
+    ]
+    for (x, y, z), (r, g, b) in zip(cloud.xyz, cloud.rgb):
+        out.append(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}")
+    Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
+
+
+def save_camera(camera: CameraModel, path: str | Path) -> None:
+    payload = {
+        "width": camera.width,
+        "height": camera.height,
+        "fx": camera.fx,
+        "fy": camera.fy,
+        "cx": camera.cx,
+        "cy": camera.cy,
+        "extrinsic": [float(x) for x in camera.extrinsic.ravel()],
+    }
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

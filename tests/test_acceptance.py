@@ -32,11 +32,10 @@ from partfuse.fusion import (
 from partfuse.imaging import Image, read_pnm, write_pnm
 from partfuse.metrics import aggregate_dataset, match_segments, part_pq
 from partfuse.overlay import default_overlay_spec, instance_boxes, render_overlay
-from partfuse.pointcloud import write_ply
 from partfuse.taxonomy import validate_taxonomy
 
 from conftest import BAG, BOTTLE, OTHER, SEAL, TABLE, make_triple
-from scenes import build_rgbd_scene, rgbd_config
+from scenes import build_rgbd_scene, rgbd_config, write_ply
 from test_autolabel_monitor import disk_scene, monitor_config
 from test_autolabel_rgbd import vote_oracle
 from test_cli import (

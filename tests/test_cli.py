@@ -14,10 +14,9 @@ import partfuse
 from partfuse import formats
 from partfuse.cli import main
 from partfuse.imaging import Image, write_pnm
-from partfuse.pointcloud import save_camera, write_ply
 
 from conftest import BAG, BOTTLE, CENTER, OTHER, SEAL, TABLE, make_triple
-from scenes import build_rgbd_scene, rgbd_config, scene_image
+from scenes import build_rgbd_scene, rgbd_config, save_camera, scene_image, write_ply
 from test_autolabel_monitor import BLUE_BG, disk_scene
 
 
@@ -638,6 +637,44 @@ def test_label_monitor_empty_scene_needs_keep_going(tmp_path, taxonomy_json):
     assert (tmp_path / "l" / "scene_0_target_0.ppm").exists()
 
 
+def test_label_monitor_closing_window_beyond_the_image(tmp_path, taxonomy_json):
+    """A window of 2n - 1 already covers an n-pixel axis at every pixel,
+    so a far larger one must give the same labels and not exhaust memory."""
+    root, _, config = write_monitor_dataset(tmp_path)
+    runs = []
+    for window in (255, 2147483649):  # the scenes are 128x128
+        cfg = json.loads(config.read_text())
+        cfg["closing_window"] = window
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{window}"
+        args = ["label", "monitor", "--taxonomy", str(taxonomy_json),
+                "--config", str(config), "--out", str(out), str(root)]
+        assert main(args) == 0
+        tree = tree_bytes(out)
+        provenance = json.loads(tree.pop("scene_0.provenance.json"))
+        assert provenance["params"].pop("closing_window") == window
+        runs.append((tree, provenance))
+    assert runs[0] == runs[1]
+
+
+def test_label_rgbd_pmf_window_beyond_the_grid(tmp_path, taxonomy_json):
+    """Rounds whose window already covers the height grid change nothing,
+    so a huge max_window must give the same bytes, quickly."""
+    scene = write_rgbd_scene_dir(tmp_path)
+    config = write_rgbd_config(tmp_path)
+    trees = []
+    for max_window in (1024, 1 << 40):  # the grid is under 100 cells a side
+        cfg = json.loads(config.read_text())
+        cfg["pmf"] = {"max_window": max_window}
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{max_window}"
+        args = ["label", "rgbd", "--taxonomy", str(taxonomy_json),
+                "--config", str(config), "--out", str(out), str(scene)]
+        assert main(args) == 0
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
 def write_augment_dataset(tmp_path):
     dataset = tmp_path / "samples"
     dataset.mkdir()
@@ -832,6 +869,57 @@ def test_fuse_failed_triple_write_leaves_no_file(tmp_path, taxonomy_json, monkey
     out = tmp_path / "out"
     assert main(fuse_args(taxonomy_json, out, inputs)) == 2
     assert list(out.iterdir()) == []
+
+
+def write_many_proposals(directory, name, count, seed):
+    """An 8x8 frame over the test taxonomy with ``count`` bag proposals."""
+    rng = np.random.default_rng(seed)
+    formats.write_tensor(rng.normal(size=(4, 8, 8)).astype(np.float32),
+                         directory / f"{name}.sem.ppt1")
+    formats.write_tensor(rng.normal(size=(3, 8, 8)).astype(np.float32),
+                         directory / f"{name}.part.ppt1")
+    entries = []
+    for i in range(count):
+        mask = f"{name}_p{i:03d}.ppt1"
+        formats.write_tensor(4 * rng.normal(size=(8, 8)).astype(np.float32), directory / mask)
+        entries.append({"class_id": BAG, "confidence": float(rng.uniform(0.5, 1.0)),
+                        "mask_tensor_path": mask})
+    (directory / f"{name}.proposals.json").write_text(json.dumps(entries))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
+def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json):
+    """Every mapped tensor holds a descriptor while it lives: two frames of
+    2 + 100 tensors on 2 jobs need more than a soft limit of 64, which
+    ``main`` lifts towards the hard limit."""
+    import resource
+
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    if hard != resource.RLIM_INFINITY and hard < 1024:
+        pytest.skip(f"hard open-file limit {hard} is too low")
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(2):
+        write_many_proposals(inputs, f"img{i}", 100, seed=i)
+    src = Path(partfuse.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    limited = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+        "from partfuse.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    args = fuse_args(taxonomy_json, tmp_path / "limited", inputs, "--jobs", "2")
+    child = subprocess.run([sys.executable, "-c", limited, *args], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert main(fuse_args(taxonomy_json, tmp_path / "free", inputs, "--jobs", "2")) == 0
+    limited_tree = tree_bytes(tmp_path / "limited")
+    assert sorted(limited_tree) == [f"img{i}.{k}.pgm" for i in range(2)
+                                    for k in ("inst", "part", "sem")]
+    assert limited_tree == tree_bytes(tmp_path / "free")
 
 
 def test_cli_import_leaves_out_scipy_ndimage():

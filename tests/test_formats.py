@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,28 @@ def test_tensor_write_read_write_is_byte_identical(tmp_path):
     write_tensor(np.random.default_rng(3).random((4, 5)).astype(np.float32), first)
     write_tensor(read_tensor(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_tensor_read_is_not_writable(tmp_path):
+    path = tmp_path / "t.ppt1"
+    write_tensor(np.arange(6, dtype=np.float32).reshape(2, 3), path)
+    back = read_tensor(path)
+    assert not back.flags.writeable
+    with pytest.raises(ValueError):
+        back[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        back.setflags(write=True)
+
+
+def test_tensor_read_outlives_replacing_its_file(tmp_path):
+    path = tmp_path / "t.ppt1"
+    tensor = np.arange(6, dtype=np.float32).reshape(2, 3)
+    write_tensor(tensor, path)
+    back = read_tensor(path)
+    write_tensor(tensor + 100, tmp_path / "new.ppt1")
+    os.replace(tmp_path / "new.ppt1", path)
+    assert np.array_equal(back, tensor)
+    assert np.array_equal(read_tensor(path), tensor + 100)
 
 
 def test_tensor_bad_magic(tmp_path):

@@ -28,7 +28,6 @@ from partfuse.pointcloud import (
     PointCloud,
     load_camera,
     read_ply,
-    write_ply,
 )
 from partfuse.taxonomy import (
     ClassTaxonomy,
@@ -39,6 +38,7 @@ from partfuse.taxonomy import (
 )
 
 from conftest import HOSPITAL_TAXONOMY, SEAL, make_triple
+from scenes import write_ply
 
 FUZZ = settings(
     max_examples=150,
@@ -78,21 +78,40 @@ def read_or_reject(read, path, allowed=()):
         pass
 
 
-@pytest.mark.parametrize(
+TENSORS = pytest.mark.parametrize(
     "tensor",
     [
         np.arange(12, dtype=np.float32).reshape(3, 4),
         np.arange(6, dtype=np.uint16).reshape(1, 2, 3),
         np.arange(5, dtype=np.uint8),
+        np.float32(2.5),
     ],
-    ids=["float32", "uint16", "uint8"],
+    ids=["float32", "uint16", "uint8", "scalar"],
 )
+
+
+@TENSORS
 @FUZZ
 @given(data=st.data())
 def test_read_tensor_rejects_damage(tmp_path, tensor, data):
     path, raw = valid_bytes(tmp_path, lambda p: formats.write_tensor(tensor, p), "t.ppt1")
     path.write_bytes(data.draw(damaged(raw)))
     read_or_reject(formats.read_tensor, path)
+
+
+@TENSORS
+def test_read_tensor_rejects_wrong_lengths(tmp_path, tensor):
+    """The reader maps the file, and mmap refuses an empty file with
+    ValueError; every wrong length must still be a FormatError."""
+    path, raw = valid_bytes(tmp_path, lambda p: formats.write_tensor(tensor, p), "t.ppt1")
+    header_only = "truncated payload" if tensor.ndim == 0 else "truncated dimension list"
+    cases = [(raw[:n], "shorter than the fixed header") for n in range(8)]
+    cases += [(raw[:8], header_only), (raw[:-1], "truncated payload"),
+              (raw + b"\0", "trailing bytes after payload")]
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            formats.read_tensor(path)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 3)], ids=["pgm", "ppm"])

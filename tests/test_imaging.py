@@ -111,6 +111,20 @@ def test_close_is_extensive_and_idempotent_on_images():
         assert np.array_equal(once.pixels, twice.pixels)
 
 
+@pytest.mark.parametrize("shape", [(5, 9), (5, 9, 3), (1, 1)])
+def test_close_window_beyond_the_image_matches_unclipped_filter(shape):
+    """The window is clamped to 2n - 1 per axis; scipy with the full
+    window is the oracle."""
+    from scipy import ndimage
+
+    img = Image(np.random.default_rng(4).integers(0, 256, shape).astype(np.uint8))
+    for window in (1, 3, 9, 17, 19, 41):
+        size = (window, window, 1)[: img.pixels.ndim]
+        dilated = ndimage.maximum_filter(img.pixels, size=size, mode="constant", cval=0)
+        expected = ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255)
+        assert np.array_equal(morphological_close(img, window).pixels, expected)
+
+
 def test_close_rejects_even_window():
     with pytest.raises(ValidationError, match="odd"):
         morphological_close(Image(np.zeros((4, 4), dtype=np.uint8)), 2)

@@ -18,9 +18,10 @@ from partfuse.pointcloud import (
     project,
     ransac_plane,
     read_ply,
-    save_camera,
-    write_ply,
+    _windowed,
 )
+
+from scenes import save_camera, write_ply
 
 
 def cloud_of(xyz, rgb=None):
@@ -167,6 +168,20 @@ def test_pmf_separates_box_from_plane():
     box_part = mask[len(plane) :]
     assert plane_part.mean() >= 0.99
     assert (~box_part).mean() >= 0.99
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (1, 3), (1, 1)])
+def test_pmf_window_matches_clipped_brute_force(shape):
+    """The separable window, clamped to the grid, equals the min/max over
+    the square neighbourhood intersected with the grid, at any radius."""
+    surface = np.random.default_rng(2).normal(size=shape)
+    h, w = shape
+    for radius in (0, 1, 2, 5, 6, 40):
+        for pad, op in ((np.inf, np.min), (-np.inf, np.max)):
+            expected = [[op(surface[max(i - radius, 0) : i + radius + 1,
+                                    max(j - radius, 0) : j + radius + 1])
+                         for j in range(w)] for i in range(h)]
+            assert np.array_equal(_windowed(surface, radius, pad, op), expected)
 
 
 def test_pmf_single_point_is_ground():
