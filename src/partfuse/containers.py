@@ -230,15 +230,17 @@ def segment_keys(triple: LabelTriple) -> np.ndarray:
 
 
 def derive_segments(
-    triple: LabelTriple, taxonomy: ClassTaxonomy
+    triple: LabelTriple, taxonomy: ClassTaxonomy, keys: np.ndarray | None = None
 ) -> list[PanopticSegment]:
     """Split a triple into panoptic segments, ordered by (class, instance).
 
     One segment per distinct (class_id, instance_id) pair with a non-void
     class.  Stuff segments are per class (instance 0), never split by
-    connectivity.  The segments partition the non-void pixels.
+    connectivity.  The segments partition the non-void pixels.  ``keys``
+    is the triple's ``segment_keys`` when the caller already has them.
     """
-    keys, counts = np.unique(segment_keys(triple), return_counts=True)
+    keys = segment_keys(triple) if keys is None else keys
+    keys, counts = np.unique(keys, return_counts=True)
     segments: list[PanopticSegment] = []
     for key, count in zip(keys.tolist(), counts.tolist()):
         if key == 0:

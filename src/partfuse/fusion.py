@@ -176,21 +176,37 @@ def _tiled_argmax(shape, tile_channels, best=None) -> np.ndarray:
     ties go to the lowest label, as with np.argmax's first maximum.
     Without channels every pixel has score -inf and label void.  The
     labels are raveled; ``best``, a raveled float64 array of the frame
-    when given, receives the maximum scores.
+    when given, receives the maximum scores.  Labels are at least 1 and
+    ascend, so a channel that wins a pixel holds a larger label than its
+    current one, and ``max(winner, better * label)`` is the new winner.
     """
     size = shape[0] * shape[1]
     step = tile_rows(shape[1]) * shape[1]
     winner = np.zeros(size, dtype=LABEL_DTYPE)
+    buffer = np.empty(min(step, size), dtype=bool)
     for start in range(0, size, step):
         tile = slice(start, min(start + step, size))
         tile_best = np.empty(tile.stop - start) if best is None else best[tile]
         tile_best.fill(-np.inf)
-        tile_winner = winner[tile]
+        tile_winner, better = winner[tile], buffer[: tile.stop - start]
         for label, scores in tile_channels(tile):
-            better = scores > tile_best
+            np.greater(scores, tile_best, out=better)
             np.maximum(tile_best, scores, out=tile_best)
-            tile_winner[better] = label
+            np.maximum(tile_winner, better * LABEL_DTYPE(label), out=tile_winner)
     return winner
+
+
+def mask_threshold(dtype, threshold: float):
+    """The scalar ``s`` with ``mask > s`` equal to ``mask.astype(np.float64) >
+    threshold``: for float32 masks the largest float32 at most ``threshold``,
+    which keeps the comparison in float32 on every NumPy version."""
+    if dtype != np.float32:
+        return np.float64(threshold)
+    with np.errstate(over="ignore"):
+        below = np.float32(threshold)
+    if float(below) > threshold:
+        below = np.nextafter(below, np.float32(-np.inf))
+    return below
 
 
 def panoptic_fuse(
@@ -232,30 +248,29 @@ def panoptic_fuse(
     if scores is None:
         def scores(channel, index):
             return semantic_logits[channel].reshape(-1)[index].astype(np.float64)
-    # a float64 threshold keeps the comparison in float64 for float32 masks
-    threshold = np.float64(params.mask_logit_threshold)
+    threshold = params.mask_logit_threshold
 
     kept = [p for p in proposals if p.confidence >= params.confidence_min]
     order = sorted(
         range(len(kept)), key=lambda i: (-kept[i].confidence, i)
     )
 
-    occupancy = np.zeros((h, w), dtype=bool)
+    occupancy = np.zeros(h * w, dtype=bool)
     accepted: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, pixels, logits)
     for idx in order:
         prop = kept[idx]
         if prop.mask_logits.shape != (h, w):
             raise ValidationError("proposal mask dimensions disagree with logits")
-        footprint = prop.mask_logits > threshold
-        own = int(np.count_nonzero(footprint))
-        if own == 0:
+        mask = prop.mask_logits.ravel()
+        footprint = np.flatnonzero(mask > mask_threshold(mask.dtype, threshold))
+        if footprint.size == 0:
             continue
-        overlap = int(np.count_nonzero(footprint & occupancy))
-        if overlap / own >= params.overlap_discard_ratio:
+        taken = occupancy[footprint]
+        if np.count_nonzero(taken) / footprint.size >= params.overlap_discard_ratio:
             continue
-        surviving = footprint & ~occupancy
-        occupancy |= surviving
-        accepted.append((prop.class_id, np.flatnonzero(surviving), prop.mask_logits))
+        surviving = footprint[~taken]
+        occupancy[surviving] = True
+        accepted.append((prop.class_id, surviving, prop.mask_logits))
 
     channel_of = {cid: ch for ch, cid in enumerate(semantic_channel_ids)}
     stuff = [

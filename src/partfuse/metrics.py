@@ -93,11 +93,12 @@ def match_segments(
         raise ValidationError(
             f"prediction and ground truth differ in size: {pred.shape} vs {gt.shape}"
         )
-    pred_by_key = {s.key: s for s in derive_segments(pred, taxonomy)}
-    gt_by_key = {s.key: s for s in derive_segments(gt, taxonomy)}
+    pred_keys, gt_keys = segment_keys(pred), segment_keys(gt)
+    pred_by_key = {s.key: s for s in derive_segments(pred, taxonomy, pred_keys)}
+    gt_by_key = {s.key: s for s in derive_segments(gt, taxonomy, gt_keys)}
 
-    pixel_pairs = segment_keys(gt).astype(np.uint64) << np.uint64(32)
-    pixel_pairs |= segment_keys(pred)
+    pixel_pairs = gt_keys.astype(np.uint64) << np.uint64(32)
+    pixel_pairs |= pred_keys
     pairs, pair_counts = np.unique(pixel_pairs, return_counts=True)
     intersections = dict(zip(pairs.tolist(), pair_counts.tolist()))
     # a pair with gt key 0 (void) packs to the pred key alone
@@ -176,10 +177,15 @@ def part_iou(
     """
     if not any(taxonomy.parts_of(gk >> 16) for gk, _, _ in matched):
         return [iou for _, _, iou in matched]
-    # one histogram of (pair index, gt part, pred part) over all pixels
-    cells = np.searchsorted(pairs, pixel_pairs).astype(np.uint64) << np.uint64(32)
-    cells |= gt.part_map.ravel().astype(np.uint64) << np.uint64(16)
-    cells |= pred.part_map.ravel()
+    # one histogram of (pair index, gt part, pred part) over the pixels
+    # where either side's class has parts: the only pixels a matched pair
+    # of such a class can cover
+    with_parts = [c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]
+    where = np.isin(gt.semantic_map.ravel(), with_parts)
+    where |= np.isin(pred.semantic_map.ravel(), with_parts)
+    cells = np.searchsorted(pairs, pixel_pairs[where]).astype(np.uint64) << np.uint64(32)
+    cells |= gt.part_map.ravel()[where].astype(np.uint64) << np.uint64(16)
+    cells |= pred.part_map.ravel()[where]
     cells, counts = np.unique(cells, return_counts=True)
     cell_pairs = pairs[cells >> np.uint64(32)]
     cell_gk = cell_pairs >> np.uint64(32)

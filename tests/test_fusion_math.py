@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfuse.fusion import (
     agreement_part_sem,
     agreement_sem_inst,
+    mask_threshold,
     sigmoid_rescaled,
 )
 
@@ -131,3 +134,65 @@ def test_scalars_stay_scalars_and_arrays_stay_arrays():
     assert isinstance(agreement_part_sem(1.0, 2.0), float)
     out = agreement_part_sem(np.ones(3), np.ones(3))
     assert isinstance(out, np.ndarray) and out.shape == (3,)
+
+
+# ------------------------------------------------------------------ mask threshold
+
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+F64_TINY = float(np.finfo(np.float64).smallest_subnormal)
+SPECIAL_THRESHOLDS = (0.0, -0.0, F32_TINY, -F32_TINY, F64_TINY, -F64_TINY, 1e-40, -1e-40, 1e39, -1e39)
+
+
+@st.composite
+def thresholds(draw):
+    """A float32 value, a float64 ulp either side of it, the midpoint to
+    the next float32, a special value, or any finite float64."""
+    kind = draw(st.sampled_from(["at", "above", "below", "between", "special", "any"]))
+    if kind == "special":
+        return draw(st.sampled_from(SPECIAL_THRESHOLDS))
+    if kind == "any":
+        return draw(st.floats(allow_nan=False, allow_infinity=False))
+    base = np.float32(draw(st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    t = float(base)
+    if kind == "above":
+        return float(np.nextafter(t, np.inf))
+    if kind == "below":
+        return float(np.nextafter(t, -np.inf))
+    if kind == "between":
+        with np.errstate(over="ignore"):
+            upper = np.nextafter(base, np.float32(np.inf))
+        return (t + float(upper)) / 2 if np.isfinite(upper) else t
+    return t
+
+
+def around(t, dtype):
+    """Mask values at and next to ``t`` in ``dtype``, plus signed zeros."""
+    with np.errstate(over="ignore"):
+        near = dtype(t)
+        values = [near, dtype(0.0), dtype(-0.0)]
+        for direction in (np.inf, -np.inf):
+            step = near
+            for _ in range(2):
+                step = np.nextafter(step, dtype(direction))
+                values.append(step)
+    return [v for v in values if np.isfinite(v)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    t=thresholds(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    extra=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=8),
+)
+def test_mask_threshold_footprint_is_the_float64_comparison(t, dtype, extra):
+    mask = np.array(around(t, dtype) + extra, dtype=dtype)
+    threshold = mask_threshold(mask.dtype, t)
+    # the comparison runs in the mask's own dtype
+    assert threshold.dtype == mask.dtype
+    assert np.array_equal(mask > threshold, mask.astype(np.float64) > t)
+
+
+def test_mask_threshold_keeps_float32_tenth_above_a_tenth():
+    # float32(0.1) is above 0.1; rounding 0.1 to float32 would drop it
+    mask = np.array([0.1, np.nextafter(np.float32(0.1), np.float32(-1))], dtype=np.float32)
+    assert (mask > mask_threshold(mask.dtype, 0.1)).tolist() == [True, False]

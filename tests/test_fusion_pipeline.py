@@ -569,7 +569,7 @@ def oracle_fuse(stack, taxonomy, params, strategy, stats):
     return sem_map, inst_map, part_map
 
 
-def random_scene(seed, shape=None):
+def random_scene(seed, shape=None, sem_ids=None, part_ids=None):
     """A small scene built to hit the fusion's tie and removal rules.
 
     Integer logits tie stuff against instance scores (fused == 0 when the
@@ -579,17 +579,20 @@ def random_scene(seed, shape=None):
     confidences and are often small enough for min_instance_area; every
     fourth taxonomy has no stuff class, and the channels come shuffled.
     ``shape`` fixes (H, W); by default both are drawn from 4..10.
+    ``sem_ids`` and ``part_ids`` replace the drawn ids.
     """
     rng = np.random.default_rng(seed)
-    n_sem = int(rng.integers(1, 5))
-    sem_ids = [int(i) for i in rng.choice(np.arange(1, 30), n_sem, replace=False)]
+    drawn = rng.choice(np.arange(1, 30), int(rng.integers(1, 5)), replace=False)
+    sem_ids = [int(i) for i in (drawn if sem_ids is None else sem_ids)]
+    n_sem = len(sem_ids)
     no_stuff = seed % 4 == 0
     semantic = [
         {"id": cid, "name": f"c{cid}", "is_thing": bool(no_stuff or rng.random() < 0.5)}
         for cid in sem_ids
     ]
-    n_part = int(rng.integers(1, 6))
-    part_ids = [int(i) for i in rng.choice(np.arange(30, 60), n_part, replace=False)]
+    drawn = rng.choice(np.arange(30, 60), int(rng.integers(1, 6)), replace=False)
+    part_ids = [int(i) for i in (drawn if part_ids is None else part_ids)]
+    n_part = len(part_ids)
     parts = [
         {"id": pid, "name": f"p{pid}", "parent_semantic_id": int(rng.choice(sem_ids))}
         for pid in part_ids
@@ -657,6 +660,29 @@ def test_fusion_matches_stacked_argmax_oracle():
     assert stats["part_ties"] > 0
     assert stats["removed"] > 0
     assert no_stuff_with_instances > 0
+
+
+def test_fusion_matches_oracle_at_the_ends_of_the_id_range():
+    # ids 1 and 65535 in both id spaces: the uint16 argmax fold must
+    # neither wrap nor overflow at the top of the range
+    ids = (1, 300, 65535)
+    won = {"stuff": set(), "thing": set(), "part": set()}
+    for seed in range(24):
+        taxonomy, stack, params = random_scene(seed, sem_ids=ids, part_ids=ids)
+        for strategy in STRATEGIES:
+            stats = {"float32_flips": 0, "stuff_ties": 0, "part_ties": 0, "removed": 0}
+            triple = fuse(stack, taxonomy, params, strategy)
+            expected = oracle_fuse(stack, taxonomy, params, strategy, stats)
+            got = (triple.semantic_map, triple.instance_map, triple.part_map)
+            for name, a, b in zip(("sem", "inst", "part"), got, expected):
+                assert np.array_equal(a, b), (seed, strategy, name)
+            sem, inst = triple.semantic_map, triple.instance_map
+            won["stuff"] |= set(np.unique(sem[(inst == 0) & (sem != 0)]).tolist())
+            won["thing"] |= set(np.unique(sem[inst != 0]).tolist())
+            won["part"] |= set(np.unique(triple.part_map).tolist())
+    assert {1, 65535} <= won["stuff"]
+    assert {1, 65535} <= won["thing"]
+    assert {1, 65535} <= won["part"]
 
 
 def test_fusion_matches_oracle_across_tile_boundaries():

@@ -454,6 +454,12 @@ def test_match_segments_equals_mask_oracle(taxonomy):
     score, on tie-heavy pairs with void and stuff: half unrelated, half
     predictions painted over their ground truth."""
     rng = np.random.default_rng(6)
+    with_parts = np.zeros(1 << 16, dtype=bool)
+    with_parts[[c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]] = True
+    # matched pairs with parts whose region holds pixels where the other
+    # side is void or a class without parts: the part histogram must keep
+    # exactly these pixels
+    mixed_regions = 0
 
     def key(k):
         return (k >> 16, k & 0xFFFF)
@@ -462,6 +468,15 @@ def test_match_segments_equals_mask_oracle(taxonomy):
         gt = random_triple(rng, n_rects=8)
         pred = random_triple(rng, n_rects=3, base=gt) if i % 2 else random_triple(rng)
         tps, fps, fns = oracle_match(pred, gt, taxonomy)
+        gseg, pseg = oracle_segments(gt), oracle_segments(pred)
+        for cls, found in tps.items():
+            if not taxonomy.parts_of(cls):
+                continue
+            for pk, gk, _, _ in found:
+                other_side_partless = (gseg[gk] & ~with_parts[pred.semantic_map]) | (
+                    pseg[pk] & ~with_parts[gt.semantic_map]
+                )
+                mixed_regions += bool(other_side_partless.any())
         match = match_segments(pred, gt, taxonomy)
         got_tps = {
             c: sorted((key(t.pred_key), key(t.gt_key), t.iou, t.part_score) for t in cm.tp)
@@ -481,6 +496,7 @@ def test_match_segments_equals_mask_oracle(taxonomy):
         assert got_tps == {c: sorted(v) for c, v in tps.items()}
         assert got_fps == fps
         assert got_fns == fns
+    assert mixed_regions > 0
 
 
 def test_match_result_keeps_no_pixel_arrays(taxonomy):
