@@ -35,7 +35,7 @@ from .autolabel_monitor import (
     transfer_labels,
 )
 from .autolabel_rgbd import generate_rgbd_sample, load_rgbd_config
-from .containers import LogitStack
+from .containers import LogitStack, derive_segments, segment_keys
 from .errors import PartfuseError, ValidationError
 from .fusion import STRATEGIES, FusionParams, fuse
 from .imaging import read_pnm, write_pnm
@@ -254,6 +254,8 @@ def cmd_eval(args) -> None:
             return [exc] * len(pred_dirs)
         try:
             gt.validate(taxonomy)
+            gt_keys = segment_keys(gt)
+            gt_segments = derive_segments(gt, taxonomy, gt_keys)
             gt_error = None
         except ValidationError as exc:
             gt_error = exc
@@ -263,7 +265,9 @@ def cmd_eval(args) -> None:
                 pred = formats.read_label_triple(pred_dir / stem)
                 if gt_error is None:
                     pred.validate(taxonomy)
-                    outcomes.append(match_segments(pred, gt, taxonomy))
+                    outcomes.append(
+                        match_segments(pred, gt, taxonomy, gt_keys, gt_segments)
+                    )
                 else:
                     outcomes.append(gt_error)
             except (PartfuseError, OSError) as exc:

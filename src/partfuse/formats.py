@@ -14,7 +14,6 @@ Label triples are stored as three 16-bit PGMs sharing one stem:
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import struct
@@ -150,24 +149,3 @@ def read_proposals(path: str | Path) -> tuple[InstanceProposal, ...]:
             )
         out.append(InstanceProposal(entry.class_id, entry.confidence, mask))
     return tuple(out)
-
-
-def write_proposals(
-    proposals, sidecar_path: str | Path, mask_name_fmt: str = "proposal_{:03d}.ppt1"
-) -> None:
-    """Write proposals as a sidecar plus one PPT1 mask file per proposal."""
-    sidecar_path = Path(sidecar_path)
-    entries = []
-    for i, p in enumerate(proposals):
-        name = mask_name_fmt.format(i)
-        write_tensor(p.mask_logits.astype(np.float32), sidecar_path.parent / name)
-        entries.append(
-            {
-                "class_id": p.class_id,
-                "confidence": p.confidence,
-                "mask_tensor_path": name,
-            }
-        )
-    sidecar_path.write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -84,13 +84,23 @@ def agreement_part_sem(a, b):
     return out
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)) of a float64 array.
+
+    exp(-x) overflows to inf below x = -709.78, which gives exactly 0, the
+    limit, so the overflow is not reported.  Not the tanh identity
+    (1 + tanh(x/2)) / 2: summed over two very negative logits it cancels
+    to 0 where the true sum is a tiny negative number.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def agreement_sem_inst(a, b):
     """(sigma(a) + sigma(b)) * (a + b); symmetric in its arguments."""
-    from scipy.special import expit
-
     aa = np.asarray(a, dtype=np.float64)
     bb = np.asarray(b, dtype=np.float64)
-    out = (expit(aa) + expit(bb)) * (aa + bb)
+    out = (sigmoid(aa) + sigmoid(bb)) * (aa + bb)
     if np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out

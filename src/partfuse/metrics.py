@@ -82,20 +82,31 @@ class MetricReport:
 
 
 def match_segments(
-    pred: LabelTriple, gt: LabelTriple, taxonomy: ClassTaxonomy
+    pred: LabelTriple,
+    gt: LabelTriple,
+    taxonomy: ClassTaxonomy,
+    gt_keys: np.ndarray | None = None,
+    gt_segments: list[PanopticSegment] | None = None,
 ) -> MatchResult:
     """Match prediction segments against ground truth segments per class.
 
     One histogram of the per-pixel (gt key, pred key) pairs gives every
     intersection, including each prediction's overlap with void (gt key 0).
+    ``gt_keys`` and ``gt_segments`` are the ground truth's ``segment_keys``
+    and ``derive_segments`` when the caller scores several predictions
+    against it.
     """
     if pred.shape != gt.shape:
         raise ValidationError(
             f"prediction and ground truth differ in size: {pred.shape} vs {gt.shape}"
         )
-    pred_keys, gt_keys = segment_keys(pred), segment_keys(gt)
+    pred_keys = segment_keys(pred)
     pred_by_key = {s.key: s for s in derive_segments(pred, taxonomy, pred_keys)}
-    gt_by_key = {s.key: s for s in derive_segments(gt, taxonomy, gt_keys)}
+    if gt_keys is None:
+        gt_keys = segment_keys(gt)
+    if gt_segments is None:
+        gt_segments = derive_segments(gt, taxonomy, gt_keys)
+    gt_by_key = {s.key: s for s in gt_segments}
 
     pixel_pairs = gt_keys.astype(np.uint64) << np.uint64(32)
     pixel_pairs |= pred_keys

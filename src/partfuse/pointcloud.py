@@ -391,21 +391,6 @@ def project(cloud: PointCloud, camera: CameraModel) -> Projection:
     return Projection(u=u, v=v, depth=z, in_frame=in_frame)
 
 
-def back_project(
-    camera: CameraModel, u: np.ndarray, v: np.ndarray, depth: np.ndarray
-) -> np.ndarray:
-    """Invert ``project`` for known depths; returns world coordinates (N, 3)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    depth = np.asarray(depth, dtype=np.float64)
-    x = (u - camera.cx) / camera.fx * depth
-    y = (v - camera.cy) / camera.fy * depth
-    cam = np.stack([x, y, depth], axis=-1)
-    rot = camera.extrinsic[:3, :3]
-    trans = camera.extrinsic[:3, 3]
-    return (cam - trans) @ rot
-
-
 def load_camera(path: str | Path) -> CameraModel:
     """Read a camera JSON: {width, height, fx, fy, cx, cy, extrinsic: [16]}."""
     return decode(CameraModel, read_json(path, dict), f"camera model {path}")

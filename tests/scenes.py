@@ -1,4 +1,5 @@
-"""Synthetic scenes and the PLY and camera writers shared by the tests."""
+"""Synthetic scenes, and the writers and inverse projection that only the
+tests need: PLY, camera, proposal sidecars and fuse inputs."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from partfuse import formats
 from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig
+from partfuse.containers import InstanceProposal
 from partfuse.imaging import HsvRange, Image
 from partfuse.pointcloud import CameraModel, PointCloud
 
@@ -139,4 +142,60 @@ def save_camera(camera: CameraModel, path: str | Path) -> None:
     }
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def back_project(
+    camera: CameraModel, u: np.ndarray, v: np.ndarray, depth: np.ndarray
+) -> np.ndarray:
+    """Invert ``project`` for known depths; returns world coordinates (N, 3)."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    depth = np.asarray(depth, dtype=np.float64)
+    x = (u - camera.cx) / camera.fx * depth
+    y = (v - camera.cy) / camera.fy * depth
+    cam = np.stack([x, y, depth], axis=-1)
+    rot = camera.extrinsic[:3, :3]
+    trans = camera.extrinsic[:3, 3]
+    return (cam - trans) @ rot
+
+
+def write_proposals(
+    proposals, sidecar_path: str | Path, mask_name_fmt: str = "proposal_{:03d}.ppt1"
+) -> None:
+    """Write proposals as a sidecar plus one PPT1 mask file per proposal."""
+    sidecar_path = Path(sidecar_path)
+    entries = []
+    for i, p in enumerate(proposals):
+        name = mask_name_fmt.format(i)
+        formats.write_tensor(p.mask_logits.astype(np.float32), sidecar_path.parent / name)
+        entries.append(
+            {
+                "class_id": p.class_id,
+                "confidence": p.confidence,
+                "mask_tensor_path": name,
+            }
+        )
+    sidecar_path.write_text(
+        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def write_fuse_sample(directory, name):
+    """Logits for an 8x8 frame: a bag proposal on the left half over a
+    table background; the right half stays table."""
+    h = w = 8
+    sem = np.zeros((4, h, w), dtype=np.float32)
+    sem[0, :, :4] = 4.0  # bag channel
+    sem[3] = 1.0  # table
+    part = np.zeros((3, h, w), dtype=np.float32)
+    part[0] = 2.0  # seal
+    formats.write_tensor(sem, directory / f"{name}.sem.ppt1")
+    formats.write_tensor(part, directory / f"{name}.part.ppt1")
+    mask = np.full((h, w), -8.0, dtype=np.float32)
+    mask[:, :4] = 4.0
+    write_proposals(
+        [InstanceProposal(BAG, 0.9, mask)],
+        directory / f"{name}.proposals.json",
+        f"{name}_p{{}}.ppt1",
     )

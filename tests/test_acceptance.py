@@ -35,13 +35,12 @@ from partfuse.overlay import default_overlay_spec, instance_boxes, render_overla
 from partfuse.taxonomy import validate_taxonomy
 
 from conftest import BAG, BOTTLE, OTHER, SEAL, TABLE, make_triple
-from scenes import build_rgbd_scene, rgbd_config, write_ply
+from scenes import build_rgbd_scene, rgbd_config, write_fuse_sample, write_ply
 from test_autolabel_monitor import disk_scene, monitor_config
 from test_autolabel_rgbd import vote_oracle
 from test_cli import (
     tree_bytes,
     write_augment_dataset,
-    write_fuse_sample,
     write_monitor_dataset,
     write_rgbd_config,
     write_rgbd_scene_dir,

@@ -20,6 +20,7 @@ from partfuse.pointcloud import PointCloud, project
 from conftest import BAG, CENTER, OTHER, SEAL, TABLE
 from scenes import (
     SEAL_RANGE,
+    back_project,
     build_rgbd_scene,
     overhead_camera,
     plane_points,
@@ -156,8 +157,6 @@ def single_point_labeled(u_target, v_target, camera):
     z = 0.6
     x_cam = (u_target - camera.cx) / camera.fx * z
     y_cam = (v_target - camera.cy) / camera.fy * z
-    from partfuse.pointcloud import back_project
-
     world = back_project(camera, np.array([u_target]), np.array([v_target]), np.array([z]))
     cloud = PointCloud(world, np.full((1, 3), 200, dtype=np.uint8))
     return LabeledPointCloud(
@@ -208,8 +207,6 @@ def labeled_from_rows(rows):
 def test_project_labels_majority_vote(taxonomy):
     camera = overhead_camera(width=32, height=32, f=32.0)
     # five points projecting near one pixel: 4 table votes, 1 object vote
-    from partfuse.pointcloud import back_project
-
     base_u, base_v = 16.0, 16.0
     offsets = [(0.0, 0.0), (0.4, 0.0), (-0.4, 0.0), (0.0, 0.4), (0.0, -0.4)]
     us = np.array([base_u + du for du, _ in offsets])
@@ -230,8 +227,6 @@ def test_project_labels_majority_vote(taxonomy):
 
 def test_project_labels_tie_goes_to_nearest_supporter(taxonomy):
     camera = overhead_camera(width=32, height=32, f=32.0)
-    from partfuse.pointcloud import back_project
-
     # 2 object votes, 2 table votes, nearest is object
     offsets = [(0.1, 0.0), (0.6, 0.0), (-0.7, 0.0), (0.0, 0.8)]
     flags = [True, True, False, False]

@@ -16,35 +16,15 @@ from partfuse.cli import main
 from partfuse.imaging import Image, write_pnm
 
 from conftest import BAG, BOTTLE, CENTER, OTHER, SEAL, TABLE, make_triple
-from scenes import build_rgbd_scene, rgbd_config, save_camera, scene_image, write_ply
+from scenes import (
+    build_rgbd_scene,
+    rgbd_config,
+    save_camera,
+    scene_image,
+    write_fuse_sample,
+    write_ply,
+)
 from test_autolabel_monitor import BLUE_BG, disk_scene
-
-
-def write_fuse_sample(directory, name, taxonomy_order=True):
-    """Logits for an 8x8 frame: a bag proposal on the left half over a
-    table background; the right half stays table."""
-    h = w = 8
-    sem = np.zeros((4, h, w), dtype=np.float32)
-    sem[0, :, :4] = 4.0  # bag channel
-    sem[3] = 1.0  # table
-    part = np.zeros((3, h, w), dtype=np.float32)
-    part[0] = 2.0  # seal
-    formats.write_tensor(sem, directory / f"{name}.sem.ppt1")
-    formats.write_tensor(part, directory / f"{name}.part.ppt1")
-    mask = np.full((h, w), -8.0, dtype=np.float32)
-    mask[:, :4] = 4.0
-    formats.write_tensor(mask, directory / f"{name}_p0.ppt1")
-    (directory / f"{name}.proposals.json").write_text(
-        json.dumps(
-            [
-                {
-                    "class_id": BAG,
-                    "confidence": 0.9,
-                    "mask_tensor_path": f"{name}_p0.ppt1",
-                }
-            ]
-        )
-    )
 
 
 def read_triple_trio(stem):
@@ -928,6 +908,35 @@ def test_cli_import_leaves_out_scipy_ndimage():
     env = {**os.environ, "PYTHONPATH": path}
     check = "import sys, partfuse.cli; assert 'scipy.ndimage' not in sys.modules"
     subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+
+
+# runs ``python -m partfuse <args>`` and reports the scipy modules it
+# loaded on stderr's last line
+SCIPY_GUARD = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+                              file=sys.stderr))
+runpy.run_module("partfuse", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_fuse_eval_and_report_load_no_scipy(tmp_path, taxonomy_json):
+    src = Path(partfuse.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(2):
+        write_fuse_sample(inputs, f"img{i}")
+    out, tsv = tmp_path / "out", tmp_path / "m.tsv"
+    taxonomy = ["--taxonomy", str(taxonomy_json)]
+    for args in (fuse_args(taxonomy_json, out, inputs),
+                 ["eval", *taxonomy, "--gt", str(out), "--tsv", str(tsv), str(out)],
+                 ["report", *taxonomy, str(tsv)]):
+        child = subprocess.run([sys.executable, "-c", SCIPY_GUARD, *args], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.splitlines()[-1] == "[]", (args[0], child.stderr)
 
 
 def write_overlay_inputs(tmp_path):

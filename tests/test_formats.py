@@ -9,12 +9,12 @@ from partfuse.formats import (
     read_proposals,
     read_tensor,
     write_label_triple,
-    write_proposals,
     write_tensor,
 )
 from partfuse.containers import InstanceProposal
 
 from conftest import make_triple
+from scenes import write_proposals
 
 
 def test_tensor_round_trip_float32(tmp_path):

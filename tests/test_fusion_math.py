@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partfuse
 from partfuse.fusion import (
     agreement_part_sem,
     agreement_sem_inst,
@@ -101,6 +108,52 @@ def test_agreement_sem_inst_values():
     assert agreement_sem_inst(0.0, 0.0) == 0.0
     assert agreement_sem_inst(1.0, -1.0) == pytest.approx(0.0, abs=1e-12)
     assert agreement_sem_inst(2.0, 2.0) == pytest.approx(ASI_2_2, abs=1e-12)
+
+
+def assert_agreement_sem_inst_near_expit():
+    """agreement_sem_inst is within 4 ulp of the same product through
+    scipy.special.expit, and warns about nothing, overflow included."""
+    from scipy.special import expit
+
+    rng = np.random.default_rng(5)
+    draws = [
+        rng.normal(scale=4.0, size=(2, 200_000)),
+        rng.normal(scale=30.0, size=(2, 200_000)),
+        rng.uniform(-800.0, 800.0, size=(2, 200_000)),
+    ]
+    scalars = [(-40.0, -40.0), (-60.0, -60.0), (-800.0, -750.0), (-800.0, 750.0), (3.5, -2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in draws:
+            want = (expit(a) + expit(b)) * (a + b)
+            assert (np.abs(agreement_sem_inst(a, b) - want) <= 4 * np.spacing(np.abs(want))).all()
+        for a, b in scalars:
+            got = agreement_sem_inst(a, b)
+            want = float((expit(a) + expit(b)) * (a + b))
+            assert isinstance(got, float)
+            assert abs(got - want) <= 4 * np.spacing(abs(want))
+    # 1 + (tanh(a/2) + tanh(b/2)) / 2 cancels to 0 here
+    assert agreement_sem_inst(-40.0, -40.0) < 0.0
+
+
+def test_agreement_sem_inst_near_expit():
+    assert_agreement_sem_inst_near_expit()
+
+
+@pytest.mark.parametrize(
+    "disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]
+)
+def test_agreement_sem_inst_near_expit_without_wide_simd(disabled):
+    # NumPy picks its exp kernel by CPU feature at import, so each SIMD
+    # level needs its own interpreter; names this NumPy or CPU does not
+    # dispatch on are ignored with an ImportWarning
+    paths = [Path(partfuse.__file__).resolve().parents[1], Path(__file__).parent]
+    path = os.pathsep.join([*map(str, paths), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disabled}
+    check = "import test_fusion_math as t; t.assert_agreement_sem_inst_near_expit()"
+    child = subprocess.run([sys.executable, "-c", check], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
 
 
 def test_agreement_sem_inst_monotone_on_nonnegative_orthant():

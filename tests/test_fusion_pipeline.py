@@ -753,7 +753,6 @@ def test_partpanoptic_fusion_holds_no_channel_tensor():
     stack = make_stack(
         rng.normal(size=(8, h, w)), rng.normal(size=(10, h, w)), range(1, 9), range(20, 30), proposals
     )
-    fuse(stack, taxonomy, None, "partpanoptic")  # imports scipy.special outside the trace
     tracemalloc.start()
     try:
         triple = fuse(stack, taxonomy, None, "partpanoptic")

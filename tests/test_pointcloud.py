@@ -11,7 +11,6 @@ from partfuse.pointcloud import (
     PmfParams,
     PointCloud,
     Projection,
-    back_project,
     euclidean_clusters,
     load_camera,
     progressive_morphological_filter,
@@ -21,7 +20,7 @@ from partfuse.pointcloud import (
     _windowed,
 )
 
-from scenes import save_camera, write_ply
+from scenes import back_project, save_camera, write_ply
 
 
 def cloud_of(xyz, rgb=None):
