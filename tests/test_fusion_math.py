@@ -126,7 +126,8 @@ def assert_agreement_sem_inst_near_expit():
         warnings.simplefilter("error")
         for a, b in draws:
             want = (expit(a) + expit(b)) * (a + b)
-            assert (np.abs(agreement_sem_inst(a, b) - want) <= 4 * np.spacing(np.abs(want))).all()
+            ulps = np.abs(agreement_sem_inst(a, b) - want) / np.spacing(np.abs(want))
+            assert ulps.max() <= 4, ulps.max()
         for a, b in scalars:
             got = agreement_sem_inst(a, b)
             want = float((expit(a) + expit(b)) * (a + b))
