@@ -30,7 +30,7 @@ from .imaging import (
     quantize_colors,
     threshold_hsv,
 )
-from .autolabel_rgbd import PartColorRule, ordered_part_rules
+from .autolabel_rgbd import PartColorRule, ordered_part_rules, rule_part_ids
 from .jsonio import decode
 from .taxonomy import ClassTaxonomy
 
@@ -59,27 +59,21 @@ class MonitorLabelConfig:
 
 @dataclass(frozen=True)
 class ReferenceLabel:
-    """Scene reference: object mask, per-part masks, instance grid."""
+    """Scene reference: object mask, part grid, instance grid."""
 
     object_mask: BitMask
-    part_masks: dict[int, BitMask]  # part id -> mask, rule order then catch-all
+    part_grid: np.ndarray  # (H, W) uint16, 0 outside the object
     instance_grid: np.ndarray  # (H, W) uint16
     object_class_id: int
     background_class_id: int
 
     def __post_init__(self):
         obj = self.object_mask.bits
-        if self.instance_grid.shape != obj.shape:
-            raise ValidationError("instance grid dimensions disagree with mask")
-        covered = np.zeros_like(obj)
-        for part_id, mask in self.part_masks.items():
-            if mask.bits.shape != obj.shape:
-                raise ValidationError(f"part mask {part_id} dimension mismatch")
-            if (mask.bits & ~obj).any():
-                raise ValidationError(f"part mask {part_id} leaks outside the object")
-            if (mask.bits & covered).any():
-                raise ValidationError("part masks overlap")
-            covered |= mask.bits
+        if self.part_grid.shape != obj.shape or self.instance_grid.shape != obj.shape:
+            raise ValidationError("part or instance grid dimensions disagree with mask")
+        if self.part_grid[~obj].any():
+            raise ValidationError("part grid leaks outside the object")
+        self.part_grid.setflags(write=False)
         self.instance_grid.setflags(write=False)
 
     @property
@@ -93,10 +87,7 @@ class ReferenceLabel:
     def triple(self) -> LabelTriple:
         obj = self.object_mask.bits
         sem = np.where(obj, self.object_class_id, self.background_class_id)
-        part = np.zeros(obj.shape, dtype=np.uint16)
-        for part_id, mask in self.part_masks.items():
-            part[mask.bits] = part_id
-        return LabelTriple.from_arrays(sem, self.instance_grid, part)
+        return LabelTriple.from_arrays(sem, self.instance_grid, self.part_grid)
 
 
 def _not_in_range(image: Image, config: MonitorLabelConfig, rng: HsvRange) -> BitMask:
@@ -138,48 +129,34 @@ def extract_reference_mask(
 
 
 def extract_part_masks(
-    img_blue: Image,
     img_black: Image,
     object_mask: BitMask,
     config: MonitorLabelConfig,
     taxonomy: ClassTaxonomy | None = None,
 ) -> ReferenceLabel:
-    """Split the object mask into part masks and an instance grid.
+    """Give the object's pixels part ids and an instance grid.
 
-    Part rules threshold the processed (closed + quantized) black capture
-    inside the object mask, higher priority first; leftover object pixels
-    take the catch-all part.  Instances are the connected components of
-    the object mask.
+    Each object pixel of the processed (closed + quantized) black capture
+    takes the part id of the first rule, by descending priority, whose
+    range holds its colour; the others take the catch-all part.  Instances
+    are the connected components of the object mask.
     """
-    if img_black.pixels.shape[:2] != object_mask.bits.shape:
+    obj = object_mask.bits
+    if img_black.pixels.shape[:2] != obj.shape:
         raise ValidationError("object mask dimensions disagree with captures")
     rules = ordered_part_rules(config.part_rules, taxonomy, config.catchall_part_id)
-    masked_black = Image(
-        np.where(object_mask.bits[..., None], img_black.pixels, 0).astype(np.uint8)
-    )
+    masked_black = Image(np.where(obj[..., None], img_black.pixels, 0).astype(np.uint8))
     processed = quantize_colors(
         morphological_close(masked_black, config.closing_window),
         config.quantize_levels,
     )
-
-    remaining = object_mask.bits.copy()
-    part_masks: dict[int, BitMask] = {}
-    for rule in rules:
-        hit = threshold_hsv(processed, rule.hsv_range).bits & remaining
-        prior = part_masks.get(rule.part_id)
-        if prior is not None:
-            hit = hit | prior.bits
-        part_masks[rule.part_id] = BitMask(hit)
-        remaining &= ~hit
-    if config.catchall_part_id:
-        prior = part_masks.get(config.catchall_part_id)
-        leftover = remaining | (prior.bits if prior is not None else False)
-        part_masks[config.catchall_part_id] = BitMask(leftover)
+    part_grid = np.zeros(obj.shape, dtype=np.uint16)
+    part_grid[obj] = rule_part_ids(processed.pixels[obj], rules, config.catchall_part_id)
 
     labels, _ = connected_components(object_mask)
     return ReferenceLabel(
         object_mask=object_mask,
-        part_masks=part_masks,
+        part_grid=part_grid,
         instance_grid=labels.astype(np.uint16),
         object_class_id=config.object_class_id,
         background_class_id=config.background_class_id,

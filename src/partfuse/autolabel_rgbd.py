@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .containers import LabelTriple
+from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
-from .imaging import HsvRange, Image, rgb_to_hsv
+from .imaging import HsvRange, Image, first_hsv_range
 from .jsonio import decode
 from .pointcloud import (
     CameraModel,
@@ -58,6 +58,17 @@ def ordered_part_rules(
         if catchall_part_id:
             taxonomy.part_class(catchall_part_id)
     return sorted(rules, key=lambda rule: -rule.priority)
+
+
+def rule_part_ids(colors: np.ndarray, rules, catchall_part_id: int = 0) -> np.ndarray:
+    """The part id of each uint8 RGB colour of ``colors`` (..., 3): that of
+    the first of ``rules``, taken in the order given, whose HSV range holds
+    it, else ``catchall_part_id``.  Both labellers give parts this way."""
+    ids = np.array([rule.part_id for rule in rules] + [catchall_part_id])
+    if ids.min() < 0 or ids.max() > np.iinfo(LABEL_DTYPE).max:
+        raise ValidationError("part ids must fit in 16 bits")
+    ranges = [rule.hsv_range for rule in rules]
+    return ids.astype(LABEL_DTYPE)[first_hsv_range(colors, ranges)]
 
 
 @dataclass(frozen=True)
@@ -163,16 +174,9 @@ def label_parts(
     part id, or 0 if none is configured.
     """
     rules = ordered_part_rules(part_rules, taxonomy, catchall_part_id)
-    part = np.full(len(labeled.cloud), catchall_part_id, dtype=np.int64)
-    part[~labeled.object_flag] = 0
-    obj_idx = np.nonzero(labeled.object_flag)[0]
-    if obj_idx.size and rules:
-        h, s, v = rgb_to_hsv(labeled.cloud.rgb[obj_idx])
-        assigned = np.zeros(obj_idx.size, dtype=bool)
-        for rule in rules:
-            hit = ~assigned & rule.hsv_range.contains(h, s, v)
-            part[obj_idx[hit]] = rule.part_id
-            assigned |= hit
+    part = np.zeros(len(labeled.cloud), dtype=np.int64)
+    obj = labeled.object_flag
+    part[obj] = rule_part_ids(labeled.cloud.rgb[obj], rules, catchall_part_id)
     return replace(labeled, part_id=part)
 
 

@@ -184,12 +184,11 @@ def cmd_fuse(args) -> None:
     stems = _discover_stems(args.inputs, ".sem.ppt1")
     if not stems:
         raise ValidationError("no inputs found")
-    for stem in stems:
+
+    def work(stem: Path, stage: Path):
         for suffix in (".sem.ppt1", ".part.ppt1", ".proposals.json"):
             if not Path(str(stem) + suffix).exists():
                 raise ValidationError(f"missing input file {stem}{suffix}")
-
-    def work(stem: Path, stage: Path):
         sem = formats.read_tensor(str(stem) + ".sem.ppt1")
         part = formats.read_tensor(str(stem) + ".part.ppt1")
         proposals = formats.read_proposals(str(stem) + ".proposals.json")
@@ -399,7 +398,7 @@ def cmd_label_monitor(args) -> None:
         img_blue = read_pnm(scene / "blue.ppm")
         img_black = read_pnm(scene / "black.ppm")
         mask = extract_reference_mask(img_blue, img_black, label_cfg)
-        reference = extract_part_masks(img_blue, img_black, mask, label_cfg, taxonomy)
+        reference = extract_part_masks(img_black, mask, label_cfg, taxonomy)
 
         emitted = []
         for target_path in sorted(scene.glob("target_*.ppm")):

@@ -41,14 +41,6 @@ class LabelTriple:
             _freeze(m)
 
     @property
-    def height(self) -> int:
-        return self.semantic_map.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.semantic_map.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.semantic_map.shape
 
@@ -158,14 +150,6 @@ class LogitStack:
         object.__setattr__(
             self, "instance_proposals", tuple(self.instance_proposals)
         )
-
-    @property
-    def height(self) -> int:
-        return self.semantic_logits.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.semantic_logits.shape[2]
 
     def validate(self, taxonomy: ClassTaxonomy) -> None:
         """Check the stack against a taxonomy: complete channel coverage of

@@ -185,17 +185,18 @@ def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.mod(h, 360.0), s, v
 
 
-def threshold_hsv(image: Image, hsv_range: HsvRange) -> BitMask:
-    """Pixels whose HSV lies inside the (possibly hue-wrapping) range.
+def first_hsv_range(colors: np.ndarray, ranges) -> np.ndarray:
+    """For each uint8 RGB colour of ``colors`` (..., 3), the index of the
+    first of ``ranges`` that holds its HSV, else ``len(ranges)``.
 
     Each distinct colour is converted and tested once, and its pixels take
-    its result: pixels sorted by 24-bit colour key form one run per colour.
-    This holds one index per pixel, where ``np.unique(...,
+    its result: colours sorted by 24-bit key form one run per colour.  This
+    holds one index per colour entry, where ``np.unique(...,
     return_inverse=True)`` would hold three.
     """
-    if image.channels != 3:
-        raise ValidationError("HSV conversion needs a 3-channel image")
-    px = image.pixels.reshape(-1, 3)
+    if colors.ndim < 2 or colors.shape[-1] != 3:
+        raise ValidationError(f"HSV conversion needs (..., 3) triples, got {colors.shape}")
+    px = colors.reshape(-1, 3)
     keys = px[:, 0].astype(np.uint32) << 16
     keys |= px[:, 1].astype(np.uint32) << 8
     keys |= px[:, 2]
@@ -204,10 +205,20 @@ def threshold_hsv(image: Image, hsv_range: HsvRange) -> BitMask:
     first = np.ones(keys.size, dtype=bool)
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
     starts = np.flatnonzero(first)
-    inside = hsv_range.contains(*rgb_to_hsv(px[order[starts]]))
-    bits = np.empty(keys.size, dtype=bool)
-    bits[order] = np.repeat(inside, np.diff(starts, append=keys.size))
-    return BitMask(bits.reshape(image.pixels.shape[:2]))
+    hsv = rgb_to_hsv(px[order[starts]])
+    index = np.full(starts.size, len(ranges), dtype=np.min_scalar_type(len(ranges)))
+    for i in reversed(range(len(ranges))):  # the first range written last wins
+        index[ranges[i].contains(*hsv)] = i
+    out = np.empty(keys.size, dtype=index.dtype)
+    out[order] = np.repeat(index, np.diff(starts, append=keys.size))
+    return out.reshape(colors.shape[:-1])
+
+
+def threshold_hsv(image: Image, hsv_range: HsvRange) -> BitMask:
+    """Pixels whose HSV lies inside the (possibly hue-wrapping) range."""
+    if image.channels != 3:
+        raise ValidationError("HSV conversion needs a 3-channel image")
+    return BitMask(first_hsv_range(image.pixels, [hsv_range]) == 0)
 
 
 def connected_components(

@@ -66,24 +66,12 @@ class ClassTaxonomy:
     part_classes: tuple[PartClass, ...] = ()
 
     @property
-    def void_id(self) -> int:
-        return VOID_ID
-
-    @property
     def semantic_ids(self) -> tuple[int, ...]:
         return tuple(c.id for c in self.semantic_classes)
 
     @property
     def part_ids(self) -> tuple[int, ...]:
         return tuple(p.id for p in self.part_classes)
-
-    @property
-    def thing_ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.semantic_classes if c.is_thing)
-
-    @property
-    def stuff_ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.semantic_classes if not c.is_thing)
 
     def semantic_class(self, class_id: int) -> SemanticClass:
         try:

@@ -129,10 +129,9 @@ def test_part_masks_partition_disk(taxonomy):
     img_blue, img_black, disk, top = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_blue, img_black, mask, config, taxonomy)
-    seal = reference.part_masks[SEAL].bits
-    other = reference.part_masks[OTHER].bits
-    assert not (seal & other).any()
+    reference = extract_part_masks(img_black, mask, config, taxonomy)
+    seal = reference.part_grid == SEAL
+    other = reference.part_grid == OTHER
     assert np.array_equal(seal | other, mask.bits)
     assert iou(seal, top & mask.bits) >= 0.97
     assert reference.instance_grid.max() == 1
@@ -144,9 +143,8 @@ def test_part_masks_no_rules_catchall(taxonomy):
         object_class_id=BAG, catchall_part_id=OTHER, part_rules=()
     )
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_blue, img_black, mask, config, taxonomy)
-    assert list(reference.part_masks) == [OTHER]
-    assert np.array_equal(reference.part_masks[OTHER].bits, mask.bits)
+    reference = extract_part_masks(img_black, mask, config, taxonomy)
+    assert np.array_equal(reference.part_grid, np.where(mask.bits, OTHER, 0))
 
 
 def test_two_disks_two_instances(taxonomy):
@@ -163,7 +161,7 @@ def test_two_disks_two_instances(taxonomy):
 
     config = monitor_config()
     mask = extract_reference_mask(render(BLUE_BG), render(BLACK_BG), config)
-    ref = extract_part_masks(render(BLUE_BG), render(BLACK_BG), mask, config, taxonomy)
+    ref = extract_part_masks(render(BLACK_BG), mask, config, taxonomy)
     assert ref.instance_grid.max() == 2
     # scan order: d1's top pixel comes first
     assert ref.instance_grid[32, 32] == 1
@@ -174,7 +172,7 @@ def test_transfer_labels_copies_reference(taxonomy):
     img_blue, img_black, _, _ = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_blue, img_black, mask, config, taxonomy)
+    reference = extract_part_masks(img_black, mask, config, taxonomy)
     rng = np.random.default_rng(0)
     t1 = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
     t2 = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
@@ -191,7 +189,7 @@ def test_transfer_labels_dim_mismatch(taxonomy):
     img_blue, img_black, _, _ = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_blue, img_black, mask, config, taxonomy)
+    reference = extract_part_masks(img_black, mask, config, taxonomy)
     small = Image(np.zeros((16, 16, 3), dtype=np.uint8))
     with pytest.raises(ValidationError, match="dimensions"):
         transfer_labels(reference, small, taxonomy)
@@ -202,7 +200,7 @@ def reference_with_mask(bits, taxonomy):
 
     return ReferenceLabel(
         object_mask=BitMask(bits),
-        part_masks={OTHER: BitMask(bits)},
+        part_grid=np.where(bits, OTHER, 0).astype(np.uint16),
         instance_grid=bits.astype(np.uint16),
         object_class_id=BAG,
         background_class_id=0,
@@ -244,7 +242,7 @@ def test_reference_label_rejects_leaky_parts():
     with pytest.raises(ValidationError, match="outside"):
         ReferenceLabel(
             object_mask=BitMask(obj),
-            part_masks={SEAL: BitMask(leak)},
+            part_grid=np.where(leak, SEAL, 0).astype(np.uint16),
             instance_grid=obj.astype(np.uint16),
             object_class_id=BAG,
             background_class_id=0,

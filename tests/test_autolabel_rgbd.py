@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfuse.autolabel_monitor import MonitorLabelConfig, load_monitor_config
 from partfuse.autolabel_rgbd import (
@@ -10,7 +12,9 @@ from partfuse.autolabel_rgbd import (
     generate_rgbd_sample,
     label_parts,
     load_rgbd_config,
+    ordered_part_rules,
     project_labels,
+    rule_part_ids,
     segment_objects,
 )
 from partfuse.errors import ValidationError
@@ -143,6 +147,63 @@ def test_label_parts_matches_per_point_oracle(seed):
     out = label_parts(labeled, rules, catchall_part_id=OTHER)
     assert out.part_id.tolist() == label_parts_per_point(labeled, rules, OTHER)
     check_labeled_invariants(out)
+
+
+def rule_part_ids_per_colour(colors, rules, catchall):
+    """Reference: convert each colour on its own and take the part id of
+    the first rule that holds it, in ``ordered_part_rules`` order."""
+    parts = []
+    for rgb in colors:
+        h, s, v = rgb_to_hsv(rgb)
+        hits = (r.part_id for r in ordered_part_rules(rules) if r.hsv_range.contains(h, s, v))
+        parts.append(next(hits, catchall))
+    return parts
+
+
+@st.composite
+def colours_and_rules(draw):
+    """uint8 colours, and 2-5 rules whose bounds are often the HSV of a
+    drawn colour, so ranges overlap, wrap through hue 0 when h_min > h_max,
+    and share priorities and part ids."""
+    colors = np.array(
+        draw(st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=1, max_size=64)),
+        dtype=np.uint8,
+    )
+    present = [sorted(set(channel.tolist())) for channel in rgb_to_hsv(colors)]
+
+    def bound(channel, top):
+        seen = st.sampled_from(present[channel])
+        return draw(seen | st.floats(0.0, top, exclude_max=channel == 0))
+
+    rules = []
+    for _ in range(draw(st.integers(2, 5))):
+        s_lo, s_hi = sorted((bound(1, 1.0), bound(1, 1.0)))
+        v_lo, v_hi = sorted((bound(2, 1.0), bound(2, 1.0)))
+        hsv_range = HsvRange(h_min=bound(0, 360.0), h_max=bound(0, 360.0),
+                             s_min=s_lo, s_max=s_hi, v_min=v_lo, v_max=v_hi)
+        part_id = draw(st.sampled_from((SEAL, CENTER, OTHER)))
+        rules.append(PartColorRule(part_id, hsv_range, priority=draw(st.integers(0, 2))))
+    return colors, rules, draw(st.sampled_from((0, OTHER)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(colours_and_rules())
+def test_rule_part_ids_matches_per_colour_oracle(case):
+    colors, rules, catchall = case
+    expected = rule_part_ids_per_colour(colors, rules, catchall)
+    got = rule_part_ids(colors, ordered_part_rules(rules), catchall)
+    assert got.tolist() == expected
+    # an image of the same colours gets the same ids, pixel by pixel
+    image = rule_part_ids(colors[None, ::-1], ordered_part_rules(rules), catchall)
+    assert image.tolist() == [expected[::-1]]
+
+
+def test_rule_part_ids_rejects_ids_beyond_16_bits():
+    colors = np.zeros((2, 3), dtype=np.uint8)
+    with pytest.raises(ValidationError, match="16 bits"):
+        rule_part_ids(colors, [PartColorRule(part_id=70000)])
+    with pytest.raises(ValidationError, match="16 bits"):
+        rule_part_ids(colors, [], catchall_part_id=-1)
 
 
 def test_label_parts_unknown_part_rejected(taxonomy):

@@ -811,14 +811,22 @@ def fuse_args(taxonomy_json, out, inputs, *flags):
             "--min-instance-area", "1", *flags, str(inputs)]
 
 
-@pytest.mark.parametrize("broken", [0, 1])
-def test_fuse_failure_commits_same_tree_for_any_jobs(tmp_path, taxonomy_json, broken):
+@pytest.mark.parametrize(
+    "broken, damage, failure",
+    [(0, "corrupt", 2), (1, "corrupt", 2), (1, "missing", 3)],
+)
+def test_fuse_failure_commits_same_tree_for_any_jobs(
+    tmp_path, taxonomy_json, broken, damage, failure
+):
     inputs = tmp_path / "in"
     inputs.mkdir()
     for i in range(3):
         write_fuse_sample(inputs, f"img{i}")
-    (inputs / f"img{broken}.sem.ppt1").write_bytes(b"XXXX garbage")
-    for keep_going, code, kept in ((False, 2, range(broken)), (True, 0, (0, 1, 2))):
+    if damage == "corrupt":
+        (inputs / f"img{broken}.sem.ppt1").write_bytes(b"XXXX garbage")
+    else:  # a missing file fails its own stem only
+        (inputs / f"img{broken}.part.ppt1").unlink()
+    for keep_going, code, kept in ((False, failure, range(broken)), (True, 0, (0, 1, 2))):
         flags = ["--keep-going"] if keep_going else []
         trees = []
         for jobs in ("1", "2"):

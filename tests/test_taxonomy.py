@@ -13,7 +13,6 @@ def test_hospital_taxonomy_valid(taxonomy):
     assert len(taxonomy.semantic_classes) == 4
     parts = taxonomy.parts_of(BAG)
     assert [p.id for p in parts] == [SEAL, CENTER, OTHER]
-    assert taxonomy.void_id == 0
 
 
 def test_single_class_no_parts():
@@ -89,8 +88,6 @@ def test_load_is_deterministic(tmp_path):
 
 
 def test_things_and_stuff_split(taxonomy):
-    assert taxonomy.thing_ids == (1, 2, 3)
-    assert taxonomy.stuff_ids == (4,)
     assert taxonomy.is_thing(1)
     assert not taxonomy.is_thing(4)
 
