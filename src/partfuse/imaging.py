@@ -190,8 +190,8 @@ def first_hsv_range(colors: np.ndarray, ranges) -> np.ndarray:
     first of ``ranges`` that holds its HSV, else ``len(ranges)``.
 
     Each distinct colour is converted and tested once, and its pixels take
-    its result: colours sorted by 24-bit key form one run per colour.  This
-    holds one index per colour entry, where ``np.unique(...,
+    its result: entries sorted by 24-bit colour key form one run per
+    colour.  This holds one index per entry, where ``np.unique(...,
     return_inverse=True)`` would hold three.
     """
     if colors.ndim < 2 or colors.shape[-1] != 3:

@@ -12,6 +12,7 @@ from partfuse.imaging import (
     boundary_mask,
     connected_components,
     fill_holes,
+    first_hsv_range,
     morphological_close,
     quantize_colors,
     read_pnm,
@@ -269,6 +270,9 @@ def test_threshold_peak_memory_below_third_of_per_pixel_path():
 def test_threshold_rejects_single_channel():
     with pytest.raises(ValidationError, match="3-channel"):
         threshold_hsv(Image(np.zeros((2, 2), dtype=np.uint8)), HsvRange())
+    for grey in (np.zeros((2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8)):
+        with pytest.raises(ValidationError, match="triples"):
+            first_hsv_range(grey, [HsvRange()])
 
 
 def test_hsv_range_validation():
