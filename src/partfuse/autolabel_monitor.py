@@ -21,7 +21,6 @@ import numpy as np
 from .containers import LabelTriple
 from .errors import ValidationError
 from .imaging import (
-    BitMask,
     HsvRange,
     Image,
     connected_components,
@@ -61,44 +60,36 @@ class MonitorLabelConfig:
 class ReferenceLabel:
     """Scene reference: object mask, part grid, instance grid."""
 
-    object_mask: BitMask
+    object_mask: np.ndarray  # (H, W) bool
     part_grid: np.ndarray  # (H, W) uint16, 0 outside the object
     instance_grid: np.ndarray  # (H, W) uint16
     object_class_id: int
     background_class_id: int
 
     def __post_init__(self):
-        obj = self.object_mask.bits
+        obj = self.object_mask
         if self.part_grid.shape != obj.shape or self.instance_grid.shape != obj.shape:
             raise ValidationError("part or instance grid dimensions disagree with mask")
         if self.part_grid[~obj].any():
             raise ValidationError("part grid leaks outside the object")
+        obj.setflags(write=False)
         self.part_grid.setflags(write=False)
         self.instance_grid.setflags(write=False)
 
-    @property
-    def height(self) -> int:
-        return self.object_mask.height
-
-    @property
-    def width(self) -> int:
-        return self.object_mask.width
-
     def triple(self) -> LabelTriple:
-        obj = self.object_mask.bits
-        sem = np.where(obj, self.object_class_id, self.background_class_id)
+        sem = np.where(self.object_mask, self.object_class_id, self.background_class_id)
         return LabelTriple.from_arrays(sem, self.instance_grid, self.part_grid)
 
 
-def _not_in_range(image: Image, config: MonitorLabelConfig, rng: HsvRange) -> BitMask:
+def _not_in_range(image: Image, config: MonitorLabelConfig, rng: HsvRange) -> np.ndarray:
     closed = morphological_close(image, config.closing_window)
     quantized = quantize_colors(closed, config.quantize_levels)
-    return BitMask(~threshold_hsv(quantized, rng).bits)
+    return ~threshold_hsv(quantized, rng)
 
 
 def extract_reference_mask(
     img_blue: Image, img_black: Image, config: MonitorLabelConfig
-) -> BitMask:
+) -> np.ndarray:
     """Object mask from the blue/black capture pair.
 
     The blue capture yields a hole-filled candidate outline; the black
@@ -114,10 +105,9 @@ def extract_reference_mask(
     blue_mask = fill_holes(candidates)
 
     masked_black = Image(
-        np.where(blue_mask.bits[..., None], img_black.pixels, 0).astype(np.uint8)
+        np.where(blue_mask[..., None], img_black.pixels, 0).astype(np.uint8)
     )
-    survivors = _not_in_range(masked_black, config, config.black_range)
-    survivors = BitMask(survivors.bits & blue_mask.bits)
+    survivors = _not_in_range(masked_black, config, config.black_range) & blue_mask
     filled = fill_holes(survivors)
 
     labels, sizes = connected_components(filled)
@@ -125,12 +115,12 @@ def extract_reference_mask(
     result = np.isin(labels, keep)
     if not result.any():
         raise ValidationError("no object contour found in the capture pair")
-    return BitMask(result)
+    return result
 
 
 def extract_part_masks(
     img_black: Image,
-    object_mask: BitMask,
+    object_mask: np.ndarray,
     config: MonitorLabelConfig,
     taxonomy: ClassTaxonomy | None = None,
 ) -> ReferenceLabel:
@@ -141,17 +131,20 @@ def extract_part_masks(
     range holds its colour; the others take the catch-all part.  Instances
     are the connected components of the object mask.
     """
-    obj = object_mask.bits
-    if img_black.pixels.shape[:2] != obj.shape:
+    if img_black.pixels.shape[:2] != object_mask.shape:
         raise ValidationError("object mask dimensions disagree with captures")
     rules = ordered_part_rules(config.part_rules, taxonomy, config.catchall_part_id)
-    masked_black = Image(np.where(obj[..., None], img_black.pixels, 0).astype(np.uint8))
+    masked_black = Image(
+        np.where(object_mask[..., None], img_black.pixels, 0).astype(np.uint8)
+    )
     processed = quantize_colors(
         morphological_close(masked_black, config.closing_window),
         config.quantize_levels,
     )
-    part_grid = np.zeros(obj.shape, dtype=np.uint16)
-    part_grid[obj] = rule_part_ids(processed.pixels[obj], rules, config.catchall_part_id)
+    part_grid = np.zeros(object_mask.shape, dtype=np.uint16)
+    part_grid[object_mask] = rule_part_ids(
+        processed.pixels[object_mask], rules, config.catchall_part_id
+    )
 
     labels, _ = connected_components(object_mask)
     return ReferenceLabel(
@@ -167,7 +160,7 @@ def transfer_labels(
     reference: ReferenceLabel, target: Image, taxonomy: ClassTaxonomy
 ) -> tuple[Image, LabelTriple]:
     """Attach the scene's reference labels to another capture of it."""
-    if (target.height, target.width) != (reference.height, reference.width):
+    if (target.height, target.width) != reference.object_mask.shape:
         raise ValidationError("target dimensions disagree with the reference")
     taxonomy.semantic_class(reference.object_class_id)
     if reference.background_class_id:
@@ -182,12 +175,9 @@ def composite_synthetic(
     reference exactly."""
     if object_image.pixels.shape != background.pixels.shape:
         raise ValidationError("object and background images differ in shape")
-    if (object_image.height, object_image.width) != (
-        reference.height,
-        reference.width,
-    ):
+    if (object_image.height, object_image.width) != reference.object_mask.shape:
         raise ValidationError("reference dimensions disagree with the images")
-    mask = reference.object_mask.bits
+    mask = reference.object_mask
     if object_image.channels == 3:
         sel = mask[..., None]
     else:

@@ -159,15 +159,22 @@ def _run_items(
 # ---------------------------------------------------------------- fuse
 
 
-def _discover_stems(inputs: list[str], suffix: str) -> list[Path]:
+_FUSE_SUFFIXES = (".sem.ppt1", ".part.ppt1", ".proposals.json")
+
+
+def _discover_stems(inputs: list[str]) -> list[Path]:
+    """A directory stands for every stem with any of its input files in
+    it, in sorted order; any other path names one stem."""
     stems: list[Path] = []
     for raw in inputs:
         path = Path(raw)
         if path.is_dir():
-            found = sorted(path.glob(f"*{suffix}"))
-            stems.extend(Path(str(p)[: -len(suffix)]) for p in found)
-        elif str(path).endswith(suffix):
-            stems.append(Path(str(path)[: -len(suffix)]))
+            found = {
+                Path(str(p)[: -len(s)]) for s in _FUSE_SUFFIXES for p in path.glob(f"*{s}")
+            }
+            stems.extend(sorted(found))
+        elif str(path).endswith(".sem.ppt1"):
+            stems.append(Path(str(path)[: -len(".sem.ppt1")]))
         else:
             stems.append(path)
     return stems
@@ -181,12 +188,12 @@ def cmd_fuse(args) -> None:
         )
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
-    stems = _discover_stems(args.inputs, ".sem.ppt1")
+    stems = _discover_stems(args.inputs)
     if not stems:
         raise ValidationError("no inputs found")
 
     def work(stem: Path, stage: Path):
-        for suffix in (".sem.ppt1", ".part.ppt1", ".proposals.json"):
+        for suffix in _FUSE_SUFFIXES:
             if not Path(str(stem) + suffix).exists():
                 raise ValidationError(f"missing input file {stem}{suffix}")
         sem = formats.read_tensor(str(stem) + ".sem.ppt1")
@@ -426,7 +433,7 @@ def cmd_label_monitor(args) -> None:
                 "scene": scene.name,
                 "seed": cfg.seed,
                 "instances": int(reference.instance_grid.max()),
-                "object_pixels": reference.object_mask.count(),
+                "object_pixels": int(reference.object_mask.sum()),
                 "samples": emitted,
                 "params": {
                     "closing_window": label_cfg.closing_window,

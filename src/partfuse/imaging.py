@@ -1,6 +1,9 @@
 """Raster primitives: PNM I/O, morphology, quantization, HSV thresholds,
 connected components, hole filling and boundary masks.
 
+Masks are 2-D bool arrays.  Connected components come numbered in raster
+order of their first pixel, as ``ndimage.label`` itself numbers them.
+
 Morphological operators use clipped windows (neighbourhoods intersected
 with the image domain), which keeps closing extensive and idempotent all
 the way to the border.  scipy.ndimage is imported inside the functions
@@ -43,31 +46,6 @@ class Image:
     @property
     def channels(self) -> int:
         return 1 if self.pixels.ndim == 2 else 3
-
-
-@dataclass(frozen=True)
-class BitMask:
-    """One bit per pixel, stored as a boolean grid."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=bool)
-        if bits.ndim != 2:
-            raise ValidationError("mask must be 2-D")
-        object.__setattr__(self, "bits", bits)
-        bits.setflags(write=False)
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    def count(self) -> int:
-        return int(self.bits.sum())
 
 
 @dataclass(frozen=True)
@@ -120,8 +98,8 @@ def _check_window(window: int) -> None:
         raise ValidationError(f"window must be odd and >= 1, got {window}")
 
 
-def morphological_close(subject, window: int):
-    """Greyscale closing per channel for images, binary closing for masks.
+def morphological_close(image: Image, window: int) -> Image:
+    """Greyscale closing per channel.
 
     Dilation (windowed max) followed by erosion (windowed min) with a
     square window; extensive and idempotent.
@@ -129,16 +107,11 @@ def morphological_close(subject, window: int):
     from scipy import ndimage
 
     _check_window(window)
-    if isinstance(subject, BitMask):
-        closed = morphological_close(Image(subject.bits.astype(np.uint8)), window)
-        return BitMask(closed.pixels.astype(bool))
-    if isinstance(subject, Image):
-        px = subject.pixels
-        h, w = px.shape[:2]  # a window of 2n - 1 already covers n pixels everywhere
-        size = (min(window, 2 * h - 1), min(window, 2 * w - 1), 1)[: px.ndim]
-        dilated = ndimage.maximum_filter(px, size=size, mode="constant", cval=0)
-        return Image(ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255))
-    raise ValidationError(f"cannot close object of type {type(subject).__name__}")
+    px = image.pixels
+    h, w = px.shape[:2]  # a window of 2n - 1 already covers n pixels everywhere
+    size = (min(window, 2 * h - 1), min(window, 2 * w - 1), 1)[: px.ndim]
+    dilated = ndimage.maximum_filter(px, size=size, mode="constant", cval=0)
+    return Image(ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255))
 
 
 def quantize_colors(image: Image, levels: int = 8) -> Image:
@@ -214,15 +187,16 @@ def first_hsv_range(colors: np.ndarray, ranges) -> np.ndarray:
     return out.reshape(colors.shape[:-1])
 
 
-def threshold_hsv(image: Image, hsv_range: HsvRange) -> BitMask:
-    """Pixels whose HSV lies inside the (possibly hue-wrapping) range."""
+def threshold_hsv(image: Image, hsv_range: HsvRange) -> np.ndarray:
+    """Mask of the pixels whose HSV lies inside the (possibly
+    hue-wrapping) range."""
     if image.channels != 3:
         raise ValidationError("HSV conversion needs a 3-channel image")
-    return BitMask(first_hsv_range(image.pixels, [hsv_range]) == 0)
+    return first_hsv_range(image.pixels, [hsv_range]) == 0
 
 
 def connected_components(
-    mask: BitMask, connectivity: int = 8
+    mask: np.ndarray, connectivity: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label connected regions.
 
@@ -235,46 +209,26 @@ def connected_components(
 
     if connectivity not in (4, 8):
         raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
-    structure = (
-        np.ones((3, 3), dtype=bool)
-        if connectivity == 8
-        else ndimage.generate_binary_structure(2, 1)
-    )
-    raw, n = ndimage.label(mask.bits, structure=structure)
-    if n == 0:
-        return raw.astype(np.int32), np.array([mask.bits.size], dtype=np.int64)
-    flat = raw.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size))
-    order = np.argsort(first[1:], kind="stable")  # raw label l -> rank
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[order + 1] = np.arange(1, n + 1, dtype=np.int32)
-    labels = remap[raw]
-    sizes = np.bincount(labels.ravel(), minlength=n + 1).astype(np.int64)
-    return labels, sizes
+    structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
+    labels, n = ndimage.label(mask, structure=structure)
+    return labels, np.bincount(labels.ravel(), minlength=n + 1)
 
 
-def fill_holes(mask: BitMask) -> BitMask:
+def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Set every pixel not reachable from the border through the
     background (4-connectivity); the outer contour is unchanged."""
-    background = BitMask(~mask.bits)
-    labels, _ = connected_components(background, connectivity=4)
+    labels, _ = connected_components(~mask, connectivity=4)
     border_labels = np.unique(
         np.concatenate(
             [labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]
         )
     )
     outside = np.isin(labels, border_labels[border_labels != 0])
-    return BitMask(mask.bits | (~mask.bits & ~outside))
+    return mask | ~outside
 
 
-def boundary_mask(mask: BitMask) -> BitMask:
+def boundary_mask(mask: np.ndarray) -> np.ndarray:
     """Inner 1-px boundary: set pixels with a 4-neighbour outside the mask."""
     from scipy import ndimage
 
-    grid = mask.bits.astype(np.uint8)
-    eroded = ndimage.minimum_filter(
-        grid, footprint=ndimage.generate_binary_structure(2, 1), mode="constant", cval=1
-    )
-    return BitMask(mask.bits & (eroded == 0))
-
+    return mask & ~ndimage.binary_erosion(mask, border_value=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .containers import LabelTriple
 from .errors import ValidationError
-from .imaging import BitMask, Image, boundary_mask
+from .imaging import Image, boundary_mask
 
 
 def golden_color(index: int, saturation: float = 0.75, value: float = 1.0) -> tuple[int, int, int]:
@@ -62,18 +62,13 @@ def default_overlay_spec(taxonomy, alpha: float = 0.5, draw_boxes: bool = True) 
 
 def instance_boxes(triple: LabelTriple) -> dict[int, tuple[int, int, int, int]]:
     """(row_min, col_min, row_max, col_max) per instance id, inclusive."""
-    boxes: dict[int, tuple[int, int, int, int]] = {}
-    for inst in np.unique(triple.instance_map):
-        if inst == 0:
-            continue
-        rows, cols = np.nonzero(triple.instance_map == inst)
-        boxes[int(inst)] = (
-            int(rows.min()),
-            int(cols.min()),
-            int(rows.max()),
-            int(cols.max()),
-        )
-    return boxes
+    from scipy import ndimage
+
+    return {
+        inst: (box[0].start, box[1].start, box[0].stop - 1, box[1].stop - 1)
+        for inst, box in enumerate(ndimage.find_objects(triple.instance_map), start=1)
+        if box is not None  # no pixel holds this id
+    }
 
 
 def render_overlay(image: Image, triple: LabelTriple, spec: OverlaySpec) -> Image:
@@ -100,12 +95,12 @@ def render_overlay(image: Image, triple: LabelTriple, spec: OverlaySpec) -> Imag
         region = triple.part_map == part_id
         if not region.any():
             continue
-        edge = boundary_mask(BitMask(region)).bits
-        rendered[edge] = color
+        rendered[boundary_mask(region)] = color
 
     if spec.draw_boxes:
         for inst, (r0, c0, r1, c1) in instance_boxes(triple).items():
-            class_id = int(triple.semantic_map[triple.instance_map == inst][0])
+            box = (slice(r0, r1 + 1), slice(c0, c1 + 1))
+            class_id = int(sem[box][triple.instance_map[box] == inst][0])
             color = spec.class_colors.get(class_id, (255, 255, 255))
             rendered[r0, c0 : c1 + 1] = color
             rendered[r1, c0 : c1 + 1] = color

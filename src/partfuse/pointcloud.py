@@ -360,12 +360,10 @@ def euclidean_clusters(
     graph = coo_matrix(
         (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )
-    n_comp, comp = connected_components(graph, directed=False)
-    _, lowest, sizes = np.unique(comp, return_index=True, return_counts=True)
-    kept = np.sort(lowest[sizes >= min_points])
-    ids = np.zeros(n_comp, dtype=np.int64)
-    ids[comp[kept]] = np.arange(1, kept.size + 1)
-    return ids[comp]
+    # csgraph numbers components in order of their lowest point index
+    _, comp = connected_components(graph, directed=False)
+    kept = np.bincount(comp) >= min_points
+    return np.where(kept, np.cumsum(kept), 0)[comp]
 
 
 def project(cloud: PointCloud, camera: CameraModel) -> Projection:

@@ -12,7 +12,6 @@ from partfuse.autolabel_monitor import (
 from partfuse.autolabel_rgbd import PartColorRule
 from partfuse.errors import ValidationError
 from partfuse.imaging import (
-    BitMask,
     HsvRange,
     Image,
     fill_holes,
@@ -71,7 +70,7 @@ def iou(a, b):
 def test_reference_mask_recovers_disk():
     img_blue, img_black, disk, _ = disk_scene()
     mask = extract_reference_mask(img_blue, img_black, monitor_config())
-    assert iou(mask.bits, disk) >= 0.99
+    assert iou(mask, disk) >= 0.99
 
 
 def test_reference_mask_exact_on_clean_render():
@@ -79,7 +78,7 @@ def test_reference_mask_exact_on_clean_render():
     # component above the area floor: recovery is exact
     img_blue, img_black, disk, _ = disk_scene()
     mask = extract_reference_mask(img_blue, img_black, monitor_config())
-    assert np.array_equal(mask.bits, disk)
+    assert np.array_equal(mask, disk)
 
 
 def test_reference_mask_empty_scene_rejected():
@@ -101,8 +100,8 @@ def test_reference_mask_fills_holes():
     # a small background-coloured hole inside the disk gets closed
     img_blue, img_black, disk, _ = disk_scene(hole=(50, 64, 3))
     mask = extract_reference_mask(img_blue, img_black, monitor_config())
-    assert mask.bits[50, 64]
-    assert iou(mask.bits, disk) >= 0.99
+    assert mask[50, 64]
+    assert iou(mask, disk) >= 0.99
 
 
 def test_remask_is_idempotent():
@@ -112,17 +111,15 @@ def test_remask_is_idempotent():
     mask = extract_reference_mask(img_blue, img_black, config)
 
     masked_black = Image(
-        np.where(mask.bits[..., None], img_black.pixels, 0).astype(np.uint8)
+        np.where(mask[..., None], img_black.pixels, 0).astype(np.uint8)
     )
     processed = quantize_colors(
         morphological_close(masked_black, config.closing_window),
         config.quantize_levels,
     )
-    survivors = BitMask(
-        ~threshold_hsv(processed, config.black_range).bits & mask.bits
-    )
+    survivors = ~threshold_hsv(processed, config.black_range) & mask
     refilled = fill_holes(survivors)
-    assert np.array_equal(refilled.bits, mask.bits)
+    assert np.array_equal(refilled, mask)
 
 
 def test_part_masks_partition_disk(taxonomy):
@@ -132,9 +129,10 @@ def test_part_masks_partition_disk(taxonomy):
     reference = extract_part_masks(img_black, mask, config, taxonomy)
     seal = reference.part_grid == SEAL
     other = reference.part_grid == OTHER
-    assert np.array_equal(seal | other, mask.bits)
-    assert iou(seal, top & mask.bits) >= 0.97
+    assert np.array_equal(seal | other, mask)
+    assert iou(seal, top & mask) >= 0.97
     assert reference.instance_grid.max() == 1
+    assert not reference.object_mask.flags.writeable
 
 
 def test_part_masks_no_rules_catchall(taxonomy):
@@ -144,7 +142,7 @@ def test_part_masks_no_rules_catchall(taxonomy):
     )
     mask = extract_reference_mask(img_blue, img_black, config)
     reference = extract_part_masks(img_black, mask, config, taxonomy)
-    assert np.array_equal(reference.part_grid, np.where(mask.bits, OTHER, 0))
+    assert np.array_equal(reference.part_grid, np.where(mask, OTHER, 0))
 
 
 def test_two_disks_two_instances(taxonomy):
@@ -181,8 +179,8 @@ def test_transfer_labels_copies_reference(taxonomy):
     assert out1 is t1  # image passes through
     assert np.array_equal(triple1.semantic_map, triple2.semantic_map)
     assert np.array_equal(triple1.part_map, triple2.part_map)
-    assert (triple1.semantic_map[mask.bits] == BAG).all()
-    assert (triple1.semantic_map[~mask.bits] == 0).all()
+    assert (triple1.semantic_map[mask] == BAG).all()
+    assert (triple1.semantic_map[~mask] == 0).all()
 
 
 def test_transfer_labels_dim_mismatch(taxonomy):
@@ -199,7 +197,7 @@ def reference_with_mask(bits, taxonomy):
     from partfuse.autolabel_monitor import ReferenceLabel
 
     return ReferenceLabel(
-        object_mask=BitMask(bits),
+        object_mask=bits,
         part_grid=np.where(bits, OTHER, 0).astype(np.uint16),
         instance_grid=bits.astype(np.uint16),
         object_class_id=BAG,
@@ -241,7 +239,7 @@ def test_reference_label_rejects_leaky_parts():
     leak[1, 1] = True
     with pytest.raises(ValidationError, match="outside"):
         ReferenceLabel(
-            object_mask=BitMask(obj),
+            object_mask=obj,
             part_grid=np.where(leak, SEAL, 0).astype(np.uint16),
             instance_grid=obj.astype(np.uint16),
             object_class_id=BAG,

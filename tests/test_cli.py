@@ -813,7 +813,7 @@ def fuse_args(taxonomy_json, out, inputs, *flags):
 
 @pytest.mark.parametrize(
     "broken, damage, failure",
-    [(0, "corrupt", 2), (1, "corrupt", 2), (1, "missing", 3)],
+    [(0, "corrupt", 2), (1, "corrupt", 2), (1, "missing", 3), (1, "missing-sem", 3)],
 )
 def test_fuse_failure_commits_same_tree_for_any_jobs(
     tmp_path, taxonomy_json, broken, damage, failure
@@ -824,8 +824,9 @@ def test_fuse_failure_commits_same_tree_for_any_jobs(
         write_fuse_sample(inputs, f"img{i}")
     if damage == "corrupt":
         (inputs / f"img{broken}.sem.ppt1").write_bytes(b"XXXX garbage")
-    else:  # a missing file fails its own stem only
-        (inputs / f"img{broken}.part.ppt1").unlink()
+    else:  # a missing file fails its own stem only, whichever file it is
+        suffix = ".sem.ppt1" if damage == "missing-sem" else ".part.ppt1"
+        (inputs / f"img{broken}{suffix}").unlink()
     for keep_going, code, kept in ((False, failure, range(broken)), (True, 0, (0, 1, 2))):
         flags = ["--keep-going"] if keep_going else []
         trees = []

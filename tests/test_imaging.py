@@ -6,7 +6,6 @@ import pytest
 
 from partfuse.errors import FormatError, ValidationError
 from partfuse.imaging import (
-    BitMask,
     HsvRange,
     Image,
     boundary_mask,
@@ -86,20 +85,20 @@ def test_close_fills_interior_hole():
     bits = np.zeros((7, 7), dtype=bool)
     bits[1:6, 1:6] = True
     bits[3, 3] = False
-    closed = morphological_close(BitMask(bits), 3)
-    assert closed.bits[3, 3]
-    assert closed.bits[1:6, 1:6].all()
+    closed = morphological_close(Image(bits.astype(np.uint8)), 3).pixels.astype(bool)
+    assert closed[3, 3]
+    assert closed[1:6, 1:6].all()
 
 
 def test_close_is_extensive_and_idempotent_on_masks():
     rng = np.random.default_rng(2)
     for _ in range(20):
         bits = rng.random((16, 16)) < 0.4
-        mask = BitMask(bits)
-        once = morphological_close(mask, 3)
-        assert (once.bits | mask.bits).sum() == once.bits.sum()  # extensive
+        once = morphological_close(Image(bits.astype(np.uint8)), 3)
+        closed = once.pixels.astype(bool)
+        assert (closed | bits).sum() == closed.sum()  # extensive
         twice = morphological_close(once, 3)
-        assert np.array_equal(once.bits, twice.bits)  # idempotent
+        assert np.array_equal(closed, twice.pixels.astype(bool))  # idempotent
 
 
 def test_close_is_extensive_and_idempotent_on_images():
@@ -196,22 +195,22 @@ def test_threshold_blue_image():
     px[:, :] = (0, 0, 255)
     img = Image(px)
     blue = HsvRange(h_min=200, h_max=260, s_min=0.5, v_min=0.2)
-    assert threshold_hsv(img, blue).bits.all()
+    assert threshold_hsv(img, blue).all()
     red_wrap = HsvRange(h_min=350, h_max=10, s_min=0.5, v_min=0.2)
-    assert not threshold_hsv(img, red_wrap).bits.any()
+    assert not threshold_hsv(img, red_wrap).any()
 
 
 def test_threshold_wrapping_catches_red():
     px = np.zeros((2, 2, 3), dtype=np.uint8)
     px[:, :] = (255, 10, 10)
     red_wrap = HsvRange(h_min=350, h_max=10, s_min=0.5, v_min=0.2)
-    assert threshold_hsv(Image(px), red_wrap).bits.all()
+    assert threshold_hsv(Image(px), red_wrap).all()
 
 
 def test_threshold_universal_range():
     rng = np.random.default_rng(6)
     img = Image(rng.integers(0, 256, (5, 5, 3)).astype(np.uint8))
-    assert threshold_hsv(img, HsvRange()).bits.all()
+    assert threshold_hsv(img, HsvRange()).all()
 
 
 def random_ranges(rng, h, s, v):
@@ -246,7 +245,7 @@ def test_threshold_matches_per_pixel_oracle(shape, colours):
     h, s, v = rgb_to_hsv(px)
     for hsv_range in random_ranges(rng, h, s, v) + [HsvRange()]:
         expected = hsv_range.contains(h, s, v)
-        assert np.array_equal(threshold_hsv(image, hsv_range).bits, expected)
+        assert np.array_equal(threshold_hsv(image, hsv_range), expected)
 
 
 def traced_peak(fn) -> int:
@@ -286,7 +285,7 @@ def test_hsv_range_validation():
 
 
 def test_components_empty_mask():
-    labels, sizes = connected_components(BitMask(np.zeros((4, 4), dtype=bool)))
+    labels, sizes = connected_components(np.zeros((4, 4), dtype=bool))
     assert labels.max() == 0
     assert sizes.tolist() == [16]
 
@@ -294,14 +293,14 @@ def test_components_empty_mask():
 def test_components_diagonal_connectivity():
     bits = np.zeros((3, 3), dtype=bool)
     bits[0, 0] = bits[1, 1] = True
-    labels8, _ = connected_components(BitMask(bits), connectivity=8)
+    labels8, _ = connected_components(bits, connectivity=8)
     assert labels8.max() == 1
-    labels4, _ = connected_components(BitMask(bits), connectivity=4)
+    labels4, _ = connected_components(bits, connectivity=4)
     assert labels4.max() == 2
 
 
 def test_components_full_mask():
-    labels, sizes = connected_components(BitMask(np.ones((4, 5), dtype=bool)))
+    labels, sizes = connected_components(np.ones((4, 5), dtype=bool))
     assert labels.max() == 1
     assert sizes[1] == 20
 
@@ -310,7 +309,7 @@ def test_components_scan_order_numbering():
     bits = np.zeros((4, 8), dtype=bool)
     bits[3, 0:2] = True  # lower-left blob
     bits[0, 6:8] = True  # upper-right blob: first in raster order
-    labels, _ = connected_components(BitMask(bits))
+    labels, _ = connected_components(bits)
     assert labels[0, 6] == 1
     assert labels[3, 0] == 2
 
@@ -356,7 +355,7 @@ def test_components_agree_with_union_find(connectivity):
     rng = np.random.default_rng(7)
     for _ in range(10):
         bits = rng.random((32, 32)) < 0.45
-        got, _ = connected_components(BitMask(bits), connectivity)
+        got, _ = connected_components(bits, connectivity)
         want = union_find_labels(bits, connectivity)
         assert np.array_equal(got, want)
 
@@ -370,42 +369,42 @@ def disk_mask(n=21, r=8):
 
 
 def test_fill_holes_solid_disk_unchanged():
-    mask = BitMask(disk_mask())
-    assert np.array_equal(fill_holes(mask).bits, mask.bits)
+    mask = disk_mask()
+    assert np.array_equal(fill_holes(mask), mask)
 
 
 def test_fill_holes_ring_becomes_disk():
     outer = disk_mask(r=8)
     inner = disk_mask(r=4)
-    ring = BitMask(outer & ~inner)
+    ring = outer & ~inner
     filled = fill_holes(ring)
-    assert np.array_equal(filled.bits, outer)
+    assert np.array_equal(filled, outer)
 
 
 def test_fill_holes_empty_mask():
-    mask = BitMask(np.zeros((5, 5), dtype=bool))
-    assert not fill_holes(mask).bits.any()
+    mask = np.zeros((5, 5), dtype=bool)
+    assert not fill_holes(mask).any()
 
 
 def test_fill_holes_extensive_idempotent():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        mask = BitMask(rng.random((16, 16)) < 0.5)
+        mask = rng.random((16, 16)) < 0.5
         once = fill_holes(mask)
-        assert (once.bits | mask.bits).sum() == once.bits.sum()
-        assert np.array_equal(fill_holes(once).bits, once.bits)
+        assert (once | mask).sum() == once.sum()
+        assert np.array_equal(fill_holes(once), once)
 
 
 def test_fill_holes_preserves_outer_contour():
     outer = disk_mask(r=8)
     inner = disk_mask(r=3)
-    ring = BitMask(outer & ~inner)
-    assert np.array_equal(fill_holes(ring).bits, outer)
+    ring = outer & ~inner
+    assert np.array_equal(fill_holes(ring), outer)
 
 
 def test_boundary_mask_is_one_pixel_ring():
     bits = np.zeros((6, 6), dtype=bool)
     bits[1:5, 1:5] = True
-    edge = boundary_mask(BitMask(bits)).bits
+    edge = boundary_mask(bits)
     assert edge[1, 1] and edge[1, 4] and edge[4, 4]
     assert not edge[2, 2] and not edge[3, 3]

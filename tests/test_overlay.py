@@ -11,7 +11,7 @@ from partfuse.overlay import (
     render_overlay,
 )
 
-from conftest import BAG, TABLE, make_triple
+from conftest import BAG, BOTTLE, TABLE, make_triple
 
 
 def base_image(h=12, w=12):
@@ -40,6 +40,46 @@ def test_instance_box_matches_extents(taxonomy):
     assert tuple(out.pixels[3, 2]) == color
     assert tuple(out.pixels[6, 8]) == color
     assert tuple(out.pixels[3, 5]) == color  # top edge
+
+
+def nonzero_boxes(instance_map):
+    """Oracle: the inclusive box of each id's np.nonzero pixels."""
+    boxes = {}
+    for inst in np.unique(instance_map[instance_map != 0]):
+        rows, cols = np.nonzero(instance_map == inst)
+        boxes[int(inst)] = (rows.min(), cols.min(), rows.max(), cols.max())
+    return boxes
+
+
+def test_instance_boxes_match_nonzero_oracle(taxonomy):
+    """Sparse ids up to 65535, single-pixel instances and ids below the
+    maximum that no pixel holds; the drawn boxes take the class of each
+    instance's first pixel in raster order."""
+    rng = np.random.default_rng(5)
+    spec = default_overlay_spec(taxonomy, alpha=0.0)
+    classes = np.array([0, BAG, BOTTLE, TABLE, 99], dtype=np.uint16)  # 99: no colour
+    for _ in range(40):
+        h, w = rng.integers(2, 20, size=2)
+        pool = np.concatenate([[1], rng.choice(np.arange(2, 65535), 5, replace=False)])
+        inst = np.where(rng.random((h, w)) < 0.3, rng.choice(pool, (h, w)), 0)
+        one, top = rng.choice(h * w, 2, replace=False)
+        inst.flat[one] = 1
+        inst.flat[top] = 65535  # a single pixel
+        sem = rng.choice(classes, (h, w))
+        triple = make_triple(sem, inst)
+        want = nonzero_boxes(triple.instance_map)
+        assert instance_boxes(triple) == want
+
+        image = base_image(h, w)
+        expected = image.pixels.copy()
+        for i, (r0, c0, r1, c1) in want.items():
+            rows, cols = np.nonzero(triple.instance_map == i)
+            color = spec.class_colors.get(int(sem[rows[0], cols[0]]), (255, 255, 255))
+            outline = np.zeros((h, w), dtype=bool)
+            outline[r0 : r1 + 1, c0 : c1 + 1] = True
+            outline[r0 + 1 : r1, c0 + 1 : c1] = False
+            expected[outline] = color
+        assert np.array_equal(render_overlay(image, triple, spec).pixels, expected)
 
 
 def test_alpha_one_fills_segments(taxonomy):
