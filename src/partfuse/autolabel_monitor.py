@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .containers import LabelTriple
+from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
 from .imaging import (
     HsvRange,
-    Image,
     connected_components,
     fill_holes,
     morphological_close,
@@ -81,14 +80,14 @@ class ReferenceLabel:
         return LabelTriple.from_arrays(sem, self.instance_grid, self.part_grid)
 
 
-def _not_in_range(image: Image, config: MonitorLabelConfig, rng: HsvRange) -> np.ndarray:
+def _not_in_range(image: np.ndarray, config: MonitorLabelConfig, rng: HsvRange) -> np.ndarray:
     closed = morphological_close(image, config.closing_window)
     quantized = quantize_colors(closed, config.quantize_levels)
     return ~threshold_hsv(quantized, rng)
 
 
 def extract_reference_mask(
-    img_blue: Image, img_black: Image, config: MonitorLabelConfig
+    img_blue: np.ndarray, img_black: np.ndarray, config: MonitorLabelConfig
 ) -> np.ndarray:
     """Object mask from the blue/black capture pair.
 
@@ -96,17 +95,15 @@ def extract_reference_mask(
     capture, masked to the candidate, strips residual background and
     small debris below ``min_component_area``.
     """
-    if img_blue.pixels.shape != img_black.pixels.shape:
+    if img_blue.shape != img_black.shape:
         raise ValidationError("blue and black captures differ in size")
-    if img_blue.channels != 3:
+    if img_blue.ndim != 3:
         raise ValidationError("reference extraction needs 3-channel captures")
 
     candidates = _not_in_range(img_blue, config, config.blue_range)
     blue_mask = fill_holes(candidates)
 
-    masked_black = Image(
-        np.where(blue_mask[..., None], img_black.pixels, 0).astype(np.uint8)
-    )
+    masked_black = np.where(blue_mask[..., None], img_black, np.uint8(0))
     survivors = _not_in_range(masked_black, config, config.black_range) & blue_mask
     filled = fill_holes(survivors)
 
@@ -119,7 +116,7 @@ def extract_reference_mask(
 
 
 def extract_part_masks(
-    img_black: Image,
+    img_black: np.ndarray,
     object_mask: np.ndarray,
     config: MonitorLabelConfig,
     taxonomy: ClassTaxonomy | None = None,
@@ -129,77 +126,72 @@ def extract_part_masks(
     Each object pixel of the processed (closed + quantized) black capture
     takes the part id of the first rule, by descending priority, whose
     range holds its colour; the others take the catch-all part.  Instances
-    are the connected components of the object mask.
+    are the connected components of the object mask, and more than
+    65,535 of them raise ValidationError.
     """
-    if img_black.pixels.shape[:2] != object_mask.shape:
+    if img_black.shape[:2] != object_mask.shape:
         raise ValidationError("object mask dimensions disagree with captures")
     rules = ordered_part_rules(config.part_rules, taxonomy, config.catchall_part_id)
-    masked_black = Image(
-        np.where(object_mask[..., None], img_black.pixels, 0).astype(np.uint8)
-    )
+    masked_black = np.where(object_mask[..., None], img_black, np.uint8(0))
     processed = quantize_colors(
         morphological_close(masked_black, config.closing_window),
         config.quantize_levels,
     )
     part_grid = np.zeros(object_mask.shape, dtype=np.uint16)
     part_grid[object_mask] = rule_part_ids(
-        processed.pixels[object_mask], rules, config.catchall_part_id
+        processed[object_mask], rules, config.catchall_part_id
     )
 
-    labels, _ = connected_components(object_mask)
+    labels, sizes = connected_components(object_mask)
+    if sizes.size - 1 > np.iinfo(LABEL_DTYPE).max:  # components are numbered 1..N
+        raise ValidationError("label ids must fit in 16 bits")
     return ReferenceLabel(
         object_mask=object_mask,
         part_grid=part_grid,
-        instance_grid=labels.astype(np.uint16),
+        instance_grid=labels.astype(LABEL_DTYPE),
         object_class_id=config.object_class_id,
         background_class_id=config.background_class_id,
     )
 
 
 def transfer_labels(
-    reference: ReferenceLabel, target: Image, taxonomy: ClassTaxonomy
-) -> tuple[Image, LabelTriple]:
+    reference: ReferenceLabel, target: np.ndarray
+) -> tuple[np.ndarray, LabelTriple]:
     """Attach the scene's reference labels to another capture of it."""
-    if (target.height, target.width) != reference.object_mask.shape:
+    if target.shape[:2] != reference.object_mask.shape:
         raise ValidationError("target dimensions disagree with the reference")
-    taxonomy.semantic_class(reference.object_class_id)
-    if reference.background_class_id:
-        taxonomy.semantic_class(reference.background_class_id)
     return target, reference.triple()
 
 
 def composite_synthetic(
-    object_image: Image, reference: ReferenceLabel, background: Image
-) -> tuple[Image, LabelTriple]:
+    object_image: np.ndarray, reference: ReferenceLabel, background: np.ndarray
+) -> tuple[np.ndarray, LabelTriple]:
     """Splice object pixels over a background image; labels follow the
     reference exactly."""
-    if object_image.pixels.shape != background.pixels.shape:
+    if object_image.shape != background.shape:
         raise ValidationError("object and background images differ in shape")
-    if (object_image.height, object_image.width) != reference.object_mask.shape:
+    if object_image.shape[:2] != reference.object_mask.shape:
         raise ValidationError("reference dimensions disagree with the images")
     mask = reference.object_mask
-    if object_image.channels == 3:
-        sel = mask[..., None]
-    else:
-        sel = mask
-    out = np.where(sel, object_image.pixels, background.pixels).astype(np.uint8)
-    return Image(out), reference.triple()
+    sel = mask[..., None] if object_image.ndim == 3 else mask
+    return np.where(sel, object_image, background), reference.triple()
 
 
 _FLIP_SUFFIXES = ("_id", "_rot180", "_vflip", "_hflip")
 
 
 def augment_flips(
-    image: Image, triple: LabelTriple
-) -> list[tuple[str, Image, LabelTriple]]:
+    image: np.ndarray, triple: LabelTriple
+) -> list[tuple[str, np.ndarray, LabelTriple]]:
     """The four flip variants: identity, 180-degree rotation, vertical
-    flip, horizontal flip; labels transform exactly like pixels."""
-    if (image.height, image.width) != triple.shape:
+    flip, horizontal flip; labels transform exactly like pixels.  The
+    images are views of ``image``."""
+    if image.shape[:2] != triple.shape:
         raise ValidationError("image and label dimensions disagree")
 
-    def xform(op) -> tuple[Image, LabelTriple]:
+    def xform(op) -> tuple[np.ndarray, LabelTriple]:
         return (
-            Image(np.ascontiguousarray(op(image.pixels))),
+            op(image),
             LabelTriple.from_arrays(
                 op(triple.semantic_map), op(triple.instance_map), op(triple.part_map)
             ),

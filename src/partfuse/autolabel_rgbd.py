@@ -22,7 +22,7 @@ import numpy as np
 
 from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
-from .imaging import HsvRange, Image, first_hsv_range
+from .imaging import HsvRange, first_hsv_range
 from .jsonio import decode
 from .pointcloud import (
     CameraModel,
@@ -58,6 +58,14 @@ def ordered_part_rules(
         if catchall_part_id:
             taxonomy.part_class(catchall_part_id)
     return sorted(rules, key=lambda rule: -rule.priority)
+
+
+def check_class_ids(config, taxonomy: ClassTaxonomy) -> None:
+    """Raise ValidationError unless the config's object class, and its
+    background class when nonzero, are taxonomy classes."""
+    taxonomy.semantic_class(config.object_class_id)
+    if config.background_class_id:
+        taxonomy.semantic_class(config.background_class_id)
 
 
 def rule_part_ids(colors: np.ndarray, rules, catchall_part_id: int = 0) -> np.ndarray:
@@ -201,9 +209,7 @@ def project_labels(
     """
     from scipy.spatial import cKDTree
 
-    taxonomy.semantic_class(config.object_class_id)
-    if config.background_class_id:
-        taxonomy.semantic_class(config.background_class_id)
+    check_class_ids(config, taxonomy)
 
     proj = project(labeled.cloud, camera)
     idx = np.nonzero(proj.in_frame)[0]
@@ -280,16 +286,17 @@ def _majority(labels: np.ndarray) -> np.ndarray:
 
 
 def generate_rgbd_sample(
-    rgb: Image,
+    rgb: np.ndarray,
     cloud: PointCloud,
     camera: CameraModel,
     taxonomy: ClassTaxonomy,
     config: RgbdLabelConfig,
-) -> tuple[Image, LabelTriple]:
+) -> tuple[np.ndarray, LabelTriple]:
     """Run the full pipeline on one capture; the image passes through."""
-    if (rgb.height, rgb.width) != (camera.height, camera.width):
+    height, width = rgb.shape[:2]
+    if (height, width) != (camera.height, camera.width):
         raise ValidationError(
-            f"image is {rgb.width}x{rgb.height} but camera expects "
+            f"image is {width}x{height} but camera expects "
             f"{camera.width}x{camera.height}"
         )
     labeled = segment_objects(cloud, config)

@@ -34,7 +34,7 @@ from .autolabel_monitor import (
     load_monitor_config,
     transfer_labels,
 )
-from .autolabel_rgbd import generate_rgbd_sample, load_rgbd_config
+from .autolabel_rgbd import check_class_ids, generate_rgbd_sample, load_rgbd_config
 from .containers import LogitStack, derive_segments, segment_keys
 from .errors import PartfuseError, ValidationError
 from .fusion import STRATEGIES, FusionParams, fuse
@@ -162,21 +162,25 @@ def _run_items(
 _FUSE_SUFFIXES = (".sem.ppt1", ".part.ppt1", ".proposals.json")
 
 
+def _stem(path: Path) -> Path:
+    """``path`` without the input-file suffix it ends with, if any."""
+    for suffix in _FUSE_SUFFIXES:
+        if path.name.endswith(suffix):
+            return path.with_name(path.name[: -len(suffix)])
+    return path
+
+
 def _discover_stems(inputs: list[str]) -> list[Path]:
     """A directory stands for every stem with any of its input files in
-    it, in sorted order; any other path names one stem."""
+    it, in sorted order; any other path, one of a stem's input files or
+    the stem itself, names one stem."""
     stems: list[Path] = []
     for raw in inputs:
         path = Path(raw)
         if path.is_dir():
-            found = {
-                Path(str(p)[: -len(s)]) for s in _FUSE_SUFFIXES for p in path.glob(f"*{s}")
-            }
-            stems.extend(sorted(found))
-        elif str(path).endswith(".sem.ppt1"):
-            stems.append(Path(str(path)[: -len(".sem.ppt1")]))
+            stems.extend(sorted({_stem(p) for s in _FUSE_SUFFIXES for p in path.glob(f"*{s}")}))
         else:
-            stems.append(path)
+            stems.append(_stem(path))
     return stems
 
 
@@ -376,6 +380,7 @@ def cmd_label_monitor(args) -> None:
     if not getattr(args, "config", None):
         raise ValidationError("label monitor requires --config")
     label_cfg = load_monitor_config(cfg.file)
+    check_class_ids(label_cfg, taxonomy)
 
     root = Path(args.dataset_root)
     if not root.is_dir():
@@ -410,7 +415,7 @@ def cmd_label_monitor(args) -> None:
         emitted = []
         for target_path in sorted(scene.glob("target_*.ppm")):
             target = read_pnm(target_path)
-            image, triple = transfer_labels(reference, target, taxonomy)
+            image, triple = transfer_labels(reference, target)
             stem = stage / f"{scene.name}_{target_path.stem}"
             write_pnm(image, stem.with_suffix(".ppm"))
             formats.write_label_triple(triple, stem)
@@ -566,7 +571,6 @@ def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
             tp=tp,
             fp=fp,
             fn=fn,
-            present_in_gt=pq_val is not None,
         )
     for cid in taxonomy.semantic_ids:
         if cid not in per_class:

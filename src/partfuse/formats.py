@@ -24,8 +24,8 @@ import numpy as np
 
 from .containers import InstanceProposal, LabelTriple
 from .errors import FormatError, ValidationError
+from .imaging import read_pgm16, write_pgm16
 from .jsonio import decode, read_json
-from .pnm import read_pgm16, write_pgm16
 
 _MAGIC = b"PPT1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}

@@ -1,8 +1,10 @@
 """Raster primitives: PNM I/O, morphology, quantization, HSV thresholds,
 connected components, hole filling and boundary masks.
 
-Masks are 2-D bool arrays.  Connected components come numbered in raster
-order of their first pixel, as ``ndimage.label`` itself numbers them.
+Images are uint8 arrays, (H, W) or (H, W, 3); the PNM writers refuse any
+other dtype rather than wrap its values.  Masks are 2-D bool arrays.
+Connected components come numbered in raster order of their first pixel,
+as ``ndimage.label`` itself numbers them.
 
 Morphological operators use clipped windows (neighbourhoods intersected
 with the image domain), which keeps closing extensive and idempotent all
@@ -13,39 +15,13 @@ that use it: it is most of the CLI's start-up time, and ``fuse``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .pnm import read_pnm8, write_pnm8
-
-
-@dataclass(frozen=True)
-class Image:
-    """8-bit raster, 1 channel (H, W) or 3 channels (H, W, 3)."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if px.ndim != 2 and not (px.ndim == 3 and px.shape[2] == 3):
-            raise ValidationError(f"unsupported image shape {px.shape}")
-        object.__setattr__(self, "pixels", px)
-        px.setflags(write=False)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return 1 if self.pixels.ndim == 2 else 3
+from .errors import FormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -84,13 +60,104 @@ class HsvRange:
         )
 
 
-def read_pnm(path: str | Path) -> Image:
-    """Read a binary P5/P6 file with maxval 255."""
-    return Image(read_pnm8(path))
+def _read_header(data: bytes, path: Path) -> tuple[bytes, int, int, int, int]:
+    """Parse magic, width, height, maxval; return them plus the payload offset.
+
+    Whitespace separates tokens; '#' starts a comment running to end of line.
+    Exactly one whitespace byte follows the maxval token before the raster.
+    """
+    if len(data) < 2 or data[0:1] != b"P":
+        raise FormatError(f"{path}: not a PNM file (bad magic)")
+    magic = data[0:2]
+    if magic not in (b"P5", b"P6"):
+        raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
+
+    pos = 2
+    tokens: list[int] = []
+    while len(tokens) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos] == ord("#"):
+            nl = data.find(b"\n", pos)
+            if nl < 0:
+                raise FormatError(f"{path}: unterminated comment in header")
+            pos = nl + 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        tok = data[start:pos]
+        if not tok.isdigit():
+            raise FormatError(f"{path}: malformed header token {tok!r}")
+        tokens.append(int(tok))
+    if pos >= len(data):
+        raise FormatError(f"{path}: header ends before raster data")
+    pos += 1  # single whitespace byte after maxval
+    width, height, maxval = tokens
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
+    return magic, width, height, maxval, pos
 
 
-def write_pnm(image: Image, path: str | Path) -> None:
-    write_pnm8(image.pixels, path)
+def _raster(data: bytes, offset: int, shape: tuple[int, ...], dtype, path: Path) -> np.ndarray:
+    """The read-only samples of ``shape`` that start at ``offset``."""
+    count = math.prod(shape)
+    if len(data) - offset < count * np.dtype(dtype).itemsize:
+        raise FormatError(f"{path}: truncated raster data")
+    return np.frombuffer(data, dtype, count, offset).reshape(shape)
+
+
+def _write_raster(arr: np.ndarray, path: str | Path, magic: bytes, dtype) -> None:
+    """Write ``arr`` under a PNM header whose maxval is ``dtype``'s largest
+    value, samples most-significant byte first; refuse any other dtype,
+    whose values the cast could wrap."""
+    if arr.dtype != dtype:
+        raise FormatError(f"cannot write {arr.dtype} samples as PNM; expected {np.dtype(dtype)}")
+    h, w = arr.shape[:2]
+    header = magic + f"\n{w} {h}\n{np.iinfo(dtype).max}\n".encode("ascii")
+    Path(path).write_bytes(header + arr.astype(arr.dtype.newbyteorder(">"), copy=False).tobytes())
+
+
+def read_pnm(path: str | Path) -> np.ndarray:
+    """Read an 8-bit binary PGM or PPM as a read-only (H, W) or (H, W, 3)
+    uint8 array."""
+    path = Path(path)
+    data = path.read_bytes()
+    magic, width, height, maxval, offset = _read_header(data, path)
+    if maxval != 255:
+        raise FormatError(f"{path}: expected maxval 255, got {maxval}")
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    return _raster(data, offset, shape, np.uint8, path)
+
+
+def write_pnm(image: np.ndarray, path: str | Path) -> None:
+    """Write uint8 (H, W) as P5 or (H, W, 3) as P6, maxval 255."""
+    if image.ndim == 2:
+        magic = b"P5"
+    elif image.ndim == 3 and image.shape[2] == 3:
+        magic = b"P6"
+    else:
+        raise FormatError(f"cannot write array of shape {image.shape} as PNM")
+    _write_raster(image, path, magic, np.uint8)
+
+
+def read_pgm16(path: str | Path) -> np.ndarray:
+    """Read a 16-bit binary PGM (maxval 65535, MSB first); returns (H, W) uint16."""
+    path = Path(path)
+    data = path.read_bytes()
+    magic, width, height, maxval, offset = _read_header(data, path)
+    if magic != b"P5":
+        raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
+    if maxval != 65535:
+        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
+    return _raster(data, offset, (height, width), ">u2", path).astype(np.uint16)
+
+
+def write_pgm16(grid: np.ndarray, path: str | Path) -> None:
+    """Write uint16 (H, W) as P5 with maxval 65535, MSB first."""
+    if grid.ndim != 2:
+        raise FormatError(f"cannot write array of shape {grid.shape} as PGM")
+    _write_raster(grid, path, b"P5", np.uint16)
 
 
 def _check_window(window: int) -> None:
@@ -98,7 +165,7 @@ def _check_window(window: int) -> None:
         raise ValidationError(f"window must be odd and >= 1, got {window}")
 
 
-def morphological_close(image: Image, window: int) -> Image:
+def morphological_close(image: np.ndarray, window: int) -> np.ndarray:
     """Greyscale closing per channel.
 
     Dilation (windowed max) followed by erosion (windowed min) with a
@@ -107,14 +174,13 @@ def morphological_close(image: Image, window: int) -> Image:
     from scipy import ndimage
 
     _check_window(window)
-    px = image.pixels
-    h, w = px.shape[:2]  # a window of 2n - 1 already covers n pixels everywhere
-    size = (min(window, 2 * h - 1), min(window, 2 * w - 1), 1)[: px.ndim]
-    dilated = ndimage.maximum_filter(px, size=size, mode="constant", cval=0)
-    return Image(ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255))
+    h, w = image.shape[:2]  # a window of 2n - 1 already covers n pixels everywhere
+    size = (min(window, 2 * h - 1), min(window, 2 * w - 1), 1)[: image.ndim]
+    dilated = ndimage.maximum_filter(image, size=size, mode="constant", cval=0)
+    return ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255)
 
 
-def quantize_colors(image: Image, levels: int = 8) -> Image:
+def quantize_colors(image: np.ndarray, levels: int = 8) -> np.ndarray:
     """Uniform per-channel quantization to ``levels`` buckets.
 
     Each sample maps to its bucket midpoint; the mapping is idempotent
@@ -125,7 +191,7 @@ def quantize_colors(image: Image, levels: int = 8) -> Image:
     values = np.arange(256, dtype=np.int64)
     buckets = values * levels // 256
     lut = np.minimum((2 * buckets + 1) * 128 // levels, 255).astype(np.uint8)
-    return Image(lut[image.pixels])
+    return lut[image]
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,12 +253,12 @@ def first_hsv_range(colors: np.ndarray, ranges) -> np.ndarray:
     return out.reshape(colors.shape[:-1])
 
 
-def threshold_hsv(image: Image, hsv_range: HsvRange) -> np.ndarray:
+def threshold_hsv(image: np.ndarray, hsv_range: HsvRange) -> np.ndarray:
     """Mask of the pixels whose HSV lies inside the (possibly
     hue-wrapping) range."""
-    if image.channels != 3:
+    if image.ndim != 3:
         raise ValidationError("HSV conversion needs a 3-channel image")
-    return first_hsv_range(image.pixels, [hsv_range]) == 0
+    return first_hsv_range(image, [hsv_range]) == 0
 
 
 def connected_components(

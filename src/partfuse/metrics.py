@@ -69,7 +69,6 @@ class ClassReport:
     tp: int
     fp: int
     fn: int
-    present_in_gt: bool
 
 
 @dataclass(frozen=True)
@@ -266,9 +265,9 @@ def aggregate_dataset(
             cls_ppq = _quotient(part_sum, tp, fp, fn)
             pq_values.append(cls_pq)
             ppq_values.append(cls_ppq)
-            per_class[cls] = ClassReport(cls_pq, cls_ppq, tp, fp, fn, True)
+            per_class[cls] = ClassReport(cls_pq, cls_ppq, tp, fp, fn)
         else:
-            per_class[cls] = ClassReport(None, None, tp, fp, fn, False)
+            per_class[cls] = ClassReport(None, None, tp, fp, fn)
 
     return MetricReport(
         per_class=per_class,

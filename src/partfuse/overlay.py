@@ -14,7 +14,7 @@ import numpy as np
 
 from .containers import LabelTriple
 from .errors import ValidationError
-from .imaging import Image, boundary_mask
+from .imaging import boundary_mask
 
 
 def golden_color(index: int, saturation: float = 0.75, value: float = 1.0) -> tuple[int, int, int]:
@@ -71,15 +71,15 @@ def instance_boxes(triple: LabelTriple) -> dict[int, tuple[int, int, int, int]]:
     }
 
 
-def render_overlay(image: Image, triple: LabelTriple, spec: OverlaySpec) -> Image:
+def render_overlay(image: np.ndarray, triple: LabelTriple, spec: OverlaySpec) -> np.ndarray:
     """Blend class colours into the image and draw instance boxes and part
     contours; void pixels pass through untouched."""
-    if (image.height, image.width) != triple.shape:
+    if image.shape[:2] != triple.shape:
         raise ValidationError("image and label dimensions disagree")
-    if image.channels != 3:
+    if image.ndim != 3:
         raise ValidationError("overlay rendering needs a 3-channel image")
 
-    out = image.pixels.astype(np.float64).copy()
+    out = image.astype(np.float64)
     sem = triple.semantic_map
     for class_id, color in spec.class_colors.items():
         region = sem == class_id
@@ -107,4 +107,4 @@ def render_overlay(image: Image, triple: LabelTriple, spec: OverlaySpec) -> Imag
             rendered[r0 : r1 + 1, c0] = color
             rendered[r0 : r1 + 1, c1] = color
 
-    return Image(rendered)
+    return rendered

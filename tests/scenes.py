@@ -11,7 +11,7 @@ import numpy as np
 from partfuse import formats
 from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig
 from partfuse.containers import InstanceProposal
-from partfuse.imaging import HsvRange, Image
+from partfuse.imaging import HsvRange
 from partfuse.pointcloud import CameraModel, PointCloud
 
 from conftest import BAG, OTHER, SEAL, TABLE
@@ -105,10 +105,8 @@ def rgbd_config(seed=0):
     )
 
 
-def scene_image(camera) -> Image:
-    return Image(
-        np.full((camera.height, camera.width, 3), 40, dtype=np.uint8)
-    )
+def scene_image(camera) -> np.ndarray:
+    return np.full((camera.height, camera.width, 3), 40, dtype=np.uint8)
 
 
 def write_ply(cloud: PointCloud, path: str | Path) -> None:

@@ -29,7 +29,7 @@ from partfuse.fusion import (
     semantic_wise_fuse,
     sigmoid_rescaled,
 )
-from partfuse.imaging import Image, read_pnm, write_pnm
+from partfuse.imaging import read_pnm, write_pnm
 from partfuse.metrics import aggregate_dataset, match_segments, part_pq
 from partfuse.overlay import default_overlay_spec, instance_boxes, render_overlay
 from partfuse.taxonomy import validate_taxonomy
@@ -242,7 +242,7 @@ def test_criterion_6_variant_b_end_to_end(taxonomy):
         expected = reference.triple()
         rng = np.random.default_rng(11)
         for _ in range(20):
-            bg = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
+            bg = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
             _, triple = composite_synthetic(img_black, reference, bg)
             assert np.array_equal(triple.semantic_map, expected.semantic_map)
             assert np.array_equal(triple.instance_map, expected.instance_map)
@@ -404,7 +404,7 @@ def test_criterion_7_determinism_and_io(tmp_path, taxonomy_json):
         assert ply_path.read_bytes() == first_ply
 
         img_path = tmp_path / "i.ppm"
-        img = Image(rng.integers(0, 256, (5, 5, 3)).astype(np.uint8))
+        img = rng.integers(0, 256, (5, 5, 3)).astype(np.uint8)
         write_pnm(img, img_path)
         first_img = img_path.read_bytes()
         write_pnm(read_pnm(img_path), img_path)
@@ -416,7 +416,7 @@ def test_criterion_8_flip_group_laws():
         from partfuse.autolabel_monitor import augment_flips
 
         rng = np.random.default_rng(6)
-        image = Image(rng.integers(0, 256, (7, 9, 3)).astype(np.uint8))
+        image = rng.integers(0, 256, (7, 9, 3)).astype(np.uint8)
         triple = make_triple(
             rng.integers(0, 4, (7, 9)),
             np.zeros((7, 9), dtype=np.uint16),
@@ -427,13 +427,13 @@ def test_criterion_8_flip_group_laws():
         )
         v_img, v_trip = variants["_vflip"]
         vv = augment_flips(v_img, v_trip)
-        assert np.array_equal(vv[2][1].pixels, image.pixels)  # vflip twice = id
+        assert np.array_equal(vv[2][1], image)  # vflip twice = id
         assert np.array_equal(vv[2][2].semantic_map, triple.semantic_map)
 
         h_img, h_trip = variants["_hflip"]
         vh = augment_flips(h_img, h_trip)[2]
         rot_img, rot_trip = variants["_rot180"]
-        assert np.array_equal(rot_img.pixels, vh[1].pixels)  # rot180 = v of h
+        assert np.array_equal(rot_img, vh[1])  # rot180 = v of h
         assert np.array_equal(rot_trip.part_map, vh[2].part_map)
 
         for suffix, op in (
@@ -442,7 +442,7 @@ def test_criterion_8_flip_group_laws():
             ("_rot180", lambda a: a[::-1, ::-1]),
         ):
             img_x, trip_x = variants[suffix]
-            assert np.array_equal(img_x.pixels, op(image.pixels))
+            assert np.array_equal(img_x, op(image))
             assert np.array_equal(trip_x.semantic_map, op(triple.semantic_map))
             assert np.array_equal(trip_x.instance_map, op(triple.instance_map))
             assert np.array_equal(trip_x.part_map, op(triple.part_map))
@@ -473,5 +473,5 @@ def test_criterion_9_overlay_rendering(tmp_path, taxonomy):
         # box edges carry the instance's class colour
         color = spec.class_colors[BAG]
         r0, c0, r1, c1 = boxes[1]
-        assert tuple(rendered.pixels[r0, c0]) == color
-        assert tuple(rendered.pixels[r1, c1]) == color
+        assert tuple(rendered[r0, c0]) == color
+        assert tuple(rendered[r1, c1]) == color

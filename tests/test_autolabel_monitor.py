@@ -13,7 +13,6 @@ from partfuse.autolabel_rgbd import PartColorRule
 from partfuse.errors import ValidationError
 from partfuse.imaging import (
     HsvRange,
-    Image,
     fill_holes,
     morphological_close,
     quantize_colors,
@@ -47,7 +46,7 @@ def disk_scene(size=128, radius=40, hole=None):
         px[:, :] = background
         px[visible] = WHITE
         px[top] = RED
-        return Image(px)
+        return px
 
     return render(BLUE_BG), render(BLACK_BG), disk, top
 
@@ -83,8 +82,8 @@ def test_reference_mask_exact_on_clean_render():
 
 def test_reference_mask_empty_scene_rejected():
     size = 64
-    blue = Image(np.tile(np.array(BLUE_BG, dtype=np.uint8), (size, size, 1)))
-    black = Image(np.zeros((size, size, 3), dtype=np.uint8))
+    blue = np.tile(np.array(BLUE_BG, dtype=np.uint8), (size, size, 1))
+    black = np.zeros((size, size, 3), dtype=np.uint8)
     with pytest.raises(ValidationError, match="no object"):
         extract_reference_mask(blue, black, monitor_config())
 
@@ -110,9 +109,7 @@ def test_remask_is_idempotent():
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
 
-    masked_black = Image(
-        np.where(mask[..., None], img_black.pixels, 0).astype(np.uint8)
-    )
+    masked_black = np.where(mask[..., None], img_black, 0).astype(np.uint8)
     processed = quantize_colors(
         morphological_close(masked_black, config.closing_window),
         config.quantize_levels,
@@ -155,7 +152,7 @@ def test_two_disks_two_instances(taxonomy):
         px = np.zeros((size, size, 3), dtype=np.uint8)
         px[:, :] = bg
         px[d1 | d2] = WHITE
-        return Image(px)
+        return px
 
     config = monitor_config()
     mask = extract_reference_mask(render(BLUE_BG), render(BLACK_BG), config)
@@ -166,16 +163,24 @@ def test_two_disks_two_instances(taxonomy):
     assert ref.instance_grid[96, 96] == 2
 
 
+def test_extract_part_masks_refuses_instance_ids_past_16_bits():
+    mask = np.zeros((600, 480), dtype=bool)
+    mask[::2, ::2] = True  # 72,000 pixels with no 8-neighbour: one instance each
+    black = np.zeros((600, 480, 3), dtype=np.uint8)
+    with pytest.raises(ValidationError, match="16 bits"):
+        extract_part_masks(black, mask, monitor_config())
+
+
 def test_transfer_labels_copies_reference(taxonomy):
     img_blue, img_black, _, _ = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
     reference = extract_part_masks(img_black, mask, config, taxonomy)
     rng = np.random.default_rng(0)
-    t1 = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
-    t2 = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
-    out1, triple1 = transfer_labels(reference, t1, taxonomy)
-    out2, triple2 = transfer_labels(reference, t2, taxonomy)
+    t1 = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
+    t2 = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
+    out1, triple1 = transfer_labels(reference, t1)
+    out2, triple2 = transfer_labels(reference, t2)
     assert out1 is t1  # image passes through
     assert np.array_equal(triple1.semantic_map, triple2.semantic_map)
     assert np.array_equal(triple1.part_map, triple2.part_map)
@@ -188,9 +193,9 @@ def test_transfer_labels_dim_mismatch(taxonomy):
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
     reference = extract_part_masks(img_black, mask, config, taxonomy)
-    small = Image(np.zeros((16, 16, 3), dtype=np.uint8))
+    small = np.zeros((16, 16, 3), dtype=np.uint8)
     with pytest.raises(ValidationError, match="dimensions"):
-        transfer_labels(reference, small, taxonomy)
+        transfer_labels(reference, small)
 
 
 def reference_with_mask(bits, taxonomy):
@@ -207,26 +212,26 @@ def reference_with_mask(bits, taxonomy):
 
 def test_composite_empty_and_full_mask(taxonomy):
     rng = np.random.default_rng(1)
-    obj = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
-    bg = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
+    obj = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
+    bg = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
     empty_ref = reference_with_mask(np.zeros((8, 8), dtype=bool), taxonomy)
     out, _ = composite_synthetic(obj, empty_ref, bg)
-    assert np.array_equal(out.pixels, bg.pixels)
+    assert np.array_equal(out, bg)
     full_ref = reference_with_mask(np.ones((8, 8), dtype=bool), taxonomy)
     out, _ = composite_synthetic(obj, full_ref, bg)
-    assert np.array_equal(out.pixels, obj.pixels)
+    assert np.array_equal(out, obj)
 
 
 def test_composite_half_mask_splice(taxonomy):
     rng = np.random.default_rng(2)
-    obj = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
-    bg = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
+    obj = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
+    bg = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
     bits = np.zeros((8, 8), dtype=bool)
     bits[:, :4] = True
     ref = reference_with_mask(bits, taxonomy)
     out, triple = composite_synthetic(obj, ref, bg)
-    assert np.array_equal(out.pixels[:, :4], obj.pixels[:, :4])
-    assert np.array_equal(out.pixels[:, 4:], bg.pixels[:, 4:])
+    assert np.array_equal(out[:, :4], obj[:, :4])
+    assert np.array_equal(out[:, 4:], bg[:, 4:])
     assert (triple.semantic_map[:, :4] == BAG).all()
 
 
@@ -252,7 +257,7 @@ def test_reference_label_rejects_leaky_parts():
 
 def sample_pair():
     rng = np.random.default_rng(3)
-    image = Image(rng.integers(0, 256, (6, 8, 3)).astype(np.uint8))
+    image = rng.integers(0, 256, (6, 8, 3)).astype(np.uint8)
     triple = make_triple(
         rng.integers(0, 4, (6, 8)),
         np.zeros((6, 8), dtype=np.uint16),
@@ -271,7 +276,7 @@ def test_vflip_is_involution():
     image, triple = sample_pair()
     _, v_img, v_trip = augment_flips(image, triple)[2]
     _, vv_img, vv_trip = augment_flips(v_img, v_trip)[2]
-    assert np.array_equal(vv_img.pixels, image.pixels)
+    assert np.array_equal(vv_img, image)
     assert np.array_equal(vv_trip.semantic_map, triple.semantic_map)
 
 
@@ -281,15 +286,15 @@ def test_rot180_equals_vflip_of_hflip():
     _, rot_img, rot_trip = variants[1]
     _, h_img, h_trip = variants[3]
     _, vh_img, vh_trip = augment_flips(h_img, h_trip)[2]
-    assert np.array_equal(rot_img.pixels, vh_img.pixels)
+    assert np.array_equal(rot_img, vh_img)
     assert np.array_equal(rot_trip.part_map, vh_trip.part_map)
 
 
 def test_rot180_swaps_asymmetric_pixels():
-    image = Image(np.array([[[1, 1, 1], [2, 2, 2]]], dtype=np.uint8))  # 1x2
+    image = np.array([[[1, 1, 1], [2, 2, 2]]], dtype=np.uint8)  # 1x2
     triple = make_triple(np.array([[1, 2]]), np.array([[1, 2]]), np.array([[0, 11]]))
     _, rot_img, rot_trip = augment_flips(image, triple)[1]
-    assert rot_img.pixels[0, 0, 0] == 2 and rot_img.pixels[0, 1, 0] == 1
+    assert rot_img[0, 0, 0] == 2 and rot_img[0, 1, 0] == 1
     assert rot_trip.semantic_map.tolist() == [[2, 1]]
     assert rot_trip.instance_map.tolist() == [[2, 1]]
     assert rot_trip.part_map.tolist() == [[11, 0]]
@@ -305,7 +310,7 @@ def test_flip_labels_follow_pixels():
     }
     for suffix, img, trip in augment_flips(image, triple):
         op = ops[suffix]
-        assert np.array_equal(img.pixels, op(image.pixels))
+        assert np.array_equal(img, op(image))
         assert np.array_equal(trip.semantic_map, op(triple.semantic_map))
         assert np.array_equal(trip.instance_map, op(triple.instance_map))
         assert np.array_equal(trip.part_map, op(triple.part_map))

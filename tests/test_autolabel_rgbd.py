@@ -18,7 +18,7 @@ from partfuse.autolabel_rgbd import (
     segment_objects,
 )
 from partfuse.errors import ValidationError
-from partfuse.imaging import HsvRange, Image, rgb_to_hsv
+from partfuse.imaging import HsvRange, rgb_to_hsv
 from partfuse.pointcloud import PointCloud, project
 
 from conftest import BAG, CENTER, OTHER, SEAL, TABLE
@@ -428,7 +428,7 @@ def test_generate_rgbd_sample_plane_only(taxonomy):
 
 def test_generate_rgbd_sample_dims_checked(taxonomy):
     cloud, _, camera = build_rgbd_scene(seed=8, with_boxes=False)
-    wrong = Image(np.zeros((10, 10, 3), dtype=np.uint8))
+    wrong = np.zeros((10, 10, 3), dtype=np.uint8)
     with pytest.raises(ValidationError, match="camera"):
         generate_rgbd_sample(wrong, cloud, camera, taxonomy, rgbd_config())
 

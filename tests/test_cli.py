@@ -13,7 +13,7 @@ import partfuse
 
 from partfuse import formats
 from partfuse.cli import main
-from partfuse.imaging import Image, write_pnm
+from partfuse.imaging import write_pnm
 
 from conftest import BAG, BOTTLE, CENTER, OTHER, SEAL, TABLE, make_triple
 from scenes import (
@@ -55,6 +55,11 @@ def test_fuse_single_sample(tmp_path, taxonomy_json):
     assert (inst[:, :4] == 1).all()
     assert (sem[:, 4:] == TABLE).all()
     assert (part == SEAL).all()
+    # any of the stem's three files, or the bare stem, names the same stem
+    for i, name in enumerate(["img0.sem.ppt1", "img0.part.ppt1", "img0.proposals.json", "img0"]):
+        single = tmp_path / f"single{i}"
+        assert main(fuse_args(taxonomy_json, single, inputs / name)) == 0
+        assert tree_bytes(single) == tree_bytes(out)
 
 
 def test_fuse_missing_taxonomy(tmp_path):
@@ -260,7 +265,7 @@ def test_overlay_alpha_and_boxes_flags(tmp_path, taxonomy_json):
     from partfuse.overlay import default_overlay_spec
     from partfuse.taxonomy import load_taxonomy
 
-    image = Image(np.zeros((6, 6, 3), dtype=np.uint8))
+    image = np.zeros((6, 6, 3), dtype=np.uint8)
     write_pnm(image, tmp_path / "img.ppm")
     sem = np.full((6, 6), TABLE, dtype=np.uint16)
     formats.write_label_triple(make_triple(sem), tmp_path / "img")
@@ -281,7 +286,7 @@ def test_overlay_alpha_and_boxes_flags(tmp_path, taxonomy_json):
     assert code == 0
     spec = default_overlay_spec(load_taxonomy(taxonomy_json))
     rendered = read_pnm(out_path)
-    assert (rendered.pixels == np.array(spec.class_colors[TABLE])).all()
+    assert (rendered == np.array(spec.class_colors[TABLE])).all()
 
 
 def test_eval_dimension_mismatch_exit_code(tmp_path, taxonomy_json):
@@ -501,12 +506,12 @@ def write_monitor_dataset(tmp_path):
     write_pnm(img_black, scene / "black.ppm")
     rng = np.random.default_rng(5)
     for m in range(2):
-        target = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
+        target = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
         write_pnm(target, scene / f"target_{m}.ppm")
     backgrounds = tmp_path / "backgrounds"
     backgrounds.mkdir()
     for b in range(3):
-        bg = Image(rng.integers(0, 256, (128, 128, 3)).astype(np.uint8))
+        bg = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
         write_pnm(bg, backgrounds / f"bg_{b}.ppm")
     config = {
         "object_class_id": BAG,
@@ -561,6 +566,21 @@ def test_label_monitor_end_to_end(tmp_path, taxonomy_json):
     assert np.array_equal(t0.part_map, s0.part_map)
 
 
+@pytest.mark.parametrize("field, class_id", [("object_class_id", 99), ("object_class_id", 70000),
+                                             ("background_class_id", 99)])
+def test_label_monitor_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, field, class_id):
+    root, backgrounds, config = write_monitor_dataset(tmp_path)
+    for target in root.glob("*/target_*.ppm"):  # composites only
+        target.unlink()
+    config.write_text(json.dumps({**json.loads(config.read_text()), field: class_id}))
+    out = tmp_path / "out"
+    args = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config),
+            "--out", str(out), "--backgrounds", str(backgrounds), "--composites", "2",
+            "--keep-going", str(root)]  # no scene runs, so none can be skipped
+    assert main(args) == 3
+    assert not list(out.glob("*.pgm"))
+
+
 def test_label_monitor_same_seed_byte_identical(tmp_path, taxonomy_json):
     root, backgrounds, config = write_monitor_dataset(tmp_path)
     outs = []
@@ -594,8 +614,8 @@ def test_label_monitor_empty_scene_needs_keep_going(tmp_path, taxonomy_json):
     root, backgrounds, config = write_monitor_dataset(tmp_path)
     empty = root / "scene_1"
     empty.mkdir()
-    blue = Image(np.tile(np.array(BLUE_BG, dtype=np.uint8), (128, 128, 1)))
-    black = Image(np.zeros((128, 128, 3), dtype=np.uint8))
+    blue = np.tile(np.array(BLUE_BG, dtype=np.uint8), (128, 128, 1))
+    black = np.zeros((128, 128, 3), dtype=np.uint8)
     write_pnm(blue, empty / "blue.ppm")
     write_pnm(black, empty / "black.ppm")
 
@@ -660,7 +680,7 @@ def write_augment_dataset(tmp_path):
     dataset.mkdir()
     rng = np.random.default_rng(6)
     for name in ("s0", "s1"):
-        image = Image(rng.integers(0, 256, (6, 8, 3)).astype(np.uint8))
+        image = rng.integers(0, 256, (6, 8, 3)).astype(np.uint8)
         write_pnm(image, dataset / f"{name}.ppm")
         triple = make_triple(
             rng.integers(0, 4, (6, 8)),
@@ -684,7 +704,7 @@ def test_augment_writes_four_variants(tmp_path):
 
     original = read_pnm(dataset / "s0.ppm")
     vflip = read_pnm(out / "s0_vflip.ppm")
-    assert np.array_equal(vflip.pixels[::-1, :], original.pixels)
+    assert np.array_equal(vflip[::-1, :], original)
     trip_orig = formats.read_label_triple(dataset / "s0")
     trip_v = formats.read_label_triple(out / "s0_vflip")
     assert np.array_equal(trip_v.semantic_map[::-1, :], trip_orig.semantic_map)
@@ -704,7 +724,7 @@ def test_augment_unreadable_sample_exit_code(tmp_path):
 
 def test_overlay_all_void_passthrough(tmp_path, taxonomy_json):
     rng = np.random.default_rng(7)
-    image = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
+    image = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
     write_pnm(image, tmp_path / "img.ppm")
     formats.write_label_triple(
         make_triple(np.zeros((8, 8), dtype=np.uint16)), tmp_path / "img"
@@ -723,12 +743,12 @@ def test_overlay_all_void_passthrough(tmp_path, taxonomy_json):
     assert code == 0
     from partfuse.imaging import read_pnm
 
-    assert np.array_equal(read_pnm(out_path).pixels, image.pixels)
+    assert np.array_equal(read_pnm(out_path), image)
 
 
 def test_overlay_dimension_mismatch_exit(tmp_path, taxonomy_json):
     rng = np.random.default_rng(8)
-    image = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
+    image = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
     write_pnm(image, tmp_path / "img.ppm")
     formats.write_label_triple(
         make_triple(np.zeros((4, 4), dtype=np.uint16)), tmp_path / "img"
@@ -950,7 +970,7 @@ def test_fuse_eval_and_report_load_no_scipy(tmp_path, taxonomy_json):
 
 def write_overlay_inputs(tmp_path):
     """A 6x6 black image under a triple that is all table."""
-    write_pnm(Image(np.zeros((6, 6, 3), dtype=np.uint8)), tmp_path / "img.ppm")
+    write_pnm(np.zeros((6, 6, 3), dtype=np.uint8), tmp_path / "img.ppm")
     sem = np.full((6, 6), TABLE, dtype=np.uint16)
     formats.write_label_triple(make_triple(sem), tmp_path / "img")
 
@@ -969,7 +989,7 @@ def test_overlay_colors_table_overrides_class_colour(tmp_path, taxonomy_json):
     assert main(args) == 0
     from partfuse.imaging import read_pnm
 
-    assert (read_pnm(out_path).pixels == (10, 20, 30)).all()
+    assert (read_pnm(out_path) == (10, 20, 30)).all()
 
 
 @pytest.mark.parametrize(
@@ -1025,16 +1045,16 @@ def test_report_malformed_tsv_row_exit_code(tmp_path, taxonomy_json, caplog, row
 def test_overlay_failed_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):
     import partfuse.imaging
 
-    write_pnm8 = partfuse.imaging.write_pnm8
+    write_raster = partfuse.imaging._write_raster
 
-    def half_then_fail(arr, path):
-        write_pnm8(arr, path)
+    def half_then_fail(arr, path, *args):
+        write_raster(arr, path, *args)
         os.truncate(path, os.path.getsize(path) // 2)
         raise OSError(f"{path}: no space left on device")
 
     write_overlay_inputs(tmp_path)
     # the binding write_pnm calls
-    monkeypatch.setattr(partfuse.imaging, "write_pnm8", half_then_fail)
+    monkeypatch.setattr(partfuse.imaging, "_write_raster", half_then_fail)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert main(overlay_args(taxonomy_json, tmp_path, out_dir / "o.ppm")) == 2

@@ -171,7 +171,7 @@ def test_triple_round_trip_byte_identical(tmp_path):
 
 
 def test_triple_dimension_mismatch(tmp_path):
-    from partfuse.pnm import write_pgm16
+    from partfuse.imaging import write_pgm16
 
     stem = tmp_path / "bad"
     write_pgm16(np.zeros((4, 4), dtype=np.uint16), tmp_path / "bad.sem.pgm")
@@ -182,7 +182,7 @@ def test_triple_dimension_mismatch(tmp_path):
 
 
 def test_triple_missing_file(tmp_path):
-    from partfuse.pnm import write_pgm16
+    from partfuse.imaging import write_pgm16
 
     write_pgm16(np.zeros((4, 4), dtype=np.uint16), tmp_path / "x.sem.pgm")
     with pytest.raises(FormatError, match="missing"):
@@ -190,7 +190,7 @@ def test_triple_missing_file(tmp_path):
 
 
 def test_pgm16_wrong_maxval(tmp_path):
-    from partfuse.pnm import read_pgm16
+    from partfuse.imaging import read_pgm16
 
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))

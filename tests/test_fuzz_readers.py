@@ -20,7 +20,7 @@ from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig, load_rgbd_co
 from partfuse.cli import _SETTINGS, _merge_run_config, _overlay_spec_from_args
 from partfuse.containers import InstanceProposal
 from partfuse.errors import FormatError, ValidationError
-from partfuse.imaging import HsvRange, Image, read_pnm, write_pnm
+from partfuse.imaging import HsvRange, read_pnm, write_pnm
 from partfuse.jsonio import read_json
 from partfuse.pointcloud import (
     CameraModel,
@@ -119,7 +119,7 @@ def test_read_tensor_rejects_wrong_lengths(tmp_path, tensor):
 @given(data=st.data())
 def test_read_pnm_rejects_damage(tmp_path, shape, data):
     pixels = np.arange(np.prod(shape), dtype=np.uint8).reshape(shape)
-    path, raw = valid_bytes(tmp_path, lambda p: write_pnm(Image(pixels), p), "i.pnm")
+    path, raw = valid_bytes(tmp_path, lambda p: write_pnm(pixels, p), "i.pnm")
     path.write_bytes(data.draw(damaged(raw)))
     read_or_reject(read_pnm, path)
 

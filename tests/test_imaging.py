@@ -7,7 +7,6 @@ import pytest
 from partfuse.errors import FormatError, ValidationError
 from partfuse.imaging import (
     HsvRange,
-    Image,
     boundary_mask,
     connected_components,
     fill_holes,
@@ -17,8 +16,11 @@ from partfuse.imaging import (
     read_pnm,
     rgb_to_hsv,
     threshold_hsv,
+    write_pgm16,
     write_pnm,
 )
+
+from conftest import BAG, SEAL, TABLE
 
 
 # ------------------------------------------------------------------- PNM
@@ -26,7 +28,7 @@ from partfuse.imaging import (
 
 def test_ppm_round_trip_bytes(tmp_path):
     rng = np.random.default_rng(0)
-    img = Image(rng.integers(0, 256, (2, 2, 3)).astype(np.uint8))
+    img = rng.integers(0, 256, (2, 2, 3)).astype(np.uint8)
     path = tmp_path / "img.ppm"
     write_pnm(img, path)
     first = path.read_bytes()
@@ -35,12 +37,12 @@ def test_ppm_round_trip_bytes(tmp_path):
 
 
 def test_pgm_reads_single_channel(tmp_path):
-    img = Image(np.arange(12, dtype=np.uint8).reshape(3, 4))
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
     path = tmp_path / "img.pgm"
     write_pnm(img, path)
     back = read_pnm(path)
-    assert back.channels == 1
-    assert np.array_equal(back.pixels, img.pixels)
+    assert back.ndim == 2
+    assert np.array_equal(back, img)
 
 
 def test_pnm_truncated(tmp_path):
@@ -68,7 +70,40 @@ def test_pnm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     img = read_pnm(path)
-    assert img.pixels.tolist() == [[1, 2], [3, 4]]
+    assert img.tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (6, 8, 3)], ids=["grey", "colour"])
+def test_images_are_uint8_arrays_of_the_input_shape(tmp_path, taxonomy, shape):
+    from partfuse.autolabel_monitor import ReferenceLabel, augment_flips, composite_synthetic
+    from partfuse.overlay import default_overlay_spec, render_overlay
+
+    image = np.random.default_rng(7).integers(0, 256, shape).astype(np.uint8)
+    write_pnm(image, tmp_path / "i.pnm")
+    mask = np.zeros((6, 8), dtype=bool)
+    mask[1:4, 2:6] = True
+    grid = mask.astype(np.uint16)
+    reference = ReferenceLabel(mask, grid * SEAL, grid, BAG, TABLE)
+    outputs = [
+        read_pnm(tmp_path / "i.pnm"),
+        morphological_close(image, 3),
+        quantize_colors(image),
+        composite_synthetic(image, reference, image[::-1])[0],
+        *(flipped for _, flipped, _ in augment_flips(image, reference.triple())),
+    ]
+    if len(shape) == 3:
+        spec = default_overlay_spec(taxonomy)
+        outputs.append(render_overlay(image, reference.triple(), spec))
+    for out in outputs:
+        assert type(out) is np.ndarray and out.dtype == np.uint8 and out.shape == shape
+
+
+def test_pnm_writers_refuse_samples_they_would_wrap(tmp_path):
+    with pytest.raises(FormatError, match="int64"):
+        write_pnm(np.array([[300, 0]], dtype=np.int64), tmp_path / "i.pgm")
+    with pytest.raises(FormatError, match="int64"):
+        write_pgm16(np.array([[70000, 0]], dtype=np.int64), tmp_path / "l.pgm")
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------ morphology
@@ -76,16 +111,16 @@ def test_pnm_header_comments(tmp_path):
 
 def test_close_window_one_is_identity():
     rng = np.random.default_rng(1)
-    img = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
+    img = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
     closed = morphological_close(img, 1)
-    assert np.array_equal(closed.pixels, img.pixels)
+    assert np.array_equal(closed, img)
 
 
 def test_close_fills_interior_hole():
     bits = np.zeros((7, 7), dtype=bool)
     bits[1:6, 1:6] = True
     bits[3, 3] = False
-    closed = morphological_close(Image(bits.astype(np.uint8)), 3).pixels.astype(bool)
+    closed = morphological_close(bits.astype(np.uint8), 3).astype(bool)
     assert closed[3, 3]
     assert closed[1:6, 1:6].all()
 
@@ -94,21 +129,21 @@ def test_close_is_extensive_and_idempotent_on_masks():
     rng = np.random.default_rng(2)
     for _ in range(20):
         bits = rng.random((16, 16)) < 0.4
-        once = morphological_close(Image(bits.astype(np.uint8)), 3)
-        closed = once.pixels.astype(bool)
+        once = morphological_close(bits.astype(np.uint8), 3)
+        closed = once.astype(bool)
         assert (closed | bits).sum() == closed.sum()  # extensive
         twice = morphological_close(once, 3)
-        assert np.array_equal(closed, twice.pixels.astype(bool))  # idempotent
+        assert np.array_equal(closed, twice.astype(bool))  # idempotent
 
 
 def test_close_is_extensive_and_idempotent_on_images():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        img = Image(rng.integers(0, 256, (12, 12)).astype(np.uint8))
+        img = rng.integers(0, 256, (12, 12)).astype(np.uint8)
         once = morphological_close(img, 5)
-        assert (once.pixels >= img.pixels).all()
+        assert (once >= img).all()
         twice = morphological_close(once, 5)
-        assert np.array_equal(once.pixels, twice.pixels)
+        assert np.array_equal(once, twice)
 
 
 @pytest.mark.parametrize("shape", [(5, 9), (5, 9, 3), (1, 1)])
@@ -117,17 +152,17 @@ def test_close_window_beyond_the_image_matches_unclipped_filter(shape):
     window is the oracle."""
     from scipy import ndimage
 
-    img = Image(np.random.default_rng(4).integers(0, 256, shape).astype(np.uint8))
+    img = np.random.default_rng(4).integers(0, 256, shape).astype(np.uint8)
     for window in (1, 3, 9, 17, 19, 41):
-        size = (window, window, 1)[: img.pixels.ndim]
-        dilated = ndimage.maximum_filter(img.pixels, size=size, mode="constant", cval=0)
+        size = (window, window, 1)[: img.ndim]
+        dilated = ndimage.maximum_filter(img, size=size, mode="constant", cval=0)
         expected = ndimage.minimum_filter(dilated, size=size, mode="constant", cval=255)
-        assert np.array_equal(morphological_close(img, window).pixels, expected)
+        assert np.array_equal(morphological_close(img, window), expected)
 
 
 def test_close_rejects_even_window():
     with pytest.raises(ValidationError, match="odd"):
-        morphological_close(Image(np.zeros((4, 4), dtype=np.uint8)), 2)
+        morphological_close(np.zeros((4, 4), dtype=np.uint8), 2)
 
 
 # ----------------------------------------------------------- quantization
@@ -135,28 +170,28 @@ def test_close_rejects_even_window():
 
 def test_quantize_identity_at_256_levels():
     rng = np.random.default_rng(4)
-    img = Image(rng.integers(0, 256, (6, 6, 3)).astype(np.uint8))
-    assert np.array_equal(quantize_colors(img, 256).pixels, img.pixels)
+    img = rng.integers(0, 256, (6, 6, 3)).astype(np.uint8)
+    assert np.array_equal(quantize_colors(img, 256), img)
 
 
 def test_quantize_reference_values():
-    img = Image(np.array([[100]], dtype=np.uint8))
-    assert quantize_colors(img, 8).pixels[0, 0] == 112
-    img2 = Image(np.array([[0, 255]], dtype=np.uint8))
-    assert quantize_colors(img2, 2).pixels.tolist() == [[64, 192]]
+    img = np.array([[100]], dtype=np.uint8)
+    assert quantize_colors(img, 8)[0, 0] == 112
+    img2 = np.array([[0, 255]], dtype=np.uint8)
+    assert quantize_colors(img2, 2).tolist() == [[64, 192]]
 
 
 def test_quantize_idempotent():
     rng = np.random.default_rng(5)
     for levels in (2, 3, 8, 17, 64):
-        img = Image(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8))
+        img = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
         once = quantize_colors(img, levels)
         twice = quantize_colors(once, levels)
-        assert np.array_equal(once.pixels, twice.pixels)
+        assert np.array_equal(once, twice)
 
 
 def test_quantize_range_check():
-    img = Image(np.zeros((2, 2), dtype=np.uint8))
+    img = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(ValidationError, match="levels"):
         quantize_colors(img, 0)
     with pytest.raises(ValidationError, match="levels"):
@@ -190,10 +225,8 @@ def test_rgb_to_hsv_matches_colorsys_reference():
 
 
 def test_threshold_blue_image():
-    img = Image(np.zeros((4, 4, 3), dtype=np.uint8))
-    px = img.pixels.copy()
-    px[:, :] = (0, 0, 255)
-    img = Image(px)
+    img = np.zeros((4, 4, 3), dtype=np.uint8)
+    img[:, :] = (0, 0, 255)
     blue = HsvRange(h_min=200, h_max=260, s_min=0.5, v_min=0.2)
     assert threshold_hsv(img, blue).all()
     red_wrap = HsvRange(h_min=350, h_max=10, s_min=0.5, v_min=0.2)
@@ -204,12 +237,12 @@ def test_threshold_wrapping_catches_red():
     px = np.zeros((2, 2, 3), dtype=np.uint8)
     px[:, :] = (255, 10, 10)
     red_wrap = HsvRange(h_min=350, h_max=10, s_min=0.5, v_min=0.2)
-    assert threshold_hsv(Image(px), red_wrap).all()
+    assert threshold_hsv(px, red_wrap).all()
 
 
 def test_threshold_universal_range():
     rng = np.random.default_rng(6)
-    img = Image(rng.integers(0, 256, (5, 5, 3)).astype(np.uint8))
+    img = rng.integers(0, 256, (5, 5, 3)).astype(np.uint8)
     assert threshold_hsv(img, HsvRange()).all()
 
 
@@ -241,11 +274,10 @@ def test_threshold_matches_per_pixel_oracle(shape, colours):
     else:
         palette = rng.integers(0, 256, (colours, 3)).astype(np.uint8)
         px = palette[rng.integers(0, colours, shape)]
-    image = Image(px)
     h, s, v = rgb_to_hsv(px)
     for hsv_range in random_ranges(rng, h, s, v) + [HsvRange()]:
         expected = hsv_range.contains(h, s, v)
-        assert np.array_equal(threshold_hsv(image, hsv_range), expected)
+        assert np.array_equal(threshold_hsv(px, hsv_range), expected)
 
 
 def traced_peak(fn) -> int:
@@ -259,16 +291,16 @@ def traced_peak(fn) -> int:
 
 def test_threshold_peak_memory_below_third_of_per_pixel_path():
     rng = np.random.default_rng(11)
-    image = quantize_colors(Image(rng.integers(0, 256, (480, 640, 3)).astype(np.uint8)))
+    image = quantize_colors(rng.integers(0, 256, (480, 640, 3)).astype(np.uint8))
     blue = HsvRange(h_min=200.0, h_max=260.0, s_min=0.35, v_min=0.2)
-    per_pixel = traced_peak(lambda: blue.contains(*rgb_to_hsv(image.pixels)))
+    per_pixel = traced_peak(lambda: blue.contains(*rgb_to_hsv(image)))
     per_colour = traced_peak(lambda: threshold_hsv(image, blue))
     assert per_colour < per_pixel / 3
 
 
 def test_threshold_rejects_single_channel():
     with pytest.raises(ValidationError, match="3-channel"):
-        threshold_hsv(Image(np.zeros((2, 2), dtype=np.uint8)), HsvRange())
+        threshold_hsv(np.zeros((2, 2), dtype=np.uint8), HsvRange())
     for grey in (np.zeros((2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8)):
         with pytest.raises(ValidationError, match="triples"):
             first_hsv_range(grey, [HsvRange()])

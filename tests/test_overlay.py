@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from partfuse.errors import ValidationError
-from partfuse.imaging import Image
 from partfuse.overlay import (
     OverlaySpec,
     default_overlay_spec,
@@ -16,14 +15,14 @@ from conftest import BAG, BOTTLE, TABLE, make_triple
 
 def base_image(h=12, w=12):
     rng = np.random.default_rng(0)
-    return Image(rng.integers(0, 256, (h, w, 3)).astype(np.uint8))
+    return rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
 
 
 def test_all_void_passthrough(taxonomy):
     img = base_image()
     triple = make_triple(np.zeros((12, 12), dtype=np.uint16))
     out = render_overlay(img, triple, default_overlay_spec(taxonomy))
-    assert np.array_equal(out.pixels, img.pixels)
+    assert np.array_equal(out, img)
 
 
 def test_instance_box_matches_extents(taxonomy):
@@ -37,9 +36,9 @@ def test_instance_box_matches_extents(taxonomy):
     spec = default_overlay_spec(taxonomy)
     out = render_overlay(base_image(), triple, spec)
     color = spec.class_colors[BAG]
-    assert tuple(out.pixels[3, 2]) == color
-    assert tuple(out.pixels[6, 8]) == color
-    assert tuple(out.pixels[3, 5]) == color  # top edge
+    assert tuple(out[3, 2]) == color
+    assert tuple(out[6, 8]) == color
+    assert tuple(out[3, 5]) == color  # top edge
 
 
 def nonzero_boxes(instance_map):
@@ -71,7 +70,7 @@ def test_instance_boxes_match_nonzero_oracle(taxonomy):
         assert instance_boxes(triple) == want
 
         image = base_image(h, w)
-        expected = image.pixels.copy()
+        expected = image.copy()
         for i, (r0, c0, r1, c1) in want.items():
             rows, cols = np.nonzero(triple.instance_map == i)
             color = spec.class_colors.get(int(sem[rows[0], cols[0]]), (255, 255, 255))
@@ -79,7 +78,7 @@ def test_instance_boxes_match_nonzero_oracle(taxonomy):
             outline[r0 : r1 + 1, c0 : c1 + 1] = True
             outline[r0 + 1 : r1, c0 + 1 : c1] = False
             expected[outline] = color
-        assert np.array_equal(render_overlay(image, triple, spec).pixels, expected)
+        assert np.array_equal(render_overlay(image, triple, spec), expected)
 
 
 def test_alpha_one_fills_segments(taxonomy):
@@ -87,7 +86,7 @@ def test_alpha_one_fills_segments(taxonomy):
     triple = make_triple(sem)
     spec = default_overlay_spec(taxonomy, alpha=1.0, draw_boxes=False)
     out = render_overlay(base_image(6, 6), triple, spec)
-    assert (out.pixels == np.array(spec.class_colors[TABLE])).all()
+    assert (out == np.array(spec.class_colors[TABLE])).all()
 
 
 def test_part_contours_drawn(taxonomy):
@@ -99,9 +98,9 @@ def test_part_contours_drawn(taxonomy):
     triple = make_triple(sem, inst, part)
     spec = default_overlay_spec(taxonomy, draw_boxes=False)
     out = render_overlay(base_image(10, 10), triple, spec)
-    assert tuple(out.pixels[2, 2]) == spec.part_colors[11]
+    assert tuple(out[2, 2]) == spec.part_colors[11]
     # interior pixels are blended, not painted with the part colour
-    assert tuple(out.pixels[5, 5]) != spec.part_colors[11]
+    assert tuple(out[5, 5]) != spec.part_colors[11]
 
 
 def test_distinct_colors_enforced():
