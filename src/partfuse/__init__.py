@@ -1,66 +1,56 @@
 """partfuse: part-panoptic label fusion, PQ/PartPQ evaluation, and
 unsupervised training-label generation for logit tensors and raw sensor
-data."""
+data.
 
-from .containers import (
-    InstanceProposal,
-    LabelTriple,
-    LogitStack,
-    PanopticSegment,
-    derive_segments,
-)
-from .errors import FormatError, PartfuseError, ValidationError
-from .fusion import (
-    FusionParams,
-    agreement_part_sem,
-    agreement_sem_inst,
-    fuse,
-    fuse_baseline,
-    fuse_part_panoptic,
-    panoptic_fuse,
-    part_wise_fuse,
-    semantic_wise_fuse,
-    sigmoid_rescaled,
-)
-from .metrics import (
-    MatchResult,
-    MetricReport,
-    aggregate_dataset,
-    match_segments,
-    part_iou,
-    part_pq,
-)
-from .taxonomy import ClassTaxonomy, load_taxonomy, validate_taxonomy
+The public names below load on first use (PEP 562), so importing the
+package, or the command line through it, imports no numpy.  The package
+keeps no binding of its own to them: each access reads the defining
+module.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassTaxonomy",
-    "FormatError",
-    "FusionParams",
-    "InstanceProposal",
-    "LabelTriple",
-    "LogitStack",
-    "MatchResult",
-    "MetricReport",
-    "PanopticSegment",
-    "PartfuseError",
-    "ValidationError",
-    "agreement_part_sem",
-    "agreement_sem_inst",
-    "aggregate_dataset",
-    "derive_segments",
-    "fuse",
-    "fuse_baseline",
-    "fuse_part_panoptic",
-    "load_taxonomy",
-    "match_segments",
-    "panoptic_fuse",
-    "part_iou",
-    "part_pq",
-    "part_wise_fuse",
-    "semantic_wise_fuse",
-    "sigmoid_rescaled",
-    "validate_taxonomy",
-    "__version__",
-]
+# public name -> the module that defines it, in the order of __all__
+_EXPORTS = {
+    "ClassTaxonomy": "taxonomy",
+    "FormatError": "errors",
+    "FusionParams": "params",
+    "InstanceProposal": "containers",
+    "LabelTriple": "containers",
+    "LogitStack": "containers",
+    "MatchResult": "metrics",
+    "MetricReport": "metrics",
+    "PanopticSegment": "containers",
+    "PartfuseError": "errors",
+    "ValidationError": "errors",
+    "agreement_part_sem": "fusion",
+    "agreement_sem_inst": "fusion",
+    "aggregate_dataset": "metrics",
+    "derive_segments": "containers",
+    "fuse": "fusion",
+    "fuse_baseline": "fusion",
+    "fuse_part_panoptic": "fusion",
+    "load_taxonomy": "taxonomy",
+    "match_segments": "metrics",
+    "panoptic_fuse": "fusion",
+    "part_iou": "metrics",
+    "part_pq": "metrics",
+    "part_wise_fuse": "fusion",
+    "semantic_wise_fuse": "fusion",
+    "sigmoid_rescaled": "fusion",
+    "validate_taxonomy": "taxonomy",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -20,14 +20,8 @@ import numpy as np
 
 from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
-from .imaging import (
-    HsvRange,
-    connected_components,
-    fill_holes,
-    morphological_close,
-    quantize_colors,
-    threshold_hsv,
-)
+from . import imaging
+from .imaging import HsvRange
 from .autolabel_rgbd import PartColorRule, ordered_part_rules, rule_part_ids
 from .jsonio import decode
 from .taxonomy import ClassTaxonomy
@@ -81,9 +75,9 @@ class ReferenceLabel:
 
 
 def _not_in_range(image: np.ndarray, config: MonitorLabelConfig, rng: HsvRange) -> np.ndarray:
-    closed = morphological_close(image, config.closing_window)
-    quantized = quantize_colors(closed, config.quantize_levels)
-    return ~threshold_hsv(quantized, rng)
+    closed = imaging.morphological_close(image, config.closing_window)
+    quantized = imaging.quantize_colors(closed, config.quantize_levels)
+    return ~imaging.threshold_hsv(quantized, rng)
 
 
 def extract_reference_mask(
@@ -101,13 +95,13 @@ def extract_reference_mask(
         raise ValidationError("reference extraction needs 3-channel captures")
 
     candidates = _not_in_range(img_blue, config, config.blue_range)
-    blue_mask = fill_holes(candidates)
+    blue_mask = imaging.fill_holes(candidates)
 
     masked_black = np.where(blue_mask[..., None], img_black, np.uint8(0))
     survivors = _not_in_range(masked_black, config, config.black_range) & blue_mask
-    filled = fill_holes(survivors)
+    filled = imaging.fill_holes(survivors)
 
-    labels, sizes = connected_components(filled)
+    labels, sizes = imaging.connected_components(filled)
     keep = np.nonzero(sizes[1:] >= config.min_component_area)[0] + 1
     result = np.isin(labels, keep)
     if not result.any():
@@ -133,8 +127,8 @@ def extract_part_masks(
         raise ValidationError("object mask dimensions disagree with captures")
     rules = ordered_part_rules(config.part_rules, taxonomy, config.catchall_part_id)
     masked_black = np.where(object_mask[..., None], img_black, np.uint8(0))
-    processed = quantize_colors(
-        morphological_close(masked_black, config.closing_window),
+    processed = imaging.quantize_colors(
+        imaging.morphological_close(masked_black, config.closing_window),
         config.quantize_levels,
     )
     part_grid = np.zeros(object_mask.shape, dtype=np.uint16)
@@ -142,7 +136,7 @@ def extract_part_masks(
         processed[object_mask], rules, config.catchall_part_id
     )
 
-    labels, sizes = connected_components(object_mask)
+    labels, sizes = imaging.connected_components(object_mask)
     if sizes.size - 1 > np.iinfo(LABEL_DTYPE).max:  # components are numbered 1..N
         raise ValidationError("label ids must fit in 16 bits")
     return ReferenceLabel(

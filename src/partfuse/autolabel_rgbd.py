@@ -24,15 +24,8 @@ from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
 from .imaging import HsvRange, first_hsv_range
 from .jsonio import decode
-from .pointcloud import (
-    CameraModel,
-    PmfParams,
-    PointCloud,
-    euclidean_clusters,
-    progressive_morphological_filter,
-    project,
-    ransac_plane,
-)
+from . import pointcloud
+from .pointcloud import CameraModel, PmfParams, PointCloud
 from .taxonomy import ClassTaxonomy
 
 
@@ -135,10 +128,10 @@ def segment_objects(cloud: PointCloud, config: RgbdLabelConfig) -> LabeledPointC
     """Split a cloud into plane background and clustered object instances."""
     if len(cloud) == 0:
         raise ValidationError("cannot segment an empty cloud")
-    ground = progressive_morphological_filter(cloud, config.pmf)
+    ground = pointcloud.progressive_morphological_filter(cloud, config.pmf)
     if int(ground.sum()) < 3:
         raise ValidationError("too few ground candidates for a plane fit")
-    plane, _ = ransac_plane(
+    plane, _ = pointcloud.ransac_plane(
         cloud.xyz[ground],
         n_iterations=config.ransac_iterations,
         distance_threshold=config.ransac_threshold,
@@ -150,7 +143,7 @@ def segment_objects(cloud: PointCloud, config: RgbdLabelConfig) -> LabeledPointC
     instance = np.zeros(len(cloud), dtype=np.int64)
     remaining = np.nonzero(~background)[0]
     if remaining.size:
-        labels = euclidean_clusters(
+        labels = pointcloud.euclidean_clusters(
             cloud.xyz[remaining],
             radius=config.cluster_radius,
             min_points=config.cluster_min_points,
@@ -211,7 +204,7 @@ def project_labels(
 
     check_class_ids(config, taxonomy)
 
-    proj = project(labeled.cloud, camera)
+    proj = pointcloud.project(labeled.cloud, camera)
     idx = np.nonzero(proj.in_frame)[0]
     shape = (camera.height, camera.width)
     maps = np.zeros((3, camera.height * camera.width), dtype=np.uint16)

@@ -9,6 +9,10 @@ variable (error, warn, info, debug).
 
 All commands are deterministic: rerunning with the same inputs and seed
 produces byte-identical outputs, and --jobs only changes wall time.
+
+Each handler imports the modules it runs, so ``--help`` and ``report``
+start without numpy and ``fuse`` without the labelling pipelines.
+``main`` sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it.
 """
 
 from __future__ import annotations
@@ -24,34 +28,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import formats
-from .autolabel_monitor import (
-    augment_flips,
-    composite_synthetic,
-    extract_part_masks,
-    extract_reference_mask,
-    load_monitor_config,
-    transfer_labels,
-)
-from .autolabel_rgbd import check_class_ids, generate_rgbd_sample, load_rgbd_config
-from .containers import LogitStack, derive_segments, segment_keys
 from .errors import PartfuseError, ValidationError
-from .fusion import STRATEGIES, FusionParams, fuse
-from .imaging import read_pnm, write_pnm
 from .jsonio import decode, read_json
-from .metrics import (
-    ClassReport,
-    MetricReport,
-    aggregate_dataset,
-    match_segments,
-    render_table,
-    report_to_tsv,
-)
-from .overlay import OverlaySpec, default_overlay_spec, render_overlay
-from .pointcloud import load_camera, read_ply
-from .rng import SplitMix64, splitmix64_nth
+from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy, load_taxonomy
+
+if TYPE_CHECKING:
+    from .metrics import MetricReport
+    from .overlay import OverlaySpec
 
 log = logging.getLogger("partfuse")
 
@@ -185,6 +171,10 @@ def _discover_stems(inputs: list[str]) -> list[Path]:
 
 
 def cmd_fuse(args) -> None:
+    from . import formats
+    from .containers import LogitStack
+    from .fusion import fuse
+
     cfg = _merge_run_config(args)
     if cfg.strategy not in STRATEGIES:
         raise ValidationError(
@@ -228,6 +218,10 @@ def _triple_stems(directory: Path) -> list[str]:
 
 
 def cmd_eval(args) -> None:
+    from . import formats
+    from .containers import derive_segments, segment_keys
+    from .metrics import aggregate_dataset, match_segments, render_table, report_to_tsv
+
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     gt_dir = Path(args.gt)
@@ -325,12 +319,18 @@ def _write_provenance(path: Path, payload: dict) -> None:
 
 
 def cmd_label_rgbd(args) -> None:
+    from . import formats
+    from .autolabel_rgbd import check_class_ids, generate_rgbd_sample, load_rgbd_config
+    from .imaging import read_pnm, write_pnm
+    from .pointcloud import load_camera, read_ply
+
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
     if not getattr(args, "config", None):
         raise ValidationError("label rgbd requires --config")
     label_cfg = replace(load_rgbd_config(cfg.file), seed=cfg.seed)
+    check_class_ids(label_cfg, taxonomy)
 
     scenes = [Path(s) for s in args.scenes]
     for scene in scenes:
@@ -374,6 +374,18 @@ def cmd_label_rgbd(args) -> None:
 
 
 def cmd_label_monitor(args) -> None:
+    from . import formats
+    from .autolabel_monitor import (
+        composite_synthetic,
+        extract_part_masks,
+        extract_reference_mask,
+        load_monitor_config,
+        transfer_labels,
+    )
+    from .autolabel_rgbd import check_class_ids
+    from .imaging import read_pnm, write_pnm
+    from .rng import SplitMix64, splitmix64_nth
+
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
@@ -457,6 +469,8 @@ def cmd_label_monitor(args) -> None:
 
 
 def _overlay_spec_from_args(args, taxonomy) -> OverlaySpec:
+    from .overlay import OverlaySpec, default_overlay_spec
+
     alpha = args.alpha if args.alpha is not None else 0.5
     spec = default_overlay_spec(taxonomy, alpha=alpha, draw_boxes=not args.no_boxes)
     if args.colors:
@@ -485,6 +499,10 @@ def _color_table(raw: dict, name: str, path: Path) -> dict[int, tuple[int, int, 
 
 
 def cmd_overlay(args) -> None:
+    from . import formats
+    from .imaging import read_pnm, write_pnm
+    from .overlay import render_overlay
+
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     image_path = Path(args.image)
@@ -503,6 +521,10 @@ def cmd_overlay(args) -> None:
 
 
 def cmd_augment(args) -> None:
+    from . import formats
+    from .autolabel_monitor import augment_flips
+    from .imaging import read_pnm, write_pnm
+
     cfg = _merge_run_config(args)
     out_dir = _ensure_out(cfg.out)
     dataset = Path(args.dataset)
@@ -528,6 +550,8 @@ def cmd_augment(args) -> None:
 
 
 def cmd_report(args) -> None:
+    from .metrics import render_table
+
     cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     rows: list[tuple[str, MetricReport]] = []
@@ -544,6 +568,8 @@ def cmd_report(args) -> None:
 
 
 def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
+    from .metrics import ClassReport, MetricReport
+
     name_to_id = {taxonomy.semantic_class(c).name: c for c in taxonomy.semantic_ids}
     per_class: dict[int, ClassReport] = {}
     mean_pq = mean_ppq = None
@@ -696,6 +722,9 @@ def _raise_open_file_limit() -> None:
 
 
 def main(argv=None) -> int:
+    # the handlers' numpy and scipy each load an OpenBLAS whose threads
+    # would spin idle: nothing here runs multi-threaded BLAS
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .taxonomy import ClassTaxonomy, VOID_ID
+from .taxonomy import MAX_ID, VOID_ID, ClassTaxonomy
 
 LABEL_DTYPE = np.uint16
 
@@ -85,11 +85,20 @@ class LabelTriple:
 
     @staticmethod
     def from_arrays(semantic, instance, part) -> "LabelTriple":
-        return LabelTriple(
-            np.ascontiguousarray(semantic, dtype=LABEL_DTYPE),
-            np.ascontiguousarray(instance, dtype=LABEL_DTYPE),
-            np.ascontiguousarray(part, dtype=LABEL_DTYPE),
-        )
+        """A triple of the three maps as uint16; an id outside 0..65535
+        raises ValidationError instead of wrapping."""
+        return LabelTriple(*(
+            _label_map(values, name)
+            for name, values in zip(("semantic", "instance", "part"), (semantic, instance, part))
+        ))
+
+
+def _label_map(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    # uint16 input holds only valid ids, so fusion and the flips skip the scan
+    if arr.dtype != LABEL_DTYPE and arr.size and (arr.min() < 0 or arr.max() > MAX_ID):
+        raise ValidationError(f"{name} map ids must be in 0..{MAX_ID}")
+    return np.ascontiguousarray(arr, dtype=LABEL_DTYPE)
 
 
 @dataclass(frozen=True)

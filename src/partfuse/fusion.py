@@ -29,41 +29,22 @@ instances.  The arithmetic is per pixel, so tiling changes no result.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .containers import LABEL_DTYPE, LabelTriple, LogitStack
+from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
+from .params import BASELINE_STRATEGIES, STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
 
-BASELINE_STRATEGIES = ("none", "consensus", "topdown")
-STRATEGIES = ("partpanoptic",) + BASELINE_STRATEGIES
+if TYPE_CHECKING:
+    from .containers import LogitStack
 
 # fusion works on row tiles of about this many pixels (16 rows of a
 # 1024-wide frame), so no stage holds a full-frame float64 tensor with a
 # channel axis; see tile_rows
 TILE_PIXELS = 2**14
-
-
-@dataclass(frozen=True)
-class FusionParams:
-    """Tunables of the panoptic stage; defaults follow common fusion practice."""
-
-    confidence_min: float = 0.5
-    overlap_discard_ratio: float = 0.5
-    min_instance_area: int = 64
-    mask_logit_threshold: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence_min <= 1.0:
-            raise ValidationError("confidence_min must be in [0, 1]")
-        if not 0.0 < self.overlap_discard_ratio <= 1.0:
-            raise ValidationError("overlap_discard_ratio must be in (0, 1]")
-        if self.min_instance_area < 0:
-            raise ValidationError("min_instance_area must be >= 0")
-        if not np.isfinite(self.mask_logit_threshold):
-            raise ValidationError("mask_logit_threshold must be finite")
 
 
 def sigmoid_rescaled(x):

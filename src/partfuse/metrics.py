@@ -22,18 +22,25 @@ from the counts of (segment pair, gt part, pred part).
 
 Scores aggregate over a dataset by pooling matched IoU sums and TP/FP/FN
 counts before the final quotient, never by averaging per-image scores.
+
+numpy and ``containers`` are imported inside the functions that match
+and aggregate, so that ``report``, which only renders reports, starts
+without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .containers import LabelTriple, PanopticSegment, derive_segments, segment_keys
 from .errors import ValidationError
 from .taxonomy import ClassTaxonomy
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .containers import LabelTriple, PanopticSegment
 
 IOU_MATCH_THRESHOLD = 0.5
 VOID_DISCARD_RATIO = 0.5
@@ -95,16 +102,20 @@ def match_segments(
     and ``derive_segments`` when the caller scores several predictions
     against it.
     """
+    import numpy as np
+
+    from . import containers
+
     if pred.shape != gt.shape:
         raise ValidationError(
             f"prediction and ground truth differ in size: {pred.shape} vs {gt.shape}"
         )
-    pred_keys = segment_keys(pred)
-    pred_by_key = {s.key: s for s in derive_segments(pred, taxonomy, pred_keys)}
+    pred_keys = containers.segment_keys(pred)
+    pred_by_key = {s.key: s for s in containers.derive_segments(pred, taxonomy, pred_keys)}
     if gt_keys is None:
-        gt_keys = segment_keys(gt)
+        gt_keys = containers.segment_keys(gt)
     if gt_segments is None:
-        gt_segments = derive_segments(gt, taxonomy, gt_keys)
+        gt_segments = containers.derive_segments(gt, taxonomy, gt_keys)
     gt_by_key = {s.key: s for s in gt_segments}
 
     pixel_pairs = gt_keys.astype(np.uint64) << np.uint64(32)
@@ -185,6 +196,8 @@ def part_iou(
     non-empty.  If every part id is absent on both sides, or the class
     has no parts, the score is the segment IoU.
     """
+    import numpy as np
+
     if not any(taxonomy.parts_of(gk >> 16) for gk, _, _ in matched):
         return [iou for _, _, iou in matched]
     # one histogram of (pair index, gt part, pred part) over the pixels
@@ -241,6 +254,8 @@ def aggregate_dataset(
     Classes never present in any ground truth are reported as absent
     (None) and excluded from the aggregate means.
     """
+    import numpy as np
+
     if not matches:
         raise ValidationError("cannot aggregate an empty dataset")
     gt_present: set[int] = set()

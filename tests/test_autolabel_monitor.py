@@ -252,6 +252,22 @@ def test_reference_label_rejects_leaky_parts():
         )
 
 
+def test_reference_label_triple_rejects_a_class_id_beyond_16_bits():
+    from partfuse.autolabel_monitor import ReferenceLabel
+
+    obj = np.zeros((4, 4), dtype=bool)
+    obj[0, 0] = True
+    reference = ReferenceLabel(
+        object_mask=obj,
+        part_grid=np.zeros((4, 4), dtype=np.uint16),
+        instance_grid=obj.astype(np.uint16),
+        object_class_id=70000,
+        background_class_id=0,
+    )
+    with pytest.raises(ValidationError, match="semantic map ids"):
+        reference.triple()
+
+
 # ------------------------------------------------------------ flips
 
 

@@ -496,6 +496,19 @@ def test_label_rgbd_malformed_ply_exit_code(tmp_path, taxonomy_json):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, class_id", [("object_class_id", 99), ("object_class_id", 70000),
+                                             ("background_class_id", 99)])
+def test_label_rgbd_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, field, class_id):
+    scenes = [write_rgbd_scene_dir(tmp_path, f"scene_{i}", seed=i) for i in range(2)]
+    config = write_rgbd_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()), field: class_id}))
+    out = tmp_path / "out"
+    args = ["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config", str(config),
+            "--out", str(out), "--keep-going", *map(str, scenes)]
+    assert main(args) == 3
+    assert not list(out.glob("*.pgm"))
+
+
 def write_monitor_dataset(tmp_path):
     root = tmp_path / "dataset"
     root.mkdir()
@@ -910,9 +923,6 @@ def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json
     inputs.mkdir()
     for i in range(2):
         write_many_proposals(inputs, f"img{i}", 100, seed=i)
-    src = Path(partfuse.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     limited = (
         "import resource, sys\n"
         "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
@@ -921,7 +931,7 @@ def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json
         "sys.exit(main(sys.argv[1:]))\n"
     )
     args = fuse_args(taxonomy_json, tmp_path / "limited", inputs, "--jobs", "2")
-    child = subprocess.run([sys.executable, "-c", limited, *args], env=env,
+    child = subprocess.run([sys.executable, "-c", limited, *args], env=fresh_env(),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert main(fuse_args(taxonomy_json, tmp_path / "free", inputs, "--jobs", "2")) == 0
@@ -931,41 +941,131 @@ def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json
     assert limited_tree == tree_bytes(tmp_path / "free")
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
+def fresh_env(**changes):
+    """This process's environment with partfuse's sources on PYTHONPATH;
+    a change to None removes that variable."""
     src = Path(partfuse.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
     check = "import sys, partfuse.cli; assert 'scipy.ndimage' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", check], env=fresh_env(), check=True, timeout=60)
 
 
-# runs ``python -m partfuse <args>`` and reports the scipy modules it
-# loaded on stderr's last line
-SCIPY_GUARD = """
-import atexit, runpy, sys
-atexit.register(lambda: print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
-                              file=sys.stderr))
+# runs ``python -m partfuse <args>`` and reports, as JSON on stderr's last
+# line, the numpy, scipy and partfuse modules it loaded and the
+# OPENBLAS_NUM_THREADS it ended with
+MODULE_GUARD = """
+import atexit, json, os, runpy, sys
+atexit.register(lambda: print(json.dumps({
+    "modules": sorted(m for m in sys.modules
+                      if m.partition(".")[0] in ("numpy", "scipy", "partfuse")),
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+}), file=sys.stderr))
 runpy.run_module("partfuse", run_name="__main__", alter_sys=True)
 """
 
 
-def test_fuse_eval_and_report_load_no_scipy(tmp_path, taxonomy_json):
-    src = Path(partfuse.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
+def fresh_run(args, env=None) -> dict:
+    """The guard's report on a fresh ``partfuse <args>``, which must exit 0."""
+    child = subprocess.run([sys.executable, "-c", MODULE_GUARD, *args], env=env or fresh_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stderr.splitlines()[-1])
+
+
+def loaded(report: dict, *prefixes: str) -> list[str]:
+    return [m for m in report["modules"] if m.startswith(prefixes)]
+
+
+def write_fuse_eval_inputs(tmp_path):
     inputs = tmp_path / "in"
     inputs.mkdir()
     for i in range(2):
         write_fuse_sample(inputs, f"img{i}")
-    out, tsv = tmp_path / "out", tmp_path / "m.tsv"
+    return inputs, tmp_path / "out", tmp_path / "m.tsv"
+
+
+def test_fuse_eval_and_report_load_no_scipy(tmp_path, taxonomy_json):
+    inputs, out, tsv = write_fuse_eval_inputs(tmp_path)
     taxonomy = ["--taxonomy", str(taxonomy_json)]
     for args in (fuse_args(taxonomy_json, out, inputs),
                  ["eval", *taxonomy, "--gt", str(out), "--tsv", str(tsv), str(out)],
                  ["report", *taxonomy, str(tsv)]):
-        child = subprocess.run([sys.executable, "-c", SCIPY_GUARD, *args], env=env,
-                               capture_output=True, text=True, timeout=120)
-        assert child.returncode == 0, child.stderr
-        assert child.stderr.splitlines()[-1] == "[]", (args[0], child.stderr)
+        assert loaded(fresh_run(args), "scipy") == [], args[0]
+
+
+def test_help_and_report_load_no_numpy(tmp_path, taxonomy_json):
+    inputs, out, tsv = write_fuse_eval_inputs(tmp_path)
+    taxonomy = ["--taxonomy", str(taxonomy_json)]
+    assert main(fuse_args(taxonomy_json, out, inputs)) == 0
+    assert main(["eval", *taxonomy, "--gt", str(out), "--tsv", str(tsv), str(out)]) == 0
+    for args in (["--help"], ["fuse", "--help"], ["report", *taxonomy, "--percent", str(tsv)]):
+        report = fresh_run(args)
+        assert loaded(report, "numpy", "scipy") == [], args
+        assert "partfuse.cli" in report["modules"]
+
+
+def test_fuse_and_eval_load_no_labelling_modules(tmp_path, taxonomy_json):
+    inputs, out, tsv = write_fuse_eval_inputs(tmp_path)
+    taxonomy = ["--taxonomy", str(taxonomy_json)]
+    labelling = ("partfuse.autolabel_", "partfuse.pointcloud", "partfuse.overlay")
+    fuse = fresh_run(fuse_args(taxonomy_json, out, inputs))
+    assert loaded(fuse, *labelling) == []
+    assert "partfuse.fusion" in fuse["modules"]
+    evaluate = fresh_run(["eval", *taxonomy, "--gt", str(out), "--tsv", str(tsv), str(out)])
+    assert loaded(evaluate, *labelling, "partfuse.fusion") == []
+
+
+def test_label_rgbd_loads_no_fusion(tmp_path, taxonomy_json):
+    scene = write_rgbd_scene_dir(tmp_path)
+    config = write_rgbd_config(tmp_path)
+    report = fresh_run(["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config", str(config),
+                        "--out", str(tmp_path / "out"), str(scene)])
+    assert "partfuse.pointcloud" in report["modules"]
+    assert loaded(report, "partfuse.fusion", "partfuse.metrics") == []
+
+
+def test_openblas_threads_default_to_one_and_keep_the_callers_value(tmp_path, taxonomy_json):
+    # fuse loads numpy, and with it OpenBLAS, after main has set the default
+    inputs, out, _ = write_fuse_eval_inputs(tmp_path)
+    unset = fresh_run(fuse_args(taxonomy_json, out, inputs),
+                      env=fresh_env(OPENBLAS_NUM_THREADS=None))
+    assert unset["openblas"] == "1"
+    assert "numpy" in unset["modules"]
+    kept = fresh_run(["--help"], env=fresh_env(OPENBLAS_NUM_THREADS="3"))
+    assert kept["openblas"] == "3"
+
+
+LAZY_NAMES = """
+import sys, partfuse
+assert [m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")] == []
+assert [m for m in sys.modules if m.startswith("partfuse.")] == []
+for name in partfuse.__all__:
+    getattr(partfuse, name)
+"""
+
+
+def test_public_names_resolve_lazily():
+    subprocess.run([sys.executable, "-c", LAZY_NAMES], env=fresh_env(), check=True, timeout=60)
+    for name in partfuse.__all__[:-1]:
+        value = getattr(partfuse, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name not in vars(partfuse)  # no second binding a tracer could miss
+    assert partfuse.__all__[-1] == "__version__"
+    from partfuse.fusion import FusionParams
+
+    assert FusionParams is partfuse.FusionParams
+    with pytest.raises(AttributeError, match="no_such_name"):
+        partfuse.no_such_name
 
 
 def write_overlay_inputs(tmp_path):

@@ -97,6 +97,28 @@ def test_maps_must_share_shape():
         )
 
 
+@pytest.mark.parametrize("bad", [70000, -1, 2**16])
+def test_from_arrays_rejects_ids_that_would_wrap(bad):
+    ok = np.zeros((1, 2), dtype=np.int64)
+    wide = np.array([[bad, 1]])
+    for position, name in enumerate(("semantic", "instance", "part")):
+        maps = [ok, ok, ok]
+        maps[position] = wide
+        with pytest.raises(ValidationError, match=f"{name} map ids must be in 0..65535"):
+            LabelTriple.from_arrays(*maps)
+    with pytest.raises(ValidationError):
+        LabelTriple.from_arrays([[70000, -1]], [[0, 0]], [[0, 0]])
+
+
+def test_from_arrays_keeps_every_id_in_range():
+    wide = np.array([[0, 1, 65535]], dtype=np.int64)
+    triple = LabelTriple.from_arrays(wide, wide, np.zeros((1, 3), dtype=np.uint16))
+    assert triple.semantic_map.dtype == np.uint16
+    assert triple.semantic_map.tolist() == [[0, 1, 65535]]
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert LabelTriple.from_arrays(empty, empty, empty).shape == (0, 0)
+
+
 def test_validate_messages_name_the_offending_id(taxonomy):
     sem = np.array([[BAG, 99], [TABLE, 98]], dtype=np.uint16)
     with pytest.raises(ValidationError, match=r"^semantic map uses unknown class id 98$"):
