@@ -203,6 +203,25 @@ def augment_flips(
     ]
 
 
+_PROVENANCE_PARAMS = ("closing_window", "quantize_levels", "min_component_area")
+
+
+def provenance_record(
+    scene: str, seed: int, reference: ReferenceLabel, samples: list[str],
+    config: MonitorLabelConfig,
+) -> dict:
+    """What ``label monitor`` records beside a scene's samples."""
+    return {
+        "variant": "monitor",
+        "scene": scene,
+        "seed": seed,
+        "instances": int(reference.instance_grid.max()),
+        "object_pixels": int(reference.object_mask.sum()),
+        "samples": samples,
+        "params": {name: getattr(config, name) for name in _PROVENANCE_PARAMS},
+    }
+
+
 def load_monitor_config(raw: dict) -> MonitorLabelConfig:
     """Build a MonitorLabelConfig from a config file's parsed JSON object."""
     return decode(MonitorLabelConfig, raw, "monitor config")

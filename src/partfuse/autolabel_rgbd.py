@@ -300,6 +300,25 @@ def generate_rgbd_sample(
     return rgb, triple
 
 
+_PROVENANCE_PARAMS = ("ransac_iterations", "ransac_threshold", "cluster_radius",
+                      "cluster_min_points", "knn_k", "max_pixel_radius")
+
+
+def provenance_record(
+    scene: str, cloud: PointCloud, triple: LabelTriple, config: RgbdLabelConfig
+) -> dict:
+    """What ``label rgbd`` records beside a scene's sample."""
+    return {
+        "variant": "rgbd",
+        "scene": scene,
+        "seed": config.seed,
+        "points": len(cloud),
+        "instances": int(triple.instance_map.max()),
+        "non_void_pixels": int((triple.semantic_map != 0).sum()),
+        "params": {name: getattr(config, name) for name in _PROVENANCE_PARAMS},
+    }
+
+
 def load_rgbd_config(raw: dict) -> RgbdLabelConfig:
     """Build an RgbdLabelConfig from a config file's parsed JSON object."""
     return decode(RgbdLabelConfig, raw, "rgbd config")

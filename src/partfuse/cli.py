@@ -18,7 +18,6 @@ start without numpy and ``fuse`` without the labelling pipelines.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import shutil
@@ -31,13 +30,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import PartfuseError, ValidationError
-from .jsonio import decode, read_json
+from .jsonio import decode, read_json, write_json
 from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy, load_taxonomy
 
 if TYPE_CHECKING:
     from .metrics import MetricReport
-    from .overlay import OverlaySpec
 
 log = logging.getLogger("partfuse")
 
@@ -79,6 +77,13 @@ def _load_taxonomy_checked(path: Path | None) -> ClassTaxonomy:
     if path is None:
         raise ValidationError("a taxonomy file is required (--taxonomy)")
     return load_taxonomy(path)
+
+
+def _directory(raw, what: str) -> Path:
+    path = Path(raw)
+    if not path.is_dir():
+        raise ValidationError(f"{what} not found: {path}")
+    return path
 
 
 def _ensure_out(out: Path | None) -> Path:
@@ -145,64 +150,20 @@ def _run_items(
 # ---------------------------------------------------------------- fuse
 
 
-_FUSE_SUFFIXES = (".sem.ppt1", ".part.ppt1", ".proposals.json")
-
-
-def _stem(path: Path) -> Path:
-    """``path`` without the input-file suffix it ends with, if any."""
-    for suffix in _FUSE_SUFFIXES:
-        if path.name.endswith(suffix):
-            return path.with_name(path.name[: -len(suffix)])
-    return path
-
-
-def _discover_stems(inputs: list[str]) -> list[Path]:
-    """A directory stands for every stem with any of its input files in
-    it, in sorted order; any other path, one of a stem's input files or
-    the stem itself, names one stem."""
-    stems: list[Path] = []
-    for raw in inputs:
-        path = Path(raw)
-        if path.is_dir():
-            stems.extend(sorted({_stem(p) for s in _FUSE_SUFFIXES for p in path.glob(f"*{s}")}))
-        else:
-            stems.append(_stem(path))
-    return stems
-
-
-def cmd_fuse(args) -> None:
+def cmd_fuse(args, cfg: RunConfig) -> None:
     from . import formats
-    from .containers import LogitStack
     from .fusion import fuse
 
-    cfg = _merge_run_config(args)
     if cfg.strategy not in STRATEGIES:
-        raise ValidationError(
-            f"unknown strategy {cfg.strategy!r}; expected one of {STRATEGIES}"
-        )
+        raise ValidationError(f"unknown strategy {cfg.strategy!r}; expected one of {STRATEGIES}")
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
-    stems = _discover_stems(args.inputs)
+    stems = formats.find_stems(args.inputs, formats.SAMPLE_SUFFIXES)
     if not stems:
         raise ValidationError("no inputs found")
 
     def work(stem: Path, stage: Path):
-        for suffix in _FUSE_SUFFIXES:
-            if not Path(str(stem) + suffix).exists():
-                raise ValidationError(f"missing input file {stem}{suffix}")
-        sem = formats.read_tensor(str(stem) + ".sem.ppt1")
-        part = formats.read_tensor(str(stem) + ".part.ppt1")
-        proposals = formats.read_proposals(str(stem) + ".proposals.json")
-        if sem.ndim != 3 or part.ndim != 3:
-            raise ValidationError(f"{stem}: logit tensors must be rank 3")
-        stack = LogitStack(
-            semantic_logits=sem,
-            part_logits=part,
-            semantic_channel_ids=taxonomy.semantic_ids,
-            part_channel_ids=taxonomy.part_ids,
-            instance_proposals=proposals,
-        )
-        triple = fuse(stack, taxonomy, cfg.fusion, cfg.strategy)
+        triple = fuse(formats.read_sample(stem, taxonomy), taxonomy, cfg.fusion, cfg.strategy)
         formats.write_label_triple(triple, stage / stem.name)
         log.info("fused %s", stem.name)
         return stem.name
@@ -213,21 +174,14 @@ def cmd_fuse(args) -> None:
 # ---------------------------------------------------------------- eval
 
 
-def _triple_stems(directory: Path) -> list[str]:
-    return sorted(p.name[: -len(".sem.pgm")] for p in directory.glob("*.sem.pgm"))
-
-
-def cmd_eval(args) -> None:
+def cmd_eval(args, cfg: RunConfig) -> None:
     from . import formats
     from .containers import derive_segments, segment_keys
     from .metrics import aggregate_dataset, match_segments, render_table, report_to_tsv
 
-    cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
-    gt_dir = Path(args.gt)
-    if not gt_dir.is_dir():
-        raise ValidationError(f"ground truth directory not found: {gt_dir}")
-    stems = _triple_stems(gt_dir)
+    gt_dir = _directory(args.gt, "ground truth directory")
+    stems = [s.name for s in formats.find_stems([gt_dir], formats.TRIPLE_SUFFIXES)]
     if not stems:
         raise ValidationError(f"no label triples in {gt_dir}")
 
@@ -240,11 +194,9 @@ def cmd_eval(args) -> None:
         if not pred_dir.is_dir():
             dir_error = ValidationError(f"prediction directory not found: {pred_dir}")
             break
-        missing = [s for s in stems if not (pred_dir / f"{s}.sem.pgm").exists()]
+        missing = [s for s in stems if not formats.triple_paths(pred_dir / s)[0].exists()]
         if missing:
-            dir_error = ValidationError(
-                f"{pred_dir} is missing predictions for {missing[:5]}"
-            )
+            dir_error = ValidationError(f"{pred_dir} is missing predictions for {missing[:5]}")
             break
         pred_dirs.append(pred_dir)
 
@@ -269,9 +221,7 @@ def cmd_eval(args) -> None:
                 pred = formats.read_label_triple(pred_dir / stem)
                 if gt_error is None:
                     pred.validate(taxonomy)
-                    outcomes.append(
-                        match_segments(pred, gt, taxonomy, gt_keys, gt_segments)
-                    )
+                    outcomes.append(match_segments(pred, gt, taxonomy, gt_keys, gt_segments))
                 else:
                     outcomes.append(gt_error)
             except (PartfuseError, OSError) as exc:
@@ -289,15 +239,9 @@ def cmd_eval(args) -> None:
     if dir_error is not None:
         raise dir_error
 
-    sys.stdout.write(
-        render_table(rows, taxonomy, percent=args.percent, metric="pq", corner="PQ")
-    )
-    sys.stdout.write("\n")
-    sys.stdout.write(
-        render_table(
-            rows, taxonomy, percent=args.percent, metric="part_pq", corner="PartPQ"
-        )
-    )
+    tables = [render_table(rows, taxonomy, percent=args.percent, metric=metric, corner=corner)
+              for metric, corner in (("pq", "PQ"), ("part_pq", "PartPQ"))]
+    sys.stdout.write("\n".join(tables))
     if args.tsv:
         tsv_path = Path(args.tsv)
 
@@ -312,30 +256,21 @@ def cmd_eval(args) -> None:
 # ---------------------------------------------------------------- label
 
 
-def _write_provenance(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def cmd_label_rgbd(args) -> None:
+def cmd_label_rgbd(args, cfg: RunConfig) -> None:
     from . import formats
-    from .autolabel_rgbd import check_class_ids, generate_rgbd_sample, load_rgbd_config
+    from .autolabel_rgbd import (check_class_ids, generate_rgbd_sample, load_rgbd_config,
+                                 provenance_record)
     from .imaging import read_pnm, write_pnm
     from .pointcloud import load_camera, read_ply
 
-    cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
-    if not getattr(args, "config", None):
+    if not args.config:
         raise ValidationError("label rgbd requires --config")
     label_cfg = replace(load_rgbd_config(cfg.file), seed=cfg.seed)
     check_class_ids(label_cfg, taxonomy)
 
-    scenes = [Path(s) for s in args.scenes]
-    for scene in scenes:
-        if not scene.is_dir():
-            raise ValidationError(f"scene directory not found: {scene}")
+    scenes = [_directory(s, "scene directory") for s in args.scenes]
 
     def work(scene: Path, stage: Path):
         for name in ("rgb.ppm", "cloud.ply", "camera.json"):
@@ -348,71 +283,45 @@ def cmd_label_rgbd(args) -> None:
         stem = stage / scene.name
         write_pnm(image, stem.with_suffix(".ppm"))
         formats.write_label_triple(triple, stem)
-        _write_provenance(
-            stem.with_suffix(".provenance.json"),
-            {
-                "variant": "rgbd",
-                "scene": scene.name,
-                "seed": label_cfg.seed,
-                "points": len(cloud),
-                "instances": int(triple.instance_map.max()),
-                "non_void_pixels": int((triple.semantic_map != 0).sum()),
-                "params": {
-                    "ransac_iterations": label_cfg.ransac_iterations,
-                    "ransac_threshold": label_cfg.ransac_threshold,
-                    "cluster_radius": label_cfg.cluster_radius,
-                    "cluster_min_points": label_cfg.cluster_min_points,
-                    "knn_k": label_cfg.knn_k,
-                    "max_pixel_radius": label_cfg.max_pixel_radius,
-                },
-            },
-        )
+        record = provenance_record(scene.name, cloud, triple, label_cfg)
+        write_json(stem.with_suffix(".provenance.json"), record)
         log.info("labelled scene %s", scene.name)
         return scene.name
 
     _run_items(scenes, work, cfg.jobs, args.keep_going, out_dir)
 
 
-def cmd_label_monitor(args) -> None:
+def cmd_label_monitor(args, cfg: RunConfig) -> None:
     from . import formats
-    from .autolabel_monitor import (
-        composite_synthetic,
-        extract_part_masks,
-        extract_reference_mask,
-        load_monitor_config,
-        transfer_labels,
-    )
+    from .autolabel_monitor import (composite_synthetic, extract_part_masks,
+                                    extract_reference_mask, load_monitor_config,
+                                    provenance_record, transfer_labels)
     from .autolabel_rgbd import check_class_ids
     from .imaging import read_pnm, write_pnm
     from .rng import SplitMix64, splitmix64_nth
 
-    cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
-    if not getattr(args, "config", None):
+    if not args.config:
         raise ValidationError("label monitor requires --config")
     label_cfg = load_monitor_config(cfg.file)
     check_class_ids(label_cfg, taxonomy)
+    if args.composites < 0:
+        raise ValidationError(f"--composites must be >= 0, got {args.composites}")
 
-    root = Path(args.dataset_root)
-    if not root.is_dir():
-        raise ValidationError(f"dataset root not found: {root}")
+    root = _directory(args.dataset_root, "dataset root")
     scenes = sorted(p for p in root.iterdir() if p.is_dir())
     if not scenes:
         raise ValidationError(f"no scene directories under {root}")
 
     backgrounds: list[Path] = []
     if args.backgrounds:
-        bg_dir = Path(args.backgrounds)
-        if not bg_dir.is_dir():
-            raise ValidationError(f"backgrounds directory not found: {bg_dir}")
+        bg_dir = _directory(args.backgrounds, "backgrounds directory")
         backgrounds = sorted(bg_dir.glob("*.ppm"))
         if args.composites > 0 and not backgrounds:
             raise ValidationError(f"no PPM backgrounds in {bg_dir}")
     if args.composites > 0 and not backgrounds:
         raise ValidationError("--composites requires --backgrounds")
-
-    indexed = list(enumerate(scenes))
 
     def work(item, stage: Path):
         ordinal, scene = item
@@ -425,92 +334,48 @@ def cmd_label_monitor(args) -> None:
         reference = extract_part_masks(img_black, mask, label_cfg, taxonomy)
 
         emitted = []
-        for target_path in sorted(scene.glob("target_*.ppm")):
-            target = read_pnm(target_path)
-            image, triple = transfer_labels(reference, target)
-            stem = stage / f"{scene.name}_{target_path.stem}"
+
+        def emit(name: str, image, triple) -> None:
+            stem = stage / name
             write_pnm(image, stem.with_suffix(".ppm"))
             formats.write_label_triple(triple, stem)
-            emitted.append(stem.name)
+            emitted.append(name)
+
+        for target_path in sorted(scene.glob("target_*.ppm")):
+            target = read_pnm(target_path)
+            emit(f"{scene.name}_{target_path.stem}", *transfer_labels(reference, target))
 
         # composites draw backgrounds from a per-scene splitmix64 stream
         rng = SplitMix64(splitmix64_nth(cfg.seed, ordinal + 1))
         for i in range(args.composites):
             bg = read_pnm(backgrounds[rng.below(len(backgrounds))])
-            image, triple = composite_synthetic(img_black, reference, bg)
-            stem = stage / f"{scene.name}_synth_{i:03d}"
-            write_pnm(image, stem.with_suffix(".ppm"))
-            formats.write_label_triple(triple, stem)
-            emitted.append(stem.name)
+            emit(f"{scene.name}_synth_{i:03d}", *composite_synthetic(img_black, reference, bg))
 
-        _write_provenance(
-            stage / f"{scene.name}.provenance.json",
-            {
-                "variant": "monitor",
-                "scene": scene.name,
-                "seed": cfg.seed,
-                "instances": int(reference.instance_grid.max()),
-                "object_pixels": int(reference.object_mask.sum()),
-                "samples": emitted,
-                "params": {
-                    "closing_window": label_cfg.closing_window,
-                    "quantize_levels": label_cfg.quantize_levels,
-                    "min_component_area": label_cfg.min_component_area,
-                },
-            },
-        )
+        record = provenance_record(scene.name, cfg.seed, reference, emitted, label_cfg)
+        write_json(stage / f"{scene.name}.provenance.json", record)
         log.info("labelled scene %s (%d samples)", scene.name, len(emitted))
         return scene.name
 
-    _run_items(indexed, work, cfg.jobs, args.keep_going, out_dir)
+    _run_items(list(enumerate(scenes)), work, cfg.jobs, args.keep_going, out_dir)
 
 
 # ---------------------------------------------------------------- overlay
 
 
-def _overlay_spec_from_args(args, taxonomy) -> OverlaySpec:
-    from .overlay import OverlaySpec, default_overlay_spec
-
-    alpha = args.alpha if args.alpha is not None else 0.5
-    spec = default_overlay_spec(taxonomy, alpha=alpha, draw_boxes=not args.no_boxes)
-    if args.colors:
-        path = Path(args.colors)
-        raw = read_json(path, dict)
-        spec = OverlaySpec(
-            class_colors={**spec.class_colors, **_color_table(raw, "class_colors", path)},
-            part_colors={**spec.part_colors, **_color_table(raw, "part_colors", path)},
-            draw_boxes=spec.draw_boxes,
-            alpha=spec.alpha,
-        )
-    return spec
-
-
-def _color_table(raw: dict, name: str, path: Path) -> dict[int, tuple[int, int, int]]:
-    """``raw[name]`` as {id: (r, g, b)}: integer ids, integer samples in 0..255."""
-    table = raw.get(name, {})
-    try:
-        colors = {int(key): tuple(value) for key, value in table.items()}
-    except (AttributeError, TypeError, ValueError):
-        raise ValidationError(f"{path}: {name} must map integer ids to colours") from None
-    for ident, color in colors.items():
-        if len(color) != 3 or not all(type(c) is int and 0 <= c <= 255 for c in color):
-            raise ValidationError(f"{path}: {name}[{ident}] must be 3 integers in 0..255")
-    return colors
-
-
-def cmd_overlay(args) -> None:
+def cmd_overlay(args, cfg: RunConfig) -> None:
     from . import formats
     from .imaging import read_pnm, write_pnm
-    from .overlay import render_overlay
+    from .overlay import default_overlay_spec, load_colors, render_overlay
 
-    cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     image_path = Path(args.image)
     if not image_path.exists():
         raise ValidationError(f"image not found: {image_path}")
     image = read_pnm(image_path)
     triple = formats.read_label_triple(args.triple_stem)
-    spec = _overlay_spec_from_args(args, taxonomy)
+    spec = default_overlay_spec(taxonomy, alpha=args.alpha, draw_boxes=not args.no_boxes)
+    if args.colors:
+        spec = load_colors(args.colors, spec)
     rendered = render_overlay(image, triple, spec)
     output = Path(args.output)
     _run_items([output], lambda path, stage: write_pnm(rendered, stage / path.name), 1,
@@ -520,16 +385,13 @@ def cmd_overlay(args) -> None:
 # ---------------------------------------------------------------- augment
 
 
-def cmd_augment(args) -> None:
+def cmd_augment(args, cfg: RunConfig) -> None:
     from . import formats
     from .autolabel_monitor import augment_flips
     from .imaging import read_pnm, write_pnm
 
-    cfg = _merge_run_config(args)
     out_dir = _ensure_out(cfg.out)
-    dataset = Path(args.dataset)
-    if not dataset.is_dir():
-        raise ValidationError(f"dataset directory not found: {dataset}")
+    dataset = _directory(args.dataset, "dataset directory")
     stems = sorted(p.stem for p in dataset.glob("*.ppm"))
     if not stems:
         raise ValidationError(f"no samples in {dataset}")
@@ -549,59 +411,13 @@ def cmd_augment(args) -> None:
 # ---------------------------------------------------------------- report
 
 
-def cmd_report(args) -> None:
-    from .metrics import render_table
+def cmd_report(args, cfg: RunConfig) -> None:
+    from .metrics import render_table, report_from_tsv
 
-    cfg = _merge_run_config(args)
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
-    rows: list[tuple[str, MetricReport]] = []
-    for tsv_raw in args.tsv_files:
-        path = Path(tsv_raw)
-        if not path.exists():
-            raise ValidationError(f"TSV file not found: {path}")
-        rows.append((path.stem, _report_from_tsv(path, taxonomy)))
+    rows = [(Path(p).stem, report_from_tsv(p, taxonomy)) for p in args.tsv_files]
     sys.stdout.write(
-        render_table(
-            rows, taxonomy, percent=args.percent, metric="part_pq", corner="PartPQ"
-        )
-    )
-
-
-def _report_from_tsv(path: Path, taxonomy: ClassTaxonomy) -> MetricReport:
-    from .metrics import ClassReport, MetricReport
-
-    name_to_id = {taxonomy.semantic_class(c).name: c for c in taxonomy.semantic_ids}
-    per_class: dict[int, ClassReport] = {}
-    mean_pq = mean_ppq = None
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not lines or lines[0].split("\t") != ["class", "pq", "part_pq", "tp", "fp", "fn"]:
-        raise ValidationError(f"{path}: not a partfuse metrics TSV")
-    for number, line in enumerate(lines[1:], start=2):
-        try:  # six cells: a name, two ratios or '-', three counts
-            name, pq_cell, ppq_cell, tp, fp, fn = line.split("\t")
-            pq_val, ppq_val = (None if c == "-" else float(c) for c in (pq_cell, ppq_cell))
-            tp, fp, fn = int(tp), int(fp), int(fn)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {number}: {exc}") from None
-        if name == "total":
-            mean_pq, mean_ppq = pq_val, ppq_val
-            continue
-        if name not in name_to_id:
-            raise ValidationError(f"{path}: unknown class name {name!r}")
-        per_class[name_to_id[name]] = ClassReport(
-            pq=pq_val,
-            part_pq=ppq_val,
-            tp=tp,
-            fp=fp,
-            fn=fn,
-        )
-    for cid in taxonomy.semantic_ids:
-        if cid not in per_class:
-            raise ValidationError(f"{path}: missing row for class id {cid}")
-    return MetricReport(per_class=per_class, mean_pq=mean_pq, mean_part_pq=mean_ppq)
+        render_table(rows, taxonomy, percent=args.percent, metric="part_pq", corner="PartPQ"))
 
 
 # ---------------------------------------------------------------- parser
@@ -669,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_overlay = sub.add_parser("overlay", help="render a colour overlay")
     _add_flags(p_overlay, "taxonomy", "config")
     p_overlay.add_argument("--colors", help="JSON colour table override")
-    p_overlay.add_argument("--alpha", type=float, default=None)
+    p_overlay.add_argument("--alpha", type=float, default=0.5)
     p_overlay.add_argument("--no-boxes", action="store_true")
     p_overlay.add_argument("image", help="PPM image")
     p_overlay.add_argument("triple_stem", help="label triple stem")
@@ -730,7 +546,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _raise_open_file_limit()
     try:
-        args.handler(args)
+        args.handler(args, _merge_run_config(args))
     except ValidationError as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION

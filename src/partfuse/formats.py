@@ -9,7 +9,9 @@ PPT1 layout:
     then        row-major payload, last dimension fastest
 
 Label triples are stored as three 16-bit PGMs sharing one stem:
-``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.
+``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.  A fuse
+sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1`` and
+``<stem>.proposals.json``.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import containers
 from .containers import InstanceProposal, LabelTriple
 from .errors import FormatError, ValidationError
 from .imaging import read_pgm16, write_pgm16
 from .jsonio import decode, read_json
+from .taxonomy import ClassTaxonomy
 
 _MAGIC = b"PPT1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
@@ -91,12 +95,52 @@ def write_tensor(tensor: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + dims + le.tobytes())
 
 
-def triple_paths(stem: str | Path) -> tuple[Path, Path, Path]:
+TRIPLE_SUFFIXES = (".sem.pgm", ".inst.pgm", ".part.pgm")
+SAMPLE_SUFFIXES = (".sem.ppt1", ".part.ppt1", ".proposals.json")
+
+
+def triple_paths(stem: str | Path) -> tuple[Path, ...]:
     stem = Path(stem)
-    return (
-        stem.with_name(stem.name + ".sem.pgm"),
-        stem.with_name(stem.name + ".inst.pgm"),
-        stem.with_name(stem.name + ".part.pgm"),
+    return tuple(stem.with_name(stem.name + suffix) for suffix in TRIPLE_SUFFIXES)
+
+
+def find_stems(inputs, suffixes: tuple[str, ...]) -> list[Path]:
+    """The stems ``inputs`` name.  A directory stands for every stem with
+    any of the ``suffixes`` files in it, in sorted order; any other path,
+    one of a stem's files or the stem itself, names one stem."""
+
+    def stem(path: Path) -> Path:
+        for suffix in suffixes:
+            if path.name.endswith(suffix) and path.name != suffix:  # no empty names
+                return path.with_name(path.name[: -len(suffix)])
+        return path
+
+    stems: list[Path] = []
+    for raw in inputs:
+        path = Path(raw)
+        if path.is_dir():
+            stems.extend(sorted({stem(p) for s in suffixes for p in path.glob(f"*{s}")}))
+        else:
+            stems.append(stem(path))
+    return stems
+
+
+def read_sample(stem: Path, taxonomy: ClassTaxonomy) -> containers.LogitStack:
+    """The fuse sample at ``stem`` as a LogitStack whose channels follow
+    the taxonomy; a missing file raises ValidationError."""
+    paths = [stem.with_name(stem.name + suffix) for suffix in SAMPLE_SUFFIXES]
+    for path in paths:
+        if not path.exists():
+            raise ValidationError(f"missing input file {path}")
+    sem, part, proposals = read_tensor(paths[0]), read_tensor(paths[1]), read_proposals(paths[2])
+    if sem.ndim != 3 or part.ndim != 3:
+        raise ValidationError(f"{stem}: logit tensors must be rank 3")
+    return containers.LogitStack(
+        semantic_logits=sem,
+        part_logits=part,
+        semantic_channel_ids=taxonomy.semantic_ids,
+        part_channel_ids=taxonomy.part_ids,
+        instance_proposals=proposals,
     )
 
 

@@ -1,11 +1,11 @@
-"""One reader and one decoder for every JSON input.
+"""One reader and one decoder for every JSON input, and one writer.
 
 ``read_json`` parses a file strictly: UTF-8, standard JSON whose numbers
 are finite and whose integers fit in 64 bits, and the expected top-level
 type.  ``decode`` builds a dataclass from the parsed value, checking each
 value against its field's type.  Every fault in a file's bytes raises
 ValidationError (exit 3); a file that cannot be read stays an OSError
-(exit 2).
+(exit 2).  ``write_json`` writes every JSON output.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ def read_json(path: str | Path, top: type):
         kind = "an object" if top is dict else "an array"
         raise ValidationError(f"{path}: the top level must be {kind}")
     return value
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` as UTF-8 JSON, indented by 2 with sorted keys and
+    a final newline."""
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def decode(hint, raw, what: str):

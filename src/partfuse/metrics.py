@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -44,6 +45,7 @@ if TYPE_CHECKING:
 
 IOU_MATCH_THRESHOLD = 0.5
 VOID_DISCARD_RATIO = 0.5
+TSV_COLUMNS = ("class", "pq", "part_pq", "tp", "fp", "fn")
 
 
 @dataclass(frozen=True)
@@ -292,8 +294,9 @@ def aggregate_dataset(
 
 
 def report_to_tsv(report: MetricReport, taxonomy: ClassTaxonomy) -> str:
-    """Render a report as TSV: class, pq, part_pq, tp, fp, fn; '-' when absent."""
-    lines = ["class\tpq\tpart_pq\ttp\tfp\tfn"]
+    """Render a report as TSV: a TSV_COLUMNS header, one row per semantic
+    class, then a total row; ratios with 9 decimals, '-' when absent."""
+    lines = ["\t".join(TSV_COLUMNS)]
     for cls in taxonomy.semantic_ids:
         row = report.per_class[cls]
         name = taxonomy.semantic_class(cls).name
@@ -311,6 +314,64 @@ def report_to_tsv(report: MetricReport, taxonomy: ClassTaxonomy) -> str:
 
 def _cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.9f}"
+
+
+def report_from_tsv(path: str | Path, taxonomy: ClassTaxonomy) -> MetricReport:
+    """Read a report that ``report_to_tsv`` wrote: its header, one row per
+    semantic class in any order, and the total row last.  Ratios are '-'
+    or in [0, 1] and counts are non-negative integers.  Any other content
+    raises ValidationError naming the file."""
+    path = Path(path)
+    name_to_id = {taxonomy.semantic_class(c).name: c for c in taxonomy.semantic_ids}
+    per_class: dict[int, ClassReport] = {}
+    total = None
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise ValidationError(f"TSV file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
+        raise ValidationError(f"{path}: not a partfuse metrics TSV")
+    for number, line in enumerate(lines[1:], start=2):
+        try:  # six cells: a name, two ratios, three counts
+            name, pq_cell, ppq_cell, tp, fp, fn = line.split("\t")
+            pq, ppq = _ratio(pq_cell), _ratio(ppq_cell)
+            tp, fp, fn = _count(tp), _count(fp), _count(fn)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {number}: {exc}") from None
+        if total is not None:
+            raise ValidationError(f"{path}: line {number}: a row after the total row")
+        if name == "total":
+            total = (pq, ppq)
+            continue
+        if name not in name_to_id:
+            raise ValidationError(f"{path}: unknown class name {name!r}")
+        if name_to_id[name] in per_class:
+            raise ValidationError(f"{path}: line {number}: a second row for {name!r}")
+        per_class[name_to_id[name]] = ClassReport(pq, ppq, tp, fp, fn)
+    for cid in taxonomy.semantic_ids:
+        if cid not in per_class:
+            raise ValidationError(f"{path}: missing row for class id {cid}")
+    if total is None:
+        raise ValidationError(f"{path}: no total row")
+    return MetricReport(per_class, *total)
+
+
+def _ratio(cell: str) -> float | None:
+    if cell == "-":
+        return None
+    value = float(cell)
+    if not 0.0 <= value <= 1.0:  # also NaN
+        raise ValueError(f"ratio {cell} is not in [0, 1]")
+    return value
+
+
+def _count(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"count {cell} is negative")
+    return value
 
 
 def render_table(

@@ -8,13 +8,15 @@ are outlined with 1-px contours in per-part colours.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .containers import LabelTriple
 from .errors import ValidationError
 from .imaging import boundary_mask
+from .jsonio import read_json
 
 
 def golden_color(index: int, saturation: float = 0.75, value: float = 1.0) -> tuple[int, int, int]:
@@ -58,6 +60,31 @@ def default_overlay_spec(taxonomy, alpha: float = 0.5, draw_boxes: bool = True) 
         draw_boxes=draw_boxes,
         alpha=alpha,
     )
+
+
+def load_colors(path: str | Path, spec: OverlaySpec) -> OverlaySpec:
+    """``spec`` with the JSON colour table at ``path`` laid over its
+    palettes: an object with optional ``class_colors`` and ``part_colors``
+    tables, each mapping an integer id to 3 integer samples in 0..255."""
+    path = Path(path)
+    raw = read_json(path, dict)
+    return replace(
+        spec,
+        class_colors={**spec.class_colors, **_color_table(raw, "class_colors", path)},
+        part_colors={**spec.part_colors, **_color_table(raw, "part_colors", path)},
+    )
+
+
+def _color_table(raw: dict, name: str, path: Path) -> dict[int, tuple[int, int, int]]:
+    table = raw.get(name, {})
+    try:
+        colors = {int(key): tuple(value) for key, value in table.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"{path}: {name} must map integer ids to colours") from None
+    for ident, color in colors.items():
+        if len(color) != 3 or not all(type(c) is int and 0 <= c <= 255 for c in color):
+            raise ValidationError(f"{path}: {name}[{ident}] must be 3 integers in 0..255")
+    return colors
 
 
 def instance_boxes(triple: LabelTriple) -> dict[int, tuple[int, int, int, int]]:

@@ -25,13 +25,14 @@ def _check_id(value: int, what: str) -> None:
         raise ValidationError(f"{what} id {value} outside [1, {MAX_ID}]")
 
 
-def _by_id(classes, what: str) -> dict:
-    by_id = {}
+def _index(classes, key: str, what: str) -> dict:
+    index = {}
     for c in classes:
-        if c.id in by_id:
-            raise ValidationError(f"duplicate {what} id {c.id}")
-        by_id[c.id] = c
-    return by_id
+        value = getattr(c, key)
+        if value in index:
+            raise ValidationError(f"duplicate {what} {key} {value!r}")
+        index[value] = c
+    return index
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,10 @@ class SemanticClass:
 
     def __post_init__(self):
         _check_id(self.id, "semantic class")
+        # a name heads its row of a TSV report, which ends with a 'total' row
+        if self.name == "total" or not self.name.isprintable():
+            raise ValidationError(f"semantic class name {self.name!r} cannot name a TSV row: "
+                                  "it must be printable (no tab or line break) and not 'total'")
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,8 @@ class ClassTaxonomy:
     """Validated label vocabulary. Instances are immutable.
 
     Raises ValidationError on an empty semantic class list, duplicate
-    ids, use of the reserved id 0 or unknown parent ids.
+    ids or semantic class names, use of the reserved id 0, unknown parent
+    ids, or a semantic class name that a TSV report cannot carry.
     """
 
     semantic_classes: tuple[SemanticClass, ...]
@@ -105,7 +111,8 @@ class ClassTaxonomy:
     def __post_init__(self):
         if not self.semantic_classes:
             raise ValidationError("semantic class list is empty")
-        sem_by_id = _by_id(self.semantic_classes, "semantic class")
+        sem_by_id = _index(self.semantic_classes, "id", "semantic class")
+        _index(self.semantic_classes, "name", "semantic class")
         by_parent: dict[int, list[PartClass]] = {}
         for p in self.part_classes:
             if p.parent_semantic_id not in sem_by_id:
@@ -115,7 +122,7 @@ class ClassTaxonomy:
                 )
             by_parent.setdefault(p.parent_semantic_id, []).append(p)
         object.__setattr__(self, "_sem_by_id", sem_by_id)
-        object.__setattr__(self, "_part_by_id", _by_id(self.part_classes, "part class"))
+        object.__setattr__(self, "_part_by_id", _index(self.part_classes, "id", "part class"))
         object.__setattr__(
             self, "_parts_by_parent", {k: tuple(v) for k, v in by_parent.items()}
         )

@@ -289,6 +289,34 @@ def test_overlay_alpha_and_boxes_flags(tmp_path, taxonomy_json):
     assert (rendered == np.array(spec.class_colors[TABLE])).all()
 
 
+@pytest.mark.parametrize("removed", [("sem",), ("sem", "inst"), ("sem", "part")])
+def test_eval_finds_ground_truth_stems_by_any_map(tmp_path, taxonomy_json, caplog, removed):
+    """A ground-truth stem that lost its .sem.pgm is still scored, and so
+    reported, rather than skipped."""
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    for directory in (gt_dir, pred_dir):
+        formats.write_label_triple(formats.read_label_triple(directory / "a"), directory / "b")
+    for kind in removed:
+        (gt_dir / f"b.{kind}.pgm").unlink()
+    args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), str(pred_dir)]
+    assert main(args) == 2
+    assert f"missing label map file {gt_dir / 'b.sem.pgm'}" in caplog.text
+
+
+def test_a_file_named_only_by_a_suffix_names_no_empty_stem(tmp_path, taxonomy_json, caplog):
+    """Stripping the whole name would leave an empty stem, which pathlib
+    refuses with ValueError (exit 1 and a traceback)."""
+    (tmp_path / ".sem.ppt1").write_bytes(b"")
+    fuse = ["fuse", "--taxonomy", str(taxonomy_json), "--out", str(tmp_path / "out")]
+    assert main([*fuse, str(tmp_path / ".sem.ppt1")]) == 3
+    assert "missing input file" in caplog.text
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    (gt_dir / ".sem.pgm").write_bytes(b"")
+    args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), str(pred_dir)]
+    assert main(args) == 3
+    assert "is missing predictions for ['.sem.pgm']" in caplog.text
+
+
 def test_eval_dimension_mismatch_exit_code(tmp_path, taxonomy_json):
     gt_dir, pred_dir = make_eval_dirs(tmp_path)
     formats.write_label_triple(
@@ -592,6 +620,19 @@ def test_label_monitor_checks_class_ids_before_any_scene(tmp_path, taxonomy_json
             "--keep-going", str(root)]  # no scene runs, so none can be skipped
     assert main(args) == 3
     assert not list(out.glob("*.pgm"))
+
+
+def test_label_monitor_rejects_negative_composites_before_any_scene(
+    tmp_path, taxonomy_json, caplog
+):
+    root, backgrounds, config = write_monitor_dataset(tmp_path)
+    out = tmp_path / "out"
+    args = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config),
+            "--out", str(out), "--backgrounds", str(backgrounds), "--composites", "-3",
+            "--keep-going", str(root)]  # no scene runs, so none can be skipped
+    assert main(args) == 3
+    assert "--composites must be >= 0, got -3" in caplog.text
+    assert not list(out.iterdir())
 
 
 def test_label_monitor_same_seed_byte_identical(tmp_path, taxonomy_json):
@@ -1126,8 +1167,13 @@ def test_overlay_malformed_colors_exit_code(tmp_path, taxonomy_json, table):
         "transfusion_bag\tgood\t0.75\t1\t0\t0",
         "transfusion_bag\t0.8\t0.75\tone\t0\t0",
         "total\t0.8\t0.75\t1\t0\t0.5",
+        "transfusion_bag\tnan\t0.75\t1\t0\t0",
+        "transfusion_bag\t0.8\tinf\t1\t0\t0",
+        "total\t7.5\t0.75\t1\t0\t0",
+        "transfusion_bag\t0.8\t0.75\t1\t-1\t0",
     ],
-    ids=["two-cells", "seven-cells", "text-ratio", "text-count", "fractional-count"],
+    ids=["two-cells", "seven-cells", "text-ratio", "text-count", "fractional-count",
+         "nan-ratio", "inf-ratio", "ratio-above-one", "negative-count"],
 )
 def test_report_malformed_tsv_row_exit_code(tmp_path, taxonomy_json, caplog, row):
     gt_dir, pred_dir = make_eval_dirs(tmp_path)
@@ -1140,6 +1186,28 @@ def test_report_malformed_tsv_row_exit_code(tmp_path, taxonomy_json, caplog, row
     tsv.write_text("\n".join(lines) + "\n")
     assert main(["report", "--taxonomy", str(taxonomy_json), str(tsv)]) == 3
     assert f"{tsv}: line {bad}:" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:2] + lines[1:], "line 3: a second row for 'transfusion_bag'"),
+        (lambda lines: lines[:-1], "no total row"),
+        (lambda lines: lines + lines[-1:], "line 7: a row after the total row"),
+        (lambda lines: lines[:1] + lines[-1:] + lines[1:-1], "line 3: a row after the total row"),
+    ],
+    ids=["repeated-class-row", "no-total-row", "repeated-total-row", "total-row-first"],
+)
+def test_report_rejects_tsv_eval_never_writes(tmp_path, taxonomy_json, caplog, edit, message):
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    tsv = tmp_path / "m.tsv"
+    eval_args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), "--tsv", str(tsv)]
+    assert main([*eval_args, str(pred_dir)]) == 0
+    lines = tsv.read_text().splitlines()
+    assert len(lines) == 6  # header, four classes, total
+    tsv.write_text("\n".join(edit(lines)) + "\n")
+    assert main(["report", "--taxonomy", str(taxonomy_json), str(tsv)]) == 3
+    assert f"{tsv}: {message}" in caplog.text
 
 
 def test_overlay_failed_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):

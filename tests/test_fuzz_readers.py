@@ -17,11 +17,12 @@ import partfuse
 from partfuse import formats
 from partfuse.autolabel_monitor import MonitorLabelConfig, load_monitor_config
 from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig, load_rgbd_config
-from partfuse.cli import _SETTINGS, _merge_run_config, _overlay_spec_from_args
+from partfuse.cli import _SETTINGS, _merge_run_config
 from partfuse.containers import InstanceProposal
 from partfuse.errors import FormatError, ValidationError
 from partfuse.imaging import HsvRange, read_pnm, write_pnm
 from partfuse.jsonio import read_json
+from partfuse.overlay import default_overlay_spec, load_colors
 from partfuse.pointcloud import (
     CameraModel,
     PmfParams,
@@ -222,9 +223,7 @@ JSON_INPUTS = {
     ),
     "colour-table": (
         {"class_colors": {"1": [1, 2, 3]}, "part_colors": {"11": [4, 5, 6]}},
-        lambda path: _overlay_spec_from_args(
-            Namespace(alpha=None, no_boxes=False, colors=str(path)), TAXONOMY
-        ),
+        lambda path: load_colors(path, default_overlay_spec(TAXONOMY)),
         ["class_colors", "part_colors", "1", "11", "-2", "x"],
     ),
     "camera": (
@@ -287,13 +286,15 @@ def test_json_input_rejects_wrong_values(tmp_path, name, data):
 
 def test_only_the_json_reader_parses_json():
     """Every JSON input goes through jsonio.read_json, which holds the one
-    error contract; no other module may call json.load or json.loads."""
+    error contract, and every JSON output through jsonio.write_json; no
+    other module may call json.load, json.loads, json.dump or json.dumps."""
     offenders = []
     for module in sorted(Path(partfuse.__file__).parent.glob("*.py")):
         if module.name == "jsonio.py":
             continue
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            named = isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+            named = isinstance(node, ast.Attribute) and node.attr in (
+                "load", "loads", "dump", "dumps")
             if named and isinstance(node.value, ast.Name) and node.value.id == "json":
                 offenders.append(f"{module.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and node.module == "json":

@@ -6,14 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from partfuse.metrics import (
+    ClassReport,
+    MetricReport,
     aggregate_dataset,
     match_segments,
     part_pq,
     render_table,
+    report_from_tsv,
     report_to_tsv,
 )
 from partfuse.errors import ValidationError
@@ -549,3 +552,39 @@ def test_render_table_shapes(taxonomy):
     assert "-" in lines[1]  # absent classes rendered as dashes
     ratio = render_table([("M_P", report)], taxonomy, percent=False)
     assert "0.750" in ratio.splitlines()[1]
+
+
+# ------------------------------------------------------------------ TSV
+
+
+def at_tsv_precision(value):
+    return None if value is None else float(f"{value:.9f}")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tsv_round_trip(tmp_path, data):
+    """Reading what report_to_tsv wrote gives the report back, its ratios
+    rounded to the TSV's 9 decimals, for any class names the taxonomy takes."""
+    printable = st.characters(whitelist_categories=("L", "N", "P", "S")) | st.just(" ")
+    name = st.text(printable, max_size=6).filter(lambda n: n != "total")
+    names = data.draw(st.lists(name, min_size=1, max_size=5, unique=True))
+    taxonomy = validate_taxonomy({"semantic_classes": [
+        {"id": i + 1, "name": name, "is_thing": True} for i, name in enumerate(names)]})
+    ratio = st.floats(0.0, 1.0)
+    count = st.integers(0, 10**12)
+    per_class = {}
+    for cid in taxonomy.semantic_ids:
+        pq, ppq = data.draw(st.none() | st.tuples(ratio, ratio)) or (None, None)
+        per_class[cid] = ClassReport(pq, ppq, *data.draw(st.tuples(count, count, count)))
+    means = data.draw(st.just((None, None)) | st.tuples(ratio, ratio))
+    report = MetricReport(per_class, *means)
+    path = tmp_path / "report.tsv"
+    path.write_text(report_to_tsv(report, taxonomy), encoding="utf-8")
+    expected = MetricReport(
+        {cid: ClassReport(at_tsv_precision(r.pq), at_tsv_precision(r.part_pq), r.tp, r.fp, r.fn)
+         for cid, r in per_class.items()},
+        *map(at_tsv_precision, means),
+    )
+    assert report_from_tsv(path, taxonomy) == expected

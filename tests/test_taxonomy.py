@@ -123,3 +123,32 @@ def test_malformed_entry_rejected(where, edit, message):
 def test_part_classes_must_be_an_array(part_classes):
     with pytest.raises(ValidationError, match="part_classes must be an array"):
         validate_taxonomy({**HOSPITAL_TAXONOMY, "part_classes": part_classes})
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["bag", "bag"], "duplicate semantic class name 'bag'"),
+        (["bag", "total"], "semantic class name 'total'"),
+        (["a\tb"], "semantic class name 'a\\tb'"),
+        (["a\rb"], "semantic class name 'a\\rb'"),
+        (["bag\n"], "semantic class name 'bag\\n'"),
+    ],
+    ids=["duplicate-name", "total", "tab", "carriage-return", "newline"],
+)
+def test_semantic_class_names_a_tsv_cannot_carry_rejected(names, message):
+    """A report TSV has one row per semantic class, keyed by its name and
+    ended by a 'total' row; these names would make it unreadable."""
+    raw = {"semantic_classes": [
+        {"id": i + 1, "name": name, "is_thing": True} for i, name in enumerate(names)]}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_taxonomy(raw)
+
+
+def test_part_class_names_are_not_tsv_rows():
+    """Only semantic class names head TSV rows, so a part may be 'total'."""
+    tax = validate_taxonomy({
+        "semantic_classes": [{"id": 1, "name": "a", "is_thing": True}],
+        "part_classes": [{"id": 2, "name": "total", "parent_semantic_id": 1}],
+    })
+    assert tax.part_class(2).name == "total"
