@@ -30,8 +30,6 @@ _EXPORTS = {
     "aggregate_dataset": "metrics",
     "derive_segments": "containers",
     "fuse": "fusion",
-    "fuse_baseline": "fusion",
-    "fuse_part_panoptic": "fusion",
     "load_taxonomy": "taxonomy",
     "match_segments": "metrics",
     "panoptic_fuse": "fusion",

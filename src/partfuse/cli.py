@@ -280,11 +280,10 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
         cloud = read_ply(scene / "cloud.ply")
         camera = load_camera(scene / "camera.json")
         image, triple = generate_rgbd_sample(rgb, cloud, camera, taxonomy, label_cfg)
-        stem = stage / scene.name
-        write_pnm(image, stem.with_suffix(".ppm"))
-        formats.write_label_triple(triple, stem)
+        write_pnm(image, stage / f"{scene.name}.ppm")
+        formats.write_label_triple(triple, stage / scene.name)
         record = provenance_record(scene.name, cloud, triple, label_cfg)
-        write_json(stem.with_suffix(".provenance.json"), record)
+        write_json(stage / f"{scene.name}.provenance.json", record)
         log.info("labelled scene %s", scene.name)
         return scene.name
 
@@ -336,9 +335,8 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
         emitted = []
 
         def emit(name: str, image, triple) -> None:
-            stem = stage / name
-            write_pnm(image, stem.with_suffix(".ppm"))
-            formats.write_label_triple(triple, stem)
+            write_pnm(image, stage / f"{name}.ppm")
+            formats.write_label_triple(triple, stage / name)
             emitted.append(name)
 
         for target_path in sorted(scene.glob("target_*.ppm")):
@@ -400,9 +398,8 @@ def cmd_augment(args, cfg: RunConfig) -> None:
         image = read_pnm(dataset / f"{stem}.ppm")
         triple = formats.read_label_triple(dataset / stem)
         for suffix, img, trip in augment_flips(image, triple):
-            out_stem = stage / f"{stem}{suffix}"
-            write_pnm(img, out_stem.with_suffix(".ppm"))
-            formats.write_label_triple(trip, out_stem)
+            write_pnm(img, stage / f"{stem}{suffix}.ppm")
+            formats.write_label_triple(trip, stage / f"{stem}{suffix}")
         return stem
 
     _run_items(stems, work, cfg.jobs, args.keep_going, out_dir)

@@ -103,7 +103,9 @@ def _label_map(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InstanceProposal:
-    """A candidate instance: thing class, confidence, full-frame mask logits."""
+    """A candidate instance: thing class, confidence, full-frame mask logits.
+
+    Fusion checks the mask for non-finite values as it reads it."""
 
     class_id: int
     confidence: float
@@ -116,8 +118,6 @@ class InstanceProposal:
             )
         if self.mask_logits.ndim != 2:
             raise ValidationError("proposal mask logits must be a 2-D tensor")
-        if not np.isfinite(self.mask_logits).all():
-            raise ValidationError("proposal mask logits contain non-finite values")
         _freeze(self.mask_logits)
 
 
@@ -126,7 +126,9 @@ class LogitStack:
     """Per-pixel semantic and part logits plus instance mask proposals.
 
     ``semantic_channel_ids`` / ``part_channel_ids`` give the explicit
-    channel-index -> class-id mapping for the two logit tensors.
+    channel-index -> class-id mapping for the two logit tensors.  The
+    logits are not scanned here: fusion checks them for non-finite values
+    band by band as it reads them.
     """
 
     semantic_logits: np.ndarray  # [C_sem, H, W]
@@ -149,10 +151,8 @@ class LogitStack:
             raise ValidationError("duplicate semantic channel ids")
         if len(set(self.part_channel_ids)) != len(self.part_channel_ids):
             raise ValidationError("duplicate part channel ids")
-        for t in (self.semantic_logits, self.part_logits):
-            if not np.isfinite(t).all():
-                raise ValidationError("logit tensor contains non-finite values")
-            _freeze(t)
+        _freeze(self.semantic_logits)
+        _freeze(self.part_logits)
         for p in self.instance_proposals:
             if p.mask_logits.shape != (h, w):
                 raise ValidationError("proposal mask dimensions disagree with stack")

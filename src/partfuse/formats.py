@@ -33,7 +33,6 @@ from .taxonomy import ClassTaxonomy
 
 _MAGIC = b"PPT1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
-_CODES = {np.dtype("float32"): 1, np.dtype("uint16"): 2, np.dtype("uint8"): 3}
 _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
 
@@ -46,22 +45,26 @@ def read_tensor(path: str | Path) -> np.ndarray:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size < 8:  # mmap refuses empty files
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:  # mmap refuses empty files
             raise FormatError(f"{path}: file shorter than the fixed header")
+        # the header is read from the file, not the map: touching a mapped
+        # page can make the whole large folio around it resident
+        header = fh.read(8 + 4 * _MAX_RANK)
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    if data[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    code, rank = data[4], data[5]
+    if header[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic {header[:4]!r}")
+    code, rank = header[4], header[5]
     if code not in _DTYPES:
         raise FormatError(f"{path}: unknown dtype code {code}")
     if rank > _MAX_RANK:
         raise FormatError(f"{path}: rank {rank} exceeds maximum {_MAX_RANK}")
-    if data[6] != 0 or data[7] != 0:
+    if header[6] != 0 or header[7] != 0:
         raise FormatError(f"{path}: reserved header bytes are nonzero")
     dims_end = 8 + 4 * rank
-    if len(data) < dims_end:
+    if size < dims_end:
         raise FormatError(f"{path}: truncated dimension list")
-    dims = struct.unpack(f"<{rank}I", data[8:dims_end]) if rank else ()
+    dims = struct.unpack(f"<{rank}I", header[8:dims_end]) if rank else ()
     count = 1
     for d in dims:
         count *= d
@@ -77,22 +80,35 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return np.frombuffer(data, dtype, count, dims_end).reshape(dims)
 
 
-def write_tensor(tensor: np.ndarray, path: str | Path) -> None:
-    """Write a float32/uint16/uint8 tensor as PPT1."""
-    tensor = np.asarray(tensor)
-    if tensor.ndim and not tensor.flags.c_contiguous:
-        tensor = np.ascontiguousarray(tensor)
-    code = _CODES.get(tensor.dtype)
-    if code is None:
-        raise FormatError(
-            f"unsupported tensor dtype {tensor.dtype}; use float32, uint16 or uint8"
-        )
-    if tensor.ndim > _MAX_RANK:
-        raise FormatError(f"rank {tensor.ndim} exceeds maximum {_MAX_RANK}")
-    header = _MAGIC + bytes([code, tensor.ndim, 0, 0])
-    dims = struct.pack(f"<{tensor.ndim}I", *tensor.shape) if tensor.ndim else b""
-    le = tensor.astype(tensor.dtype.newbyteorder("<"), copy=False)
-    Path(path).write_bytes(header + dims + le.tobytes())
+def file_map(array: np.ndarray) -> mmap.mmap | None:
+    """The ``read_tensor`` map under ``array``, a view of its payload, or
+    None for an array with no map under it."""
+    owner = array
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, memoryview):
+        owner = owner.obj
+    return owner if isinstance(owner, mmap.mmap) else None
+
+
+def release(array: np.ndarray) -> None:
+    """Drop this process's resident pages of the file map under ``array``,
+    a view with non-negative strides of a ``read_tensor`` payload.
+
+    The pages from the array's first byte to its last, rounded out to
+    whole pages, leave the resident set; reading them again faults them
+    back in from the page cache, so the values are unchanged.  Does
+    nothing for an array with no map under it or where ``madvise`` is
+    missing.
+    """
+    data = file_map(array)
+    if data is None or not hasattr(mmap, "MADV_DONTNEED") or not array.size:
+        return
+    origin = np.frombuffer(data, np.uint8, 1).__array_interface__["data"][0]
+    start = array.__array_interface__["data"][0] - origin
+    end = start + sum((n - 1) * s for n, s in zip(array.shape, array.strides)) + array.itemsize
+    start -= start % mmap.PAGESIZE
+    data.madvise(mmap.MADV_DONTNEED, start, end - start)
 
 
 TRIPLE_SUFFIXES = (".sem.pgm", ".inst.pgm", ".part.pgm")

@@ -20,21 +20,28 @@ is the part map.  Three baseline strategies ("none", "consensus",
 "topdown") skip the enhancement and resolve part/semantic conflicts by
 keeping them, voiding everything, or voiding only the part label.
 
-Both branches run on row tiles and enhance only what they read: the part
-map and the stuff argmax are built tile by tile, and a thing class's
-semantic channel is enhanced only on the footprints of accepted
-instances.  The arithmetic is per pixel, so tiling changes no result.
+A frame is fused in one pass over row bands.  Each band of every
+semantic and part channel is read once, its mapped pages are dropped
+(formats.release) and its values are checked for non-finite ones; its
+row tiles then feed both the part argmax and the stuff argmax.  The
+proposals are then checked and thresholded one at a time, each mask's
+pages dropped once its footprint is taken, and the accepted instances
+are scored on their footprints: a thing class's semantic channel is read
+and enhanced there only.  The arithmetic is per pixel, so banding and
+tiling change no result.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
+from .formats import file_map, release
 from .params import BASELINE_STRATEGIES, STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
 
@@ -45,6 +52,10 @@ if TYPE_CHECKING:
 # 1024-wide frame), so no stage holds a full-frame float64 tensor with a
 # channel axis; see tile_rows
 TILE_PIXELS = 2**14
+# a band of mapped logits is this many tiles: each band read maps and then
+# drops the page-cache folios around its rows, so fewer, larger bands cost
+# less time for a few MB more
+READ_TILES = 4
 
 
 def sigmoid_rescaled(x):
@@ -110,42 +121,43 @@ def semantic_wise_fuse(
     return agreement_part_sem(flat, semantic)
 
 
-def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray:
-    """Part map of part-wise fusion.
+def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy, index: slice) -> np.ndarray:
+    """Part labels of part-wise fusion on ``index``, a slice of the raveled
+    H*W frame.
 
     Each part channel is fused with its parent's semantic channel through
-    agreement_part_sem, and the part map is the per-pixel argmax of those
-    enhanced part logits, ties broken by the lowest part id.  The work
-    runs on row tiles: in each tile every parent's semantic logits are
-    cast to float64 and rescaled once, then each part channel is fused
-    and folded into a running argmax in part-id order.  The part map is
-    emitted everywhere; consumers decide whether to suppress parts on
-    partless regions.
+    agreement_part_sem, and the label is the per-pixel argmax of those
+    enhanced part logits, ties broken by the lowest part id.  Every
+    parent's semantic logits are cast to float64 and rescaled once and
+    kept until its last part, and each part channel is fused and folded
+    into a running argmax in part-id order.  Parts are labelled
+    everywhere; consumers decide whether to suppress them on partless
+    regions.  The caller validates the stack once per frame.
     """
-    stack.validate(taxonomy)
-    if not stack.part_channel_ids:
-        raise ValidationError("part-wise fusion requires at least one part class")
+    h, w = stack.part_logits.shape[1:]
     order = [
         (part_id, channel, stack.semantic_channel(taxonomy.parent_of(part_id)))
         for part_id, channel in _id_order(stack.part_channel_ids)
     ]
+    last_use = {parent: k for k, (_, _, parent) in enumerate(order)}
+    parents = {}  # parent channel -> (float64 logits, rescaled sigmoid)
 
-    def tile_channels(tile):
-        parents = {}  # parent channel -> (float64 logits, rescaled sigmoid)
-        for part_id, channel, parent in order:
+    def channels():
+        for k, (part_id, channel, parent) in enumerate(order):
             if parent not in parents:
-                sem = stack.semantic_logits[parent].reshape(-1)[tile].astype(np.float64)
+                sem = stack.semantic_logits[parent].reshape(-1)[index].astype(np.float64)
                 parents[parent] = sem, sigmoid_rescaled(sem)
             sem, sem_rescaled = parents[parent]
-            part = stack.part_logits[channel].reshape(-1)[tile].astype(np.float64)
+            if last_use[parent] == k:
+                del parents[parent]
+            part = stack.part_logits[channel].reshape(-1)[index].astype(np.float64)
             # agreement_part_sem(part, sem), sharing the parent's term
             scores = sigmoid_rescaled(part)
             scores += sem_rescaled
             scores *= part + sem
             yield part_id, scores
 
-    shape = stack.part_logits.shape[1:]
-    return _tiled_argmax(shape, tile_channels).reshape(shape)
+    return _argmax(channels(), len(range(h * w)[index]))
 
 
 def _id_order(channel_ids) -> list[tuple[int, int]]:
@@ -158,32 +170,56 @@ def tile_rows(width: int) -> int:
     return max(1, TILE_PIXELS // max(width, 1))
 
 
-def _tiled_argmax(shape, tile_channels, best=None) -> np.ndarray:
-    """Per-pixel label of the maximum score, one row tile at a time.
+def _read_band(tensor: np.ndarray, rows: slice) -> np.ndarray:
+    """``tensor[:, rows]``, read for one band.
 
-    ``tile_channels(tile)`` yields (label, scores) pairs for the pixels of
-    one tile, a slice of the raveled frame, in ascending label order.  A
+    A mapped tensor is copied one channel at a time, and each channel's
+    pages are dropped as soon as its rows are copied: a read can map the
+    whole large page-cache folio around them, which may hold the entire
+    channel.  An in-memory tensor is resident already and comes back as
+    a view.
+    """
+    band = tensor[:, rows]
+    if file_map(tensor) is None:
+        return band
+    copy = np.empty(band.shape, dtype=band.dtype)
+    for channel, source, out in zip(tensor, band, copy):
+        out[...] = source
+        release(channel)
+    return copy
+
+
+def _gather(tensor: np.ndarray, channels: list[int], pixels: np.ndarray) -> np.ndarray:
+    """``tensor[channels]`` at ``pixels`` of the raveled frame, as a
+    [channels, 1, pixels] array; each mapped channel's pages are dropped as
+    soon as it is read, as in _read_band."""
+    out = np.empty((len(channels), 1, len(pixels)), dtype=tensor.dtype)
+    for channel, row in zip(channels, out):
+        row[0] = tensor[channel].reshape(-1)[pixels]
+        release(tensor[channel])
+    return out
+
+
+def _argmax(channels, size: int, best=None) -> np.ndarray:
+    """Per-pixel label of the maximum score over ``size`` pixels.
+
+    ``channels`` yields (label, scores) pairs in ascending label order.  A
     later channel takes a pixel only with a strictly greater score, so
     ties go to the lowest label, as with np.argmax's first maximum.
-    Without channels every pixel has score -inf and label void.  The
-    labels are raveled; ``best``, a raveled float64 array of the frame
-    when given, receives the maximum scores.  Labels are at least 1 and
-    ascend, so a channel that wins a pixel holds a larger label than its
-    current one, and ``max(winner, better * label)`` is the new winner.
+    Without channels every pixel has score -inf and label void.  ``best``,
+    a float64 array of ``size`` when given, receives the maximum scores.
+    Labels are at least 1 and ascend, so a channel that wins a pixel holds
+    a larger label than its current one, and ``max(winner, better *
+    label)`` is the new winner.
     """
-    size = shape[0] * shape[1]
-    step = tile_rows(shape[1]) * shape[1]
     winner = np.zeros(size, dtype=LABEL_DTYPE)
-    buffer = np.empty(min(step, size), dtype=bool)
-    for start in range(0, size, step):
-        tile = slice(start, min(start + step, size))
-        tile_best = np.empty(tile.stop - start) if best is None else best[tile]
-        tile_best.fill(-np.inf)
-        tile_winner, better = winner[tile], buffer[: tile.stop - start]
-        for label, scores in tile_channels(tile):
-            np.greater(scores, tile_best, out=better)
-            np.maximum(tile_best, scores, out=tile_best)
-            np.maximum(tile_winner, better * LABEL_DTYPE(label), out=tile_winner)
+    best = np.empty(size) if best is None else best
+    best.fill(-np.inf)
+    better = np.empty(size, dtype=bool)
+    for label, scores in channels:
+        np.greater(scores, best, out=better)
+        np.maximum(best, scores, out=best)
+        np.maximum(winner, better * LABEL_DTYPE(label), out=winner)
     return winner
 
 
@@ -201,89 +237,47 @@ def mask_threshold(dtype, threshold: float):
 
 
 def panoptic_fuse(
-    semantic_logits: np.ndarray,
-    semantic_channel_ids: tuple[int, ...],
+    stuff_map: np.ndarray,
+    stuff_best: np.ndarray,
     proposals,
-    taxonomy: ClassTaxonomy,
-    params: FusionParams | None = None,
-    scores=None,
+    params: FusionParams | None,
+    scores,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge stuff logits and instance proposals into semantic/instance maps.
+    """Merge instance proposals into the stuff argmax: raveled semantic and
+    instance maps.
 
-    Semantic scores are read through ``scores(channel, index)``, which
-    returns float64 scores of one channel at ``index``, a slice or an
-    integer array of the raveled frame; by default it casts
-    ``semantic_logits``, the [C, H, W] tensor that also sets the frame
-    shape.  Stuff channels are read tile by tile, thing channels only at
-    the footprints of accepted instances.
+    ``stuff_map`` and ``stuff_best`` hold the winning stuff class and its
+    score at each pixel of the raveled frame; ``stuff_map`` is filled in
+    and returned as the semantic map.  ``scores(class_id, pixels)``
+    returns a thing class's float64 semantic scores at an integer array
+    of pixels.
 
-    Proposals below the confidence floor are dropped; the rest are
-    accepted greedily in descending confidence (ties by submission order)
-    unless their thresholded footprint overlaps already-claimed pixels on
-    at least ``overlap_discard_ratio`` of its own area.  Overlapped pixels
-    are removed from the later proposal.  Each accepted instance competes
-    per pixel with the stuff-class logits via agreement_sem_inst between
-    its mask logits and its class's semantic score; the winner is the
-    highest score, ties to the lowest class id then lowest instance id.
-    Instances that end up with fewer than ``min_instance_area`` pixels are
-    removed and their pixels go to the stuff winner.  Accepted footprints
-    are disjoint, so each instance is scored on its own footprint pixels
-    against the stuff argmax alone.
+    Every proposal's mask is checked for non-finite values, in descending
+    confidence (ties by submission order), and its pages are dropped once
+    it has been read.  Proposals below the confidence floor go no
+    further; the rest are accepted greedily unless their thresholded
+    footprint overlaps already-claimed pixels on at least
+    ``overlap_discard_ratio`` of its own area.  Overlapped pixels are
+    removed from the later proposal, and an accepted instance keeps only
+    its surviving pixels and its mask logits there.  Each accepted
+    instance then competes per pixel with the stuff-class logits via
+    agreement_sem_inst between its mask logits and its class's semantic
+    score; the winner is the highest score, ties to the lowest class id
+    then lowest instance id.  Instances that end up with fewer than
+    ``min_instance_area`` pixels are removed and their pixels go to the
+    stuff winner.  Accepted footprints are disjoint, so each instance is
+    scored on its own footprint pixels against the stuff argmax alone.
     """
     params = params or FusionParams()
-    if semantic_logits.ndim != 3:
-        raise ValidationError("semantic logit tensor must be [C, H, W]")
-    if semantic_logits.shape[0] != len(semantic_channel_ids):
-        raise ValidationError("channel id mapping length mismatch")
-    h, w = semantic_logits.shape[1:]
-    if scores is None:
-        def scores(channel, index):
-            return semantic_logits[channel].reshape(-1)[index].astype(np.float64)
-    threshold = params.mask_logit_threshold
-
-    kept = [p for p in proposals if p.confidence >= params.confidence_min]
-    order = sorted(
-        range(len(kept)), key=lambda i: (-kept[i].confidence, i)
-    )
-
-    occupancy = np.zeros(h * w, dtype=bool)
-    accepted: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, pixels, logits)
-    for idx in order:
-        prop = kept[idx]
-        if prop.mask_logits.shape != (h, w):
-            raise ValidationError("proposal mask dimensions disagree with logits")
-        mask = prop.mask_logits.ravel()
-        footprint = np.flatnonzero(mask > mask_threshold(mask.dtype, threshold))
-        if footprint.size == 0:
-            continue
-        taken = occupancy[footprint]
-        if np.count_nonzero(taken) / footprint.size >= params.overlap_discard_ratio:
-            continue
-        surviving = footprint[~taken]
-        occupancy[surviving] = True
-        accepted.append((prop.class_id, surviving, prop.mask_logits))
-
-    channel_of = {cid: ch for ch, cid in enumerate(semantic_channel_ids)}
-    stuff = [
-        (class_id, channel)
-        for class_id, channel in _id_order(semantic_channel_ids)
-        if taxonomy.has_semantic(class_id) and not taxonomy.is_thing(class_id)
-    ]
-    stuff_best = np.empty(h * w)
-    sem_map = _tiled_argmax(
-        (h, w), lambda tile: ((cid, scores(ch, tile)) for cid, ch in stuff), stuff_best
-    )
+    accepted = _accept_proposals(proposals, stuff_map.size, params)
 
     # footprints are disjoint, so sem_map still holds the stuff winner on
     # every pixel of the instance being scored
-    inst_map = np.zeros(h * w, dtype=LABEL_DTYPE)
+    sem_map = stuff_map
+    inst_map = np.zeros(sem_map.size, dtype=LABEL_DTYPE)
     instance_id = 0
-    for class_id, pixels, mask_logits in accepted:
-        if class_id not in channel_of:
-            raise ValidationError(f"no semantic channel for proposal class {class_id}")
-        fused = agreement_sem_inst(
-            mask_logits.ravel()[pixels], scores(channel_of[class_id], pixels)
-        )
+    for class_id, pixels, logits in accepted:
+        fused = agreement_sem_inst(logits, scores(class_id, pixels))
         best = stuff_best[pixels]
         wins = (fused > best) | ((fused == best) & (class_id < sem_map[pixels]))
         won = pixels[wins]
@@ -292,79 +286,82 @@ def panoptic_fuse(
         instance_id += 1
         sem_map[won] = class_id
         inst_map[won] = instance_id
-    return sem_map.reshape(h, w), inst_map.reshape(h, w)
+    return sem_map, inst_map
 
 
-def fuse_part_panoptic(
-    stack: LogitStack,
-    taxonomy: ClassTaxonomy,
-    params: FusionParams | None = None,
-) -> LabelTriple:
-    """Full part-panoptic fusion: part argmax, then the panoptic merge on
-    semantic channels enhanced where it reads them."""
-    part_map = part_wise_fuse(stack, taxonomy)
-    sem_map, inst_map = panoptic_fuse(
-        stack.semantic_logits,
-        stack.semantic_channel_ids,
-        stack.instance_proposals,
-        taxonomy,
-        params,
-        functools.partial(semantic_wise_fuse, stack, taxonomy),
-    )
-    return LabelTriple.from_arrays(sem_map, inst_map, part_map)
+def _accept_proposals(proposals, size: int, params: FusionParams) -> list:
+    """(class id, surviving pixels, mask logits there) of each proposal that
+    panoptic_fuse accepts, in acceptance order; see there."""
+    threshold = params.mask_logit_threshold
+    order = sorted(range(len(proposals)), key=lambda i: (-proposals[i].confidence, i))
+    occupancy = np.zeros(size, dtype=bool)
+    accepted = []
+    for idx in order:
+        prop = proposals[idx]
+        mask = prop.mask_logits.ravel()
+        if not np.isfinite(mask).all():
+            raise ValidationError("proposal mask logits contain non-finite values")
+        if prop.confidence >= params.confidence_min:
+            footprint = np.flatnonzero(mask > mask_threshold(mask.dtype, threshold))
+            taken = occupancy[footprint]
+            if footprint.size and (
+                np.count_nonzero(taken) / footprint.size < params.overlap_discard_ratio
+            ):
+                surviving = footprint[~taken]
+                occupancy[surviving] = True
+                accepted.append((prop.class_id, surviving, mask[surviving]))
+        release(prop.mask_logits)
+    return accepted
 
 
-def fuse_baseline(
-    stack: LogitStack,
-    taxonomy: ClassTaxonomy,
-    params: FusionParams | None = None,
-    strategy: str = "none",
-) -> LabelTriple:
-    """Ablation strategies that bypass the agreement-based enhancement.
+def _band_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores):
+    """Part map, stuff map and stuff scores of the raveled frame, from one
+    pass over row bands.
 
-    "none": panoptic merge on the raw semantic logits; part map is the raw
-    per-pixel argmax of the part logits.  Part/semantic conflicts (the
-    part's parent differs from the pixel's semantic label) are kept.
-    "consensus": conflicting pixels have semantic, instance and part all
-    set to void.  "topdown": conflicting pixels keep semantic and
-    instance and only the part label is voided.
+    The logits are read READ_TILES tiles at a time and checked for
+    non-finite values.  Each tile then feeds the part argmax (part-wise
+    fusion with ``enhance``, the raw part logits without) and the stuff
+    argmax of ``scores(tile stack, channel, index)``.
     """
-    if strategy not in BASELINE_STRATEGIES:
-        raise ValidationError(
-            f"unknown strategy {strategy!r}; expected one of {BASELINE_STRATEGIES}"
+    h, w = stack.semantic_logits.shape[1:]
+    part_order = _id_order(stack.part_channel_ids)
+    stuff = [
+        (class_id, channel)
+        for class_id, channel in _id_order(stack.semantic_channel_ids)
+        if taxonomy.has_semantic(class_id) and not taxonomy.is_thing(class_id)
+    ]
+    part_map = np.empty(h * w, dtype=LABEL_DTYPE)
+    stuff_map = np.empty(h * w, dtype=LABEL_DTYPE)
+    stuff_best = np.empty(h * w)
+
+    def fuse_tile(semantic: np.ndarray, parts: np.ndarray, pixels: slice) -> None:
+        tile = replace(stack, semantic_logits=semantic, part_logits=parts, instance_proposals=())
+        size = pixels.stop - pixels.start
+        if enhance:
+            part_map[pixels] = part_wise_fuse(tile, taxonomy, slice(None))
+        else:
+            part_map[pixels] = _argmax(
+                ((part_id, parts[channel].reshape(-1)) for part_id, channel in part_order), size
+            )
+        stuff_map[pixels] = _argmax(
+            ((class_id, scores(tile, channel, slice(None))) for class_id, channel in stuff),
+            size,
+            stuff_best[pixels],
         )
-    stack.validate(taxonomy)
-    sem_map, inst_map = panoptic_fuse(
-        stack.semantic_logits,
-        stack.semantic_channel_ids,
-        stack.instance_proposals,
-        taxonomy,
-        params,
-    )
-    order = _id_order(stack.part_channel_ids)
-    part_map = _tiled_argmax(
-        sem_map.shape,
-        lambda tile: (
-            (part_id, stack.part_logits[channel].reshape(-1)[tile])
-            for part_id, channel in order
-        ),
-    ).reshape(sem_map.shape)
 
-    if strategy == "none":
-        return LabelTriple.from_arrays(sem_map, inst_map, part_map)
-
-    parent_lut = np.zeros(max(taxonomy.part_ids, default=0) + 1, dtype=np.int64)
-    for pid in taxonomy.part_ids:
-        parent_lut[pid] = taxonomy.parent_of(pid)
-    conflict = (part_map != 0) & (parent_lut[part_map] != sem_map)
-
-    if strategy == "consensus":
-        sem_map[conflict] = 0
-        inst_map[conflict] = 0
-        part_map[conflict] = 0
-    else:  # topdown
-        part_map[conflict] = 0
-    return LabelTriple.from_arrays(sem_map, inst_map, part_map)
+    step = tile_rows(w)
+    for top in range(0, h, READ_TILES * step):
+        rows = slice(top, min(top + READ_TILES * step, h))
+        semantic = _read_band(stack.semantic_logits, rows)
+        parts = _read_band(stack.part_logits, rows)
+        for tensor in (semantic, parts):
+            if not np.isfinite(tensor).all():
+                raise ValidationError("logit tensor contains non-finite values")
+        for start in range(0, rows.stop - top, step):
+            pixels = slice((top + start) * w, min(top + start + step, h) * w)
+            fuse_tile(semantic[:, start : start + step], parts[:, start : start + step], pixels)
+        del semantic, parts  # before the next band is read
+    return part_map, stuff_map, stuff_best
 
 
 def fuse(
@@ -373,7 +370,61 @@ def fuse(
     params: FusionParams | None = None,
     strategy: str = "partpanoptic",
 ) -> LabelTriple:
-    """Dispatch on strategy name: "partpanoptic" or a baseline."""
-    if strategy == "partpanoptic":
-        return fuse_part_panoptic(stack, taxonomy, params)
-    return fuse_baseline(stack, taxonomy, params, strategy)
+    """Fuse one frame with ``strategy``: "partpanoptic" or a baseline.
+
+    "partpanoptic": the part map comes from part-wise fusion, and the
+    panoptic merge reads semantic channels enhanced by semantic-wise
+    fusion.  The baselines bypass the enhancement: the panoptic merge
+    reads the raw semantic logits and the part map is the raw per-pixel
+    argmax of the part logits.  They differ on part/semantic conflicts
+    (the part's parent differs from the pixel's semantic label): "none"
+    keeps them, "consensus" sets semantic, instance and part to void, and
+    "topdown" voids only the part label.
+
+    Every logit and mask value is read in one pass (see the module
+    docstring), and a non-finite one raises ValidationError, so nothing
+    is returned for such a frame.
+    """
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    stack.validate(taxonomy)
+    enhance = strategy == "partpanoptic"
+    if enhance and not stack.part_channel_ids:
+        raise ValidationError("part-wise fusion requires at least one part class")
+    h, w = stack.semantic_logits.shape[1:]
+
+    def scores(source: LogitStack, channel: int, index) -> np.ndarray:
+        if enhance:
+            return semantic_wise_fuse(source, taxonomy, channel, index)
+        return source.semantic_logits[channel].reshape(-1)[index].astype(np.float64)
+
+    part_map, stuff_map, stuff_best = _band_pass(stack, taxonomy, enhance, scores)
+
+    def instance_scores(class_id: int, pixels: np.ndarray) -> np.ndarray:
+        # a stack of the class's channels at the instance's footprint
+        parts = tuple(p.id for p in taxonomy.parts_of(class_id)) if enhance else ()
+        semantic = [stack.semantic_channel(class_id)]
+        footprint = replace(
+            stack,
+            semantic_logits=_gather(stack.semantic_logits, semantic, pixels),
+            part_logits=_gather(stack.part_logits, [stack.part_channel(p) for p in parts], pixels),
+            semantic_channel_ids=(class_id,),
+            part_channel_ids=parts,
+            instance_proposals=(),
+        )
+        return scores(footprint, 0, slice(None))
+
+    sem_map, inst_map = panoptic_fuse(
+        stuff_map, stuff_best, stack.instance_proposals, params, instance_scores
+    )
+
+    if strategy in ("consensus", "topdown"):
+        parent_lut = np.zeros(max(taxonomy.part_ids, default=0) + 1, dtype=np.int64)
+        for pid in taxonomy.part_ids:
+            parent_lut[pid] = taxonomy.parent_of(pid)
+        conflict = (part_map != 0) & (parent_lut[part_map] != sem_map)
+        part_map[conflict] = 0
+        if strategy == "consensus":
+            sem_map[conflict] = 0
+            inst_map[conflict] = 0
+    return LabelTriple.from_arrays(*(m.reshape(h, w) for m in (sem_map, inst_map, part_map)))

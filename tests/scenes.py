@@ -1,16 +1,17 @@
 """Synthetic scenes, and the writers and inverse projection that only the
-tests need: PLY, camera, proposal sidecars and fuse inputs."""
+tests need: PPT1 tensors, PLY, camera, proposal sidecars and fuse inputs."""
 
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 
-from partfuse import formats
 from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig
 from partfuse.containers import InstanceProposal
+from partfuse.errors import FormatError
 from partfuse.imaging import HsvRange
 from partfuse.pointcloud import CameraModel, PointCloud
 
@@ -109,6 +110,27 @@ def scene_image(camera) -> np.ndarray:
     return np.full((camera.height, camera.width, 3), 40, dtype=np.uint8)
 
 
+_CODES = {np.dtype("float32"): 1, np.dtype("uint16"): 2, np.dtype("uint8"): 3}
+
+
+def write_tensor(tensor: np.ndarray, path: str | Path) -> None:
+    """Write a float32/uint16/uint8 tensor as PPT1 (layout in partfuse.formats)."""
+    tensor = np.asarray(tensor)
+    if tensor.ndim and not tensor.flags.c_contiguous:
+        tensor = np.ascontiguousarray(tensor)
+    code = _CODES.get(tensor.dtype)
+    if code is None:
+        raise FormatError(
+            f"unsupported tensor dtype {tensor.dtype}; use float32, uint16 or uint8"
+        )
+    if tensor.ndim > 8:
+        raise FormatError(f"rank {tensor.ndim} exceeds maximum 8")
+    header = b"PPT1" + bytes([code, tensor.ndim, 0, 0])
+    dims = struct.pack(f"<{tensor.ndim}I", *tensor.shape) if tensor.ndim else b""
+    le = tensor.astype(tensor.dtype.newbyteorder("<"), copy=False)
+    Path(path).write_bytes(header + dims + le.tobytes())
+
+
 def write_ply(cloud: PointCloud, path: str | Path) -> None:
     """Write ASCII PLY; reals are printed with 9 significant digits."""
     out = [
@@ -166,7 +188,7 @@ def write_proposals(
     entries = []
     for i, p in enumerate(proposals):
         name = mask_name_fmt.format(i)
-        formats.write_tensor(p.mask_logits.astype(np.float32), sidecar_path.parent / name)
+        write_tensor(p.mask_logits.astype(np.float32), sidecar_path.parent / name)
         entries.append(
             {
                 "class_id": p.class_id,
@@ -188,8 +210,8 @@ def write_fuse_sample(directory, name):
     sem[3] = 1.0  # table
     part = np.zeros((3, h, w), dtype=np.float32)
     part[0] = 2.0  # seal
-    formats.write_tensor(sem, directory / f"{name}.sem.ppt1")
-    formats.write_tensor(part, directory / f"{name}.part.ppt1")
+    write_tensor(sem, directory / f"{name}.sem.ppt1")
+    write_tensor(part, directory / f"{name}.part.ppt1")
     mask = np.full((h, w), -8.0, dtype=np.float32)
     mask[:, :4] = 4.0
     write_proposals(

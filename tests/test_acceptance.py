@@ -23,8 +23,7 @@ from partfuse.fusion import (
     FusionParams,
     agreement_part_sem,
     agreement_sem_inst,
-    fuse_baseline,
-    fuse_part_panoptic,
+    fuse,
     part_wise_fuse,
     semantic_wise_fuse,
     sigmoid_rescaled,
@@ -35,7 +34,7 @@ from partfuse.overlay import default_overlay_spec, instance_boxes, render_overla
 from partfuse.taxonomy import validate_taxonomy
 
 from conftest import BAG, BOTTLE, OTHER, SEAL, TABLE, make_triple
-from scenes import build_rgbd_scene, rgbd_config, write_fuse_sample, write_ply
+from scenes import build_rgbd_scene, rgbd_config, write_fuse_sample, write_ply, write_tensor
 from test_autolabel_monitor import disk_scene, monitor_config
 from test_autolabel_rgbd import vote_oracle
 from test_cli import (
@@ -114,7 +113,7 @@ def test_criterion_2_structural_identity():
             )
             enhanced_part = agreement_part_sem(stack.part_logits, stack.semantic_logits)
             assert np.array_equal(enhanced_sem, enhanced_part)  # exact
-            part_map = part_wise_fuse(stack, tax)
+            part_map = part_wise_fuse(stack, tax, slice(None)).reshape(8, 8)
             assert np.array_equal(part_map, np.array([11, 12, 13])[enhanced_sem.argmax(axis=0)])
 
 
@@ -123,12 +122,12 @@ def test_criterion_3_ablation_contracts():
         tax, stack, conflict = conflict_fixture()
         params = FusionParams(min_instance_area=1)
 
-        base = fuse_baseline(stack, tax, params, "none")
+        base = fuse(stack, tax, params, "none")
         assert (base.semantic_map[conflict] == BOTTLE).all()
         assert (base.part_map[conflict] == SEAL).all()
         assert (base.instance_map[conflict] != 0).all()
 
-        consensus = fuse_baseline(stack, tax, params, "consensus")
+        consensus = fuse(stack, tax, params, "consensus")
         voided = (
             (consensus.semantic_map == 0)
             & (consensus.instance_map == 0)
@@ -137,12 +136,12 @@ def test_criterion_3_ablation_contracts():
         assert np.array_equal(voided, conflict)  # exactly the conflict pixels
         assert np.array_equal(consensus.semantic_map[~conflict], base.semantic_map[~conflict])
 
-        top = fuse_baseline(stack, tax, params, "topdown")
+        top = fuse(stack, tax, params, "topdown")
         assert np.array_equal(top.semantic_map, base.semantic_map)
         assert np.array_equal(top.instance_map, base.instance_map)
         assert np.array_equal(top.part_map == 0, conflict)
 
-        fused = fuse_part_panoptic(stack, tax, params)
+        fused = fuse(stack, tax, params)
         fused.validate(tax)  # a structurally valid LabelTriple
 
 
@@ -372,9 +371,9 @@ def test_criterion_7_determinism_and_io(tmp_path, taxonomy_json):
         # container formats round-trip bit-exactly
         rng = np.random.default_rng(5)
         t_path = tmp_path / "t.ppt1"
-        formats.write_tensor(rng.random((3, 4)).astype(np.float32), t_path)
+        write_tensor(rng.random((3, 4)).astype(np.float32), t_path)
         first = t_path.read_bytes()
-        formats.write_tensor(formats.read_tensor(t_path), t_path)
+        write_tensor(formats.read_tensor(t_path), t_path)
         assert t_path.read_bytes() == first
 
         stem = tmp_path / "trip"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import partfuse
 
 from partfuse import formats
 from partfuse.cli import main
+from partfuse.containers import InstanceProposal
 from partfuse.imaging import write_pnm
+from partfuse.params import STRATEGIES
 
 from conftest import BAG, BOTTLE, CENTER, OTHER, SEAL, TABLE, make_triple
 from scenes import (
@@ -23,6 +26,8 @@ from scenes import (
     scene_image,
     write_fuse_sample,
     write_ply,
+    write_proposals,
+    write_tensor,
 )
 from test_autolabel_monitor import BLUE_BG, disk_scene
 
@@ -109,14 +114,14 @@ def conflict_logits(tmp_path):
     part[0] = 3.0  # seal
     inputs = tmp_path / "conflict_in"
     inputs.mkdir()
-    formats.write_tensor(sem, inputs / "c0.sem.ppt1")
-    formats.write_tensor(part, inputs / "c0.part.ppt1")
+    write_tensor(sem, inputs / "c0.sem.ppt1")
+    write_tensor(part, inputs / "c0.part.ppt1")
     left = np.full((h, w), -8.0, dtype=np.float32)
     left[:, :8] = 4.0
     right = np.full((h, w), -8.0, dtype=np.float32)
     right[:, 8:] = 4.0
-    formats.write_tensor(left, inputs / "c0_left.ppt1")
-    formats.write_tensor(right, inputs / "c0_right.ppt1")
+    write_tensor(left, inputs / "c0_left.ppt1")
+    write_tensor(right, inputs / "c0_right.ppt1")
     (inputs / "c0.proposals.json").write_text(
         json.dumps(
             [
@@ -764,6 +769,41 @@ def test_augment_writes_four_variants(tmp_path):
     assert np.array_equal(trip_v.semantic_map[::-1, :], trip_orig.semantic_map)
 
 
+@pytest.mark.parametrize("command", ["rgbd", "monitor", "augment"])
+def test_dotted_stems_write_their_own_files(tmp_path, taxonomy_json, command):
+    # "scene.v1" and "scene.v2" name two outputs each, not one "scene.ppm"
+    if command == "rgbd":
+        scenes = [write_rgbd_scene_dir(tmp_path, name) for name in ("scene.v1", "scene.v2")]
+        options = ["label", "rgbd", "--taxonomy", str(taxonomy_json),
+                   "--config", str(write_rgbd_config(tmp_path))]
+        inputs = [str(scene) for scene in scenes]
+        names = ["scene.v1.ppm", "scene.v1.provenance.json", "scene.v2.ppm",
+                 "scene.v2.provenance.json"]
+    elif command == "monitor":
+        root, _, config = write_monitor_dataset(tmp_path)
+        for name in ("scene.v1", "scene.v2"):
+            shutil.copytree(root / "scene_0", root / name)
+        shutil.rmtree(root / "scene_0")
+        options = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config)]
+        inputs = [str(root)]
+        names = ["scene.v1.provenance.json", "scene.v1_target_0.ppm", "scene.v1_target_1.ppm",
+                 "scene.v2.provenance.json", "scene.v2_target_0.ppm", "scene.v2_target_1.ppm"]
+    else:
+        dataset = write_augment_dataset(tmp_path)
+        for old, new in (("s0", "scene.v1"), ("s1", "scene.v2")):
+            for path in dataset.glob(f"{old}.*"):
+                path.rename(dataset / (new + path.name[len(old):]))
+        options, inputs = ["augment"], [str(dataset)]
+        names = [f"scene.v{i}_{flip}.ppm" for i in (1, 2)
+                 for flip in ("hflip", "id", "rot180", "vflip")]
+    out = tmp_path / "out"
+    assert main(options + ["--out", str(out)] + inputs) == 0
+    assert sorted(p.name for p in out.iterdir() if not p.name.endswith(".pgm")) == names
+    for name in names:
+        if name.endswith(".ppm"):
+            assert formats.triple_paths(out / name[: -len(".ppm")])[0].exists()
+
+
 def test_augment_unreadable_sample_exit_code(tmp_path):
     dataset = write_augment_dataset(tmp_path)
     (dataset / "s0.sem.pgm").unlink()  # break one sample: an I/O error
@@ -934,17 +974,65 @@ def test_fuse_failed_triple_write_leaves_no_file(tmp_path, taxonomy_json, monkey
     assert list(out.iterdir()) == []
 
 
+def write_nonfinite_sample(directory, name, place, value):
+    """write_fuse_sample's frame plus a bottle proposal below the confidence
+    floor, with ``value`` at one pixel of ``place``: the table (stuff)
+    channel, the bottle channel (a thing without parts) outside every
+    footprint, a part channel, or the low-confidence mask."""
+    h = w = 8
+    sem = np.zeros((4, h, w), dtype=np.float32)
+    sem[0, :, :4] = 4.0  # bag channel
+    sem[3] = 1.0  # table
+    part = np.zeros((3, h, w), dtype=np.float32)
+    part[0] = 2.0  # seal
+    bag = np.full((h, w), -8.0, dtype=np.float32)
+    bag[:, :4] = 4.0
+    low = np.full((h, w), -8.0, dtype=np.float32)
+    target = {"stuff": sem[3], "thing": sem[1], "part": part[1], "mask": low}[place]
+    target[2, 6] = value  # the right half, outside the bag's footprint
+    write_tensor(sem, directory / f"{name}.sem.ppt1")
+    write_tensor(part, directory / f"{name}.part.ppt1")
+    write_proposals(
+        [InstanceProposal(BAG, 0.9, bag), InstanceProposal(BOTTLE, 0.3, low)],
+        directory / f"{name}.proposals.json",
+        f"{name}_p{{}}.ppt1",
+    )
+
+
+@pytest.mark.parametrize("place", ["stuff", "thing", "part", "mask"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fuse_rejects_nonfinite_values_of_one_item(tmp_path, taxonomy_json, caplog, strategy,
+                                                    place):
+    message = ("proposal mask logits contain" if place == "mask" else "logit tensor contains")
+    for value in (np.nan, np.inf, -np.inf):
+        inputs = tmp_path / f"in_{value}"
+        inputs.mkdir()
+        write_fuse_sample(inputs, "a")
+        write_nonfinite_sample(inputs, "b", place, value)
+        write_fuse_sample(inputs, "c")
+        for keep_going, code, kept in ((False, 3, "a"), (True, 0, "ac")):
+            out = tmp_path / f"out_{value}_{keep_going}"
+            flags = ["--strategy", strategy] + (["--keep-going"] if keep_going else [])
+            caplog.clear()
+            assert main(fuse_args(taxonomy_json, out, inputs, *flags)) == code, (value, keep_going)
+            assert f"{message} non-finite values" in caplog.text
+            assert ("WARNING" if keep_going else "ERROR") in caplog.text
+            assert sorted(p.name for p in out.iterdir()) == [
+                f"{stem}.{kind}.pgm" for stem in kept for kind in ("inst", "part", "sem")
+            ]
+
+
 def write_many_proposals(directory, name, count, seed):
     """An 8x8 frame over the test taxonomy with ``count`` bag proposals."""
     rng = np.random.default_rng(seed)
-    formats.write_tensor(rng.normal(size=(4, 8, 8)).astype(np.float32),
+    write_tensor(rng.normal(size=(4, 8, 8)).astype(np.float32),
                          directory / f"{name}.sem.ppt1")
-    formats.write_tensor(rng.normal(size=(3, 8, 8)).astype(np.float32),
+    write_tensor(rng.normal(size=(3, 8, 8)).astype(np.float32),
                          directory / f"{name}.part.ppt1")
     entries = []
     for i in range(count):
         mask = f"{name}_p{i:03d}.ppt1"
-        formats.write_tensor(4 * rng.normal(size=(8, 8)).astype(np.float32), directory / mask)
+        write_tensor(4 * rng.normal(size=(8, 8)).astype(np.float32), directory / mask)
         entries.append({"class_id": BAG, "confidence": float(rng.uniform(0.5, 1.0)),
                         "mask_tensor_path": mask})
     (directory / f"{name}.proposals.json").write_text(json.dumps(entries))

@@ -5,16 +5,17 @@ import pytest
 
 from partfuse.errors import FormatError, ValidationError
 from partfuse.formats import (
+    file_map,
     read_label_triple,
     read_proposals,
     read_tensor,
+    release,
     write_label_triple,
-    write_tensor,
 )
 from partfuse.containers import InstanceProposal
 
 from conftest import make_triple
-from scenes import write_proposals
+from scenes import write_proposals, write_tensor
 
 
 def test_tensor_round_trip_float32(tmp_path):
@@ -123,6 +124,18 @@ def test_tensor_nonzero_reserved_bytes(tmp_path):
     path.write_bytes(b"PPT1" + bytes([3, 0, 1, 0]) + b"\x00")
     with pytest.raises(FormatError, match="reserved"):
         read_tensor(path)
+
+
+def test_release_keeps_values_and_ignores_unmapped_arrays(tmp_path):
+    tensor = np.arange(3 * 1000 * 7, dtype=np.float32).reshape(3, 1000, 7)
+    write_tensor(tensor, tmp_path / "t.ppt1")
+    mapped = read_tensor(tmp_path / "t.ppt1")
+    assert file_map(mapped) is not None
+    assert file_map(tensor) is None and file_map(mapped.copy()) is None
+    for view in (mapped, mapped[1], mapped[2, 500:], mapped[:, 3:9], mapped[0, :0]):
+        release(view)
+        assert np.array_equal(mapped, tensor)
+    release(tensor)  # no map under it: nothing to drop
 
 
 def test_tensor_rejects_float64(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +7,13 @@ from hypothesis import strategies as st
 
 from partfuse.containers import InstanceProposal, LogitStack
 from partfuse.errors import ValidationError
+from partfuse.formats import read_tensor
 from partfuse.fusion import (
     STRATEGIES,
     FusionParams,
     agreement_part_sem,
     agreement_sem_inst,
     fuse,
-    fuse_baseline,
-    fuse_part_panoptic,
-    panoptic_fuse,
     part_wise_fuse,
     semantic_wise_fuse,
     tile_rows,
@@ -21,6 +21,7 @@ from partfuse.fusion import (
 from partfuse.taxonomy import validate_taxonomy
 
 from conftest import BAG, BOTTLE, CENTER, SEAL, TABLE
+from scenes import write_tensor
 
 APS_3_2 = 8.333712048003157
 APS_2_2 = 6.092753247646117
@@ -61,6 +62,20 @@ def enhanced_semantic(stack, taxonomy):
             for channel, sem in enumerate(stack.semantic_logits)
         ]
     )
+
+
+def part_map_of(stack, taxonomy):
+    """Part-wise fusion's part map over the whole frame."""
+    return part_wise_fuse(stack, taxonomy, slice(None)).reshape(stack.part_logits.shape[1:])
+
+
+def merge(semantic, channel_ids, proposals, taxonomy, params=None):
+    """Semantic and instance maps of the panoptic merge of ``semantic``
+    (read as given) with ``proposals``."""
+    h, w = semantic.shape[1:]
+    stack = make_stack(semantic, np.zeros((0, h, w)), channel_ids, (), proposals)
+    triple = fuse(stack, taxonomy, params, "none")
+    return triple.semantic_map, triple.instance_map
 
 
 def test_semantic_wise_max_then_agreement():
@@ -128,7 +143,7 @@ def test_part_wise_single_part_everywhere():
     stack = make_stack(
         rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 4, 4)), (1,), (5,)
     )
-    part_map = part_wise_fuse(stack, tax)
+    part_map = part_map_of(stack, tax)
     assert (part_map == 5).all()
 
 
@@ -138,7 +153,7 @@ def test_part_wise_tie_goes_to_lower_part_id():
     sem[0] = 1.0
     part = np.full((2, 1, 1), 2.0)  # equal logits, same parent -> tie
     stack = make_stack(sem, part, (1, 2), (5, 6))
-    part_map = part_wise_fuse(stack, tax)
+    part_map = part_map_of(stack, tax)
     assert part_map[0, 0] == 5
 
 
@@ -164,8 +179,8 @@ def test_part_wise_parent_semantics_break_tie():
     # the enhanced part logits: APS_1_3 for part 5, APS_1_M3 for part 6
     assert agreement_part_sem(1.0, 3.0) == pytest.approx(APS_1_3, abs=1e-12)
     assert agreement_part_sem(1.0, -3.0) == pytest.approx(APS_1_M3, abs=1e-12)
-    assert part_wise_fuse(make_stack(sem, part, (1, 2), (5, 6)), tax)[0, 0] == 5
-    assert part_wise_fuse(make_stack(sem[::-1].copy(), part, (1, 2), (5, 6)), tax)[0, 0] == 6
+    assert part_map_of(make_stack(sem, part, (1, 2), (5, 6)), tax)[0, 0] == 5
+    assert part_map_of(make_stack(sem[::-1].copy(), part, (1, 2), (5, 6)), tax)[0, 0] == 6
 
 
 def test_part_wise_requires_parts():
@@ -174,7 +189,7 @@ def test_part_wise_requires_parts():
     )
     stack = make_stack(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)), (1,), ())
     with pytest.raises(ValidationError, match="part"):
-        part_wise_fuse(stack, tax)
+        fuse(stack, tax)
 
 
 def stuff_only_taxonomy():
@@ -192,7 +207,7 @@ def test_panoptic_fuse_pure_stuff_argmax():
     tax = stuff_only_taxonomy()
     rng = np.random.default_rng(4)
     enhanced = rng.normal(size=(2, 6, 6))
-    sem_map, inst_map = panoptic_fuse(enhanced, (3, 7), (), tax)
+    sem_map, inst_map = merge(enhanced, (3, 7), (), tax)
     expected = np.where(enhanced[0] >= enhanced[1], 3, 7)
     assert np.array_equal(sem_map, expected)
     assert (inst_map == 0).all()
@@ -201,7 +216,7 @@ def test_panoptic_fuse_pure_stuff_argmax():
 def test_panoptic_fuse_all_zero_ties_to_lowest_class():
     tax = stuff_only_taxonomy()
     enhanced = np.zeros((2, 3, 3))
-    sem_map, _ = panoptic_fuse(enhanced, (7, 3), (), tax)
+    sem_map, _ = merge(enhanced, (7, 3), (), tax)
     assert (sem_map == 3).all()
 
 
@@ -230,7 +245,7 @@ def test_panoptic_fuse_instance_beats_weak_stuff():
     enhanced[1] = 0.0  # floor
     region = (slice(0, 8), slice(0, 8))  # 64 px footprint
     prop = footprint_proposal(1, 0.9, (h, w), region)
-    sem_map, inst_map = panoptic_fuse(enhanced, (1, 4), (prop,), tax)
+    sem_map, inst_map = merge(enhanced, (1, 4), (prop,), tax)
     fused = agreement_sem_inst(4.0, 4.0)
     assert fused > 0.0  # sanity: 15.712 > floor logit 0
     assert (sem_map[region] == 1).all()
@@ -251,7 +266,7 @@ def test_panoptic_fuse_duplicate_proposals_keep_one():
         footprint_proposal(1, 0.9, (h, w), region),
         footprint_proposal(1, 0.8, (h, w), region),
     )
-    sem_map, inst_map = panoptic_fuse(enhanced, (1, 4), props, tax)
+    sem_map, inst_map = merge(enhanced, (1, 4), props, tax)
     assert set(np.unique(inst_map)) == {0, 1}
 
 
@@ -260,7 +275,7 @@ def test_panoptic_fuse_confidence_floor():
     enhanced = np.zeros((2, 8, 8))
     enhanced[0] = 4.0
     prop = footprint_proposal(1, 0.4, (8, 8), (slice(0, 8), slice(0, 8)))
-    _, inst_map = panoptic_fuse(
+    _, inst_map = merge(
         enhanced, (1, 4), (prop,), tax, FusionParams(min_instance_area=1)
     )
     assert (inst_map == 0).all()
@@ -277,9 +292,9 @@ def test_panoptic_fuse_partial_overlap_keeps_disjoint_pixels():
     # third overlaps 16 of 64 px -> kept, overlap removed
     third_keep = footprint_proposal(1, 0.7, (h, w), (slice(6, 14), slice(0, 8)))
     params = FusionParams(min_instance_area=1)
-    _, inst_a = panoptic_fuse(enhanced, (1, 4), (first, second_discard), tax, params)
+    _, inst_a = merge(enhanced, (1, 4), (first, second_discard), tax, params)
     assert set(np.unique(inst_a)) == {0, 1}
-    _, inst_b = panoptic_fuse(enhanced, (1, 4), (first, third_keep), tax, params)
+    _, inst_b = merge(enhanced, (1, 4), (first, third_keep), tax, params)
     assert set(np.unique(inst_b)) == {0, 1, 2}
     assert (inst_b[:8, :8] == 1).all()
     assert (inst_b[8:14, :8] == 2).all()
@@ -292,7 +307,7 @@ def test_panoptic_fuse_small_instances_relabelled():
     enhanced[0] = 4.0
     big = footprint_proposal(1, 0.9, (h, w), (slice(0, 8), slice(0, 16)))
     small = footprint_proposal(1, 0.8, (h, w), (slice(12, 14), slice(0, 2)))  # 4 px
-    sem_map, inst_map = panoptic_fuse(
+    sem_map, inst_map = merge(
         enhanced, (1, 4), (big, small), tax, FusionParams(min_instance_area=16)
     )
     assert set(np.unique(inst_map)) == {0, 1}
@@ -337,7 +352,7 @@ def conflict_fixture():
 
 def test_baseline_none_keeps_conflicts():
     tax, stack, conflict = conflict_fixture()
-    triple = fuse_baseline(stack, tax, FusionParams(min_instance_area=1), "none")
+    triple = fuse(stack, tax, FusionParams(min_instance_area=1), "none")
     assert (triple.semantic_map[conflict] == BOTTLE).all()
     assert (triple.part_map[conflict] == SEAL).all()  # conflicting pair kept
     assert (triple.semantic_map[~conflict] == BAG).all()
@@ -347,7 +362,7 @@ def test_baseline_none_keeps_conflicts():
 
 def test_baseline_consensus_voids_all_three():
     tax, stack, conflict = conflict_fixture()
-    triple = fuse_baseline(stack, tax, FusionParams(min_instance_area=1), "consensus")
+    triple = fuse(stack, tax, FusionParams(min_instance_area=1), "consensus")
     assert (triple.semantic_map[conflict] == 0).all()
     assert (triple.instance_map[conflict] == 0).all()
     assert (triple.part_map[conflict] == 0).all()
@@ -358,8 +373,8 @@ def test_baseline_consensus_voids_all_three():
 def test_baseline_topdown_voids_only_part():
     tax, stack, conflict = conflict_fixture()
     params = FusionParams(min_instance_area=1)
-    top = fuse_baseline(stack, tax, params, "topdown")
-    base = fuse_baseline(stack, tax, params, "none")
+    top = fuse(stack, tax, params, "topdown")
+    base = fuse(stack, tax, params, "none")
     assert np.array_equal(top.semantic_map, base.semantic_map)
     assert np.array_equal(top.instance_map, base.instance_map)
     assert (top.part_map[conflict] == 0).all()
@@ -370,12 +385,12 @@ def test_baseline_topdown_voids_only_part():
 def test_baseline_unknown_strategy():
     tax, stack, _ = conflict_fixture()
     with pytest.raises(ValidationError, match="strategy"):
-        fuse_baseline(stack, tax, None, "bogus")
+        fuse(stack, tax, None, "bogus")
 
 
 def test_fuse_part_panoptic_coherent_scene():
     tax, stack, conflict = conflict_fixture()
-    triple = fuse_part_panoptic(stack, tax, FusionParams(min_instance_area=1))
+    triple = fuse(stack, tax, FusionParams(min_instance_area=1))
     triple.validate(tax)
     # part and panoptic channels stay independent; the bag side keeps its
     # instance and the seal part everywhere has the highest enhanced logit
@@ -384,15 +399,36 @@ def test_fuse_part_panoptic_coherent_scene():
     assert set(np.unique(triple.instance_map)) == {1, 2}
 
 
-def test_fuse_dispatch_matches_components():
-    tax, stack, _ = conflict_fixture()
-    params = FusionParams(min_instance_area=1)
-    a = fuse(stack, tax, params, "partpanoptic")
-    b = fuse_part_panoptic(stack, tax, params)
-    assert np.array_equal(a.semantic_map, b.semantic_map)
-    c = fuse(stack, tax, params, "consensus")
-    d = fuse_baseline(stack, tax, params, "consensus")
-    assert np.array_equal(c.part_map, d.part_map)
+def test_fuse_on_mapped_tensors_matches_in_memory(tmp_path):
+    # fusion drops the pages of mapped inputs as it reads each tile, and
+    # reads thing channels again at the footprints after that: a frame of
+    # several tiles must fuse as it does from memory
+    w = 1024
+    instances = 0
+    for seed in (0, 5, 8):  # scenes with instances, one without stuff classes
+        taxonomy, stack, params = random_scene(seed, shape=(3 * tile_rows(w) + 5, w))
+
+        def mapped(array, name):
+            write_tensor(array, tmp_path / f"{seed}_{name}.ppt1")
+            return read_tensor(tmp_path / f"{seed}_{name}.ppt1")
+
+        on_file = LogitStack(
+            semantic_logits=mapped(stack.semantic_logits, "sem"),
+            part_logits=mapped(stack.part_logits, "part"),
+            semantic_channel_ids=stack.semantic_channel_ids,
+            part_channel_ids=stack.part_channel_ids,
+            instance_proposals=tuple(
+                replace(p, mask_logits=mapped(p.mask_logits, f"mask{i}"))
+                for i, p in enumerate(stack.instance_proposals)
+            ),
+        )
+        for strategy in STRATEGIES:
+            expected = fuse(stack, taxonomy, params, strategy)
+            got = fuse(on_file, taxonomy, params, strategy)
+            for name in ("semantic_map", "instance_map", "part_map"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), (seed, strategy)
+            instances += int(got.instance_map.max())
+    assert instances > 0
 
 
 def test_single_part_taxonomy_structural_identity():
@@ -418,14 +454,14 @@ def test_single_part_taxonomy_structural_identity():
         assert np.array_equal(enhanced_sem[0], agreement_part_sem(part[0], sem[0]))
         assert np.array_equal(enhanced_sem[1], agreement_part_sem(part[1], sem[1]))
         # so the part map is the argmax of the enhanced semantic channels
-        part_map = part_wise_fuse(stack, tax)
+        part_map = part_map_of(stack, tax)
         assert np.array_equal(part_map, np.array([5, 6])[np.argmax(enhanced_sem, axis=0)])
 
 
 def test_channel_permutation_leaves_outputs_unchanged():
     tax, stack, _ = conflict_fixture()
     params = FusionParams(min_instance_area=1)
-    base = fuse_part_panoptic(stack, tax, params)
+    base = fuse(stack, tax, params)
     sem_perm = [2, 0, 1]  # channel shuffle with matching id remap
     part_perm = [1, 0]
     shuffled = make_stack(
@@ -435,7 +471,7 @@ def test_channel_permutation_leaves_outputs_unchanged():
         tuple(stack.part_channel_ids[i] for i in part_perm),
         stack.instance_proposals,
     )
-    other = fuse_part_panoptic(shuffled, tax, params)
+    other = fuse(shuffled, tax, params)
     assert np.array_equal(base.semantic_map, other.semantic_map)
     assert np.array_equal(base.instance_map, other.instance_map)
     assert np.array_equal(base.part_map, other.part_map)
@@ -444,7 +480,7 @@ def test_channel_permutation_leaves_outputs_unchanged():
 def test_all_zero_logits_no_proposals():
     tax = stuff_only_taxonomy()
     stack = make_stack(np.zeros((2, 4, 4)), np.zeros((0, 4, 4)), (3, 7), ())
-    triple = fuse_baseline(stack, tax, None, "none")
+    triple = fuse(stack, tax, None, "none")
     assert (triple.semantic_map == 3).all()
     assert (triple.instance_map == 0).all()
 

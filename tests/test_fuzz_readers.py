@@ -39,7 +39,7 @@ from partfuse.taxonomy import (
 )
 
 from conftest import HOSPITAL_TAXONOMY, SEAL, make_triple
-from scenes import write_ply
+from scenes import write_ply, write_tensor
 
 FUZZ = settings(
     max_examples=150,
@@ -95,7 +95,7 @@ TENSORS = pytest.mark.parametrize(
 @FUZZ
 @given(data=st.data())
 def test_read_tensor_rejects_damage(tmp_path, tensor, data):
-    path, raw = valid_bytes(tmp_path, lambda p: formats.write_tensor(tensor, p), "t.ppt1")
+    path, raw = valid_bytes(tmp_path, lambda p: write_tensor(tensor, p), "t.ppt1")
     path.write_bytes(data.draw(damaged(raw)))
     read_or_reject(formats.read_tensor, path)
 
@@ -104,7 +104,7 @@ def test_read_tensor_rejects_damage(tmp_path, tensor, data):
 def test_read_tensor_rejects_wrong_lengths(tmp_path, tensor):
     """The reader maps the file, and mmap refuses an empty file with
     ValueError; every wrong length must still be a FormatError."""
-    path, raw = valid_bytes(tmp_path, lambda p: formats.write_tensor(tensor, p), "t.ppt1")
+    path, raw = valid_bytes(tmp_path, lambda p: write_tensor(tensor, p), "t.ppt1")
     header_only = "truncated payload" if tensor.ndim == 0 else "truncated dimension list"
     cases = [(raw[:n], "shorter than the fixed header") for n in range(8)]
     cases += [(raw[:8], header_only), (raw[:-1], "truncated payload"),
@@ -253,7 +253,7 @@ JSON_INPUTS = {
 def json_input(tmp_path, name, doc=None):
     """The path of input ``name`` holding doc (default: its valid document)."""
     valid, read, _ = JSON_INPUTS[name]
-    formats.write_tensor(np.zeros((2, 3), dtype=np.float32), tmp_path / "m.ppt1")
+    write_tensor(np.zeros((2, 3), dtype=np.float32), tmp_path / "m.ppt1")
     path = tmp_path / "input.json"
     path.write_text(json.dumps(valid if doc is None else doc), encoding="utf-8")
     return path, read

@@ -23,12 +23,11 @@ import numpy as np
 import pytest
 
 import partfuse
-from partfuse import formats
 from partfuse.cli import main
 from partfuse.fusion import STRATEGIES
 
 from conftest import CENTER, HOSPITAL_TAXONOMY, SEAL
-from scenes import write_fuse_sample
+from scenes import write_fuse_sample, write_tensor
 from test_cli import (
     conflict_logits,
     write_augment_dataset,
@@ -111,8 +110,8 @@ def run_corpus(root: Path) -> dict[str, str]:
     # tie0: bag and bottle tie on every pixel, and so do all the parts
     sem = np.zeros((4, 8, 8), dtype=np.float32)
     sem[:2] = 2.0
-    formats.write_tensor(sem, logits / "tie0.sem.ppt1")
-    formats.write_tensor(np.zeros((3, 8, 8), dtype=np.float32), logits / "tie0.part.ppt1")
+    write_tensor(sem, logits / "tie0.sem.ppt1")
+    write_tensor(np.zeros((3, 8, 8), dtype=np.float32), logits / "tie0.part.ppt1")
     for i in range(2):
         write_many_proposals(logits, f"many{i}", 6, seed=i)
     conflict = conflict_logits(root)
