@@ -93,7 +93,8 @@ def file_map(array: np.ndarray) -> mmap.mmap | None:
 
 def release(array: np.ndarray) -> None:
     """Drop this process's resident pages of the file map under ``array``,
-    a view with non-negative strides of a ``read_tensor`` payload.
+    a C-contiguous view of a ``read_tensor`` payload: a whole tensor or
+    one channel of it.
 
     The pages from the array's first byte to its last, rounded out to
     whole pages, leave the resident set; reading them again faults them
@@ -102,11 +103,13 @@ def release(array: np.ndarray) -> None:
     missing.
     """
     data = file_map(array)
-    if data is None or not hasattr(mmap, "MADV_DONTNEED") or not array.size:
+    if data is None or not hasattr(mmap, "MADV_DONTNEED"):
         return
+    if not array.flags.c_contiguous:
+        raise ValueError("release takes a C-contiguous view of a mapped tensor")
     origin = np.frombuffer(data, np.uint8, 1).__array_interface__["data"][0]
     start = array.__array_interface__["data"][0] - origin
-    end = start + sum((n - 1) * s for n, s in zip(array.shape, array.strides)) + array.itemsize
+    end = start + array.nbytes
     start -= start % mmap.PAGESIZE
     data.madvise(mmap.MADV_DONTNEED, start, end - start)
 

@@ -42,7 +42,7 @@ import numpy as np
 from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
 from .formats import file_map, release
-from .params import BASELINE_STRATEGIES, STRATEGIES, FusionParams
+from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
 
 if TYPE_CHECKING:
@@ -52,9 +52,10 @@ if TYPE_CHECKING:
 # 1024-wide frame), so no stage holds a full-frame float64 tensor with a
 # channel axis; see tile_rows
 TILE_PIXELS = 2**14
-# a band of mapped logits is this many tiles: each band read maps and then
-# drops the page-cache folios around its rows, so fewer, larger bands cost
-# less time for a few MB more
+# a band of mapped logits is this many tiles.  On the three 512x1024
+# benchmark frames (shared 2-core x86-64 host) fuse peaked at 56, 58 and
+# 75 MB with bands of 1, 4 and 8 tiles; its CPU time, a median 0.63, 0.60
+# and 0.56 s over 12 runs each, moved less than its run-to-run spread
 READ_TILES = 4
 
 
@@ -103,27 +104,28 @@ def semantic_wise_fuse(
 ) -> np.ndarray:
     """Semantic channel ``channel`` enhanced with its parts' evidence.
 
-    ``index`` selects pixels of the raveled H*W frame: a slice (a row
-    tile) or an integer array (an instance footprint).  For a class with
-    parts, the part logits are flattened by a per-pixel maximum over the
-    class's part channels and fused with the semantic logits through
-    agreement_part_sem.  A class without parts passes through, cast to
-    float64.  The caller validates the stack once per frame.
+    ``index`` selects pixels of the raveled H*W stack: a slice (a row
+    tile of a band) or an integer array (an instance footprint).  For a
+    class with parts, the part logits are flattened by a per-pixel maximum
+    over the class's part channels and fused with the semantic logits
+    through agreement_part_sem.  A class without parts passes through,
+    cast to float64.  The input is not checked: fuse validates the stack
+    and finds non-finite values before it calls this.
     """
-    semantic = stack.semantic_logits[channel].reshape(-1)[index]
+    semantic = _pixels(stack.semantic_logits, channel, index)
     parts = taxonomy.parts_of(stack.semantic_channel_ids[channel])
     if not parts:
         return semantic.astype(np.float64)
     flat = functools.reduce(
         np.maximum,
-        (stack.part_logits[stack.part_channel(p.id)].reshape(-1)[index] for p in parts),
+        (_pixels(stack.part_logits, stack.part_channel(p.id), index) for p in parts),
     )
     return agreement_part_sem(flat, semantic)
 
 
 def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy, index: slice) -> np.ndarray:
     """Part labels of part-wise fusion on ``index``, a slice of the raveled
-    H*W frame.
+    H*W stack (a row tile of a band).
 
     Each part channel is fused with its parent's semantic channel through
     agreement_part_sem, and the label is the per-pixel argmax of those
@@ -132,7 +134,8 @@ def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy, index: slice) -> 
     kept until its last part, and each part channel is fused and folded
     into a running argmax in part-id order.  Parts are labelled
     everywhere; consumers decide whether to suppress them on partless
-    regions.  The caller validates the stack once per frame.
+    regions.  The input is not checked: fuse validates the stack and
+    finds non-finite values before it calls this.
     """
     h, w = stack.part_logits.shape[1:]
     order = [
@@ -145,12 +148,12 @@ def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy, index: slice) -> 
     def channels():
         for k, (part_id, channel, parent) in enumerate(order):
             if parent not in parents:
-                sem = stack.semantic_logits[parent].reshape(-1)[index].astype(np.float64)
+                sem = _pixels(stack.semantic_logits, parent, index).astype(np.float64)
                 parents[parent] = sem, sigmoid_rescaled(sem)
             sem, sem_rescaled = parents[parent]
             if last_use[parent] == k:
                 del parents[parent]
-            part = stack.part_logits[channel].reshape(-1)[index].astype(np.float64)
+            part = _pixels(stack.part_logits, channel, index).astype(np.float64)
             # agreement_part_sem(part, sem), sharing the parent's term
             scores = sigmoid_rescaled(part)
             scores += sem_rescaled
@@ -170,6 +173,19 @@ def tile_rows(width: int) -> int:
     return max(1, TILE_PIXELS // max(width, 1))
 
 
+def _pixels(tensor: np.ndarray, channel: int, index) -> np.ndarray:
+    """``tensor[channel]`` at ``index`` of its raveled pixels.
+
+    A mapped channel's pages are dropped once it is read, as in
+    _read_band, so an integer ``index`` (an instance footprint) leaves
+    only its copied values resident.  A slice of a mapped channel is a
+    view, read again from the page cache when used.
+    """
+    values = tensor[channel].reshape(-1)[index]
+    release(tensor[channel])
+    return values
+
+
 def _read_band(tensor: np.ndarray, rows: slice) -> np.ndarray:
     """``tensor[:, rows]``, read for one band.
 
@@ -187,17 +203,6 @@ def _read_band(tensor: np.ndarray, rows: slice) -> np.ndarray:
         out[...] = source
         release(channel)
     return copy
-
-
-def _gather(tensor: np.ndarray, channels: list[int], pixels: np.ndarray) -> np.ndarray:
-    """``tensor[channels]`` at ``pixels`` of the raveled frame, as a
-    [channels, 1, pixels] array; each mapped channel's pages are dropped as
-    soon as it is read, as in _read_band."""
-    out = np.empty((len(channels), 1, len(pixels)), dtype=tensor.dtype)
-    for channel, row in zip(channels, out):
-        row[0] = tensor[channel].reshape(-1)[pixels]
-        release(tensor[channel])
-    return out
 
 
 def _argmax(channels, size: int, best=None) -> np.ndarray:
@@ -229,10 +234,12 @@ def mask_threshold(dtype, threshold: float):
     which keeps the comparison in float32 on every NumPy version."""
     if dtype != np.float32:
         return np.float64(threshold)
+    # a threshold beyond the float32 range rounds to +-inf, and one just
+    # below -FLT_MAX steps from -FLT_MAX to -inf
     with np.errstate(over="ignore"):
         below = np.float32(threshold)
-    if float(below) > threshold:
-        below = np.nextafter(below, np.float32(-np.inf))
+        if float(below) > threshold:
+            below = np.nextafter(below, np.float32(-np.inf))
     return below
 
 
@@ -250,7 +257,8 @@ def panoptic_fuse(
     score at each pixel of the raveled frame; ``stuff_map`` is filled in
     and returned as the semantic map.  ``scores(class_id, pixels)``
     returns a thing class's float64 semantic scores at an integer array
-    of pixels.
+    of pixels.  Only the masks are checked here: fuse validates the stack
+    and finds non-finite logits before it calls this.
 
     Every proposal's mask is checked for non-finite values, in descending
     confidence (ties by submission order), and its pages are dropped once
@@ -318,10 +326,10 @@ def _band_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores
     """Part map, stuff map and stuff scores of the raveled frame, from one
     pass over row bands.
 
-    The logits are read READ_TILES tiles at a time and checked for
-    non-finite values.  Each tile then feeds the part argmax (part-wise
-    fusion with ``enhance``, the raw part logits without) and the stuff
-    argmax of ``scores(tile stack, channel, index)``.
+    The logits are read READ_TILES tiles at a time into a band stack and
+    checked for non-finite values.  Each tile of the band then feeds the
+    part argmax (part-wise fusion with ``enhance``, the raw part logits
+    without) and the stuff argmax of ``scores(band, channel, tile)``.
     """
     h, w = stack.semantic_logits.shape[1:]
     part_order = _id_order(stack.part_channel_ids)
@@ -334,33 +342,42 @@ def _band_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores
     stuff_map = np.empty(h * w, dtype=LABEL_DTYPE)
     stuff_best = np.empty(h * w)
 
-    def fuse_tile(semantic: np.ndarray, parts: np.ndarray, pixels: slice) -> None:
-        tile = replace(stack, semantic_logits=semantic, part_logits=parts, instance_proposals=())
-        size = pixels.stop - pixels.start
+    def fuse_tile(band: LogitStack, tile: slice, pixels: slice) -> None:
+        size = tile.stop - tile.start
         if enhance:
-            part_map[pixels] = part_wise_fuse(tile, taxonomy, slice(None))
+            part_map[pixels] = part_wise_fuse(band, taxonomy, tile)
         else:
             part_map[pixels] = _argmax(
-                ((part_id, parts[channel].reshape(-1)) for part_id, channel in part_order), size
+                (
+                    (part_id, _pixels(band.part_logits, channel, tile))
+                    for part_id, channel in part_order
+                ),
+                size,
             )
         stuff_map[pixels] = _argmax(
-            ((class_id, scores(tile, channel, slice(None))) for class_id, channel in stuff),
+            ((class_id, scores(band, channel, tile)) for class_id, channel in stuff),
             size,
             stuff_best[pixels],
         )
 
-    step = tile_rows(w)
-    for top in range(0, h, READ_TILES * step):
-        rows = slice(top, min(top + READ_TILES * step, h))
-        semantic = _read_band(stack.semantic_logits, rows)
-        parts = _read_band(stack.part_logits, rows)
-        for tensor in (semantic, parts):
+    step = tile_rows(w) * w  # pixels of one tile
+    band_rows = READ_TILES * tile_rows(w)
+    for top in range(0, h, band_rows):
+        rows = slice(top, min(top + band_rows, h))
+        band = replace(
+            stack,
+            semantic_logits=_read_band(stack.semantic_logits, rows),
+            part_logits=_read_band(stack.part_logits, rows),
+            instance_proposals=(),
+        )
+        for tensor in (band.semantic_logits, band.part_logits):
             if not np.isfinite(tensor).all():
                 raise ValidationError("logit tensor contains non-finite values")
-        for start in range(0, rows.stop - top, step):
-            pixels = slice((top + start) * w, min(top + start + step, h) * w)
-            fuse_tile(semantic[:, start : start + step], parts[:, start : start + step], pixels)
-        del semantic, parts  # before the next band is read
+        size = (rows.stop - top) * w
+        for start in range(0, size, step):
+            tile = slice(start, min(start + step, size))
+            fuse_tile(band, tile, slice(top * w + tile.start, top * w + tile.stop))
+        del band  # before the next band is read
     return part_map, stuff_map, stuff_best
 
 
@@ -396,26 +413,18 @@ def fuse(
     def scores(source: LogitStack, channel: int, index) -> np.ndarray:
         if enhance:
             return semantic_wise_fuse(source, taxonomy, channel, index)
-        return source.semantic_logits[channel].reshape(-1)[index].astype(np.float64)
+        return _pixels(source.semantic_logits, channel, index).astype(np.float64)
 
     part_map, stuff_map, stuff_best = _band_pass(stack, taxonomy, enhance, scores)
 
-    def instance_scores(class_id: int, pixels: np.ndarray) -> np.ndarray:
-        # a stack of the class's channels at the instance's footprint
-        parts = tuple(p.id for p in taxonomy.parts_of(class_id)) if enhance else ()
-        semantic = [stack.semantic_channel(class_id)]
-        footprint = replace(
-            stack,
-            semantic_logits=_gather(stack.semantic_logits, semantic, pixels),
-            part_logits=_gather(stack.part_logits, [stack.part_channel(p) for p in parts], pixels),
-            semantic_channel_ids=(class_id,),
-            part_channel_ids=parts,
-            instance_proposals=(),
-        )
-        return scores(footprint, 0, slice(None))
-
+    # the band pass checked every value, so instances read the frame's
+    # channels in place at their footprints
     sem_map, inst_map = panoptic_fuse(
-        stuff_map, stuff_best, stack.instance_proposals, params, instance_scores
+        stuff_map,
+        stuff_best,
+        stack.instance_proposals,
+        params,
+        lambda class_id, pixels: scores(stack, stack.semantic_channel(class_id), pixels),
     )
 
     if strategy in ("consensus", "topdown"):
