@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partfuse
@@ -194,7 +194,11 @@ def test_scalars_stay_scalars_and_arrays_stay_arrays():
 
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 F64_TINY = float(np.finfo(np.float64).smallest_subnormal)
-SPECIAL_THRESHOLDS = (0.0, -0.0, F32_TINY, -F32_TINY, F64_TINY, -F64_TINY, 1e-40, -1e-40, 1e39, -1e39)
+# just below -FLT_MAX: float32 rounds it up to -FLT_MAX, one step under which is -inf
+BELOW_F32_MIN = float(np.nextafter(float(np.finfo(np.float32).min), -np.inf))
+SPECIAL_THRESHOLDS = (
+    0.0, -0.0, F32_TINY, -F32_TINY, F64_TINY, -F64_TINY, 1e-40, -1e-40, 1e39, -1e39, BELOW_F32_MIN
+)
 
 
 @st.composite
@@ -238,6 +242,7 @@ def around(t, dtype):
     dtype=st.sampled_from([np.float32, np.float64]),
     extra=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=8),
 )
+@example(t=BELOW_F32_MIN, dtype=np.float32, extra=[])
 def test_mask_threshold_footprint_is_the_float64_comparison(t, dtype, extra):
     mask = np.array(around(t, dtype) + extra, dtype=dtype)
     threshold = mask_threshold(mask.dtype, t)
