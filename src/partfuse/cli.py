@@ -102,7 +102,10 @@ def _run_items(
     directory ``stage`` under ``out_dir``.  The calling thread then moves
     them into ``out_dir`` with ``os.replace``, item by item in input order,
     so no file there is ever half-written and, where two items write the
-    same name, the later item wins.  Without ``out_dir``, ``stage`` is None.
+    same name, the later item wins.  An item's ``.sem.pgm`` files go in
+    last, after their destinations are removed, so a commit that stops
+    part way leaves each label triple old, new or without its
+    ``.sem.pgm``, never mixed.  Without ``out_dir``, ``stage`` is None.
 
     The first failure in input order stops the run and is raised: later
     items are cancelled or their staged files discarded, so what reaches
@@ -116,6 +119,7 @@ def _run_items(
     errors: list[PartfuseError | OSError] = []
     stage_root = None
     if out_dir is not None:
+        from .formats import TRIPLE_SUFFIXES
         stage_root = Path(tempfile.mkdtemp(prefix=".partfuse-stage-", dir=out_dir))
 
     def run(item):
@@ -134,7 +138,10 @@ def _run_items(
                 log.warning("item failed: %s", exc)
                 continue
             if stage is not None:
-                for path in sorted(stage.iterdir()):
+                last = sorted(stage.glob(f"*{TRIPLE_SUFFIXES[0]}"))
+                for path in last:
+                    (out_dir / path.name).unlink(missing_ok=True)
+                for path in sorted(set(stage.iterdir()) - set(last)) + last:
                     os.replace(path, out_dir / path.name)
             results.append(result)
     finally:
@@ -519,7 +526,7 @@ def _configure_logging() -> None:
 
 def _raise_open_file_limit() -> None:
     """Lift the soft open-file limit towards the hard one, best-effort:
-    every mapped PPT1 tensor holds a descriptor while it lives."""
+    every open PPT1 tensor holds a descriptor while it lives."""
     try:
         import resource
     except ImportError:  # not POSIX

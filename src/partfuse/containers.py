@@ -17,8 +17,9 @@ from .taxonomy import MAX_ID, VOID_ID, ClassTaxonomy
 LABEL_DTYPE = np.uint16
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
+def _freeze(arr):
+    if isinstance(arr, np.ndarray):  # a formats.read_tensor handle has no write path
+        arr.setflags(write=False)
     return arr
 
 
@@ -103,7 +104,8 @@ def _label_map(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InstanceProposal:
-    """A candidate instance: thing class, confidence, full-frame mask logits.
+    """A candidate instance: thing class, confidence, full-frame mask logits
+    (an array or a formats.read_tensor handle).
 
     Fusion checks the mask for non-finite values as it reads it."""
 
@@ -126,9 +128,10 @@ class LogitStack:
     """Per-pixel semantic and part logits plus instance mask proposals.
 
     ``semantic_channel_ids`` / ``part_channel_ids`` give the explicit
-    channel-index -> class-id mapping for the two logit tensors.  The
-    logits are not scanned here: fusion checks them for non-finite values
-    band by band as it reads them.
+    channel-index -> class-id mapping for the two logit tensors, each an
+    array or a formats.read_tensor handle.  The logits are not scanned
+    here: fusion checks them for non-finite values tile by tile as it
+    reads them.
     """
 
     semantic_logits: np.ndarray  # [C_sem, H, W]

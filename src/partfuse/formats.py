@@ -8,6 +8,11 @@ PPT1 layout:
     then        rank x uint32 LE dims
     then        row-major payload, last dimension fastest
 
+read_tensor checks a header against the file's length and returns a
+TensorFile: the open file, from which rows of the payload are read with
+positioned reads when they are needed.  Nothing is mapped or held, and
+a file that shrinks after it was opened fails the read with FormatError.
+
 Label triples are stored as three 16-bit PGMs sharing one stem:
 ``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.  A fuse
 sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1`` and
@@ -16,9 +21,10 @@ sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1`` and
 
 from __future__ import annotations
 
-import mmap
+import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,81 +43,85 @@ _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
-    """Map a PPT1 tensor file and return a read-only view of its payload.
-
-    The map holds a file descriptor while the array lives.  Replacing the
-    file is safe; a mapped file that shrinks kills the process (SIGBUS).
+class TensorFile:
+    """A PPT1 tensor whose header has been checked: its ``path``, the
+    ``shape``, ``ndim`` and ``dtype`` of its payload, and the open file
+    the payload is read from, until the handle is garbage-collected or
+    closed.  ``np.asarray`` reads the whole payload.
     """
+
+    def __init__(self, path: Path, file, dtype: np.dtype, shape: tuple[int, ...], offset: int):
+        self.path, self._file, self._offset = path, file, offset
+        self.dtype, self.shape, self.ndim = dtype, shape, len(shape)
+        self.close = weakref.finalize(self, file.close)
+
+    def read(self, rows: slice = slice(None), channel: int | None = None) -> np.ndarray:
+        """A new array of ``tensor[..., rows, :]``, or of ``tensor[channel,
+        rows]``: ``rows`` is a slice of step 1 of the second-to-last axis,
+        and a tensor of rank below 2 is read whole.  A file that has
+        shrunk since it was opened raises FormatError.
+        """
+        shape = self.shape if channel is None else self.shape[1:]
+        first = 0 if channel is None else channel * math.prod(shape)
+        *planes, h, w = (1, 1) + shape
+        top, bottom, _ = rows.indices(h)
+        out = np.empty((math.prod(planes), max(bottom - top, 0), w), self.dtype)
+        for k, plane in enumerate(out):
+            self._fill(plane, first + (k * h + top) * w)
+        return out.reshape(shape[:-2] + out.shape[1:] if len(shape) > 1 else shape)
+
+    def _fill(self, out: np.ndarray, element: int) -> None:
+        """Read ``out``'s bytes from the payload, starting at ``element``."""
+        self._file.seek(self._offset + element * self.dtype.itemsize)
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        while view:
+            n = self._file.readinto(view)
+            if not n:
+                raise FormatError(f"{self.path}: truncated payload")
+            view = view[n:]
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.read()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def read_tensor(path: str | Path) -> TensorFile:
+    """Open a PPT1 tensor file and check its header against its length;
+    the payload is read later, through the returned handle."""
     path = Path(path)
-    with open(path, "rb") as fh:
+    fh = open(path, "rb", buffering=0)
+    try:
         size = os.fstat(fh.fileno()).st_size
-        if size < 8:  # mmap refuses empty files
+        if size < 8:
             raise FormatError(f"{path}: file shorter than the fixed header")
-        # the header is read from the file, not the map: touching a mapped
-        # page can make the whole large folio around it resident
         header = fh.read(8 + 4 * _MAX_RANK)
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    if header[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {header[:4]!r}")
-    code, rank = header[4], header[5]
-    if code not in _DTYPES:
-        raise FormatError(f"{path}: unknown dtype code {code}")
-    if rank > _MAX_RANK:
-        raise FormatError(f"{path}: rank {rank} exceeds maximum {_MAX_RANK}")
-    if header[6] != 0 or header[7] != 0:
-        raise FormatError(f"{path}: reserved header bytes are nonzero")
-    dims_end = 8 + 4 * rank
-    if size < dims_end:
-        raise FormatError(f"{path}: truncated dimension list")
-    dims = struct.unpack(f"<{rank}I", header[8:dims_end]) if rank else ()
-    count = 1
-    for d in dims:
-        count *= d
-    if count > _MAX_ELEMENTS:
-        raise FormatError(f"{path}: dimension product overflow ({count} elements)")
-    dtype = _DTYPES[code]
-    expected = count * dtype.itemsize
-    payload = len(data) - dims_end
-    if payload < expected:
-        raise FormatError(f"{path}: truncated payload")
-    if payload > expected:
-        raise FormatError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(data, dtype, count, dims_end).reshape(dims)
-
-
-def file_map(array: np.ndarray) -> mmap.mmap | None:
-    """The ``read_tensor`` map under ``array``, a view of its payload, or
-    None for an array with no map under it."""
-    owner = array
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    if isinstance(owner, memoryview):
-        owner = owner.obj
-    return owner if isinstance(owner, mmap.mmap) else None
-
-
-def release(array: np.ndarray) -> None:
-    """Drop this process's resident pages of the file map under ``array``,
-    a C-contiguous view of a ``read_tensor`` payload: a whole tensor or
-    one channel of it.
-
-    The pages from the array's first byte to its last, rounded out to
-    whole pages, leave the resident set; reading them again faults them
-    back in from the page cache, so the values are unchanged.  Does
-    nothing for an array with no map under it or where ``madvise`` is
-    missing.
-    """
-    data = file_map(array)
-    if data is None or not hasattr(mmap, "MADV_DONTNEED"):
-        return
-    if not array.flags.c_contiguous:
-        raise ValueError("release takes a C-contiguous view of a mapped tensor")
-    origin = np.frombuffer(data, np.uint8, 1).__array_interface__["data"][0]
-    start = array.__array_interface__["data"][0] - origin
-    end = start + array.nbytes
-    start -= start % mmap.PAGESIZE
-    data.madvise(mmap.MADV_DONTNEED, start, end - start)
+        if header[:4] != _MAGIC:
+            raise FormatError(f"{path}: bad magic {header[:4]!r}")
+        code, rank = header[4], header[5]
+        if code not in _DTYPES:
+            raise FormatError(f"{path}: unknown dtype code {code}")
+        if rank > _MAX_RANK:
+            raise FormatError(f"{path}: rank {rank} exceeds maximum {_MAX_RANK}")
+        if header[6] != 0 or header[7] != 0:
+            raise FormatError(f"{path}: reserved header bytes are nonzero")
+        dims_end = 8 + 4 * rank
+        if size < dims_end:
+            raise FormatError(f"{path}: truncated dimension list")
+        dims = struct.unpack(f"<{rank}I", header[8:dims_end]) if rank else ()
+        count = math.prod(dims)
+        if count > _MAX_ELEMENTS:
+            raise FormatError(f"{path}: dimension product overflow ({count} elements)")
+        dtype = _DTYPES[code]
+        expected = count * dtype.itemsize
+        payload = size - dims_end
+        if payload < expected:
+            raise FormatError(f"{path}: truncated payload")
+        if payload > expected:
+            raise FormatError(f"{path}: trailing bytes after payload")
+    except BaseException:
+        fh.close()
+        raise
+    return TensorFile(path, fh, dtype, dims, dims_end)
 
 
 TRIPLE_SUFFIXES = (".sem.pgm", ".inst.pgm", ".part.pgm")

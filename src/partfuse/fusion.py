@@ -20,15 +20,16 @@ is the part map.  Three baseline strategies ("none", "consensus",
 "topdown") skip the enhancement and resolve part/semantic conflicts by
 keeping them, voiding everything, or voiding only the part label.
 
-A frame is fused in one pass over row bands.  Each band of every
-semantic and part channel is read once, its mapped pages are dropped
-(formats.release) and its values are checked for non-finite ones; its
-row tiles then feed both the part argmax and the stuff argmax.  The
-proposals are then checked and thresholded one at a time, each mask's
-pages dropped once its footprint is taken, and the accepted instances
-are scored on their footprints: a thing class's semantic channel is read
-and enhanced there only.  The arithmetic is per pixel, so banding and
-tiling change no result.
+A frame is fused in one pass over row tiles.  Each tile of every
+semantic and part channel is read once into a tile stack and checked for
+non-finite values; it then feeds both the part argmax and the stuff
+argmax.  The proposal masks are then read whole, checked and thresholded
+one at a time, and the accepted instances are scored on their
+footprints: a thing class's semantic channel (and, enhanced, its part
+channels) is read over the rows a footprint spans and enhanced there
+only.  The logits of a stack opened by formats.read_tensor are read from
+its files; those of an in-memory stack are taken as views.  The
+arithmetic is per pixel, so tiling changes no result.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 
 from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
-from .formats import file_map, release
 from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
 
@@ -52,11 +52,6 @@ if TYPE_CHECKING:
 # 1024-wide frame), so no stage holds a full-frame float64 tensor with a
 # channel axis; see tile_rows
 TILE_PIXELS = 2**14
-# a band of mapped logits is this many tiles.  On the three 512x1024
-# benchmark frames (shared 2-core x86-64 host) fuse peaked at 56, 58 and
-# 75 MB with bands of 1, 4 and 8 tiles; its CPU time, a median 0.63, 0.60
-# and 0.56 s over 12 runs each, moved less than its run-to-run spread
-READ_TILES = 4
 
 
 def sigmoid_rescaled(x):
@@ -104,8 +99,8 @@ def semantic_wise_fuse(
 ) -> np.ndarray:
     """Semantic channel ``channel`` enhanced with its parts' evidence.
 
-    ``index`` selects pixels of the raveled H*W stack: a slice (a row
-    tile of a band) or an integer array (an instance footprint).  For a
+    ``index`` selects pixels of the raveled H*W stack: a slice (a whole
+    tile stack) or an integer array (an instance footprint).  For a
     class with parts, the part logits are flattened by a per-pixel maximum
     over the class's part channels and fused with the semantic logits
     through agreement_part_sem.  A class without parts passes through,
@@ -123,9 +118,8 @@ def semantic_wise_fuse(
     return agreement_part_sem(flat, semantic)
 
 
-def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy, index: slice) -> np.ndarray:
-    """Part labels of part-wise fusion on ``index``, a slice of the raveled
-    H*W stack (a row tile of a band).
+def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray:
+    """Part labels of part-wise fusion on the raveled H*W stack (a tile).
 
     Each part channel is fused with its parent's semantic channel through
     agreement_part_sem, and the label is the per-pixel argmax of those
@@ -148,19 +142,19 @@ def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy, index: slice) -> 
     def channels():
         for k, (part_id, channel, parent) in enumerate(order):
             if parent not in parents:
-                sem = _pixels(stack.semantic_logits, parent, index).astype(np.float64)
+                sem = _pixels(stack.semantic_logits, parent).astype(np.float64)
                 parents[parent] = sem, sigmoid_rescaled(sem)
             sem, sem_rescaled = parents[parent]
             if last_use[parent] == k:
                 del parents[parent]
-            part = _pixels(stack.part_logits, channel, index).astype(np.float64)
+            part = _pixels(stack.part_logits, channel).astype(np.float64)
             # agreement_part_sem(part, sem), sharing the parent's term
             scores = sigmoid_rescaled(part)
             scores += sem_rescaled
             scores *= part + sem
             yield part_id, scores
 
-    return _argmax(channels(), len(range(h * w)[index]))
+    return _argmax(channels(), h * w)
 
 
 def _id_order(channel_ids) -> list[tuple[int, int]]:
@@ -173,36 +167,22 @@ def tile_rows(width: int) -> int:
     return max(1, TILE_PIXELS // max(width, 1))
 
 
-def _pixels(tensor: np.ndarray, channel: int, index) -> np.ndarray:
-    """``tensor[channel]`` at ``index`` of its raveled pixels.
-
-    A mapped channel's pages are dropped once it is read, as in
-    _read_band, so an integer ``index`` (an instance footprint) leaves
-    only its copied values resident.  A slice of a mapped channel is a
-    view, read again from the page cache when used.
-    """
-    values = tensor[channel].reshape(-1)[index]
-    release(tensor[channel])
-    return values
+def _read(tensor, rows: slice, channel: int | None = None) -> np.ndarray:
+    """``tensor[..., rows, :]``, or ``tensor[channel, rows]``: a view of an
+    in-memory array, or a new array read from a formats.read_tensor file."""
+    if isinstance(tensor, np.ndarray):
+        return tensor[..., rows, :] if channel is None else tensor[channel, rows]
+    return tensor.read(rows, channel)
 
 
-def _read_band(tensor: np.ndarray, rows: slice) -> np.ndarray:
-    """``tensor[:, rows]``, read for one band.
-
-    A mapped tensor is copied one channel at a time, and each channel's
-    pages are dropped as soon as its rows are copied: a read can map the
-    whole large page-cache folio around them, which may hold the entire
-    channel.  An in-memory tensor is resident already and comes back as
-    a view.
-    """
-    band = tensor[:, rows]
-    if file_map(tensor) is None:
-        return band
-    copy = np.empty(band.shape, dtype=band.dtype)
-    for channel, source, out in zip(tensor, band, copy):
-        out[...] = source
-        release(channel)
-    return copy
+def _pixels(tensor, channel: int, index=slice(None)) -> np.ndarray:
+    """``tensor[channel]`` at ``index`` of its raveled pixels: a slice, or
+    an integer array (a footprint) of which only the rows it spans are read."""
+    if isinstance(index, slice):
+        return _read(tensor, slice(None), channel).reshape(-1)[index]
+    w = tensor.shape[-1]
+    top, bottom = (index.min() // w, index.max() // w + 1) if index.size else (0, 0)
+    return _read(tensor, slice(top, bottom), channel).reshape(-1)[index - top * w]
 
 
 def _argmax(channels, size: int, best=None) -> np.ndarray:
@@ -260,11 +240,11 @@ def panoptic_fuse(
     of pixels.  Only the masks are checked here: fuse validates the stack
     and finds non-finite logits before it calls this.
 
-    Every proposal's mask is checked for non-finite values, in descending
-    confidence (ties by submission order), and its pages are dropped once
-    it has been read.  Proposals below the confidence floor go no
-    further; the rest are accepted greedily unless their thresholded
-    footprint overlaps already-claimed pixels on at least
+    Every proposal's mask is read whole, once, and checked for non-finite
+    values, in descending confidence (ties by submission order); only the
+    accepted footprints' logits are kept.  Proposals below the confidence
+    floor go no further; the rest are accepted greedily unless their
+    thresholded footprint overlaps already-claimed pixels on at least
     ``overlap_discard_ratio`` of its own area.  Overlapped pixels are
     removed from the later proposal, and an accepted instance keeps only
     its surviving pixels and its mask logits there.  Each accepted
@@ -306,7 +286,7 @@ def _accept_proposals(proposals, size: int, params: FusionParams) -> list:
     accepted = []
     for idx in order:
         prop = proposals[idx]
-        mask = prop.mask_logits.ravel()
+        mask = _read(prop.mask_logits, slice(None)).reshape(-1)
         if not np.isfinite(mask).all():
             raise ValidationError("proposal mask logits contain non-finite values")
         if prop.confidence >= params.confidence_min:
@@ -318,18 +298,17 @@ def _accept_proposals(proposals, size: int, params: FusionParams) -> list:
                 surviving = footprint[~taken]
                 occupancy[surviving] = True
                 accepted.append((prop.class_id, surviving, mask[surviving]))
-        release(prop.mask_logits)
     return accepted
 
 
-def _band_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores):
+def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores):
     """Part map, stuff map and stuff scores of the raveled frame, from one
-    pass over row bands.
+    pass over row tiles.
 
-    The logits are read READ_TILES tiles at a time into a band stack and
-    checked for non-finite values.  Each tile of the band then feeds the
-    part argmax (part-wise fusion with ``enhance``, the raw part logits
-    without) and the stuff argmax of ``scores(band, channel, tile)``.
+    Each tile of the logits is read into a tile stack and checked for
+    non-finite values.  It then feeds the part argmax (part-wise fusion
+    with ``enhance``, the raw part logits without) and the stuff argmax
+    of ``scores(tile, channel, slice(None))``.
     """
     h, w = stack.semantic_logits.shape[1:]
     part_order = _id_order(stack.part_channel_ids)
@@ -341,43 +320,32 @@ def _band_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores
     part_map = np.empty(h * w, dtype=LABEL_DTYPE)
     stuff_map = np.empty(h * w, dtype=LABEL_DTYPE)
     stuff_best = np.empty(h * w)
-
-    def fuse_tile(band: LogitStack, tile: slice, pixels: slice) -> None:
-        size = tile.stop - tile.start
+    step = tile_rows(w)
+    for top in range(0, h, step):
+        rows = slice(top, min(top + step, h))
+        tile = replace(
+            stack,
+            semantic_logits=_read(stack.semantic_logits, rows),
+            part_logits=_read(stack.part_logits, rows),
+            instance_proposals=(),
+        )
+        for tensor in (tile.semantic_logits, tile.part_logits):
+            if not np.isfinite(tensor).all():
+                raise ValidationError("logit tensor contains non-finite values")
+        pixels = slice(top * w, rows.stop * w)
+        size = pixels.stop - pixels.start
         if enhance:
-            part_map[pixels] = part_wise_fuse(band, taxonomy, tile)
+            part_map[pixels] = part_wise_fuse(tile, taxonomy)
         else:
             part_map[pixels] = _argmax(
-                (
-                    (part_id, _pixels(band.part_logits, channel, tile))
-                    for part_id, channel in part_order
-                ),
+                ((part_id, _pixels(tile.part_logits, channel)) for part_id, channel in part_order),
                 size,
             )
         stuff_map[pixels] = _argmax(
-            ((class_id, scores(band, channel, tile)) for class_id, channel in stuff),
+            ((class_id, scores(tile, channel, slice(None))) for class_id, channel in stuff),
             size,
             stuff_best[pixels],
         )
-
-    step = tile_rows(w) * w  # pixels of one tile
-    band_rows = READ_TILES * tile_rows(w)
-    for top in range(0, h, band_rows):
-        rows = slice(top, min(top + band_rows, h))
-        band = replace(
-            stack,
-            semantic_logits=_read_band(stack.semantic_logits, rows),
-            part_logits=_read_band(stack.part_logits, rows),
-            instance_proposals=(),
-        )
-        for tensor in (band.semantic_logits, band.part_logits):
-            if not np.isfinite(tensor).all():
-                raise ValidationError("logit tensor contains non-finite values")
-        size = (rows.stop - top) * w
-        for start in range(0, size, step):
-            tile = slice(start, min(start + step, size))
-            fuse_tile(band, tile, slice(top * w + tile.start, top * w + tile.stop))
-        del band  # before the next band is read
     return part_map, stuff_map, stuff_best
 
 
@@ -415,10 +383,10 @@ def fuse(
             return semantic_wise_fuse(source, taxonomy, channel, index)
         return _pixels(source.semantic_logits, channel, index).astype(np.float64)
 
-    part_map, stuff_map, stuff_best = _band_pass(stack, taxonomy, enhance, scores)
+    part_map, stuff_map, stuff_best = _tile_pass(stack, taxonomy, enhance, scores)
 
-    # the band pass checked every value, so instances read the frame's
-    # channels in place at their footprints
+    # the tile pass checked every value, so instances read the frame's
+    # channels again, over their footprints' rows only
     sem_map, inst_map = panoptic_fuse(
         stuff_map,
         stuff_best,

@@ -113,7 +113,7 @@ def test_criterion_2_structural_identity():
             )
             enhanced_part = agreement_part_sem(stack.part_logits, stack.semantic_logits)
             assert np.array_equal(enhanced_sem, enhanced_part)  # exact
-            part_map = part_wise_fuse(stack, tax, slice(None)).reshape(8, 8)
+            part_map = part_wise_fuse(stack, tax).reshape(8, 8)
             assert np.array_equal(part_map, np.array([11, 12, 13])[enhanced_sem.argmax(axis=0)])
 
 

@@ -15,6 +15,7 @@ import partfuse
 from partfuse import formats
 from partfuse.cli import main
 from partfuse.containers import InstanceProposal
+from partfuse.errors import FormatError
 from partfuse.imaging import write_pnm
 from partfuse.params import STRATEGIES
 
@@ -734,10 +735,10 @@ def test_label_rgbd_pmf_window_beyond_the_grid(tmp_path, taxonomy_json):
     assert trees[0] == trees[1]
 
 
-def write_augment_dataset(tmp_path):
+def write_augment_dataset(tmp_path, seed=6):
     dataset = tmp_path / "samples"
     dataset.mkdir()
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(seed)
     for name in ("s0", "s1"):
         image = rng.integers(0, 256, (6, 8, 3)).astype(np.uint8)
         write_pnm(image, dataset / f"{name}.ppm")
@@ -972,6 +973,67 @@ def test_fuse_failed_triple_write_leaves_no_file(tmp_path, taxonomy_json, monkey
     out = tmp_path / "out"
     assert main(fuse_args(taxonomy_json, out, inputs)) == 2
     assert list(out.iterdir()) == []
+
+
+def committed_stem(directory, stem, image):
+    """The bytes of ``stem``'s label triple in ``directory``, and of its
+    ``.ppm`` with ``image``; None where read_label_triple reports a map
+    missing."""
+    try:
+        formats.read_label_triple(directory / stem)
+    except FormatError as exc:
+        assert "missing label map file" in str(exc)
+        return None
+    names = [stem + suffix for suffix in formats.TRIPLE_SUFFIXES] + [f"{stem}.ppm"] * image
+    return [(directory / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("command", ["fuse", "augment"])
+def test_interrupted_commit_leaves_no_mixed_triple(tmp_path, taxonomy_json, monkeypatch, command):
+    """A run over a previous run's output whose k-th rename fails, for
+    every k, leaves each stem old, new, or reported missing."""
+    runs = {}
+    for run, seed in (("old", 10), ("new", 0)):
+        inputs = tmp_path / f"in_{run}"
+        inputs.mkdir()
+        if command == "fuse":
+            for i in range(2):
+                write_many_proposals(inputs, f"img{i}", 3, seed=seed + i)
+            runs[run] = fuse_args(taxonomy_json, tmp_path / run, inputs)
+        else:
+            dataset = write_augment_dataset(inputs, seed=seed)
+            runs[run] = ["augment", "--out", str(tmp_path / run), str(dataset)]
+    replace, renames, fail_at = os.replace, [], [None]
+
+    def failing_replace(src, dst):
+        renames.append(dst)
+        if len(renames) == fail_at[0]:
+            raise OSError(f"{dst}: injected failure")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    for run in ("old", "new"):
+        renames.clear()
+        assert main(runs[run]) == 0
+    total = len(renames)
+    image = command == "augment"
+    stems = sorted({p.name.split(".")[0] for p in (tmp_path / "new").iterdir()})
+    states = {
+        run: {stem: committed_stem(tmp_path / run, stem, image) for stem in stems}
+        for run in ("old", "new")
+    }
+    assert all(states["old"][stem] != states["new"][stem] for stem in stems)
+    for k in range(1, total + 1):
+        out = tmp_path / f"out_{k}"
+        shutil.copytree(tmp_path / "old", out)
+        renames.clear()
+        fail_at[0] = k
+        assert main([str(out) if arg == str(tmp_path / "new") else arg for arg in runs["new"]]) == 2
+        for stem in stems:
+            state = committed_stem(out, stem, image)
+            assert state in (None, states["old"][stem], states["new"][stem]), (
+                f"rename {k} of {total} failed: {stem} mixes two runs")
+        assert [p for p in out.iterdir() if not p.is_file()] == []  # no staging left
 
 
 def write_nonfinite_sample(directory, name, place, value):

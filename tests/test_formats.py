@@ -1,21 +1,23 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from partfuse.errors import FormatError, ValidationError
 from partfuse.formats import (
-    file_map,
     read_label_triple,
     read_proposals,
     read_tensor,
-    release,
     write_label_triple,
 )
 from partfuse.containers import InstanceProposal
 
 from conftest import make_triple
 from scenes import write_proposals, write_tensor
+from test_cli import fresh_env
+from test_fuse_memory import write_frame
 
 
 def test_tensor_round_trip_float32(tmp_path):
@@ -56,13 +58,16 @@ def test_tensor_write_read_write_is_byte_identical(tmp_path):
 
 def test_tensor_read_is_not_writable(tmp_path):
     path = tmp_path / "t.ppt1"
-    write_tensor(np.arange(6, dtype=np.float32).reshape(2, 3), path)
+    tensor = np.arange(6, dtype=np.float32).reshape(2, 3)
+    write_tensor(tensor, path)
+    raw = path.read_bytes()
     back = read_tensor(path)
-    assert not back.flags.writeable
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         back[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        back.setflags(write=True)
+    values = back.read()
+    values[0, 0] = 1.0
+    assert np.array_equal(back.read(), tensor)
+    assert path.read_bytes() == raw
 
 
 def test_tensor_read_outlives_replacing_its_file(tmp_path):
@@ -74,6 +79,46 @@ def test_tensor_read_outlives_replacing_its_file(tmp_path):
     os.replace(tmp_path / "new.ppt1", path)
     assert np.array_equal(back, tensor)
     assert np.array_equal(read_tensor(path), tensor + 100)
+
+
+def test_tensor_read_rows_and_channels(tmp_path):
+    tensor = np.arange(3 * 5 * 4, dtype=np.uint16).reshape(3, 5, 4)
+    write_tensor(tensor, tmp_path / "t.ppt1")
+    back = read_tensor(tmp_path / "t.ppt1")
+    for rows in (slice(None), slice(1, 4), slice(4, 9), slice(2, 2)):
+        assert np.array_equal(back.read(rows), tensor[:, rows])
+        for channel in range(3):
+            assert np.array_equal(back.read(rows, channel), tensor[channel, rows])
+
+
+# opens a fuse sample with read_sample, truncates one of its files in
+# place, then fuses it and prints the FormatError that fuse raises
+TRUNCATE_THEN_FUSE = """
+import os, sys
+from pathlib import Path
+from partfuse.errors import FormatError
+from partfuse.formats import read_sample
+from partfuse.fusion import fuse
+from partfuse.taxonomy import load_taxonomy
+taxonomy = load_taxonomy(sys.argv[1])
+stack = read_sample(Path(sys.argv[2]), taxonomy)
+os.truncate(sys.argv[3], 4096)
+try:
+    fuse(stack, taxonomy)
+except FormatError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("victim", ["frame.sem.ppt1", "frame_p01.ppt1"], ids=["logits", "mask"])
+def test_fuse_of_a_file_truncated_in_place_is_a_format_error(tmp_path, taxonomy_json, victim):
+    """Run in a child process, so that a crash shows as its exit status."""
+    write_frame(tmp_path, "frame", 64, 1024, 2)
+    args = [str(taxonomy_json), str(tmp_path / "frame"), str(tmp_path / victim)]
+    child = subprocess.run([sys.executable, "-c", TRUNCATE_THEN_FUSE, *args], env=fresh_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == f"{tmp_path / victim}: truncated payload"
 
 
 def test_tensor_bad_magic(tmp_path):
@@ -124,20 +169,6 @@ def test_tensor_nonzero_reserved_bytes(tmp_path):
     path.write_bytes(b"PPT1" + bytes([3, 0, 1, 0]) + b"\x00")
     with pytest.raises(FormatError, match="reserved"):
         read_tensor(path)
-
-
-def test_release_keeps_values_and_ignores_unmapped_arrays(tmp_path):
-    tensor = np.arange(3 * 1000 * 7, dtype=np.float32).reshape(3, 1000, 7)
-    write_tensor(tensor, tmp_path / "t.ppt1")
-    mapped = read_tensor(tmp_path / "t.ppt1")
-    assert file_map(mapped) is not None
-    assert file_map(tensor) is None and file_map(mapped.copy()) is None
-    for view in (mapped, mapped[1], mapped[2]):  # what fusion drops: a whole tensor or channel
-        release(view)
-        assert np.array_equal(mapped, tensor)
-    release(tensor)  # no map under it: nothing to drop
-    with pytest.raises(ValueError, match="C-contiguous"):
-        release(mapped[:, 3:9])
 
 
 def test_tensor_rejects_float64(tmp_path):

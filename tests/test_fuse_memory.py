@@ -1,6 +1,6 @@
 """Peak memory of ``fuse`` in a fresh interpreter: the resident input stays
-about one band of the logits plus the accepted footprints, not the whole
-frame."""
+about one tile of the logits, one mask and the accepted footprints, not
+the whole frame."""
 
 import subprocess
 import sys

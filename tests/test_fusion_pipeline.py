@@ -66,7 +66,7 @@ def enhanced_semantic(stack, taxonomy):
 
 def part_map_of(stack, taxonomy):
     """Part-wise fusion's part map over the whole frame."""
-    return part_wise_fuse(stack, taxonomy, slice(None)).reshape(stack.part_logits.shape[1:])
+    return part_wise_fuse(stack, taxonomy).reshape(stack.part_logits.shape[1:])
 
 
 def merge(semantic, channel_ids, proposals, taxonomy, params=None):

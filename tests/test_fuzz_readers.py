@@ -102,8 +102,7 @@ def test_read_tensor_rejects_damage(tmp_path, tensor, data):
 
 @TENSORS
 def test_read_tensor_rejects_wrong_lengths(tmp_path, tensor):
-    """The reader maps the file, and mmap refuses an empty file with
-    ValueError; every wrong length must still be a FormatError."""
+    """Every wrong length must be a FormatError."""
     path, raw = valid_bytes(tmp_path, lambda p: write_tensor(tensor, p), "t.ppt1")
     header_only = "truncated payload" if tensor.ndim == 0 else "truncated dimension list"
     cases = [(raw[:n], "shorter than the fixed header") for n in range(8)]
