@@ -183,7 +183,7 @@ def cmd_fuse(args, cfg: RunConfig) -> None:
 
 def cmd_eval(args, cfg: RunConfig) -> None:
     from . import formats
-    from .containers import derive_segments, segment_keys
+    from .containers import derive_segments
     from .metrics import aggregate_dataset, match_segments, render_table, report_to_tsv
 
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
@@ -217,20 +217,24 @@ def cmd_eval(args, cfg: RunConfig) -> None:
             return [exc] * len(pred_dirs)
         try:
             gt.validate(taxonomy)
-            gt_keys = segment_keys(gt)
-            gt_segments = derive_segments(gt, taxonomy, gt_keys)
+            gt_segments = derive_segments(gt, taxonomy)
             gt_error = None
         except ValidationError as exc:
             gt_error = exc
+
+        def score(pred_dir: Path):
+            # each prediction's triple is dropped on return, before the
+            # next one is read
+            pred = formats.read_label_triple(pred_dir / stem)
+            if gt_error is not None:
+                return gt_error
+            pred.validate(taxonomy)
+            return match_segments(pred, gt, taxonomy, gt_segments)
+
         outcomes: list = []
         for pred_dir in pred_dirs:
             try:
-                pred = formats.read_label_triple(pred_dir / stem)
-                if gt_error is None:
-                    pred.validate(taxonomy)
-                    outcomes.append(match_segments(pred, gt, taxonomy, gt_keys, gt_segments))
-                else:
-                    outcomes.append(gt_error)
+                outcomes.append(score(pred_dir))
             except (PartfuseError, OSError) as exc:
                 outcomes.append(exc)
         return outcomes

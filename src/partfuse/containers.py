@@ -16,6 +16,31 @@ from .taxonomy import MAX_ID, VOID_ID, ClassTaxonomy
 
 LABEL_DTYPE = np.uint16
 
+# fusion and eval work on row tiles of about this many pixels (16 rows
+# of a 1024-wide frame), so no stage builds a full-frame float64 tensor
+# with a channel axis or a full-frame key array; see tile_rows
+TILE_PIXELS = 2**14
+
+
+def tile_rows(width: int) -> int:
+    """Rows of one tile in a frame ``width`` pixels wide."""
+    return max(1, TILE_PIXELS // max(width, 1))
+
+
+def row_tiles(shape: tuple[int, int]) -> list[slice]:
+    """The row slices of a frame's tiles, top to bottom; a frame without
+    rows has one empty tile."""
+    height, width = shape
+    step = tile_rows(width)
+    return [slice(top, min(top + step, height)) for top in range(0, max(height, 1), step)]
+
+
+def merge_histograms(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``keys`` and the summed ``counts`` of each: the
+    per-tile histograms of one quantity, concatenated, merged into one."""
+    keys, where = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(where, weights=counts).astype(np.int64)
+
 
 def _freeze(arr):
     if isinstance(arr, np.ndarray):  # a formats.read_tensor handle has no write path
@@ -48,41 +73,46 @@ class LabelTriple:
     def validate(self, taxonomy: ClassTaxonomy) -> None:
         """Check domain invariants on loaded data (not assumed by readers).
 
-        Raises ValidationError if instance ids appear outside thing-class
-        pixels, if one instance id spans two semantic classes, or if a map
-        uses ids missing from the taxonomy.
+        Raises ValidationError if a map uses ids missing from the taxonomy
+        (the smallest is named), if instance ids appear outside thing-class
+        pixels, or if an instance id spans two semantic classes (the
+        smallest such id is named), checked in that order.  The facts are
+        collected in one pass over row tiles and checked at the end.
         """
-        sem_ids = np.flatnonzero(np.bincount(self.semantic_map.ravel()))
-        for sid in sem_ids:
+        semantic_seen = np.zeros(MAX_ID + 1, dtype=bool)
+        part_seen = np.zeros(MAX_ID + 1, dtype=bool)
+        thing = np.zeros(MAX_ID + 1, dtype=bool)
+        thing[[c for c in taxonomy.semantic_ids if taxonomy.is_thing(c)]] = True
+        # each instance's class on the first pixel seen, -1 before that
+        first_class = np.full(MAX_ID + 1, -1, dtype=np.int32)
+        spans = np.zeros(MAX_ID + 1, dtype=bool)
+        on_non_thing = False
+        for rows in row_tiles(self.shape):
+            sem, inst = self.semantic_map[rows], self.instance_map[rows]
+            semantic_seen[sem] = True
+            part_seen[self.part_map[rows]] = True
+            nonzero = inst != 0
+            if not nonzero.any():
+                continue
+            inst_ids, classes = inst[nonzero], sem[nonzero]
+            on_non_thing = on_non_thing or not thing[classes].all()
+            fresh = first_class[inst_ids] < 0
+            first_class[inst_ids[fresh]] = classes[fresh]
+            spans[inst_ids[first_class[inst_ids] != classes]] = True
+
+        for sid in np.flatnonzero(semantic_seen):
             if sid != VOID_ID and not taxonomy.has_semantic(int(sid)):
                 raise ValidationError(f"semantic map uses unknown class id {sid}")
-        part_ids = np.flatnonzero(np.bincount(self.part_map.ravel()))
-        for pid in part_ids:
+        for pid in np.flatnonzero(part_seen):
             if pid != VOID_ID and not taxonomy.has_part(int(pid)):
                 raise ValidationError(f"part map uses unknown part id {pid}")
-
-        inst = self.instance_map
-        sem = self.semantic_map
-        nonzero = inst != 0
-        if nonzero.any():
-            thing_lut = np.zeros(int(sem_ids[-1]) + 1, dtype=bool)
-            for sid in sem_ids:
-                if sid != VOID_ID and taxonomy.is_thing(int(sid)):
-                    thing_lut[sid] = True
-            inst_ids, classes = inst[nonzero], sem[nonzero]
-            if not thing_lut[classes].all():
-                raise ValidationError(
-                    "instance ids present on non-thing pixels"
-                )
-            # one semantic class per instance id: every pixel must carry
-            # the class that one of its instance's pixels was seen with
-            seen = np.zeros(int(inst_ids.max()) + 1, dtype=LABEL_DTYPE)
-            seen[inst_ids] = classes
-            spanning = inst_ids[seen[inst_ids] != classes]
-            if spanning.size:
-                raise ValidationError(
-                    f"instance id {int(spanning.min())} spans more than one semantic class"
-                )
+        if on_non_thing:
+            raise ValidationError("instance ids present on non-thing pixels")
+        spanning = np.flatnonzero(spans)
+        if spanning.size:
+            raise ValidationError(
+                f"instance id {int(spanning[0])} spans more than one semantic class"
+            )
 
     @staticmethod
     def from_arrays(semantic, instance, part) -> "LabelTriple":
@@ -215,32 +245,42 @@ class PanopticSegment:
         return (self.class_id << 16) | self.instance_id
 
 
-def segment_keys(triple: LabelTriple) -> np.ndarray:
-    """Per-pixel segment key ``(class_id << 16) | instance_id`` as a flat
-    uint32 array; void pixels carry key 0 whatever their instance bits."""
-    sem = triple.semantic_map.ravel().astype(np.uint32)
+def segment_keys(semantic: np.ndarray, instance: np.ndarray) -> np.ndarray:
+    """Per-pixel segment key ``(class_id << 16) | instance_id`` of a tile
+    of the semantic and instance maps, as a flat uint32 array; void pixels
+    carry key 0 whatever their instance bits."""
+    sem = semantic.ravel().astype(np.uint32)
     keys = sem << np.uint32(16)
-    keys |= triple.instance_map.ravel()
+    keys |= instance.ravel()
     keys[sem == VOID_ID] = 0
     return keys
 
 
-def derive_segments(
-    triple: LabelTriple, taxonomy: ClassTaxonomy, keys: np.ndarray | None = None
-) -> list[PanopticSegment]:
-    """Split a triple into panoptic segments, ordered by (class, instance).
-
-    One segment per distinct (class_id, instance_id) pair with a non-void
-    class.  Stuff segments are per class (instance 0), never split by
-    connectivity.  The segments partition the non-void pixels.  ``keys``
-    is the triple's ``segment_keys`` when the caller already has them.
-    """
-    keys = segment_keys(triple) if keys is None else keys
-    keys, counts = np.unique(keys, return_counts=True)
+def segments_from_counts(counts: dict[int, int], taxonomy: ClassTaxonomy) -> list[PanopticSegment]:
+    """The panoptic segments of a ``segment_keys`` histogram, ordered by
+    (class, instance); key 0 (void) makes none, and a class missing from
+    the taxonomy raises ValidationError."""
     segments: list[PanopticSegment] = []
-    for key, count in zip(keys.tolist(), counts.tolist()):
+    for key, count in sorted(counts.items()):
         if key == 0:
             continue
         taxonomy.semantic_class(key >> 16)
         segments.append(PanopticSegment(key >> 16, key & 0xFFFF, count))
     return segments
+
+
+def derive_segments(triple: LabelTriple, taxonomy: ClassTaxonomy) -> list[PanopticSegment]:
+    """Split a triple into panoptic segments, ordered by (class, instance).
+
+    One segment per distinct (class_id, instance_id) pair with a non-void
+    class.  Stuff segments are per class (instance 0), never split by
+    connectivity.  The segments partition the non-void pixels.  Each row
+    tile's key histogram is collected, and the histograms are merged once.
+    """
+    tiles = [
+        np.unique(segment_keys(triple.semantic_map[rows], triple.instance_map[rows]),
+                  return_counts=True)
+        for rows in row_tiles(triple.shape)
+    ]
+    keys, counts = merge_histograms(*map(np.concatenate, zip(*tiles)))
+    return segments_from_counts(dict(zip(keys.tolist(), counts.tolist())), taxonomy)

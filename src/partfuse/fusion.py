@@ -40,19 +40,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .containers import LABEL_DTYPE, LabelTriple
+from .containers import LABEL_DTYPE, LabelTriple, tile_rows
 from .errors import ValidationError
 from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
 
 if TYPE_CHECKING:
     from .containers import LogitStack
-
-# fusion works on row tiles of about this many pixels (16 rows of a
-# 1024-wide frame), so no stage holds a full-frame float64 tensor with a
-# channel axis; see tile_rows
-TILE_PIXELS = 2**14
-
 
 def sigmoid_rescaled(x):
     """2*sigma(x) - 1: the logistic function rescaled to (-1, 1), as tanh(x/2)."""
@@ -160,11 +154,6 @@ def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray:
 def _id_order(channel_ids) -> list[tuple[int, int]]:
     """(id, channel index) pairs in ascending id order."""
     return sorted(zip(channel_ids, range(len(channel_ids))))
-
-
-def tile_rows(width: int) -> int:
-    """Rows of one fusion tile in a frame ``width`` pixels wide."""
-    return max(1, TILE_PIXELS // max(width, 1))
 
 
 def _read(tensor, rows: slice, channel: int | None = None) -> np.ndarray:

@@ -115,7 +115,11 @@ def _write_raster(arr: np.ndarray, path: str | Path, magic: bytes, dtype) -> Non
         raise FormatError(f"cannot write {arr.dtype} samples as PNM; expected {np.dtype(dtype)}")
     h, w = arr.shape[:2]
     header = magic + f"\n{w} {h}\n{np.iinfo(dtype).max}\n".encode("ascii")
-    Path(path).write_bytes(header + arr.astype(arr.dtype.newbyteorder(">"), copy=False).tobytes())
+    # copies only to swap the byte order or to gather a strided view
+    samples = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder(">"))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(samples)
 
 
 def read_pnm(path: str | Path) -> np.ndarray:

@@ -16,9 +16,12 @@ reading of part-aware quality; it is documented in the README so results
 can be compared like for like.
 
 Both come from label histograms of the image pair, never from per-segment
-pixel lists: segment areas, pairwise intersections and void overlaps from
-the counts of (gt segment, pred segment) per pixel, and part overlaps
-from the counts of (segment pair, gt part, pred part).
+pixel lists: pairwise intersections and void overlaps from the counts of
+(gt segment, pred segment) per pixel, segment areas from that
+histogram's marginals, and part overlaps from the counts of (segment
+pair, gt part, pred part).  Each histogram is collected tile by tile
+over row tiles of the two triples and merged once, so matching holds no
+frame-sized array besides the triples.
 
 Scores aggregate over a dataset by pooling matched IoU sums and TP/FP/FN
 counts before the final quotient, never by averaging per-image scores.
@@ -31,12 +34,13 @@ without numpy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .taxonomy import ClassTaxonomy
+from .taxonomy import MAX_ID, ClassTaxonomy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,16 +97,17 @@ def match_segments(
     pred: LabelTriple,
     gt: LabelTriple,
     taxonomy: ClassTaxonomy,
-    gt_keys: np.ndarray | None = None,
     gt_segments: list[PanopticSegment] | None = None,
 ) -> MatchResult:
     """Match prediction segments against ground truth segments per class.
 
     One histogram of the per-pixel (gt key, pred key) pairs gives every
-    intersection, including each prediction's overlap with void (gt key 0).
-    ``gt_keys`` and ``gt_segments`` are the ground truth's ``segment_keys``
-    and ``derive_segments`` when the caller scores several predictions
-    against it.
+    intersection, including each prediction's overlap with void (gt key
+    0), and its marginals give the segment areas.  A second histogram
+    counts the (pair, gt part, pred part) cells of the pixels where either
+    side's class has parts.  Both are collected over row tiles and merged
+    once.  ``gt_segments`` is the ground truth's ``derive_segments`` when
+    the caller scores several predictions against it.
     """
     import numpy as np
 
@@ -112,18 +117,40 @@ def match_segments(
         raise ValidationError(
             f"prediction and ground truth differ in size: {pred.shape} vs {gt.shape}"
         )
-    pred_keys = containers.segment_keys(pred)
-    pred_by_key = {s.key: s for s in containers.derive_segments(pred, taxonomy, pred_keys)}
-    if gt_keys is None:
-        gt_keys = containers.segment_keys(gt)
-    if gt_segments is None:
-        gt_segments = containers.derive_segments(gt, taxonomy, gt_keys)
-    gt_by_key = {s.key: s for s in gt_segments}
+    with_parts = np.zeros(MAX_ID + 1, dtype=bool)
+    with_parts[[c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]] = True
+    tiles = []  # per tile: pairs, their counts, cell pairs, cell parts, cell counts
+    for rows in containers.row_tiles(gt.shape):
+        gt_sem, pred_sem = gt.semantic_map[rows], pred.semantic_map[rows]
+        pixel_pairs = containers.segment_keys(gt_sem, gt.instance_map[rows]).astype(np.uint64)
+        pixel_pairs <<= np.uint64(32)
+        pixel_pairs |= containers.segment_keys(pred_sem, pred.instance_map[rows])
+        pairs, pair_counts = np.unique(pixel_pairs, return_counts=True)
+        # the pixels where either side's class has parts: the only pixels
+        # a matched pair of such a class can cover
+        where = (with_parts[gt_sem] | with_parts[pred_sem]).ravel()
+        cells = np.searchsorted(pairs, pixel_pairs[where]).astype(np.uint64) << np.uint64(32)
+        cells |= gt.part_map[rows].ravel()[where].astype(np.uint64) << np.uint64(16)
+        cells |= pred.part_map[rows].ravel()[where]
+        cells, cell_counts = np.unique(cells, return_counts=True)
+        tiles.append((pairs, pair_counts, pairs[cells >> np.uint64(32)],
+                      cells & np.uint64(0xFFFFFFFF), cell_counts))
+    pairs, pair_counts, cell_pairs, cell_parts, cell_counts = map(np.concatenate, zip(*tiles))
+    pairs, pair_counts = containers.merge_histograms(pairs, pair_counts)
+    cells = np.searchsorted(pairs, cell_pairs).astype(np.uint64) << np.uint64(32)
+    cells |= cell_parts
+    cells, cell_counts = containers.merge_histograms(cells, cell_counts)
 
-    pixel_pairs = gt_keys.astype(np.uint64) << np.uint64(32)
-    pixel_pairs |= pred_keys
-    pairs, pair_counts = np.unique(pixel_pairs, return_counts=True)
     intersections = dict(zip(pairs.tolist(), pair_counts.tolist()))
+    gt_area: Counter[int] = Counter()
+    pred_area: Counter[int] = Counter()
+    for combined, inter in intersections.items():
+        gt_area[combined >> 32] += inter
+        pred_area[combined & 0xFFFFFFFF] += inter
+    pred_by_key = {s.key: s for s in containers.segments_from_counts(pred_area, taxonomy)}
+    if gt_segments is None:
+        gt_segments = containers.segments_from_counts(gt_area, taxonomy)
+    gt_by_key = {s.key: s for s in gt_segments}
     # a pair with gt key 0 (void) packs to the pred key alone
     void_overlap = {pk: intersections.get(pk, 0) for pk in pred_by_key}
 
@@ -145,7 +172,7 @@ def match_segments(
         if iou > IOU_MATCH_THRESHOLD:
             matched.append((gk, pk, iou))
 
-    scores = part_iou(pred, gt, pixel_pairs, pairs, matched, taxonomy)
+    scores = part_iou(pairs, cells, cell_counts, matched, taxonomy)
     tp_by_class: dict[int, list[TruePositive]] = {}
     for (gk, pk, iou), score in zip(matched, scores):
         tp_by_class.setdefault(gk >> 16, []).append(TruePositive(pk, gk, iou, score))
@@ -181,37 +208,28 @@ def match_segments(
 
 
 def part_iou(
-    pred: LabelTriple,
-    gt: LabelTriple,
-    pixel_pairs: np.ndarray,
     pairs: np.ndarray,
+    cells: np.ndarray,
+    counts: np.ndarray,
     matched: list[tuple[int, int, float]],
     taxonomy: ClassTaxonomy,
 ) -> list[float]:
     """Part-aware scores of the matched (gt key, pred key, segment IoU)
     triples of one image pair.
 
-    ``pixel_pairs`` holds each pixel's ``(gt key << 32) | pred key`` and
-    ``pairs`` its sorted distinct values.  For each match, over the union
+    ``pairs`` holds the image pair's sorted distinct ``(gt key << 32) |
+    pred key`` values, and ``cells`` with ``counts`` the histogram of
+    ``(pair index << 32) | (gt part << 16) | pred part`` over the pixels
+    where either side's class has parts.  For each match, over the union
     of the two segments' pixels, compute the part-map IoU for every part
     id of the segment class; average the ids whose union there is
-    non-empty.  If every part id is absent on both sides, or the class
-    has no parts, the score is the segment IoU.
+    non-empty.  If every part id is absent on both sides, or the class has
+    no parts, the score is the segment IoU.
     """
     import numpy as np
 
     if not any(taxonomy.parts_of(gk >> 16) for gk, _, _ in matched):
         return [iou for _, _, iou in matched]
-    # one histogram of (pair index, gt part, pred part) over the pixels
-    # where either side's class has parts: the only pixels a matched pair
-    # of such a class can cover
-    with_parts = [c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]
-    where = np.isin(gt.semantic_map.ravel(), with_parts)
-    where |= np.isin(pred.semantic_map.ravel(), with_parts)
-    cells = np.searchsorted(pairs, pixel_pairs[where]).astype(np.uint64) << np.uint64(32)
-    cells |= gt.part_map.ravel()[where].astype(np.uint64) << np.uint64(16)
-    cells |= pred.part_map.ravel()[where]
-    cells, counts = np.unique(cells, return_counts=True)
     cell_pairs = pairs[cells >> np.uint64(32)]
     cell_gk = cell_pairs >> np.uint64(32)
     cell_pk = cell_pairs & np.uint64(0xFFFFFFFF)

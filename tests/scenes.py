@@ -1,14 +1,19 @@
 """Synthetic scenes, and the writers and inverse projection that only the
-tests need: PPT1 tensors, PLY, camera, proposal sidecars and fuse inputs."""
+tests need: PPT1 tensors, PLY, camera, proposal sidecars and fuse inputs;
+and the fresh interpreters that run the command line."""
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import partfuse
 from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig
 from partfuse.containers import InstanceProposal
 from partfuse.errors import FormatError
@@ -219,3 +224,40 @@ def write_fuse_sample(directory, name):
         directory / f"{name}.proposals.json",
         f"{name}_p{{}}.ppt1",
     )
+
+
+def fresh_env(**changes):
+    """This process's environment with partfuse's sources on PYTHONPATH;
+    a change to None removes that variable."""
+    src = Path(partfuse.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+# runs ``python -m partfuse <args>`` and prints the process's peak resident
+# set (VmHWM, kB) on stderr's last line; ru_maxrss of a child would also
+# count the size of the process it was forked from
+PEAK_GUARD = """
+import atexit, runpy, sys
+def peak():
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
+              file=sys.stderr)
+atexit.register(peak)
+runpy.run_module("partfuse", run_name="__main__", alter_sys=True)
+"""
+
+
+def peak_kb(args) -> int:
+    """The peak resident set, in kB, of ``python -m partfuse <args>`` run
+    in a fresh interpreter; the run must succeed."""
+    child = subprocess.run([sys.executable, "-c", PEAK_GUARD, *args], env=fresh_env(),
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return int(child.stderr.splitlines()[-1])

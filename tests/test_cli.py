@@ -22,6 +22,7 @@ from partfuse.params import STRATEGIES
 from conftest import BAG, BOTTLE, CENTER, OTHER, SEAL, TABLE, make_triple
 from scenes import (
     build_rgbd_scene,
+    fresh_env,
     rgbd_config,
     save_camera,
     scene_image,
@@ -543,7 +544,7 @@ def test_label_rgbd_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, f
     assert not list(out.glob("*.pgm"))
 
 
-def write_monitor_dataset(tmp_path):
+def write_monitor_dataset(tmp_path, seed=5):
     root = tmp_path / "dataset"
     root.mkdir()
     scene = root / "scene_0"
@@ -551,7 +552,7 @@ def write_monitor_dataset(tmp_path):
     img_blue, img_black, _, _ = disk_scene()
     write_pnm(img_blue, scene / "blue.ppm")
     write_pnm(img_black, scene / "black.ppm")
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     for m in range(2):
         target = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
         write_pnm(target, scene / f"target_{m}.ppm")
@@ -975,34 +976,64 @@ def test_fuse_failed_triple_write_leaves_no_file(tmp_path, taxonomy_json, monkey
     assert list(out.iterdir()) == []
 
 
-def committed_stem(directory, stem, image):
-    """The bytes of ``stem``'s label triple in ``directory``, and of its
-    ``.ppm`` with ``image``; None where read_label_triple reports a map
+def committed_stem(directory, stem):
+    """The bytes of ``stem``'s files in ``directory``, its label triple and
+    what else shares its name; None where read_label_triple reports a map
     missing."""
     try:
         formats.read_label_triple(directory / stem)
     except FormatError as exc:
         assert "missing label map file" in str(exc)
         return None
-    names = [stem + suffix for suffix in formats.TRIPLE_SUFFIXES] + [f"{stem}.ppm"] * image
-    return [(directory / name).read_bytes() for name in names]
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.name.startswith(f"{stem}.")}
 
 
-@pytest.mark.parametrize("command", ["fuse", "augment"])
+def commit_command(command, inputs, seed, taxonomy_json):
+    """Write ``command``'s inputs for ``seed`` under ``inputs``; returns a
+    function of the output directory that gives the command line."""
+    taxonomy = ["--taxonomy", str(taxonomy_json)]
+    if command == "fuse":
+        for i in range(2):
+            write_many_proposals(inputs, f"img{i}", 3, seed=seed + i)
+        return lambda out: fuse_args(taxonomy_json, out, inputs)
+    if command == "augment":
+        dataset = write_augment_dataset(inputs, seed=seed)
+        return lambda out: ["augment", "--out", str(out), str(dataset)]
+    if command == "rgbd":
+        scene = write_rgbd_scene_dir(inputs, seed=seed)
+        config = write_rgbd_config(inputs)
+        return lambda out: ["label", "rgbd", *taxonomy, "--config", str(config),
+                            "--out", str(out), str(scene)]
+    if command == "monitor":
+        root, _, config = write_monitor_dataset(inputs, seed=seed)
+        return lambda out: ["label", "monitor", *taxonomy, "--config", str(config),
+                            "--out", str(out), str(root)]
+    rng = np.random.default_rng(seed)
+    if command == "eval":  # two prediction rows, so two TSV files
+        dirs = [inputs / name for name in ("gt", "a", "b")]
+        for directory in dirs:
+            directory.mkdir()
+            for stem in ("s0", "s1"):  # a bag of random width on a table
+                sem = np.full((6, 8), TABLE)
+                sem[:, : rng.integers(1, 8)] = BAG
+                formats.write_label_triple(make_triple(sem, sem == BAG), directory / stem)
+        return lambda out: ["eval", *taxonomy, "--gt", str(dirs[0]),
+                            "--tsv", str(out / "scores.tsv"), *map(str, dirs[1:])]
+    write_pnm(rng.integers(0, 256, (6, 6, 3)).astype(np.uint8), inputs / "img.ppm")
+    formats.write_label_triple(make_triple(np.full((6, 6), TABLE)), inputs / "img")
+    return lambda out: overlay_args(taxonomy_json, inputs, out / "overlay.ppm")
+
+
+@pytest.mark.parametrize("command", ["fuse", "augment", "rgbd", "monitor", "eval", "overlay"])
 def test_interrupted_commit_leaves_no_mixed_triple(tmp_path, taxonomy_json, monkeypatch, command):
     """A run over a previous run's output whose k-th rename fails, for
-    every k, leaves each stem old, new, or reported missing."""
-    runs = {}
+    every k, leaves each stem old, new, or reported missing, and each
+    file old or new."""
+    argv = {}
     for run, seed in (("old", 10), ("new", 0)):
         inputs = tmp_path / f"in_{run}"
         inputs.mkdir()
-        if command == "fuse":
-            for i in range(2):
-                write_many_proposals(inputs, f"img{i}", 3, seed=seed + i)
-            runs[run] = fuse_args(taxonomy_json, tmp_path / run, inputs)
-        else:
-            dataset = write_augment_dataset(inputs, seed=seed)
-            runs[run] = ["augment", "--out", str(tmp_path / run), str(dataset)]
+        argv[run] = commit_command(command, inputs, seed, taxonomy_json)
     replace, renames, fail_at = os.replace, [], [None]
 
     def failing_replace(src, dst):
@@ -1013,26 +1044,34 @@ def test_interrupted_commit_leaves_no_mixed_triple(tmp_path, taxonomy_json, monk
 
     monkeypatch.setattr(os, "replace", failing_replace)
     for run in ("old", "new"):
+        (tmp_path / run).mkdir()
         renames.clear()
-        assert main(runs[run]) == 0
+        assert main(argv[run](tmp_path / run)) == 0
     total = len(renames)
-    image = command == "augment"
-    stems = sorted({p.name.split(".")[0] for p in (tmp_path / "new").iterdir()})
+    assert total > 0
+    trees = {run: tree_bytes(tmp_path / run) for run in ("old", "new")}
+    assert set(trees["old"]) == set(trees["new"])
+    stems = sorted(p.name[: -len(".sem.pgm")] for p in (tmp_path / "new").glob("*.sem.pgm"))
     states = {
-        run: {stem: committed_stem(tmp_path / run, stem, image) for stem in stems}
+        run: {stem: committed_stem(tmp_path / run, stem) for stem in stems}
         for run in ("old", "new")
     }
     assert all(states["old"][stem] != states["new"][stem] for stem in stems)
+    if not stems:  # eval's TSVs, overlay's image
+        assert all(trees["old"][name] != trees["new"][name] for name in trees["new"])
     for k in range(1, total + 1):
         out = tmp_path / f"out_{k}"
         shutil.copytree(tmp_path / "old", out)
         renames.clear()
         fail_at[0] = k
-        assert main([str(out) if arg == str(tmp_path / "new") else arg for arg in runs["new"]]) == 2
+        assert main(argv["new"](out)) == 2
         for stem in stems:
-            state = committed_stem(out, stem, image)
+            state = committed_stem(out, stem)
             assert state in (None, states["old"][stem], states["new"][stem]), (
                 f"rename {k} of {total} failed: {stem} mixes two runs")
+        for name, data in tree_bytes(out).items():
+            assert data in (trees["old"][name], trees["new"][name]), (
+                f"rename {k} of {total} failed: {name} is from neither run")
         assert [p for p in out.iterdir() if not p.is_file()] == []  # no staging left
 
 
@@ -1130,20 +1169,6 @@ def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json
     assert sorted(limited_tree) == [f"img{i}.{k}.pgm" for i in range(2)
                                     for k in ("inst", "part", "sem")]
     assert limited_tree == tree_bytes(tmp_path / "free")
-
-
-def fresh_env(**changes):
-    """This process's environment with partfuse's sources on PYTHONPATH;
-    a change to None removes that variable."""
-    src = Path(partfuse.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    for name, value in changes.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    return env
 
 
 def test_cli_import_leaves_out_scipy_ndimage():

@@ -15,8 +15,7 @@ from partfuse.formats import (
 from partfuse.containers import InstanceProposal
 
 from conftest import make_triple
-from scenes import write_proposals, write_tensor
-from test_cli import fresh_env
+from scenes import fresh_env, write_proposals, write_tensor
 from test_fuse_memory import write_frame
 
 

@@ -2,8 +2,6 @@
 about one tile of the logits, one mask and the accepted footprints, not
 the whole frame."""
 
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,21 +10,7 @@ import pytest
 from partfuse.containers import InstanceProposal
 
 from conftest import BAG, BOTTLE
-from scenes import write_proposals, write_tensor
-from test_cli import fresh_env
-
-# runs ``python -m partfuse <args>`` and prints the process's peak resident
-# set (VmHWM, kB) on stderr's last line; ru_maxrss of a child would also
-# count the size of the process it was forked from
-PEAK_GUARD = """
-import atexit, runpy, sys
-def peak():
-    with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
-              file=sys.stderr)
-atexit.register(peak)
-runpy.run_module("partfuse", run_name="__main__", alter_sys=True)
-"""
+from scenes import peak_kb, write_proposals, write_tensor
 
 
 def write_frame(directory: Path, name: str, height: int, width: int, proposals: int) -> int:
@@ -50,13 +34,6 @@ def write_frame(directory: Path, name: str, height: int, width: int, proposals: 
         masks.append(InstanceProposal(BAG if k % 2 else BOTTLE, 0.4 + 0.5 * (k % 2), mask))
     write_proposals(masks, directory / f"{name}.proposals.json", f"{name}_p{{:02d}}.ppt1")
     return sum(p.stat().st_size for p in directory.glob(f"{name}*.ppt1"))
-
-
-def peak_kb(args) -> int:
-    child = subprocess.run([sys.executable, "-c", PEAK_GUARD, *args], env=fresh_env(),
-                           capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0, child.stderr
-    return int(child.stderr.splitlines()[-1])
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

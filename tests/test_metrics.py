@@ -3,6 +3,7 @@ mask per segment so the histogram-based matching path is checked
 against independent arithmetic."""
 
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from partfuse.metrics import (
     report_from_tsv,
     report_to_tsv,
 )
+from partfuse import containers
 from partfuse.errors import ValidationError
 from partfuse.taxonomy import validate_taxonomy
 
@@ -451,10 +453,25 @@ def test_matches_agree_with_oracle(taxonomy):
         assert_report_matches_oracle(random_triple(rng), random_triple(rng), taxonomy)
 
 
+@contextmanager
+def tile_height(rows, width):
+    """Match over row tiles of ``rows`` rows of a frame ``width`` wide."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(containers, "TILE_PIXELS", rows * width)
+        yield
+
+
+def match_tiled(pred, gt, taxonomy, rows):
+    with tile_height(rows, gt.shape[1]):
+        return match_segments(pred, gt, taxonomy)
+
+
 def test_match_segments_equals_mask_oracle(taxonomy):
     """Exactly the oracle's TP/FP/FN keys and bit-equal iou and part
     score, on tie-heavy pairs with void and stuff: half unrelated, half
-    predictions painted over their ground truth."""
+    predictions painted over their ground truth.  The frames are several
+    row tiles tall, so segments cross tile boundaries; one-row tiles and
+    one whole-frame tile give the same result."""
     rng = np.random.default_rng(6)
     with_parts = np.zeros(1 << 16, dtype=bool)
     with_parts[[c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]] = True
@@ -466,9 +483,15 @@ def test_match_segments_equals_mask_oracle(taxonomy):
     def key(k):
         return (k >> 16, k & 0xFFFF)
 
-    for i in range(200):
-        gt = random_triple(rng, n_rects=8)
-        pred = random_triple(rng, n_rects=3, base=gt) if i % 2 else random_triple(rng)
+    # 16x16 frames in 3-row tiles, then frames of 2T+5 rows at the tile
+    # height T that eval uses
+    width = 64
+    tall = (2 * containers.tile_rows(width) + 5, width)
+    for i in range(208):
+        shape, rows = ((16, 16), 3) if i < 200 else (tall, containers.tile_rows(width))
+        gt = random_triple(rng, shape=shape, n_rects=8)
+        pred = (random_triple(rng, n_rects=3, base=gt, shape=shape) if i % 2
+                else random_triple(rng, shape=shape))
         tps, fps, fns = oracle_match(pred, gt, taxonomy)
         gseg, pseg = oracle_segments(gt), oracle_segments(pred)
         for cls, found in tps.items():
@@ -479,7 +502,9 @@ def test_match_segments_equals_mask_oracle(taxonomy):
                     pseg[pk] & ~with_parts[gt.semantic_map]
                 )
                 mixed_regions += bool(other_side_partless.any())
-        match = match_segments(pred, gt, taxonomy)
+        match = match_tiled(pred, gt, taxonomy, rows)
+        assert match == match_tiled(pred, gt, taxonomy, 1)
+        assert match == match_tiled(pred, gt, taxonomy, shape[0])
         got_tps = {
             c: sorted((key(t.pred_key), key(t.gt_key), t.iou, t.part_score) for t in cm.tp)
             for c, cm in match.per_class.items()
@@ -527,18 +552,22 @@ def relabelled(triple, rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 3))
-def test_instance_relabelling_changes_nothing(seed, pairs):
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 3), rows=st.integers(1, 7))
+def test_instance_relabelling_changes_nothing(seed, pairs, rows):
     # prediction and ground truth are relabelled independently, over a
-    # dataset of several pairs whose predictions overlap the truth
+    # dataset of several pairs whose predictions overlap the truth; the
+    # frames are several tiles of ``rows`` rows tall, and one-row tiles
+    # and one whole-frame tile give the same match
     taxonomy = validate_taxonomy(HOSPITAL_TAXONOMY)
     rng = np.random.default_rng(seed)
     original, renamed = [], []
     for _ in range(pairs):
-        gt = random_triple(rng, n_rects=8)
-        pred = random_triple(rng, n_rects=3, base=gt)
-        original.append(match_segments(pred, gt, taxonomy))
-        renamed.append(match_segments(relabelled(pred, rng), relabelled(gt, rng), taxonomy))
+        gt = random_triple(rng, shape=(24, 16), n_rects=8)
+        pred = random_triple(rng, shape=(24, 16), n_rects=3, base=gt)
+        original.append(match_tiled(pred, gt, taxonomy, rows))
+        assert original[-1] == match_tiled(pred, gt, taxonomy, 1)
+        assert original[-1] == match_tiled(pred, gt, taxonomy, 24)
+        renamed.append(match_tiled(relabelled(pred, rng), relabelled(gt, rng), taxonomy, rows))
     assert aggregate_dataset(renamed, taxonomy) == aggregate_dataset(original, taxonomy)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partfuse.containers import LabelTriple, derive_segments
+from partfuse.containers import LabelTriple, derive_segments, tile_rows
 from partfuse.errors import ValidationError
 
 from conftest import BAG, BOTTLE, CENTER, MEDICAL_BAG, OTHER, SEAL, TABLE, make_triple
@@ -182,3 +182,83 @@ def test_validate_matches_sorting_oracle(taxonomy):
         kinds = ("unknown class", "unknown part", "non-thing", "spans")
         outcomes.add(got and next(k for k in kinds if k in got))
     assert outcomes == {None, "unknown class", "unknown part", "non-thing", "spans"}
+
+
+def tiled_frame(width=64):
+    """A valid frame three tiles tall, the last one partial: table, with a
+    bag instance per tile; and the first row of each tile."""
+    t = tile_rows(width)
+    height = 2 * t + 3
+    sem = np.full((height, width), TABLE, dtype=np.uint16)
+    inst = np.zeros_like(sem)
+    part = np.zeros_like(sem)
+    for k, top in enumerate(range(0, height, t)):
+        sem[top : top + 2, :4] = BAG
+        inst[top : top + 2, :4] = k + 1
+        part[top : top + 2, :4] = SEAL
+    return (sem, inst, part), list(range(0, height, t))
+
+
+def validate_message(maps, taxonomy):
+    triple = make_triple(*maps)
+    try:
+        triple.validate(taxonomy)
+    except ValidationError as exc:
+        assert str(exc) == _validate_oracle(triple, taxonomy)
+        return str(exc)
+    assert _validate_oracle(triple, taxonomy) is None
+    return None
+
+
+def test_validate_finds_each_error_in_the_last_tile(taxonomy):
+    (sem, inst, part), tops = tiled_frame()
+    last = tops[-1] + 1
+    assert validate_message((sem, inst, part), taxonomy) is None
+    bad = sem.copy()
+    bad[last, 10] = 99
+    assert validate_message((bad, inst, part), taxonomy) == "semantic map uses unknown class id 99"
+    bad = part.copy()
+    bad[last, 10] = 77
+    assert validate_message((sem, inst, bad), taxonomy) == "part map uses unknown part id 77"
+    bad = inst.copy()
+    bad[last, 10] = 9  # on the table
+    assert validate_message((sem, bad, part), taxonomy) == "instance ids present on non-thing pixels"
+    # instance 1 is a bag in the first tile and a bottle in the last
+    bad_sem, bad_inst = sem.copy(), inst.copy()
+    bad_sem[last, 10], bad_inst[last, 10] = BOTTLE, 1
+    assert validate_message((bad_sem, bad_inst, part), taxonomy) == (
+        "instance id 1 spans more than one semantic class")
+    # and an instance that spans two classes within the last tile only
+    bad_sem, bad_inst = sem.copy(), inst.copy()
+    bad_sem[last, 10:12], bad_inst[last, 10:12] = (BOTTLE, MEDICAL_BAG), 7
+    assert validate_message((bad_sem, bad_inst, part), taxonomy) == (
+        "instance id 7 spans more than one semantic class")
+
+
+def test_validate_precedence_across_tiles(taxonomy):
+    (sem, inst, part), tops = tiled_frame()
+    first, last = tops[0] + 1, tops[-1] + 1
+    # a non-thing instance in the first tile, an unknown class in the last
+    bad_sem, bad_inst = sem.copy(), inst.copy()
+    bad_inst[first, 10] = 9
+    bad_sem[last, 10] = 99
+    assert validate_message((bad_sem, bad_inst, part), taxonomy) == (
+        "semantic map uses unknown class id 99")
+    # a spanning instance in the first tile, an unknown part in the last
+    bad_sem, bad_part = sem.copy(), part.copy()
+    bad_sem[first, 0] = BOTTLE
+    bad_part[last, 10] = 77
+    assert validate_message((bad_sem, inst, bad_part), taxonomy) == (
+        "part map uses unknown part id 77")
+    # unknown ids in both tiles: the smaller one, in the last tile, is named
+    bad_sem = sem.copy()
+    bad_sem[first, 10], bad_sem[last, 10] = 99, 98
+    assert validate_message((bad_sem, inst, part), taxonomy) == (
+        "semantic map uses unknown class id 98")
+    # instance 3 spans two classes within the last tile, instance 2 a bag
+    # in the second tile and a bottle in the last: the smaller is named
+    bad_sem, bad_inst = sem.copy(), inst.copy()
+    bad_sem[last, 0] = BOTTLE
+    bad_sem[last, 20], bad_inst[last, 20] = BOTTLE, 2
+    assert validate_message((bad_sem, bad_inst, part), taxonomy) == (
+        "instance id 2 spans more than one semantic class")
