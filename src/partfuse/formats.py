@@ -55,20 +55,18 @@ class TensorFile:
         self.dtype, self.shape, self.ndim = dtype, shape, len(shape)
         self.close = weakref.finalize(self, file.close)
 
-    def read(self, rows: slice = slice(None), channel: int | None = None) -> np.ndarray:
-        """A new array of ``tensor[..., rows, :]``, or of ``tensor[channel,
-        rows]``: ``rows`` is a slice of step 1 of the second-to-last axis,
-        and a tensor of rank below 2 is read whole.  A file that has
-        shrunk since it was opened raises FormatError.
+    def read(self, rows: slice = slice(None)) -> np.ndarray:
+        """A new array of ``tensor[..., rows, :]``: ``rows`` is a slice of
+        step 1 of the second-to-last axis, and a tensor of rank below 2 is
+        read whole.  A file that has shrunk since it was opened raises
+        FormatError.
         """
-        shape = self.shape if channel is None else self.shape[1:]
-        first = 0 if channel is None else channel * math.prod(shape)
-        *planes, h, w = (1, 1) + shape
+        *planes, h, w = (1, 1) + self.shape
         top, bottom, _ = rows.indices(h)
         out = np.empty((math.prod(planes), max(bottom - top, 0), w), self.dtype)
         for k, plane in enumerate(out):
-            self._fill(plane, first + (k * h + top) * w)
-        return out.reshape(shape[:-2] + out.shape[1:] if len(shape) > 1 else shape)
+            self._fill(plane, (k * h + top) * w)
+        return out.reshape(self.shape[:-2] + out.shape[1:] if self.ndim > 1 else self.shape)
 
     def _fill(self, out: np.ndarray, element: int) -> None:
         """Read ``out``'s bytes from the payload, starting at ``element``."""

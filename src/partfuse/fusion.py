@@ -20,16 +20,16 @@ is the part map.  Three baseline strategies ("none", "consensus",
 "topdown") skip the enhancement and resolve part/semantic conflicts by
 keeping them, voiding everything, or voiding only the part label.
 
-A frame is fused in one pass over row tiles.  Each tile of every
-semantic and part channel is read once into a tile stack and checked for
-non-finite values; it then feeds both the part argmax and the stuff
-argmax.  The proposal masks are then read whole, checked and thresholded
-one at a time, and the accepted instances are scored on their
-footprints: a thing class's semantic channel (and, enhanced, its part
-channels) is read over the rows a footprint spans and enhanced there
-only.  The logits of a stack opened by formats.read_tensor are read from
-its files; those of an in-memory stack are taken as views.  The
-arithmetic is per pixel, so tiling changes no result.
+A frame is fused in one pass over row tiles, which reads every logit
+and mask value once.  The proposal masks are read whole first, checked
+and thresholded one at a time in confidence order.  Then each tile of
+every semantic and part channel is read once into a tile stack and
+checked for non-finite values; it feeds the part argmax and the stuff
+argmax, and the accepted instances are scored on their footprint pixels
+in that tile, against the tile's stuff winner.  The logits of a stack
+opened by formats.read_tensor are read from its files; those of an
+in-memory stack are taken as views.  The arithmetic is per pixel, so
+tiling changes no result.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .containers import LABEL_DTYPE, LabelTriple, tile_rows
+from .containers import LABEL_DTYPE, LabelTriple, row_tiles, tile_rows
 from .errors import ValidationError
 from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
@@ -93,8 +93,8 @@ def semantic_wise_fuse(
 ) -> np.ndarray:
     """Semantic channel ``channel`` enhanced with its parts' evidence.
 
-    ``index`` selects pixels of the raveled H*W stack: a slice (a whole
-    tile stack) or an integer array (an instance footprint).  For a
+    ``index`` selects pixels of the raveled H*W in-memory stack (a tile
+    stack): a slice, or an integer array (an instance's footprint).  For a
     class with parts, the part logits are flattened by a per-pixel maximum
     over the class's part channels and fused with the semantic logits
     through agreement_part_sem.  A class without parts passes through,
@@ -113,7 +113,8 @@ def semantic_wise_fuse(
 
 
 def part_wise_fuse(stack: LogitStack, taxonomy: ClassTaxonomy) -> np.ndarray:
-    """Part labels of part-wise fusion on the raveled H*W stack (a tile).
+    """Part labels of part-wise fusion on a raveled H*W in-memory stack (a
+    tile stack).
 
     Each part channel is fused with its parent's semantic channel through
     agreement_part_sem, and the label is the per-pixel argmax of those
@@ -156,22 +157,18 @@ def _id_order(channel_ids) -> list[tuple[int, int]]:
     return sorted(zip(channel_ids, range(len(channel_ids))))
 
 
-def _read(tensor, rows: slice, channel: int | None = None) -> np.ndarray:
-    """``tensor[..., rows, :]``, or ``tensor[channel, rows]``: a view of an
-    in-memory array, or a new array read from a formats.read_tensor file."""
+def _read(tensor, rows: slice) -> np.ndarray:
+    """``tensor[..., rows, :]``: a view of an in-memory array, or a new array
+    read from a formats.read_tensor file."""
     if isinstance(tensor, np.ndarray):
-        return tensor[..., rows, :] if channel is None else tensor[channel, rows]
-    return tensor.read(rows, channel)
+        return tensor[..., rows, :]
+    return tensor.read(rows)
 
 
-def _pixels(tensor, channel: int, index=slice(None)) -> np.ndarray:
-    """``tensor[channel]`` at ``index`` of its raveled pixels: a slice, or
-    an integer array (a footprint) of which only the rows it spans are read."""
-    if isinstance(index, slice):
-        return _read(tensor, slice(None), channel).reshape(-1)[index]
-    w = tensor.shape[-1]
-    top, bottom = (index.min() // w, index.max() // w + 1) if index.size else (0, 0)
-    return _read(tensor, slice(top, bottom), channel).reshape(-1)[index - top * w]
+def _pixels(tensor: np.ndarray, channel: int, index=slice(None)) -> np.ndarray:
+    """``tensor[channel]`` of an in-memory tensor at ``index`` of its raveled
+    pixels: a slice or an integer array."""
+    return tensor[channel].reshape(-1)[index]
 
 
 def _argmax(channels, size: int, best=None) -> np.ndarray:
@@ -213,56 +210,64 @@ def mask_threshold(dtype, threshold: float):
 
 
 def panoptic_fuse(
-    stuff_map: np.ndarray,
-    stuff_best: np.ndarray,
-    proposals,
-    params: FusionParams | None,
-    scores,
+    tiles, proposals, params: FusionParams | None, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge instance proposals into the stuff argmax: raveled semantic and
-    instance maps.
+    instance maps of a frame of ``size`` pixels.
 
-    ``stuff_map`` and ``stuff_best`` hold the winning stuff class and its
-    score at each pixel of the raveled frame; ``stuff_map`` is filled in
-    and returned as the semantic map.  ``scores(class_id, pixels)``
-    returns a thing class's float64 semantic scores at an integer array
-    of pixels.  Only the masks are checked here: fuse validates the stack
-    and finds non-finite logits before it calls this.
+    ``tiles`` yields ``(pixels, stuff, best, scores)`` for each row tile,
+    top to bottom: the tile's slice of the raveled frame, the winning
+    stuff class and its score at each pixel of the tile, and
+    ``scores(class_id, index)``, a thing class's float64 semantic scores
+    at an integer array of the tile's pixels.  Only the masks are checked
+    here: fuse validates the stack, and its tiles find non-finite logits.
 
     Every proposal's mask is read whole, once, and checked for non-finite
-    values, in descending confidence (ties by submission order); only the
-    accepted footprints' logits are kept.  Proposals below the confidence
-    floor go no further; the rest are accepted greedily unless their
-    thresholded footprint overlaps already-claimed pixels on at least
-    ``overlap_discard_ratio`` of its own area.  Overlapped pixels are
-    removed from the later proposal, and an accepted instance keeps only
-    its surviving pixels and its mask logits there.  Each accepted
-    instance then competes per pixel with the stuff-class logits via
-    agreement_sem_inst between its mask logits and its class's semantic
-    score; the winner is the highest score, ties to the lowest class id
-    then lowest instance id.  Instances that end up with fewer than
-    ``min_instance_area`` pixels are removed and their pixels go to the
-    stuff winner.  Accepted footprints are disjoint, so each instance is
-    scored on its own footprint pixels against the stuff argmax alone.
+    values, in descending confidence (ties by submission order), before
+    the first tile is taken; only the accepted footprints' mask logits are
+    kept.  Proposals below the confidence floor go no further; the rest
+    are accepted greedily unless their thresholded footprint overlaps
+    already-claimed pixels on at least ``overlap_discard_ratio`` of its
+    own area.  Overlapped pixels are removed from the later proposal, and
+    an accepted instance keeps only its surviving pixels and its mask
+    logits there.  Each accepted instance then competes per pixel with
+    the stuff-class logits via agreement_sem_inst between its mask logits
+    and its class's semantic score; the winner is the highest score, ties
+    to the lowest class id then lowest instance id.  Instances that end up
+    with fewer than ``min_instance_area`` pixels are removed and their
+    pixels go to the stuff winner.  Accepted footprints are disjoint, so
+    each instance is scored on its own footprint pixels in each tile
+    against the tile's stuff argmax alone, and the area filter and the
+    numbering run once, after the last tile.
     """
     params = params or FusionParams()
-    accepted = _accept_proposals(proposals, stuff_map.size, params)
+    accepted = [
+        (class_id, footprint, logits, int(footprint[0]), int(footprint[-1]), [])
+        for class_id, footprint, logits in _accept_proposals(proposals, size, params)
+    ]
+    sem_map = np.empty(size, dtype=LABEL_DTYPE)
+    for pixels, stuff, best, scores in tiles:
+        sem_map[pixels] = stuff
+        start, stop = pixels.start, pixels.stop
+        for class_id, footprint, logits, first, last, won in accepted:
+            if first >= stop or last < start:
+                continue
+            lo, hi = np.searchsorted(footprint, (start, stop))
+            index = footprint[lo:hi] - start
+            fused = agreement_sem_inst(logits[lo:hi], scores(class_id, index))
+            here = best[index]
+            wins = (fused > here) | ((fused == here) & (class_id < stuff[index]))
+            won.append(index[wins] + start)
 
-    # footprints are disjoint, so sem_map still holds the stuff winner on
-    # every pixel of the instance being scored
-    sem_map = stuff_map
-    inst_map = np.zeros(sem_map.size, dtype=LABEL_DTYPE)
+    inst_map = np.zeros(size, dtype=LABEL_DTYPE)
     instance_id = 0
-    for class_id, pixels, logits in accepted:
-        fused = agreement_sem_inst(logits, scores(class_id, pixels))
-        best = stuff_best[pixels]
-        wins = (fused > best) | ((fused == best) & (class_id < sem_map[pixels]))
-        won = pixels[wins]
-        if won.size < max(params.min_instance_area, 1):
+    for class_id, *_, won in accepted:
+        if sum(chunk.size for chunk in won) < max(params.min_instance_area, 1):
             continue
         instance_id += 1
-        sem_map[won] = class_id
-        inst_map[won] = instance_id
+        for chunk in won:
+            sem_map[chunk] = class_id
+            inst_map[chunk] = instance_id
     return sem_map, inst_map
 
 
@@ -290,28 +295,26 @@ def _accept_proposals(proposals, size: int, params: FusionParams) -> list:
     return accepted
 
 
-def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores):
-    """Part map, stuff map and stuff scores of the raveled frame, from one
-    pass over row tiles.
+def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, part_map):
+    """The ``(pixels, stuff, best, scores)`` of each row tile, for
+    panoptic_fuse, from one pass that reads every logit once.
 
     Each tile of the logits is read into a tile stack and checked for
     non-finite values.  It then feeds the part argmax (part-wise fusion
-    with ``enhance``, the raw part logits without) and the stuff argmax
-    of ``scores(tile, channel, slice(None))``.
+    with ``enhance``, the raw part logits without), written into the
+    raveled ``part_map``, and the stuff argmax of the semantic scores
+    (enhanced by semantic-wise fusion with ``enhance``, raw without).
+    ``scores`` gives a thing class's scores from the same tile stack.
+    One ``best`` buffer serves every tile.
     """
     h, w = stack.semantic_logits.shape[1:]
     part_order = _id_order(stack.part_channel_ids)
-    stuff = [
-        (class_id, channel)
-        for class_id, channel in _id_order(stack.semantic_channel_ids)
-        if taxonomy.has_semantic(class_id) and not taxonomy.is_thing(class_id)
-    ]
-    part_map = np.empty(h * w, dtype=LABEL_DTYPE)
-    stuff_map = np.empty(h * w, dtype=LABEL_DTYPE)
-    stuff_best = np.empty(h * w)
-    step = tile_rows(w)
-    for top in range(0, h, step):
-        rows = slice(top, min(top + step, h))
+    stuff = sorted(
+        c for c in stack.semantic_channel_ids
+        if taxonomy.has_semantic(c) and not taxonomy.is_thing(c)
+    )
+    best = np.empty(tile_rows(w) * w)
+    for rows in row_tiles((h, w)):
         tile = replace(
             stack,
             semantic_logits=_read(stack.semantic_logits, rows),
@@ -321,7 +324,7 @@ def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores
         for tensor in (tile.semantic_logits, tile.part_logits):
             if not np.isfinite(tensor).all():
                 raise ValidationError("logit tensor contains non-finite values")
-        pixels = slice(top * w, rows.stop * w)
+        pixels = slice(rows.start * w, rows.stop * w)
         size = pixels.stop - pixels.start
         if enhance:
             part_map[pixels] = part_wise_fuse(tile, taxonomy)
@@ -330,12 +333,15 @@ def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, scores
                 ((part_id, _pixels(tile.part_logits, channel)) for part_id, channel in part_order),
                 size,
             )
-        stuff_map[pixels] = _argmax(
-            ((class_id, scores(tile, channel, slice(None))) for class_id, channel in stuff),
-            size,
-            stuff_best[pixels],
-        )
-    return part_map, stuff_map, stuff_best
+
+        def scores(class_id: int, index, tile=tile) -> np.ndarray:
+            channel = tile.semantic_channel(class_id)
+            if enhance:
+                return semantic_wise_fuse(tile, taxonomy, channel, index)
+            return _pixels(tile.semantic_logits, channel, index).astype(np.float64)
+
+        stuff_map = _argmax(((c, scores(c, slice(None))) for c in stuff), size, best[:size])
+        yield pixels, stuff_map, best[:size], scores
 
 
 def fuse(
@@ -355,9 +361,10 @@ def fuse(
     keeps them, "consensus" sets semantic, instance and part to void, and
     "topdown" voids only the part label.
 
-    Every logit and mask value is read in one pass (see the module
-    docstring), and a non-finite one raises ValidationError, so nothing
-    is returned for such a frame.
+    Every logit and mask value is read once (see the module docstring),
+    and a non-finite one raises ValidationError, so nothing is returned
+    for such a frame; the masks are read, and so checked, before the
+    logits.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -366,22 +373,9 @@ def fuse(
     if enhance and not stack.part_channel_ids:
         raise ValidationError("part-wise fusion requires at least one part class")
     h, w = stack.semantic_logits.shape[1:]
-
-    def scores(source: LogitStack, channel: int, index) -> np.ndarray:
-        if enhance:
-            return semantic_wise_fuse(source, taxonomy, channel, index)
-        return _pixels(source.semantic_logits, channel, index).astype(np.float64)
-
-    part_map, stuff_map, stuff_best = _tile_pass(stack, taxonomy, enhance, scores)
-
-    # the tile pass checked every value, so instances read the frame's
-    # channels again, over their footprints' rows only
+    part_map = np.empty(h * w, dtype=LABEL_DTYPE)
     sem_map, inst_map = panoptic_fuse(
-        stuff_map,
-        stuff_best,
-        stack.instance_proposals,
-        params,
-        lambda class_id, pixels: scores(stack, stack.semantic_channel(class_id), pixels),
+        _tile_pass(stack, taxonomy, enhance, part_map), stack.instance_proposals, params, h * w
     )
 
     if strategy in ("consensus", "topdown"):

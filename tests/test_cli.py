@@ -1075,11 +1075,11 @@ def test_interrupted_commit_leaves_no_mixed_triple(tmp_path, taxonomy_json, monk
         assert [p for p in out.iterdir() if not p.is_file()] == []  # no staging left
 
 
-def write_nonfinite_sample(directory, name, place, value):
+def write_nonfinite_sample(directory, name, places, value):
     """write_fuse_sample's frame plus a bottle proposal below the confidence
-    floor, with ``value`` at one pixel of ``place``: the table (stuff)
-    channel, the bottle channel (a thing without parts) outside every
-    footprint, a part channel, or the low-confidence mask."""
+    floor, with ``value`` at one pixel of each of ``places``: the table
+    (stuff) channel, the bottle channel (a thing without parts) outside
+    every footprint, a part channel, or the low-confidence mask."""
     h = w = 8
     sem = np.zeros((4, h, w), dtype=np.float32)
     sem[0, :, :4] = 4.0  # bag channel
@@ -1089,8 +1089,9 @@ def write_nonfinite_sample(directory, name, place, value):
     bag = np.full((h, w), -8.0, dtype=np.float32)
     bag[:, :4] = 4.0
     low = np.full((h, w), -8.0, dtype=np.float32)
-    target = {"stuff": sem[3], "thing": sem[1], "part": part[1], "mask": low}[place]
-    target[2, 6] = value  # the right half, outside the bag's footprint
+    for place in places:
+        target = {"stuff": sem[3], "thing": sem[1], "part": part[1], "mask": low}[place]
+        target[2, 6] = value  # the right half, outside the bag's footprint
     write_tensor(sem, directory / f"{name}.sem.ppt1")
     write_tensor(part, directory / f"{name}.part.ppt1")
     write_proposals(
@@ -1109,7 +1110,7 @@ def test_fuse_rejects_nonfinite_values_of_one_item(tmp_path, taxonomy_json, capl
         inputs = tmp_path / f"in_{value}"
         inputs.mkdir()
         write_fuse_sample(inputs, "a")
-        write_nonfinite_sample(inputs, "b", place, value)
+        write_nonfinite_sample(inputs, "b", (place,), value)
         write_fuse_sample(inputs, "c")
         for keep_going, code, kept in ((False, 3, "a"), (True, 0, "ac")):
             out = tmp_path / f"out_{value}_{keep_going}"
@@ -1121,6 +1122,22 @@ def test_fuse_rejects_nonfinite_values_of_one_item(tmp_path, taxonomy_json, capl
             assert sorted(p.name for p in out.iterdir()) == [
                 f"{stem}.{kind}.pgm" for stem in kept for kind in ("inst", "part", "sem")
             ]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fuse_reports_a_nonfinite_mask_before_a_nonfinite_logit(tmp_path, taxonomy_json, caplog,
+                                                               strategy):
+    # the masks are read, and so checked, before the logits
+    for logit in ("stuff", "thing", "part"):
+        inputs = tmp_path / f"in_{logit}"
+        inputs.mkdir()
+        write_nonfinite_sample(inputs, "b", ("mask", logit), np.nan)
+        caplog.clear()
+        out = tmp_path / f"out_{logit}"
+        assert main(fuse_args(taxonomy_json, out, inputs, "--strategy", strategy)) == 3
+        assert "proposal mask logits contain non-finite values" in caplog.text, logit
+        assert "logit tensor contains" not in caplog.text, logit
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 def write_many_proposals(directory, name, count, seed):

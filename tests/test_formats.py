@@ -80,14 +80,12 @@ def test_tensor_read_outlives_replacing_its_file(tmp_path):
     assert np.array_equal(read_tensor(path), tensor + 100)
 
 
-def test_tensor_read_rows_and_channels(tmp_path):
+def test_tensor_read_rows(tmp_path):
     tensor = np.arange(3 * 5 * 4, dtype=np.uint16).reshape(3, 5, 4)
     write_tensor(tensor, tmp_path / "t.ppt1")
     back = read_tensor(tmp_path / "t.ppt1")
     for rows in (slice(None), slice(1, 4), slice(4, 9), slice(2, 2)):
         assert np.array_equal(back.read(rows), tensor[:, rows])
-        for channel in range(3):
-            assert np.array_equal(back.read(rows, channel), tensor[channel, rows])
 
 
 # opens a fuse sample with read_sample, truncates one of its files in

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partfuse import containers
 from partfuse.containers import InstanceProposal, LogitStack
 from partfuse.errors import ValidationError
-from partfuse.formats import read_tensor
+from partfuse.formats import TensorFile, read_tensor
 from partfuse.fusion import (
     STRATEGIES,
     FusionParams,
@@ -399,32 +401,37 @@ def test_fuse_part_panoptic_coherent_scene():
     assert set(np.unique(triple.instance_map)) == {1, 2}
 
 
+def on_file(stack, directory, name):
+    """``stack`` with every tensor written as PPT1 and opened with
+    read_tensor."""
+
+    def opened(array, part):
+        write_tensor(array, directory / f"{name}_{part}.ppt1")
+        return read_tensor(directory / f"{name}_{part}.ppt1")
+
+    return LogitStack(
+        semantic_logits=opened(stack.semantic_logits, "sem"),
+        part_logits=opened(stack.part_logits, "part"),
+        semantic_channel_ids=stack.semantic_channel_ids,
+        part_channel_ids=stack.part_channel_ids,
+        instance_proposals=tuple(
+            replace(p, mask_logits=opened(p.mask_logits, f"mask{i}"))
+            for i, p in enumerate(stack.instance_proposals)
+        ),
+    )
+
+
 def test_fuse_on_mapped_tensors_matches_in_memory(tmp_path):
-    # fusion drops the pages of mapped inputs as it reads each tile, and
-    # reads thing channels again at the footprints after that: a frame of
-    # several tiles must fuse as it does from memory
+    # fusion reads the files of a read_tensor stack tile by tile: a frame
+    # of several tiles must fuse as it does from memory
     w = 1024
     instances = 0
     for seed in (0, 5, 8):  # scenes with instances, one without stuff classes
         taxonomy, stack, params = random_scene(seed, shape=(3 * tile_rows(w) + 5, w))
-
-        def mapped(array, name):
-            write_tensor(array, tmp_path / f"{seed}_{name}.ppt1")
-            return read_tensor(tmp_path / f"{seed}_{name}.ppt1")
-
-        on_file = LogitStack(
-            semantic_logits=mapped(stack.semantic_logits, "sem"),
-            part_logits=mapped(stack.part_logits, "part"),
-            semantic_channel_ids=stack.semantic_channel_ids,
-            part_channel_ids=stack.part_channel_ids,
-            instance_proposals=tuple(
-                replace(p, mask_logits=mapped(p.mask_logits, f"mask{i}"))
-                for i, p in enumerate(stack.instance_proposals)
-            ),
-        )
+        file_stack = on_file(stack, tmp_path, str(seed))
         for strategy in STRATEGIES:
             expected = fuse(stack, taxonomy, params, strategy)
-            got = fuse(on_file, taxonomy, params, strategy)
+            got = fuse(file_stack, taxonomy, params, strategy)
             for name in ("semantic_map", "instance_map", "part_map"):
                 assert np.array_equal(getattr(got, name), getattr(expected, name)), (seed, strategy)
             instances += int(got.instance_map.max())
@@ -746,6 +753,71 @@ def test_fusion_matches_oracle_across_tile_boundaries():
                 seen["multi_tile_instances"] += sum(r.size and r.min() != r.max() for r in rows)
     assert seen["stuff_with_parts"] > 0
     assert seen["multi_tile_instances"] > 0
+
+
+def test_fusion_matches_oracle_on_frames_without_pixels(tmp_path):
+    # 0x4, 3x0 and 0x0 frames, from memory and from PPT1 files: every
+    # strategy returns empty maps of the frame's shape
+    for h, w in ((0, 4), (3, 0), (0, 0)):
+        for seed in (1, 2, 3):
+            taxonomy, stack, params = random_scene(seed, shape=(4, 4))
+            empty = LogitStack(
+                semantic_logits=stack.semantic_logits[:, :h, :w],
+                part_logits=stack.part_logits[:, :h, :w],
+                semantic_channel_ids=stack.semantic_channel_ids,
+                part_channel_ids=stack.part_channel_ids,
+                instance_proposals=tuple(
+                    replace(p, mask_logits=p.mask_logits[:h, :w]) for p in stack.instance_proposals
+                ),
+            )
+            file_stack = on_file(empty, tmp_path, f"{h}x{w}_{seed}")
+            for strategy in STRATEGIES:
+                stats = {"float32_flips": 0, "stuff_ties": 0, "part_ties": 0, "removed": 0}
+                expected = oracle_fuse(empty, taxonomy, params, strategy, stats)
+                for source in (empty, file_stack):
+                    triple = fuse(source, taxonomy, params, strategy)
+                    got = (triple.semantic_map, triple.instance_map, triple.part_map)
+                    for name, a, b in zip(("sem", "inst", "part"), got, expected):
+                        assert a.shape == (h, w), (h, w, seed, strategy, name)
+                        assert np.array_equal(a, b), (h, w, seed, strategy, name)
+
+
+def test_fuse_reads_each_payload_byte_once(tmp_path, monkeypatch):
+    # a file-backed frame of 5 tiles whose instances span tile boundaries:
+    # every byte of each logit and mask payload is read exactly once
+    monkeypatch.setattr(containers, "TILE_PIXELS", 64)
+    w = 16
+    t = tile_rows(w)
+    reads = defaultdict(list)  # path -> (first element, elements) of each read
+    fill = TensorFile._fill
+
+    def counted(self, out, element):
+        reads[self.path].append((element, out.size))
+        fill(self, out, element)
+
+    monkeypatch.setattr(TensorFile, "_fill", counted)
+    spanning = 0
+    for seed in (1, 2, 3, 5):
+        taxonomy, stack, params = random_scene(seed, shape=(4 * t + 2, w))
+        file_stack = on_file(stack, tmp_path, str(seed))
+        tensors = [file_stack.semantic_logits, file_stack.part_logits]
+        tensors += [p.mask_logits for p in file_stack.instance_proposals]
+        for strategy in STRATEGIES:
+            reads.clear()
+            triple = fuse(file_stack, taxonomy, params, strategy)
+            expected = fuse(stack, taxonomy, params, strategy)
+            assert np.array_equal(triple.instance_map, expected.instance_map), (seed, strategy)
+            for tensor in tensors:
+                covered = 0
+                for element, size in sorted(reads[tensor.path]):
+                    # a later start skips bytes, an earlier one reads some twice
+                    assert element == covered, (seed, strategy, tensor.path.name)
+                    covered += size
+                assert covered == np.prod(tensor.shape), (seed, strategy, tensor.path.name)
+            assert sorted(reads) == sorted(tensor.path for tensor in tensors)
+            rows = [np.flatnonzero(triple.instance_map == i) // w // t for i in range(1, 10)]
+            spanning += sum(r.size and r.min() != r.max() for r in rows)
+    assert spanning > 0
 
 
 @settings(max_examples=60, deadline=None)
