@@ -15,6 +15,7 @@ connected components of the object mask.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,9 @@ class ReferenceLabel:
         self.part_grid.setflags(write=False)
         self.instance_grid.setflags(write=False)
 
+    @cached_property
     def triple(self) -> LabelTriple:
+        """The scene's labels, built on first use; every sample shares them."""
         sem = np.where(self.object_mask, self.object_class_id, self.background_class_id)
         return LabelTriple.from_arrays(sem, self.instance_grid, self.part_grid)
 
@@ -154,7 +157,7 @@ def transfer_labels(
     """Attach the scene's reference labels to another capture of it."""
     if target.shape[:2] != reference.object_mask.shape:
         raise ValidationError("target dimensions disagree with the reference")
-    return target, reference.triple()
+    return target, reference.triple
 
 
 def composite_synthetic(
@@ -168,7 +171,7 @@ def composite_synthetic(
         raise ValidationError("reference dimensions disagree with the images")
     mask = reference.object_mask
     sel = mask[..., None] if object_image.ndim == 3 else mask
-    return np.where(sel, object_image, background), reference.triple()
+    return np.where(sel, object_image, background), reference.triple
 
 
 _FLIP_SUFFIXES = ("_id", "_rot180", "_vflip", "_hflip")

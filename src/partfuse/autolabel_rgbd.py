@@ -181,8 +181,8 @@ def label_parts(
     return replace(labeled, part_id=part)
 
 
-# (pixel, neighbour) pairs handled per block; bounds memory for any k
-_BLOCK = 1 << 17
+# (pixel, neighbour) pairs handled per block (k + 1 when k is larger)
+_BLOCK = 1 << 14
 
 
 def project_labels(
@@ -224,6 +224,7 @@ def project_labels(
     )
     if votes.min() < 0 or votes.max() > np.iinfo(np.uint16).max:
         raise ValidationError("label ids must fit in 16 bits")
+    votes = votes.astype(np.uint16)
 
     coords = np.stack([proj.u[idx], proj.v[idx]], axis=1)
     tree = cKDTree(coords)
@@ -264,18 +265,37 @@ def _nearest(tree, coords: np.ndarray, centres: np.ndarray, k: int):
             ball_d2 = _sq_dist(coords[ball], centres[p])
             pick = np.lexsort((ball, ball_d2))[:k]
             cand[p], d2[p] = ball[pick], ball_d2[pick]
-    order = np.lexsort((cand, d2))
-    return np.take_along_axis(cand, order, 1), np.take_along_axis(d2, order, 1)
+    # cKDTree ranks by its own rounding of the distance: re-rank the rows
+    # where that disagrees with (d2, index)
+    ahead = d2[:, 1:] < d2[:, :-1]
+    ahead |= (d2[:, 1:] == d2[:, :-1]) & (cand[:, 1:] < cand[:, :-1])
+    rows = np.nonzero(ahead.any(axis=1))[0]
+    order = np.lexsort((cand[rows], d2[rows]))
+    cand[rows] = np.take_along_axis(cand[rows], order, 1)
+    d2[rows] = np.take_along_axis(d2[rows], order, 1)
+    return cand, d2
 
 
 def _majority(labels: np.ndarray) -> np.ndarray:
-    """Per row, the most frequent label; ties go to the tied label with
-    the earliest-ranked (nearest) supporter."""
-    counts = np.zeros(labels.shape, dtype=np.int64)
-    for rank in range(labels.shape[1]):
-        counts += labels == labels[:, rank : rank + 1]
-    # argmax takes the first maximum, i.e. the earliest-ranked supporter
-    return labels[np.arange(len(labels)), counts.argmax(axis=1)]
+    """Per row of uint16 labels, the most frequent label; ties go to the
+    tied label with the earliest-ranked (nearest) supporter."""
+    n, k = labels.shape
+    shift = max(k - 1, 1).bit_length()
+    # the ranks, and the positions in a sorted row
+    col = np.arange(k, dtype=np.int64)
+    # sorted (label, rank) keys lay each label's votes out as one run in
+    # rank order, so a run's first key holds its label's earliest rank
+    keys = np.sort((labels.astype(np.int64) << shift) | col, axis=1)
+    ranked = keys >> shift
+    start = np.ones((n, k), dtype=bool)
+    start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    # (position, earliest rank) of each run's first key, carried along the
+    # run; a position's score is then its count so far, less that rank as
+    # a fraction, so the longest run wins and then the earliest rank
+    first = np.where(start, (col << shift) | (keys & ((1 << shift) - 1)), 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    score = ((col + 1) << shift) - first
+    return ranked[np.arange(n), score.argmax(axis=1)].astype(labels.dtype)
 
 
 def generate_rgbd_sample(

@@ -47,7 +47,7 @@ class TensorFile:
     """A PPT1 tensor whose header has been checked: its ``path``, the
     ``shape``, ``ndim`` and ``dtype`` of its payload, and the open file
     the payload is read from, until the handle is garbage-collected or
-    closed.  ``np.asarray`` reads the whole payload.
+    closed.
     """
 
     def __init__(self, path: Path, file, dtype: np.dtype, shape: tuple[int, ...], offset: int):
@@ -77,10 +77,6 @@ class TensorFile:
             if not n:
                 raise FormatError(f"{self.path}: truncated payload")
             view = view[n:]
-
-    def __array__(self, dtype=None, copy=None):
-        out = self.read()
-        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def read_tensor(path: str | Path) -> TensorFile:

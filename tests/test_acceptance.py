@@ -36,7 +36,7 @@ from partfuse.taxonomy import validate_taxonomy
 from conftest import BAG, BOTTLE, OTHER, SEAL, TABLE, make_triple
 from scenes import build_rgbd_scene, rgbd_config, write_fuse_sample, write_ply, write_tensor
 from test_autolabel_monitor import disk_scene, monitor_config
-from test_autolabel_rgbd import vote_oracle
+from test_autolabel_rgbd import stacked, vote_oracle
 from test_cli import (
     tree_bytes,
     write_augment_dataset,
@@ -217,9 +217,8 @@ def test_criterion_5_variant_a_end_to_end(taxonomy):
             labeled, config.part_rules, taxonomy, config.catchall_part_id
         )
         triple = project_labels(labeled, camera, taxonomy, config)
-        agree, non_void = vote_oracle(labeled, camera, config, triple)
-        assert non_void > 0
-        assert agree / non_void >= 0.98
+        assert (triple.semantic_map != 0).any()
+        assert np.array_equal(stacked(triple), vote_oracle(labeled, camera, config))
         assert time.perf_counter() - started < 10.0
 
 
@@ -238,7 +237,7 @@ def test_criterion_6_variant_b_end_to_end(taxonomy):
         other = reference.part_grid == OTHER
         assert np.array_equal(seal | other, mask)
 
-        expected = reference.triple()
+        expected = reference.triple
         rng = np.random.default_rng(11)
         for _ in range(20):
             bg = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
@@ -373,7 +372,7 @@ def test_criterion_7_determinism_and_io(tmp_path, taxonomy_json):
         t_path = tmp_path / "t.ppt1"
         write_tensor(rng.random((3, 4)).astype(np.float32), t_path)
         first = t_path.read_bytes()
-        write_tensor(formats.read_tensor(t_path), t_path)
+        write_tensor(formats.read_tensor(t_path).read(), t_path)
         assert t_path.read_bytes() == first
 
         stem = tmp_path / "trip"
@@ -453,7 +452,7 @@ def test_criterion_9_overlay_rendering(tmp_path, taxonomy):
         config = monitor_config()
         mask = extract_reference_mask(img_blue, img_black, config)
         reference = extract_part_masks(img_black, mask, config, taxonomy)
-        triple = reference.triple()
+        triple = reference.triple
 
         boxes = instance_boxes(triple)
         assert set(boxes) == {1}

@@ -186,6 +186,9 @@ def test_transfer_labels_copies_reference(taxonomy):
     assert np.array_equal(triple1.part_map, triple2.part_map)
     assert (triple1.semantic_map[mask] == BAG).all()
     assert (triple1.semantic_map[~mask] == 0).all()
+    # the scene's triple is built once: targets and composites share it
+    assert triple2 is triple1
+    assert composite_synthetic(t1, reference, t2)[1] is triple1
 
 
 def test_transfer_labels_dim_mismatch(taxonomy):
@@ -265,7 +268,7 @@ def test_reference_label_triple_rejects_a_class_id_beyond_16_bits():
         background_class_id=0,
     )
     with pytest.raises(ValidationError, match="semantic map ids"):
-        reference.triple()
+        reference.triple
 
 
 # ------------------------------------------------------------ flips

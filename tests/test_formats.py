@@ -26,7 +26,7 @@ def test_tensor_round_trip_float32(tmp_path):
     back = read_tensor(path)
     assert back.dtype == np.float32
     assert back.shape == (2, 3)
-    assert np.array_equal(back, tensor)
+    assert np.array_equal(back.read(), tensor)
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.uint8])
@@ -36,7 +36,7 @@ def test_tensor_round_trip_integer(tmp_path, dtype):
     write_tensor(tensor, path)
     back = read_tensor(path)
     assert back.dtype == dtype
-    assert np.array_equal(back, tensor)
+    assert np.array_equal(back.read(), tensor)
 
 
 def test_tensor_scalar_round_trip(tmp_path):
@@ -44,14 +44,14 @@ def test_tensor_scalar_round_trip(tmp_path):
     write_tensor(np.float32(2.5), path)
     back = read_tensor(path)
     assert back.shape == ()
-    assert back == np.float32(2.5)
+    assert back.read() == np.float32(2.5)
 
 
 def test_tensor_write_read_write_is_byte_identical(tmp_path):
     first = tmp_path / "a.ppt1"
     second = tmp_path / "b.ppt1"
     write_tensor(np.random.default_rng(3).random((4, 5)).astype(np.float32), first)
-    write_tensor(read_tensor(first), second)
+    write_tensor(read_tensor(first).read(), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -76,8 +76,8 @@ def test_tensor_read_outlives_replacing_its_file(tmp_path):
     back = read_tensor(path)
     write_tensor(tensor + 100, tmp_path / "new.ppt1")
     os.replace(tmp_path / "new.ppt1", path)
-    assert np.array_equal(back, tensor)
-    assert np.array_equal(read_tensor(path), tensor + 100)
+    assert np.array_equal(back.read(), tensor)
+    assert np.array_equal(read_tensor(path).read(), tensor + 100)
 
 
 def test_tensor_read_rows(tmp_path):
@@ -263,5 +263,5 @@ def test_proposal_sidecar_round_trip(tmp_path):
     assert back[1].confidence == 0.25
     # masks pass through float32 storage
     assert np.allclose(
-        back[0].mask_logits, proposals[0].mask_logits.astype(np.float32)
+        back[0].mask_logits.read(), proposals[0].mask_logits.astype(np.float32)
     )

@@ -89,11 +89,11 @@ def test_images_are_uint8_arrays_of_the_input_shape(tmp_path, taxonomy, shape):
         morphological_close(image, 3),
         quantize_colors(image),
         composite_synthetic(image, reference, image[::-1])[0],
-        *(flipped for _, flipped, _ in augment_flips(image, reference.triple())),
+        *(flipped for _, flipped, _ in augment_flips(image, reference.triple)),
     ]
     if len(shape) == 3:
         spec = default_overlay_spec(taxonomy)
-        outputs.append(render_overlay(image, reference.triple(), spec))
+        outputs.append(render_overlay(image, reference.triple, spec))
     for out in outputs:
         assert type(out) is np.ndarray and out.dtype == np.uint8 and out.shape == shape
 

@@ -61,6 +61,7 @@ PINNED = {
     "eval": "ca35a3e9e5cb82318b384b5e4260b56aaf9dadbb41b7ac3de11c3cd8c7bfe83b",
     "report": "06b3e660134ec8a6b0ff7d123890085e2eb8471e4fead90233d43d167e3403df",
     "label rgbd": "4300cc7e8aa9cca9a08141b29fa268ad95be116ac1c0ea531430ea5afa63d2f5",
+    "label rgbd knn_k 64": "e9ef21e811789ec2cbb671e5b92489304ea38b9e8a6aa3f9926da1f9d6cecd78",
     "label monitor": "edad8d2089ac77f69a4e857a6096bbcc2c38c2535b13a6834119e591ac21a23f",
     "overlay": "10567d0b6ae309b6fa58121e9cd25e710290486a6d7488b9c36207b1cc73dcf9",
     "augment": "c38464db62d726e0b85aa0176f66a1bbcfb134513eaeac17d6eeb34757899956",
@@ -137,6 +138,12 @@ def run_corpus(root: Path) -> dict[str, str]:
     rgbd = root / "rgbd"
     cli("label", "rgbd", *tax, "--config", config, "--out", rgbd, "--jobs", "2", *scenes)
     digests["label rgbd"] = tree_digest(rgbd)
+    # at a large k the vote runs long and many rows tie
+    raw = json.loads(config.read_text())
+    config.write_text(json.dumps({**raw, "knn_k": 64}))
+    rgbd = root / "rgbd_k64"
+    cli("label", "rgbd", *tax, "--config", config, "--out", rgbd, *scenes)
+    digests["label rgbd knn_k 64"] = tree_digest(rgbd)
 
     dataset, backgrounds, config = write_monitor_dataset(root)
     rewrite_rules(config, MONITOR_RULES)
