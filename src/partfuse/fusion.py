@@ -25,11 +25,11 @@ and mask value once.  The proposal masks are read whole first, checked
 and thresholded one at a time in confidence order.  Then each tile of
 every semantic and part channel is read once into a tile stack and
 checked for non-finite values; it feeds the part argmax and the stuff
-argmax, and the accepted instances are scored on their footprint pixels
-in that tile, against the tile's stuff winner.  The logits of a stack
-opened by formats.read_tensor are read from its files; those of an
-in-memory stack are taken as views.  The arithmetic is per pixel, so
-tiling changes no result.
+argmax, and the accepted instances, whose footprints the instance map
+holds, are scored on their pixels in that tile against the tile's stuff
+winner.  A tile is dropped before the next is read.  The logits of a
+stack opened by formats.read_tensor are read from its files; those of an
+in-memory stack are taken as views.  Tiling changes no result.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .containers import LABEL_DTYPE, LabelTriple, row_tiles, tile_rows
+from .containers import LABEL_DTYPE, TILE_PIXELS, LabelTriple, row_tiles, tile_rows
 from .errors import ValidationError
 from .params import STRATEGIES, FusionParams
 from .taxonomy import ClassTaxonomy
@@ -171,6 +171,11 @@ def _pixels(tensor: np.ndarray, channel: int, index=slice(None)) -> np.ndarray:
     return tensor[channel].reshape(-1)[index]
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every value is finite: a NaN or an infinity is an extreme."""
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def _argmax(channels, size: int, best=None) -> np.ndarray:
     """Per-pixel label of the maximum score over ``size`` pixels.
 
@@ -228,70 +233,73 @@ def panoptic_fuse(
     kept.  Proposals below the confidence floor go no further; the rest
     are accepted greedily unless their thresholded footprint overlaps
     already-claimed pixels on at least ``overlap_discard_ratio`` of its
-    own area.  Overlapped pixels are removed from the later proposal, and
-    an accepted instance keeps only its surviving pixels and its mask
-    logits there.  Each accepted instance then competes per pixel with
-    the stuff-class logits via agreement_sem_inst between its mask logits
-    and its class's semantic score; the winner is the highest score, ties
-    to the lowest class id then lowest instance id.  Instances that end up
-    with fewer than ``min_instance_area`` pixels are removed and their
-    pixels go to the stuff winner.  Accepted footprints are disjoint, so
-    each instance is scored on its own footprint pixels in each tile
-    against the tile's stuff argmax alone, and the area filter and the
-    numbering run once, after the last tile.
+    own area.  Overlapped pixels are removed from the later proposal.  Each
+    accepted instance then competes per pixel with the stuff-class logits
+    via agreement_sem_inst between its mask logits and its class's
+    semantic score; the winner is the highest score, ties to the lowest
+    class id then lowest instance id.  Instances that end up with fewer
+    than ``min_instance_area`` pixels are removed and their pixels go to
+    the stuff winner.  Accepted footprints are disjoint, so the instance
+    map holds them as acceptance indices, and each instance is scored on
+    its own pixels in each tile against the tile's stuff argmax alone; the
+    pixels it loses are cleared.  The area filter and the numbering
+    rewrite both maps in row chunks after the last tile.
     """
     params = params or FusionParams()
-    accepted = [
-        (class_id, footprint, logits, int(footprint[0]), int(footprint[-1]), [])
-        for class_id, footprint, logits in _accept_proposals(proposals, size, params)
-    ]
+    inst_map = np.zeros(size, dtype=LABEL_DTYPE)
+    accepted = _accept_proposals(proposals, params, inst_map)
+    areas = np.zeros(len(accepted) + 1, dtype=np.int64)  # by acceptance index
+    unscored = [None, *(a[1] for a in accepted)]  # mask logits of the pixels not yet scored
     sem_map = np.empty(size, dtype=LABEL_DTYPE)
     for pixels, stuff, best, scores in tiles:
         sem_map[pixels] = stuff
-        start, stop = pixels.start, pixels.stop
-        for class_id, footprint, logits, first, last, won in accepted:
-            if first >= stop or last < start:
+        claimed = inst_map[pixels]
+        for k, (class_id, _, (first, last)) in enumerate(accepted, 1):
+            if first >= pixels.stop or last < pixels.start:
                 continue
-            lo, hi = np.searchsorted(footprint, (start, stop))
-            index = footprint[lo:hi] - start
-            fused = agreement_sem_inst(logits[lo:hi], scores(class_id, index))
+            index = np.flatnonzero(claimed == k)
+            logits, unscored[k] = unscored[k][: index.size], unscored[k][index.size :]
+            fused = agreement_sem_inst(logits, scores(class_id, index))
             here = best[index]
             wins = (fused > here) | ((fused == here) & (class_id < stuff[index]))
-            won.append(index[wins] + start)
+            claimed[index[~wins]] = 0
+            areas[k] += np.count_nonzero(wins)
+        del scores  # holds the tile stack, which must go before the next is read
 
-    inst_map = np.zeros(size, dtype=LABEL_DTYPE)
-    instance_id = 0
-    for class_id, *_, won in accepted:
-        if sum(chunk.size for chunk in won) < max(params.min_instance_area, 1):
-            continue
-        instance_id += 1
-        for chunk in won:
-            sem_map[chunk] = class_id
-            inst_map[chunk] = instance_id
+    kept = areas >= max(params.min_instance_area, 1)
+    numbers = (np.cumsum(kept) * kept).astype(LABEL_DTYPE)
+    classes = np.array([0, *(a[0] for a in accepted)], dtype=LABEL_DTYPE)
+    for lo in range(0, size, TILE_PIXELS):
+        won = inst_map[lo : lo + TILE_PIXELS]
+        np.copyto(sem_map[lo : lo + TILE_PIXELS], classes[won], where=kept[won])
+        won[...] = numbers[won]
     return sem_map, inst_map
 
 
-def _accept_proposals(proposals, size: int, params: FusionParams) -> list:
-    """(class id, surviving pixels, mask logits there) of each proposal that
-    panoptic_fuse accepts, in acceptance order; see there."""
+def _accept_proposals(proposals, params: FusionParams, inst_map: np.ndarray) -> list:
+    """(class id, mask logits at its surviving pixels, first and last of
+    them) of each proposal that panoptic_fuse accepts, in acceptance
+    order; the pixels take its acceptance index in ``inst_map``."""
     threshold = params.mask_logit_threshold
     order = sorted(range(len(proposals)), key=lambda i: (-proposals[i].confidence, i))
-    occupancy = np.zeros(size, dtype=bool)
+    above = np.empty(inst_map.size, dtype=bool)
     accepted = []
     for idx in order:
         prop = proposals[idx]
         mask = _read(prop.mask_logits, slice(None)).reshape(-1)
-        if not np.isfinite(mask).all():
+        if not _finite(mask):
             raise ValidationError("proposal mask logits contain non-finite values")
         if prop.confidence >= params.confidence_min:
-            footprint = np.flatnonzero(mask > mask_threshold(mask.dtype, threshold))
-            taken = occupancy[footprint]
+            np.greater(mask, mask_threshold(mask.dtype, threshold), out=above)
+            footprint = np.flatnonzero(above)
+            taken = inst_map[footprint] != 0
             if footprint.size and (
                 np.count_nonzero(taken) / footprint.size < params.overlap_discard_ratio
             ):
                 surviving = footprint[~taken]
-                occupancy[surviving] = True
-                accepted.append((prop.class_id, surviving, mask[surviving]))
+                accepted.append((prop.class_id, mask[surviving], surviving[[0, -1]]))
+                inst_map[surviving] = len(accepted)
+        del mask  # one mask at a time: this one goes before the next is read
     return accepted
 
 
@@ -304,8 +312,8 @@ def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, part_m
     with ``enhance``, the raw part logits without), written into the
     raveled ``part_map``, and the stuff argmax of the semantic scores
     (enhanced by semantic-wise fusion with ``enhance``, raw without).
-    ``scores`` gives a thing class's scores from the same tile stack.
-    One ``best`` buffer serves every tile.
+    ``scores`` gives a thing class's scores from the same tile stack, so
+    the consumer drops it before it asks for the next tile.
     """
     h, w = stack.semantic_logits.shape[1:]
     part_order = _id_order(stack.part_channel_ids)
@@ -321,9 +329,8 @@ def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, part_m
             part_logits=_read(stack.part_logits, rows),
             instance_proposals=(),
         )
-        for tensor in (tile.semantic_logits, tile.part_logits):
-            if not np.isfinite(tensor).all():
-                raise ValidationError("logit tensor contains non-finite values")
+        if not (_finite(tile.semantic_logits) and _finite(tile.part_logits)):
+            raise ValidationError("logit tensor contains non-finite values")
         pixels = slice(rows.start * w, rows.stop * w)
         size = pixels.stop - pixels.start
         if enhance:
@@ -342,6 +349,7 @@ def _tile_pass(stack: LogitStack, taxonomy: ClassTaxonomy, enhance: bool, part_m
 
         stuff_map = _argmax(((c, scores(c, slice(None))) for c in stuff), size, best[:size])
         yield pixels, stuff_map, best[:size], scores
+        del tile, scores  # one tile at a time: this one goes before the next is read
 
 
 def fuse(

@@ -16,6 +16,7 @@ that use it: it is most of the CLI's start-up time, and ``fuse``,
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,51 +61,54 @@ class HsvRange:
         )
 
 
-def _read_header(data: bytes, path: Path) -> tuple[bytes, int, int, int, int]:
-    """Parse magic, width, height, maxval; return them plus the payload offset.
+def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
+    """Parse magic, width, height, maxval, leaving ``fh`` at the first raster byte.
 
     Whitespace separates tokens; '#' starts a comment running to end of line.
     Exactly one whitespace byte follows the maxval token before the raster.
     """
-    if len(data) < 2 or data[0:1] != b"P":
+    magic = fh.read(2)
+    if len(magic) < 2 or magic[0:1] != b"P":
         raise FormatError(f"{path}: not a PNM file (bad magic)")
-    magic = data[0:2]
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
 
-    pos = 2
     tokens: list[int] = []
+    byte = fh.read(1)
     while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos] == ord("#"):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
+        if byte.isspace():
+            byte = fh.read(1)
+        elif byte == b"#":
+            if not fh.readline().endswith(b"\n"):
                 raise FormatError(f"{path}: unterminated comment in header")
-            pos = nl + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tok = data[start:pos]
-        if not tok.isdigit():
-            raise FormatError(f"{path}: malformed header token {tok!r}")
-        tokens.append(int(tok))
-    if pos >= len(data):
+            byte = fh.read(1)
+        else:
+            tok = bytearray()
+            while byte and not byte.isspace():
+                tok += byte
+                byte = fh.read(1)
+            if not tok.isdigit():
+                raise FormatError(f"{path}: malformed header token {bytes(tok)!r}")
+            tokens.append(int(tok))
+    if not byte:  # the single whitespace byte after maxval, read already
         raise FormatError(f"{path}: header ends before raster data")
-    pos += 1  # single whitespace byte after maxval
     width, height, maxval = tokens
     if width <= 0 or height <= 0:
         raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
-    return magic, width, height, maxval, pos
+    return magic, width, height, maxval
 
 
-def _raster(data: bytes, offset: int, shape: tuple[int, ...], dtype, path: Path) -> np.ndarray:
-    """The read-only samples of ``shape`` that start at ``offset``."""
-    count = math.prod(shape)
-    if len(data) - offset < count * np.dtype(dtype).itemsize:
+def _raster(fh, shape: tuple[int, ...], dtype, path: Path) -> np.ndarray:
+    """A new array of the ``shape`` samples that follow in the unbuffered ``fh``."""
+    if os.fstat(fh.fileno()).st_size - fh.tell() < math.prod(shape) * np.dtype(dtype).itemsize:
         raise FormatError(f"{path}: truncated raster data")
-    return np.frombuffer(data, dtype, count, offset).reshape(shape)
+    out = np.empty(shape, dtype)
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    while view and (n := fh.readinto(view)):
+        view = view[n:]
+    if view:  # the file shrank since it was opened
+        raise FormatError(f"{path}: truncated raster data")
+    return out
 
 
 def _write_raster(arr: np.ndarray, path: str | Path, magic: bytes, dtype) -> None:
@@ -126,12 +130,14 @@ def read_pnm(path: str | Path) -> np.ndarray:
     """Read an 8-bit binary PGM or PPM as a read-only (H, W) or (H, W, 3)
     uint8 array."""
     path = Path(path)
-    data = path.read_bytes()
-    magic, width, height, maxval, offset = _read_header(data, path)
-    if maxval != 255:
-        raise FormatError(f"{path}: expected maxval 255, got {maxval}")
-    shape = (height, width) if magic == b"P5" else (height, width, 3)
-    return _raster(data, offset, shape, np.uint8, path)
+    with open(path, "rb", buffering=0) as fh:
+        magic, width, height, maxval = _read_header(fh, path)
+        if maxval != 255:
+            raise FormatError(f"{path}: expected maxval 255, got {maxval}")
+        shape = (height, width) if magic == b"P5" else (height, width, 3)
+        image = _raster(fh, shape, np.uint8, path)
+    image.setflags(write=False)
+    return image
 
 
 def write_pnm(image: np.ndarray, path: str | Path) -> None:
@@ -146,15 +152,18 @@ def write_pnm(image: np.ndarray, path: str | Path) -> None:
 
 
 def read_pgm16(path: str | Path) -> np.ndarray:
-    """Read a 16-bit binary PGM (maxval 65535, MSB first); returns (H, W) uint16."""
+    """Read a 16-bit binary PGM (maxval 65535, MSB first) as a new (H, W) uint16 array."""
     path = Path(path)
-    data = path.read_bytes()
-    magic, width, height, maxval, offset = _read_header(data, path)
-    if magic != b"P5":
-        raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
-    return _raster(data, offset, (height, width), ">u2", path).astype(np.uint16)
+    with open(path, "rb", buffering=0) as fh:
+        magic, width, height, maxval = _read_header(fh, path)
+        if magic != b"P5":
+            raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
+        if maxval != 65535:
+            raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
+        grid = _raster(fh, (height, width), np.uint16, path)
+    if np.little_endian:
+        grid.byteswap(inplace=True)
+    return grid
 
 
 def write_pgm16(grid: np.ndarray, path: str | Path) -> None:

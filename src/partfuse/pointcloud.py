@@ -158,56 +158,59 @@ def read_ply(path: str | Path) -> PointCloud:
     FormatError.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not an ASCII PLY file: {exc}") from exc
-    if not lines or lines[0].strip() != "ply":
-        raise FormatError(f"{path}: not a PLY file")
-    count = None
-    props: list[str] = []
-    body_start = None
-    saw_format = False
-    for i, line in enumerate(lines[1:], start=1):
-        tokens = line.split()
-        if not tokens or tokens[0] == "comment":
-            continue
-        if tokens[0] == "format":
-            if tokens[1:] != ["ascii", "1.0"]:
-                raise FormatError(f"{path}: only 'format ascii 1.0' is supported")
-            saw_format = True
-        elif tokens[0] == "element":
-            if len(tokens) != 3 or tokens[1] != "vertex":
-                raise FormatError(f"{path}: only a vertex element is supported")
-            try:
-                count = int(tokens[2])
-            except ValueError:
-                raise FormatError(f"{path}: bad vertex count {tokens[2]!r}") from None
-        elif tokens[0] == "property":
-            if count is None:
-                raise FormatError(f"{path}: property before element")
-            if len(tokens) != 3 or tokens[2] not in _PLY_PROPERTIES:
-                raise FormatError(f"{path}: unsupported property {line.strip()!r}")
-            props.append(tokens[2])
-        elif tokens[0] == "end_header":
-            body_start = i + 1
-            break
-        else:
-            raise FormatError(f"{path}: malformed header line {line.strip()!r}")
-    if body_start is None or count is None or not saw_format:
-        raise FormatError(f"{path}: incomplete PLY header")
-    missing = [p for p in _PLY_PROPERTIES if p not in props]
-    if missing:
-        raise FormatError(f"{path}: missing vertex properties {missing}")
-
-    body = lines[body_start:]
-    table = np.empty((0, len(props)))
-    # loadtxt warns on a body without rows; blank lines are skipped
-    if any(map(str.strip, body)):
+    with open(path, encoding="ascii") as fh:
         try:
-            table = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed vertex rows: {exc}") from exc
+            if fh.readline().strip() != "ply":
+                raise FormatError(f"{path}: not a PLY file")
+            count = None
+            props: list[str] = []
+            saw_format = False
+            for line in iter(fh.readline, ""):
+                tokens = line.split()
+                if not tokens or tokens[0] == "comment":
+                    continue
+                if tokens[0] == "format":
+                    if tokens[1:] != ["ascii", "1.0"]:
+                        raise FormatError(f"{path}: only 'format ascii 1.0' is supported")
+                    saw_format = True
+                elif tokens[0] == "element":
+                    if len(tokens) != 3 or tokens[1] != "vertex":
+                        raise FormatError(f"{path}: only a vertex element is supported")
+                    try:
+                        count = int(tokens[2])
+                    except ValueError:
+                        raise FormatError(f"{path}: bad vertex count {tokens[2]!r}") from None
+                elif tokens[0] == "property":
+                    if count is None:
+                        raise FormatError(f"{path}: property before element")
+                    if len(tokens) != 3 or tokens[2] not in _PLY_PROPERTIES:
+                        raise FormatError(f"{path}: unsupported property {line.strip()!r}")
+                    props.append(tokens[2])
+                elif tokens[0] == "end_header":
+                    break
+                else:
+                    raise FormatError(f"{path}: malformed header line {line.strip()!r}")
+            else:
+                count = None  # no end_header
+            if count is None or not saw_format:
+                raise FormatError(f"{path}: incomplete PLY header")
+            missing = [p for p in _PLY_PROPERTIES if p not in props]
+            if missing:
+                raise FormatError(f"{path}: missing vertex properties {missing}")
+
+            table = np.empty((0, len(props)))
+            body = fh.tell()
+            # streamed; loadtxt warns on a body without rows; blank lines are skipped
+            if any(map(str.strip, fh)):
+                fh.seek(body)
+                try:
+                    table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+                except UnicodeDecodeError:  # a ValueError, reported below
+                    raise
+                except ValueError as exc:
+                    raise FormatError(f"{path}: malformed vertex rows: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not an ASCII PLY file: {exc}") from exc
     if table.shape[0] != count:
         raise FormatError(
             f"{path}: header announces {count} vertices but file has {table.shape[0]}"

@@ -52,5 +52,7 @@ def test_eval_peak_grows_by_a_few_triples(tmp_path, taxonomy_json):
         args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt), *map(str, preds)]
         peaks[name] = peak_kb(args) * 1024
     triple = 3 * 512 * 1024 * np.dtype(np.uint16).itemsize
+    # measured 6.4-6.7 MB on x86-64 Linux (7.5-8.1 MB while label maps were read
+    # through a bytes copy); 2.75 triples, 8.25 MB, leave 1.5 MB
     growth = peaks["frame"] - peaks["row"]
-    assert growth < 4 * triple, f"{growth / 2**20:.1f} MB above one row for {triple >> 20} MB triples"
+    assert growth < 2.75 * triple, f"{growth / 2**20:.1f} MB above one row, {triple >> 20} MB triples"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -109,6 +110,25 @@ def test_ply_malformed_input_is_format_error(tmp_path, payload):
     path.write_bytes(payload.encode("utf-8"))
     with pytest.raises(FormatError):
         read_ply(path)
+
+
+def test_read_ply_streams_its_body(tmp_path):
+    """The traced peak of reading 100k points stays below 3.5 times the
+    file's size: the vertex table and its column copies, without the
+    file's text held whole beside them (about 5 times)."""
+    rng = np.random.default_rng(5)
+    n = 100_000
+    path = tmp_path / "big.ply"
+    write_ply(PointCloud(rng.normal(size=(n, 3)), rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+              path)
+    tracemalloc.start()
+    try:
+        cloud = read_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == n
+    assert peak < 3.5 * path.stat().st_size, f"peak {peak / path.stat().st_size:.2f} x the file"
 
 
 # ------------------------------------------------------------------- PMF
