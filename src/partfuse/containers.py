@@ -212,20 +212,6 @@ class LogitStack:
                     f"proposal class {p.class_id} is not a thing class"
                 )
 
-    def semantic_channel(self, class_id: int) -> int:
-        try:
-            return self.semantic_channel_ids.index(class_id)
-        except ValueError:
-            raise ValidationError(
-                f"no semantic channel for class id {class_id}"
-            ) from None
-
-    def part_channel(self, part_id: int) -> int:
-        try:
-            return self.part_channel_ids.index(part_id)
-        except ValueError:
-            raise ValidationError(f"no part channel for part id {part_id}") from None
-
 
 @dataclass(frozen=True)
 class PanopticSegment:

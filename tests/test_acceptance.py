@@ -105,15 +105,17 @@ def test_criterion_2_structural_identity():
             )
             # each semantic channel, enhanced by its one part, equals that
             # part enhanced by its parent, exactly
+            semantic = dict(zip(stack.semantic_channel_ids, stack.semantic_logits))
+            parts = dict(zip(stack.part_channel_ids, stack.part_logits))
             enhanced_sem = np.stack(
                 [
-                    semantic_wise_fuse(stack, tax, ch, slice(None)).reshape(8, 8)
-                    for ch in range(3)
+                    semantic_wise_fuse(semantic[c], [parts[p.id] for p in tax.parts_of(c)])
+                    for c in stack.semantic_channel_ids
                 ]
             )
             enhanced_part = agreement_part_sem(stack.part_logits, stack.semantic_logits)
             assert np.array_equal(enhanced_sem, enhanced_part)  # exact
-            part_map = part_wise_fuse(stack, tax).reshape(8, 8)
+            part_map = part_wise_fuse(semantic, parts, tax)
             assert np.array_equal(part_map, np.array([11, 12, 13])[enhanced_sem.argmax(axis=0)])
 
 

@@ -20,7 +20,7 @@ from partfuse.fusion import (
     semantic_wise_fuse,
     tile_rows,
 )
-from partfuse.taxonomy import validate_taxonomy
+from partfuse.taxonomy import MAX_ID, validate_taxonomy
 
 from conftest import BAG, BOTTLE, CENTER, SEAL, TABLE
 from scenes import write_tensor
@@ -58,17 +58,22 @@ def make_stack(sem, part, sem_ids, part_ids, proposals=()):
 
 def enhanced_semantic(stack, taxonomy):
     """Every semantic channel enhanced over the whole frame, [C, H, W]."""
+    parts = dict(zip(stack.part_channel_ids, stack.part_logits))
     return np.stack(
         [
-            semantic_wise_fuse(stack, taxonomy, channel, slice(None)).reshape(sem.shape)
-            for channel, sem in enumerate(stack.semantic_logits)
+            semantic_wise_fuse(sem, [parts[p.id] for p in taxonomy.parts_of(class_id)])
+            for class_id, sem in zip(stack.semantic_channel_ids, stack.semantic_logits)
         ]
     )
 
 
 def part_map_of(stack, taxonomy):
     """Part-wise fusion's part map over the whole frame."""
-    return part_wise_fuse(stack, taxonomy).reshape(stack.part_logits.shape[1:])
+    return part_wise_fuse(
+        dict(zip(stack.semantic_channel_ids, stack.semantic_logits)),
+        dict(zip(stack.part_channel_ids, stack.part_logits)),
+        taxonomy,
+    )
 
 
 def merge(semantic, channel_ids, proposals, taxonomy, params=None):
@@ -122,16 +127,21 @@ def test_semantic_wise_invariant_under_part_channel_permutation():
 
 
 def test_semantic_wise_footprint_reads_match_tile_reads():
-    # a footprint (integer index) and a tile (slice) of the raveled frame
+    # a footprint's pixels (an integer index) and the whole raveled tile
     # must give the same enhanced values, bit for bit
     tax = two_class_taxonomy()
     rng = np.random.default_rng(8)
-    stack = make_stack(rng.normal(size=(2, 5, 7)), rng.normal(size=(2, 5, 7)), (1, 2), (5, 6))
+    semantic = dict(zip((1, 2), rng.normal(size=(2, 35))))
+    parts = dict(zip((5, 6), rng.normal(size=(2, 35))))
     pixels = np.array([0, 3, 8, 9, 20, 34])
-    for channel in range(2):
-        tile = semantic_wise_fuse(stack, tax, channel, slice(0, 35))
+    for class_id in (1, 2):
+        part_ids = [p.id for p in tax.parts_of(class_id)]
+        tile = semantic_wise_fuse(semantic[class_id], [parts[p] for p in part_ids])
         assert tile.dtype == np.float64
-        assert np.array_equal(semantic_wise_fuse(stack, tax, channel, pixels), tile[pixels])
+        footprint = semantic_wise_fuse(
+            semantic[class_id][pixels], [parts[p][pixels] for p in part_ids]
+        )
+        assert np.array_equal(footprint, tile[pixels])
 
 
 def test_part_wise_single_part_everywhere():
@@ -438,6 +448,23 @@ def test_fuse_on_mapped_tensors_matches_in_memory(tmp_path):
     assert instances > 0
 
 
+def test_fuse_rejects_more_instances_than_uint16_ids():
+    # 65,536 disjoint one-pixel proposals, each a view of one float32
+    # buffer: the last would take instance id 65,536, which uint16 cannot
+    # hold, so the frame fails instead of wrapping to id 0 or overflowing
+    n = MAX_ID + 1
+    h = w = 256
+    buffer = np.full(2 * n - 1, -1.0, dtype=np.float32)
+    buffer[n - 1] = 1.0
+    proposals = [
+        InstanceProposal(1, 0.9, buffer[n - 1 - i : 2 * n - 1 - i].reshape(h, w))
+        for i in range(n)
+    ]
+    stack = make_stack(np.zeros((2, h, w)), np.zeros((0, h, w)), (1, 4), (), proposals)
+    with pytest.raises(ValidationError, match=f"at most {MAX_ID} instance"):
+        fuse(stack, thing_stuff_taxonomy(), FusionParams(min_instance_area=1), "none")
+
+
 def test_single_part_taxonomy_structural_identity():
     tax = validate_taxonomy(
         {
@@ -580,7 +607,7 @@ def oracle_fuse(stack, taxonomy, params, strategy, stats):
     if strategy == "partpanoptic":
         sem = stack.semantic_logits.astype(np.float64)
         for ch, cid in enumerate(stack.semantic_channel_ids):
-            parts = [stack.part_channel(p.id) for p in taxonomy.parts_of(cid)]
+            parts = [stack.part_channel_ids.index(p.id) for p in taxonomy.parts_of(cid)]
             if parts:
                 flat = stack.part_logits[parts].max(axis=0)
                 sem[ch] = agreement_part_sem(flat, stack.semantic_logits[ch])
@@ -588,7 +615,9 @@ def oracle_fuse(stack, taxonomy, params, strategy, stats):
             [
                 agreement_part_sem(
                     stack.part_logits[ch],
-                    stack.semantic_logits[stack.semantic_channel(taxonomy.parent_of(pid))],
+                    stack.semantic_logits[
+                        stack.semantic_channel_ids.index(taxonomy.parent_of(pid))
+                    ],
                 )
                 for ch, pid in enumerate(stack.part_channel_ids)
             ]
@@ -728,10 +757,38 @@ def test_fusion_matches_oracle_at_the_ends_of_the_id_range():
     assert {1, 65535} <= won["part"]
 
 
+def strided(stack):
+    """``stack`` as channel-reversed views, its masks as row-reversed
+    views, and as Fortran-ordered arrays: the same values, handed to fuse
+    without a contiguous copy."""
+    return (
+        LogitStack(
+            semantic_logits=stack.semantic_logits[::-1],
+            part_logits=stack.part_logits[::-1],
+            semantic_channel_ids=stack.semantic_channel_ids[::-1],
+            part_channel_ids=stack.part_channel_ids[::-1],
+            instance_proposals=tuple(
+                replace(p, mask_logits=p.mask_logits[::-1].copy()[::-1])
+                for p in stack.instance_proposals
+            ),
+        ),
+        replace(
+            stack,
+            semantic_logits=np.asfortranarray(stack.semantic_logits),
+            part_logits=np.asfortranarray(stack.part_logits),
+            instance_proposals=tuple(
+                replace(p, mask_logits=np.asfortranarray(p.mask_logits))
+                for p in stack.instance_proposals
+            ),
+        ),
+    )
+
+
 def test_fusion_matches_oracle_across_tile_boundaries():
     # frames of 1, T-1, T, T+1 and 2T+3 rows, T the tile height: a frame
-    # inside one tile, exactly filled tiles and a partial last tile
-    seen = {"stuff_with_parts": 0, "multi_tile_instances": 0}
+    # inside one tile, exactly filled tiles and a partial last tile; each
+    # from contiguous arrays and from strided ones
+    seen = {"stuff_with_parts": 0, "multi_tile_instances": 0, "strided": 0}
     for w in (1, 7):
         t = tile_rows(w)
         for h in (1, t - 1, t, t + 1, 2 * t + 3):
@@ -742,17 +799,25 @@ def test_fusion_matches_oracle_across_tile_boundaries():
                     for c in stack.semantic_channel_ids
                 ):
                     seen["stuff_with_parts"] += 1
+                sources = (stack, *strided(stack))
+                seen["strided"] += sum(
+                    not tensor.flags.c_contiguous
+                    for source in sources[1:]
+                    for tensor in (source.semantic_logits, source.part_logits)
+                )
                 for strategy in STRATEGIES:
                     stats = {"float32_flips": 0, "stuff_ties": 0, "part_ties": 0, "removed": 0}
-                    triple = fuse(stack, taxonomy, params, strategy)
                     expected = oracle_fuse(stack, taxonomy, params, strategy, stats)
-                    got = (triple.semantic_map, triple.instance_map, triple.part_map)
-                    for name, a, b in zip(("sem", "inst", "part"), got, expected):
-                        assert np.array_equal(a, b), (w, h, seed, strategy, name)
+                    for k, source in enumerate(sources):
+                        triple = fuse(source, taxonomy, params, strategy)
+                        got = (triple.semantic_map, triple.instance_map, triple.part_map)
+                        for name, a, b in zip(("sem", "inst", "part"), got, expected):
+                            assert np.array_equal(a, b), (w, h, seed, strategy, k, name)
                 rows = [np.flatnonzero(triple.instance_map == i) // w // t for i in range(1, 10)]
                 seen["multi_tile_instances"] += sum(r.size and r.min() != r.max() for r in rows)
     assert seen["stuff_with_parts"] > 0
     assert seen["multi_tile_instances"] > 0
+    assert seen["strided"] > 0
 
 
 def test_fusion_matches_oracle_on_frames_without_pixels(tmp_path):
