@@ -1,30 +1,35 @@
 """Command-line surface: fuse, eval, label, overlay, augment, report.
 
 Exit codes: 0 on success, 2 on I/O errors (unreadable files, corrupt
-PPT1/PNM/PLY containers), 3 on validation errors (malformed JSON inputs,
-missing required inputs, bad taxonomy or dimensions, unknown strategy).
-Handlers raise; ``main`` alone maps an error to its code.  Messages go to
-standard error; verbosity is controlled by the PARTFUSE_LOG environment
-variable (error, warn, info, debug).
+PPT1/PNM/PLY containers, a worker process that died), 3 on validation
+errors (malformed JSON inputs, missing required inputs, bad taxonomy or
+dimensions, unknown strategy).  Handlers raise; ``main`` alone maps an
+error to its code.  Messages go to standard error; verbosity is
+controlled by the PARTFUSE_LOG environment variable (error, warn, info,
+debug).
 
 All commands are deterministic: rerunning with the same inputs and seed
-produces byte-identical outputs, and --jobs only changes wall time.
+produces byte-identical outputs, and --jobs only changes wall time and
+memory.  Batch commands run their items through ``_run_items``: at
+--jobs 1 in the calling thread, at --jobs N in forked worker processes.
 
 Each handler imports the modules it runs, so ``--help`` and ``report``
-start without numpy and ``fuse`` without the labelling pipelines.
+start without numpy and ``fuse`` without the labelling pipelines; it
+imports them before ``_run_items`` forks, so a worker imports nothing.
 ``main`` sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import logging
 import os
 import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -96,7 +101,16 @@ def _ensure_out(out: Path | None) -> Path:
 def _run_items(
     items, worker, jobs: int, keep_going: bool = False, out_dir: Path | None = None
 ):
-    """Run worker(item, stage) for every item on a pool of ``jobs`` threads.
+    """Run worker(item, stage) for every item: in the calling thread, or in
+    ``min(jobs, len(items))`` worker processes when that is more than one.
+
+    Worker processes are forked once the handler has imported what its
+    items run, so a worker pays no import.  Each runs whole items (read,
+    compute and staged write) and sends back only worker's result, which
+    must pickle.  A ``PartfuseError`` or ``OSError`` reaches the caller
+    with its class and message, and a worker that dies raises
+    PartfuseError.  Where ``fork`` is not available, the items run in the
+    calling thread.
 
     With ``out_dir``, each item writes its files into its own new staging
     directory ``stage`` under ``out_dir``.  The calling thread then moves
@@ -122,36 +136,74 @@ def _run_items(
         from .formats import TRIPLE_SUFFIXES
         stage_root = Path(tempfile.mkdtemp(prefix=".partfuse-stage-", dir=out_dir))
 
-    def run(item):
+    def run(index: int):
         stage = Path(tempfile.mkdtemp(dir=stage_root)) if stage_root else None
-        return worker(item, stage), stage
+        return worker(items[index], stage), stage
 
-    pool = ThreadPoolExecutor(max_workers=max(jobs, 1))
-    try:
-        for future in [pool.submit(run, item) for item in items]:
-            try:
-                result, stage = future.result()
-            except (PartfuseError, OSError) as exc:
-                errors.append(exc)
-                if not keep_going:
-                    raise
-                log.warning("item failed: %s", exc)
-                continue
-            if stage is not None:
-                last = sorted(stage.glob(f"*{TRIPLE_SUFFIXES[0]}"))
-                for path in last:
-                    (out_dir / path.name).unlink(missing_ok=True)
-                for path in sorted(set(stage.iterdir()) - set(last)) + last:
-                    os.replace(path, out_dir / path.name)
-            results.append(result)
+    try:  # the workers end, with the with block, before the staging root goes
+        with _outcomes(run, len(items), min(jobs, len(items))) as outcomes:
+            for outcome in outcomes:
+                try:
+                    result, stage = outcome()
+                except (PartfuseError, OSError) as exc:
+                    errors.append(exc)
+                    if not keep_going:
+                        raise
+                    log.warning("item failed: %s", exc)
+                    continue
+                if stage is not None:
+                    last = sorted(stage.glob(f"*{TRIPLE_SUFFIXES[0]}"))
+                    for path in last:
+                        (out_dir / path.name).unlink(missing_ok=True)
+                    for path in sorted(set(stage.iterdir()) - set(last)) + last:
+                        os.replace(path, out_dir / path.name)
+                results.append(result)
     finally:
-        pool.shutdown(cancel_futures=True)
         if stage_root is not None:
             shutil.rmtree(stage_root, ignore_errors=True)
         skipped = len(items) - len(results) - len(errors)
         log.info("%d ok, %d failed, %d skipped in %.2f s", len(results), len(errors),
                  skipped, time.perf_counter() - started)
     return results, errors
+
+
+@contextlib.contextmanager
+def _outcomes(run, count: int, workers: int):
+    """One call per index, in order, that returns ``run(index)`` or raises
+    its error: ``run`` itself in the calling thread, or, with more than one
+    worker, the outcome of ``run`` in a forked worker process.  On exit
+    the workers finish their current items and end."""
+    context = None
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        yield [functools.partial(run, index) for index in range(count)]
+        return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # run is handed over by fork, not pickled; the workers start at the
+    # first submit, before the pool starts a thread of its own
+    pool = ProcessPoolExecutor(workers, context, initializer=_adopt, initargs=(run,))
+    try:
+        yield [pool.submit(_run_adopted, index).result for index in range(count)]
+    except BrokenProcessPool as exc:
+        raise PartfuseError(f"a worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_adopted = None  # run(index) of the batch a worker process serves; set in workers only
+
+
+def _adopt(run) -> None:
+    global _adopted
+    _adopted = run
+
+
+def _run_adopted(index: int):
+    return _adopted(index)
 
 
 # ---------------------------------------------------------------- fuse
@@ -274,6 +326,10 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
     from .imaging import read_pnm, write_pnm
     from .pointcloud import load_camera, read_ply
 
+    # what the stages import lazily, loaded before --jobs forks its workers
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.spatial  # noqa: F401
+
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
     if not args.config:
@@ -309,6 +365,9 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
     from .autolabel_rgbd import check_class_ids
     from .imaging import read_pnm, write_pnm
     from .rng import SplitMix64, splitmix64_nth
+
+    # what the stages import lazily, loaded before --jobs forks its workers
+    import scipy.ndimage  # noqa: F401
 
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)

@@ -204,13 +204,15 @@ class LogitStack:
             raise ValidationError(
                 "part channels do not cover the taxonomy's part classes"
             )
-        for p in self.instance_proposals:
-            if not taxonomy.has_semantic(p.class_id) or not taxonomy.is_thing(
-                p.class_id
-            ):
-                raise ValidationError(
-                    f"proposal class {p.class_id} is not a thing class"
-                )
+        check_proposal_classes(self.instance_proposals, taxonomy)
+
+
+def check_proposal_classes(proposals, taxonomy: ClassTaxonomy) -> None:
+    """Raise ValidationError naming the first proposal whose class is not
+    a thing class of ``taxonomy``."""
+    for p in proposals:
+        if not taxonomy.has_semantic(p.class_id) or not taxonomy.is_thing(p.class_id):
+            raise ValidationError(f"proposal class {p.class_id} is not a thing class")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .containers import LABEL_DTYPE, TILE_PIXELS, LabelTriple, row_tiles, tile_rows
+from .containers import (LABEL_DTYPE, TILE_PIXELS, LabelTriple, check_proposal_classes, row_tiles,
+                         tile_rows)
 from .errors import ValidationError
 from .params import STRATEGIES, FusionParams
 from .taxonomy import MAX_ID, ClassTaxonomy
@@ -192,7 +193,8 @@ def panoptic_fuse(
     """The raveled semantic, instance and part maps of ``stack``'s frame
     and its own ``proposals``: enhanced by part-wise and semantic-wise
     fusion with ``enhance``, from the raw logits without.  fuse validates
-    the stack; the logits and masks are checked here as they are read.
+    the stack; the proposals' classes are checked here first, and the
+    logits and masks as they are read.
 
     Every mask is read whole, once, and checked for non-finite values, in
     descending confidence (ties by submission order).  Proposals below the
@@ -213,6 +215,7 @@ def panoptic_fuse(
     # perfbench/spans.py binds ``proposals`` and ``params`` by name and reads
     # the instance map as ``result[1]``; each of its TARGETS (fuse, the three
     # fusion stages, LogitStack) must still be called on its fuse_eval run
+    check_proposal_classes(proposals, taxonomy)
     params = params or FusionParams()
     h, w = stack.semantic_logits.shape[1:]
     inst_map = np.zeros(h * w, dtype=LABEL_DTYPE)

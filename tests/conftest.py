@@ -1,6 +1,13 @@
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# --jobs N forks its workers, and Python 3.12+ warns (an error here, see
+# pyproject.toml) when fork() runs beside a live thread: keep OpenBLAS from
+# starting threads when numpy loads, as partfuse's main does
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 from partfuse.taxonomy import ClassTaxonomy, validate_taxonomy

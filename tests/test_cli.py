@@ -1,10 +1,18 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism."""
 
+import concurrent.futures
+import concurrent.futures.process
+import concurrent.futures.thread
+import errno
+import functools
 import json
+import logging
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +20,10 @@ import pytest
 
 import partfuse
 
-from partfuse import formats
+from partfuse import cli, formats, fusion
 from partfuse.cli import main
 from partfuse.containers import InstanceProposal
-from partfuse.errors import FormatError
+from partfuse.errors import FormatError, ValidationError
 from partfuse.imaging import write_pnm
 from partfuse.params import STRATEGIES
 
@@ -932,7 +940,7 @@ def fuse_args(taxonomy_json, out, inputs, *flags):
     [(0, "corrupt", 2), (1, "corrupt", 2), (1, "missing", 3), (1, "missing-sem", 3)],
 )
 def test_fuse_failure_commits_same_tree_for_any_jobs(
-    tmp_path, taxonomy_json, broken, damage, failure
+    tmp_path, taxonomy_json, caplog, broken, damage, failure
 ):
     inputs = tmp_path / "in"
     inputs.mkdir()
@@ -945,17 +953,129 @@ def test_fuse_failure_commits_same_tree_for_any_jobs(
         (inputs / f"img{broken}{suffix}").unlink()
     for keep_going, code, kept in ((False, failure, range(broken)), (True, 0, (0, 1, 2))):
         flags = ["--keep-going"] if keep_going else []
-        trees = []
+        trees, logged = [], []
         for jobs in ("1", "2"):
             out = tmp_path / f"out_{keep_going}_{jobs}"
             argv = fuse_args(taxonomy_json, out, inputs, "--jobs", jobs, *flags)
+            caplog.clear()
             assert main(argv) == code
             assert not [p for p in out.iterdir() if not p.is_file()]  # no staging left
             trees.append(tree_bytes(out))
+            logged.append([(r.levelname, r.getMessage()) for r in caplog.records
+                           if r.levelno >= logging.WARNING])
         assert trees[0] == trees[1]
+        assert len(logged[0]) == 1 and logged[0] == logged[1]
         kinds = ("sem", "inst", "part")
         expected = {f"img{i}.{k}.pgm" for i in kept if i != broken for k in kinds}
         assert set(trees[0]) == expected
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="--jobs N forks its workers")
+
+
+def write_fuse_inputs(tmp_path, count):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(count):
+        write_fuse_sample(inputs, f"img{i}")
+    return inputs
+
+
+def test_jobs_1_runs_every_item_in_the_calling_thread(tmp_path, taxonomy_json, monkeypatch):
+    """No executor at --jobs 1, nor for a single item at --jobs 2: the
+    traced benchmark's one span stack needs every item in this thread."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an executor was created")
+
+    for module, name in ((concurrent.futures.process, "ProcessPoolExecutor"),
+                         (concurrent.futures.thread, "ThreadPoolExecutor"),
+                         (concurrent.futures, "ProcessPoolExecutor"),
+                         (concurrent.futures, "ThreadPoolExecutor")):
+        monkeypatch.setattr(module, name, refuse)
+    threads, fuse = [], fusion.fuse
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return fuse(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "fuse", spy)
+    inputs = write_fuse_inputs(tmp_path, 3)
+    assert main(fuse_args(taxonomy_json, tmp_path / "one", inputs, "--jobs", "1")) == 0
+    assert main(fuse_args(taxonomy_json, tmp_path / "two", inputs / "img0", "--jobs", "2")) == 0
+    assert threads == [threading.get_ident()] * 4
+
+
+class InlinePool:
+    """ProcessPoolExecutor's stand-in: records its worker count in
+    ``counts`` and runs each call at once, in this process."""
+
+    def __init__(self, counts, max_workers, mp_context, initializer, initargs):
+        counts.append(max_workers)
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@needs_fork
+def test_worker_count_is_jobs_capped_by_items(monkeypatch):
+    counts = []
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        functools.partial(InlinePool, counts))
+    monkeypatch.setattr(cli, "_adopted", None)
+    for jobs, n, pools in ((1, 5, []), (2, 5, [2]), (8, 3, [3]), (3, 3, [3]), (8, 1, []),
+                           (4, 0, [])):
+        counts.clear()
+        results, errors = cli._run_items(range(n), lambda item, stage: 10 * item, jobs)
+        assert (results, errors) == ([10 * i for i in range(n)], [])
+        assert counts == pools, (jobs, n)
+
+
+@needs_fork
+def test_worker_processes_return_results_and_errors_in_input_order():
+    def work(item, stage):
+        if item == 2:
+            raise ValidationError(f"item {item} is bad")
+        if item == 3:
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", f"/nowhere/{item}")
+        return item, os.getpid()
+
+    results, errors = cli._run_items(range(6), work, 2, keep_going=True)
+    assert [item for item, _ in results] == [0, 1, 4, 5]
+    workers = {pid for _, pid in results}
+    assert os.getpid() not in workers and len(workers) <= 2
+    assert [(type(e), str(e)) for e in errors] == [
+        (ValidationError, "item 2 is bad"),
+        (FileNotFoundError, "[Errno 2] No such file or directory: '/nowhere/3'"),
+    ]
+    with pytest.raises(ValidationError, match="^item 2 is bad$"):
+        cli._run_items(range(6), work, 2)
+
+
+@needs_fork
+@pytest.mark.parametrize("flags", [[], ["--keep-going"]], ids=["stop", "keep-going"])
+def test_a_dead_worker_is_one_logged_error_and_exit_2(tmp_path, taxonomy_json, caplog,
+                                                     monkeypatch, flags):
+    inputs = write_fuse_inputs(tmp_path, 3)
+    # the workers are forked from this process, so they inherit the patch
+    monkeypatch.setattr(fusion, "fuse", lambda *args, **kwargs: os._exit(1))
+    out = tmp_path / "out"
+    assert main(fuse_args(taxonomy_json, out, inputs, "--jobs", "2", *flags)) == 2
+    (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert record.levelname == "ERROR"
+    assert record.getMessage().startswith("a worker process died: ")
+    assert "\n" not in record.getMessage() and "Traceback" not in caplog.text
+    assert list(out.iterdir()) == []  # no .partfuse-stage-* directory left
 
 
 def test_fuse_failed_triple_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):

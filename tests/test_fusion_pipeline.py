@@ -16,6 +16,7 @@ from partfuse.fusion import (
     agreement_part_sem,
     agreement_sem_inst,
     fuse,
+    panoptic_fuse,
     part_wise_fuse,
     semantic_wise_fuse,
     tile_rows,
@@ -463,6 +464,18 @@ def test_fuse_rejects_more_instances_than_uint16_ids():
     stack = make_stack(np.zeros((2, h, w)), np.zeros((0, h, w)), (1, 4), (), proposals)
     with pytest.raises(ValidationError, match=f"at most {MAX_ID} instance"):
         fuse(stack, thing_stuff_taxonomy(), FusionParams(min_instance_area=1), "none")
+
+
+@pytest.mark.parametrize("class_id", [9, 4], ids=["unknown", "stuff"])
+def test_panoptic_fuse_rejects_proposals_that_are_not_things(class_id):
+    # fuse checks the stack's own proposals; a direct call is checked too,
+    # before a mask or logit is read
+    tax = thing_stuff_taxonomy()
+    stack = make_stack(np.zeros((2, 8, 8)), np.zeros((0, 8, 8)), (1, 4), ())
+    props = [footprint_proposal(1, 0.9, (8, 8), (slice(0, 4), slice(0, 4))),
+             footprint_proposal(class_id, 0.8, (8, 8), (slice(4, 8), slice(4, 8)))]
+    with pytest.raises(ValidationError, match=f"^proposal class {class_id} is not a thing class$"):
+        panoptic_fuse(stack, tax, props, FusionParams(min_instance_area=1), False)
 
 
 def test_single_part_taxonomy_structural_identity():
