@@ -182,16 +182,15 @@ def augment_flips(
 ) -> list[tuple[str, np.ndarray, LabelTriple]]:
     """The four flip variants: identity, 180-degree rotation, vertical
     flip, horizontal flip; labels transform exactly like pixels.  The
-    images are views of ``image``."""
+    images and label maps are views of ``image`` and ``triple``'s maps,
+    which the writers copy once, as they swap the byte order."""
     if image.shape[:2] != triple.shape:
         raise ValidationError("image and label dimensions disagree")
 
     def xform(op) -> tuple[np.ndarray, LabelTriple]:
         return (
             op(image),
-            LabelTriple.from_arrays(
-                op(triple.semantic_map), op(triple.instance_map), op(triple.part_map)
-            ),
+            LabelTriple(*map(op, triple.maps)),
         )
 
     variants = [

@@ -181,10 +181,6 @@ def label_parts(
     return replace(labeled, part_id=part)
 
 
-# (pixel, neighbour) pairs handled per block (k + 1 when k is larger)
-_BLOCK = 1 << 14
-
-
 def project_labels(
     labeled: LabeledPointCloud,
     camera: CameraModel,
@@ -227,9 +223,10 @@ def project_labels(
     votes = votes.astype(np.uint16)
 
     coords = np.stack([proj.u[idx], proj.v[idx]], axis=1)
+    del proj  # its arrays, about 50 bytes a point, go before the vote
     tree = cKDTree(coords)
     k = min(config.knn_k, idx.size)
-    step = max(1, _BLOCK // (k + 1))
+    step = max(1, pointcloud.PAIR_BLOCK // (k + 1))  # (pixel, neighbour) pairs, k + 1 at least
     for start in range(0, maps.shape[1], step):
         pixels = np.arange(start, min(start + step, maps.shape[1]))
         rows, cols = np.divmod(pixels, camera.width)

@@ -275,9 +275,9 @@ def cmd_eval(args, cfg: RunConfig) -> None:
             gt_error = exc
 
         def score(pred_dir: Path):
-            # each prediction's triple is dropped on return, before the
-            # next one is read
-            pred = formats.read_label_triple(pred_dir / stem)
+            # read in row tiles by validate and again by match_segments; its
+            # files are closed on return, before the next one is opened
+            pred = formats.open_label_triple(pred_dir / stem)
             if gt_error is not None:
                 return gt_error
             pred.validate(taxonomy)

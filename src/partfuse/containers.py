@@ -35,6 +35,14 @@ def row_tiles(shape: tuple[int, int]) -> list[slice]:
     return [slice(top, min(top + step, height)) for top in range(0, max(height, 1), step)]
 
 
+def read_rows(tensor, rows: slice, channel: int | None = None) -> np.ndarray:
+    """``tensor[..., rows, :]``, or ``tensor[channel, rows, :]``: a view of
+    an in-memory array, or a new array read from a formats file handle."""
+    if isinstance(tensor, np.ndarray):
+        return tensor[..., rows, :] if channel is None else tensor[channel, rows, :]
+    return tensor.read(rows, channel)
+
+
 def merge_histograms(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and the summed ``counts`` of each: the
     per-tile histograms of one quantity, concatenated, merged into one."""
@@ -43,25 +51,25 @@ def merge_histograms(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _freeze(arr):
-    if isinstance(arr, np.ndarray):  # a formats.read_tensor handle has no write path
+    if isinstance(arr, np.ndarray):  # a formats file handle has no write path
         arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class LabelTriple:
-    """Per-pixel (semantic, instance, part) label maps of one image."""
+    """Per-pixel (semantic, instance, part) label maps of one image, each
+    a uint16 array or a formats.open_pgm16 handle, read through read_rows."""
 
     semantic_map: np.ndarray
     instance_map: np.ndarray
     part_map: np.ndarray
 
     def __post_init__(self):
-        maps = (self.semantic_map, self.instance_map, self.part_map)
-        shapes = {m.shape for m in maps}
-        if len(shapes) != 1 or maps[0].ndim != 2:
+        shapes = {m.shape for m in self.maps}
+        if len(shapes) != 1 or self.semantic_map.ndim != 2:
             raise ValidationError(f"label maps must share one 2-D shape, got {shapes}")
-        for name, m in zip(("semantic", "instance", "part"), maps):
+        for name, m in zip(("semantic", "instance", "part"), self.maps):
             if m.dtype != LABEL_DTYPE:
                 raise ValidationError(f"{name} map must be uint16, got {m.dtype}")
             _freeze(m)
@@ -69,6 +77,10 @@ class LabelTriple:
     @property
     def shape(self) -> tuple[int, int]:
         return self.semantic_map.shape
+
+    @property
+    def maps(self) -> tuple:
+        return self.semantic_map, self.instance_map, self.part_map
 
     def validate(self, taxonomy: ClassTaxonomy) -> None:
         """Check domain invariants on loaded data (not assumed by readers).
@@ -88,9 +100,9 @@ class LabelTriple:
         spans = np.zeros(MAX_ID + 1, dtype=bool)
         on_non_thing = False
         for rows in row_tiles(self.shape):
-            sem, inst = self.semantic_map[rows], self.instance_map[rows]
+            sem, inst = read_rows(self.semantic_map, rows), read_rows(self.instance_map, rows)
             semantic_seen[sem] = True
-            part_seen[self.part_map[rows]] = True
+            part_seen[read_rows(self.part_map, rows)] = True
             nonzero = inst != 0
             if not nonzero.any():
                 continue
@@ -266,8 +278,7 @@ def derive_segments(triple: LabelTriple, taxonomy: ClassTaxonomy) -> list[Panopt
     tile's key histogram is collected, and the histograms are merged once.
     """
     tiles = [
-        np.unique(segment_keys(triple.semantic_map[rows], triple.instance_map[rows]),
-                  return_counts=True)
+        np.unique(segment_keys(*(read_rows(m, rows) for m in triple.maps[:2])), return_counts=True)
         for rows in row_tiles(triple.shape)
     ]
     keys, counts = merge_histograms(*map(np.concatenate, zip(*tiles)))

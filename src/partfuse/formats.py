@@ -14,9 +14,10 @@ positioned reads when they are needed.  Nothing is mapped or held, and
 a file that shrinks after it was opened fails the read with FormatError.
 
 Label triples are stored as three 16-bit PGMs sharing one stem:
-``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.  A fuse
-sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1`` and
-``<stem>.proposals.json``.
+``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.
+open_pgm16, the PGM row reader, returns a TensorFile of a label map in
+the same way.  A fuse sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1``
+and ``<stem>.proposals.json``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import containers
 from .containers import InstanceProposal, LabelTriple
 from .errors import FormatError, ValidationError
-from .imaging import read_pgm16, write_pgm16
+from .imaging import read_pgm16_header, write_pgm16
 from .jsonio import decode, read_json
 from .taxonomy import ClassTaxonomy
 
@@ -44,28 +45,37 @@ _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
 
 
 class TensorFile:
-    """A PPT1 tensor whose header has been checked: its ``path``, the
-    ``shape``, ``ndim`` and ``dtype`` of its payload, and the open file
-    the payload is read from, until the handle is garbage-collected or
-    closed.
+    """A PPT1 tensor or PGM label map whose header has been checked: its
+    ``path``, the ``shape``, ``ndim`` and native ``dtype`` of its payload
+    (``stored`` in the file, in either byte order), and the open file the
+    payload is read from, until the handle is garbage-collected or closed.
     """
 
-    def __init__(self, path: Path, file, dtype: np.dtype, shape: tuple[int, ...], offset: int):
+    def __init__(self, path: Path, file, stored: np.dtype, shape: tuple[int, ...], offset: int):
+        if os.fstat(file.fileno()).st_size - offset < math.prod(shape) * stored.itemsize:
+            raise FormatError(f"{path}: truncated payload")
         self.path, self._file, self._offset = path, file, offset
-        self.dtype, self.shape, self.ndim = dtype, shape, len(shape)
+        self.dtype, self.shape, self.ndim = stored.newbyteorder("="), shape, len(shape)
+        self._stored = stored
         self.close = weakref.finalize(self, file.close)
 
-    def read(self, rows: slice = slice(None)) -> np.ndarray:
-        """A new array of ``tensor[..., rows, :]``: ``rows`` is a slice of
-        step 1 of the second-to-last axis, and a tensor of rank below 2 is
-        read whole.  A file that has shrunk since it was opened raises
-        FormatError.
+    def read(self, rows: slice = slice(None), channel: int | None = None) -> np.ndarray:
+        """A new array of ``tensor[..., rows, :]``, or of ``tensor[channel,
+        rows, :]`` of a rank-3 tensor: ``rows`` is a slice of step 1 of the
+        second-to-last axis, and a tensor of rank below 2 is read whole.  A
+        file that has shrunk since it was opened raises FormatError.
         """
         *planes, h, w = (1, 1) + self.shape
         top, bottom, _ = rows.indices(h)
-        out = np.empty((math.prod(planes), max(bottom - top, 0), w), self.dtype)
-        for k, plane in enumerate(out):
+        first, count = (0, math.prod(planes)) if channel is None else (channel, 1)
+        out = np.empty((count, max(bottom - top, 0), w), self.dtype)
+        for k, plane in enumerate(out, first):
             self._fill(plane, (k * h + top) * w)
+        if self._stored != self.dtype:  # swap in place: a 1-D cast onto itself
+            flat = out.reshape(-1)
+            np.copyto(flat, flat.view(self._stored))
+        if channel is not None:
+            return out[0]
         return out.reshape(self.shape[:-2] + out.shape[1:] if self.ndim > 1 else self.shape)
 
     def _fill(self, out: np.ndarray, element: int) -> None:
@@ -77,6 +87,18 @@ class TensorFile:
             if not n:
                 raise FormatError(f"{self.path}: truncated payload")
             view = view[n:]
+
+
+def open_pgm16(path: str | Path) -> TensorFile:
+    """Open a 16-bit PGM label map and check its header against its
+    length; the samples are read later, through the returned handle."""
+    path = Path(path)
+    fh = open(path, "rb", buffering=0)
+    try:
+        return TensorFile(path, fh, np.dtype(">u2"), read_pgm16_header(fh, path), fh.tell())
+    except BaseException:
+        fh.close()
+        raise
 
 
 def read_tensor(path: str | Path) -> TensorFile:
@@ -106,16 +128,12 @@ def read_tensor(path: str | Path) -> TensorFile:
         if count > _MAX_ELEMENTS:
             raise FormatError(f"{path}: dimension product overflow ({count} elements)")
         dtype = _DTYPES[code]
-        expected = count * dtype.itemsize
-        payload = size - dims_end
-        if payload < expected:
-            raise FormatError(f"{path}: truncated payload")
-        if payload > expected:
+        if size - dims_end > count * dtype.itemsize:
             raise FormatError(f"{path}: trailing bytes after payload")
+        return TensorFile(path, fh, dtype, dims, dims_end)
     except BaseException:
         fh.close()
         raise
-    return TensorFile(path, fh, dtype, dims, dims_end)
 
 
 TRIPLE_SUFFIXES = (".sem.pgm", ".inst.pgm", ".part.pgm")
@@ -167,13 +185,14 @@ def read_sample(stem: Path, taxonomy: ClassTaxonomy) -> containers.LogitStack:
     )
 
 
-def read_label_triple(stem: str | Path) -> LabelTriple:
-    """Read ``<stem>.{sem,inst,part}.pgm`` into a LabelTriple."""
+def open_label_triple(stem: str | Path) -> LabelTriple:
+    """Open ``<stem>.{sem,inst,part}.pgm`` as a LabelTriple of open_pgm16
+    handles, whose rows are read when they are needed."""
     sem_p, inst_p, part_p = triple_paths(stem)
     for p in (sem_p, inst_p, part_p):
         if not p.exists():
             raise FormatError(f"missing label map file {p}")
-    sem, inst, part = read_pgm16(sem_p), read_pgm16(inst_p), read_pgm16(part_p)
+    sem, inst, part = open_pgm16(sem_p), open_pgm16(inst_p), open_pgm16(part_p)
     if not (sem.shape == inst.shape == part.shape):
         raise ValidationError(
             f"label triple {stem}: dimension mismatch "
@@ -182,11 +201,14 @@ def read_label_triple(stem: str | Path) -> LabelTriple:
     return LabelTriple(sem, inst, part)
 
 
+def read_label_triple(stem: str | Path) -> LabelTriple:
+    """Read ``<stem>.{sem,inst,part}.pgm`` whole into a LabelTriple."""
+    return LabelTriple(*(m.read() for m in open_label_triple(stem).maps))
+
+
 def write_label_triple(triple: LabelTriple, stem: str | Path) -> None:
-    sem_p, inst_p, part_p = triple_paths(stem)
-    write_pgm16(triple.semantic_map, sem_p)
-    write_pgm16(triple.instance_map, inst_p)
-    write_pgm16(triple.part_map, part_p)
+    for grid, path in zip(triple.maps, triple_paths(stem)):
+        write_pgm16(grid, path)
 
 
 @dataclass(frozen=True)

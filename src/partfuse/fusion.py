@@ -21,12 +21,12 @@ is the part map.  Three baseline strategies ("none", "consensus",
 keeping them, voiding everything, or voiding only the part label.
 
 A frame is fused in one pass (panoptic_fuse) that reads every mask and
-then every row tile of the logits once, and holds one tile at a time.
-A tile is held as one row of its pixels per class and part id, and
-semantic_wise_fuse and part_wise_fuse work on such rows.  A stack opened
-by formats.read_tensor is read from its files; an in-memory stack is
-read as views, or copied where a tile is not one strided run.  Tiling
-changes no result.
+then every row tile of the logits once, one channel's row at a time:
+the part rows, folded as they come, then the stuff rows, then the thing
+rows.  A tile keeps only its parents' semantic rows and each class's
+running maximum of its part rows.  A stack opened by formats.read_tensor
+is read from its files; an in-memory stack is read as views, or copied
+where a row is not one strided run.  Tiling changes no result.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .containers import (LABEL_DTYPE, TILE_PIXELS, LabelTriple, check_proposal_classes, row_tiles,
-                         tile_rows)
+from .containers import (LABEL_DTYPE, TILE_PIXELS, LabelTriple, check_proposal_classes, read_rows,
+                         row_tiles, tile_rows)
 from .errors import ValidationError
 from .params import STRATEGIES, FusionParams
 from .taxonomy import MAX_ID, ClassTaxonomy
@@ -99,48 +99,36 @@ def semantic_wise_fuse(semantic: np.ndarray, parts) -> np.ndarray:
     return agreement_part_sem(functools.reduce(np.maximum, parts), semantic)
 
 
-def part_wise_fuse(semantic: dict, parts: dict, taxonomy: ClassTaxonomy) -> np.ndarray:
+def part_wise_fuse(semantic: dict, parts, taxonomy: ClassTaxonomy) -> np.ndarray:
     """Part labels of part-wise fusion.
 
-    ``semantic`` and ``parts`` map each semantic class and each part to
-    its logits at the same pixels; ``parts`` is not empty.  Each part's
-    logits are fused with its parent's semantic logits through
-    agreement_part_sem, and the label is the per-pixel argmax of those
-    enhanced part logits, ties broken by the lowest part id.  Every
-    parent's semantic logits are cast to float64 and rescaled once and
-    kept until its last part, and each part is fused and folded into a
-    running argmax in part-id order.  Parts are labelled everywhere;
-    consumers decide whether to suppress them on partless regions.  The
-    input is not checked, as fuse checks it first.
+    ``semantic`` maps each semantic class to its logits, and ``parts``
+    yields (part id, logits) pairs at the same pixels in ascending part id
+    order.  Each part's logits are fused with its parent's semantic logits
+    through agreement_part_sem, and the label is the per-pixel argmax of
+    those enhanced part logits, ties broken by the lowest part id.  Each
+    part is fused and folded into a running argmax as it comes, and a
+    parent's semantic logits are cast to float64 and rescaled once for
+    each run of its parts.  Parts are labelled everywhere; consumers
+    decide whether to suppress them on partless regions.  The input is
+    not checked, as fuse checks it first.
     """
-    order = [(part_id, taxonomy.parent_of(part_id)) for part_id in sorted(parts)]
-    last_use = {parent: k for k, (_, parent) in enumerate(order)}
-    parents = {}  # parent class -> (float64 logits, rescaled sigmoid)
 
     def channels():
-        for k, (part_id, parent) in enumerate(order):
-            if parent not in parents:
+        parent = sem = sem_rescaled = None
+        for part_id, logits in parts:
+            if taxonomy.parent_of(part_id) != parent:
+                parent = taxonomy.parent_of(part_id)
                 sem = semantic[parent].astype(np.float64)
-                parents[parent] = sem, sigmoid_rescaled(sem)
-            sem, sem_rescaled = parents[parent]
-            if last_use[parent] == k:
-                del parents[parent]
-            part = parts[part_id].astype(np.float64)
+                sem_rescaled = sigmoid_rescaled(sem)
+            part = logits.astype(np.float64)
             # agreement_part_sem(part, sem), sharing the parent's term
             scores = sigmoid_rescaled(part)
             scores += sem_rescaled
             scores *= part + sem
             yield part_id, scores
 
-    return _argmax(channels(), next(iter(parts.values())).shape)
-
-
-def _read(tensor, rows: slice) -> np.ndarray:
-    """``tensor[..., rows, :]``: a view of an in-memory array, or a new array
-    read from a formats.read_tensor file."""
-    if isinstance(tensor, np.ndarray):
-        return tensor[..., rows, :]
-    return tensor.read(rows)
+    return _argmax(channels(), next(iter(semantic.values())).shape)
 
 
 def _finite(values: np.ndarray) -> bool:
@@ -203,14 +191,14 @@ def panoptic_fuse(
     least ``overlap_discard_ratio`` of its own area, and overlapped pixels
     are removed from the later proposal.  The disjoint footprints are held
     in the instance map as acceptance indices.  Then each row tile of the
-    logits is read and checked, and feeds the part argmax and the stuff
-    argmax.  Each accepted instance competes on its own pixels in the
-    tile with the stuff winner, scored by agreement_sem_inst of its mask
-    logits and its class's semantic score: the higher score wins, ties to
-    the lower class id, and the pixels it loses are cleared.  Instances
-    left with fewer than ``min_instance_area`` pixels are removed, their
-    pixels going to the stuff winner, and the rest are numbered in
-    acceptance order.
+    logits is read and checked channel by channel: the part rows feed the
+    part argmax, the stuff rows the stuff argmax, and each accepted
+    instance competes on its own pixels in the tile with the stuff winner,
+    scored by agreement_sem_inst of its mask logits and its class's
+    semantic score: the higher score wins, ties to the lower class id, and
+    the pixels it loses are cleared.  Instances left with fewer than
+    ``min_instance_area`` pixels are removed, their pixels going to the
+    stuff winner, and the rest are numbered in acceptance order.
     """
     # perfbench/spans.py binds ``proposals`` and ``params`` by name and reads
     # the instance map as ``result[1]``; each of its TARGETS (fuse, the three
@@ -222,41 +210,61 @@ def panoptic_fuse(
     accepted = _accept_proposals(proposals, params, inst_map)
     areas = np.zeros(len(accepted) + 1, dtype=np.int64)  # by acceptance index
     unscored = [None, *(a[1] for a in accepted)]  # mask logits of the pixels not yet scored
-    # the parts whose evidence semantic-wise fusion folds into each class
-    part_ids = {c: [p.id for p in taxonomy.parts_of(c) if enhance] for c in taxonomy.semantic_ids}
+    channel_of = {c: i for i, c in enumerate(stack.semantic_channel_ids)}  # semantic channels
+    part_order = sorted((p, i) for i, p in enumerate(stack.part_channel_ids))
+    # the classes whose semantic rows part-wise fusion reads
+    parents = sorted({taxonomy.parent_of(p) for p, _ in part_order}) if enhance else []
     stuff_ids = sorted(c for c in taxonomy.semantic_ids if not taxonomy.is_thing(c))
+    thing_ids = sorted(c for c in taxonomy.semantic_ids if taxonomy.is_thing(c))
+    instances = {c: [k for k, a in enumerate(accepted, 1) if a[0] == c] for c in thing_ids}
     sem_map = np.empty(h * w, dtype=LABEL_DTYPE)
     part_map = np.empty(h * w, dtype=LABEL_DTYPE)
     best = np.empty(tile_rows(w) * w)  # the stuff winner's score at each pixel of a tile
     for rows in row_tiles((h, w)):
         pixels = slice(rows.start * w, rows.stop * w)
         size = pixels.stop - pixels.start
-        semantic = _tile(stack.semantic_logits, stack.semantic_channel_ids, rows, size)
-        parts = _tile(stack.part_logits, stack.part_channel_ids, rows, size)
+        read = functools.partial(_channel, rows=rows, size=size)
+        # the parents' semantic rows, each kept until its class is scored
+        semantic = {c: read(stack.semantic_logits, channel_of[c]) for c in parents}
+        part_max = {}  # by class: (the running maximum of its part rows,)
+
+        def semantic_row(c):  # a parent's row, given up now, or a new one
+            return semantic.pop(c) if c in semantic else read(stack.semantic_logits, channel_of[c])
+
+        def part_rows():
+            for part_id, index in part_order:
+                row = read(stack.part_logits, index)
+                if enhance:
+                    c = taxonomy.parent_of(part_id)
+                    part_max[c] = (np.maximum(part_max[c][0], row),) if c in part_max else (row,)
+                yield part_id, row
+
         if enhance:
-            part_map[pixels] = part_wise_fuse(semantic, parts, taxonomy)
+            part_map[pixels] = part_wise_fuse(semantic, part_rows(), taxonomy)
         else:
-            part_map[pixels] = _argmax(sorted(parts.items()), size)
+            part_map[pixels] = _argmax(part_rows(), size)
         stuff_scores = (
-            (c, semantic_wise_fuse(semantic[c], [parts[p] for p in part_ids[c]])) for c in stuff_ids
+            (c, semantic_wise_fuse(semantic_row(c), part_max.pop(c, ()))) for c in stuff_ids
         )
         stuff = _argmax(stuff_scores, size, best[:size])
         sem_map[pixels] = stuff
         claimed = inst_map[pixels]
-        for k, (class_id, _, (first, last)) in enumerate(accepted, 1):
-            if first >= pixels.stop or last < pixels.start:
-                continue
-            index = np.flatnonzero(claimed == k)
-            logits, unscored[k] = unscored[k][: index.size], unscored[k][index.size :]
-            scores = semantic_wise_fuse(
-                semantic[class_id][index], [parts[p][index] for p in part_ids[class_id]]
-            )
-            fused = agreement_sem_inst(logits, scores)
-            here = best[index]
-            wins = (fused > here) | ((fused == here) & (class_id < stuff[index]))
-            claimed[index[~wins]] = 0
-            areas[k] += np.count_nonzero(wins)
-        del semantic, parts  # one tile at a time: this one goes before the next is read
+        for c in thing_ids:
+            # read and checked even where no instance of the class lies
+            sem, maximum = semantic_row(c), part_max.pop(c, ())
+            for k in instances[c]:
+                first, last = accepted[k - 1][2]
+                if first >= pixels.stop or last < pixels.start:
+                    continue
+                index = np.flatnonzero(claimed == k)
+                logits, unscored[k] = unscored[k][: index.size], unscored[k][index.size :]
+                scores = semantic_wise_fuse(sem[index], [m[index] for m in maximum])
+                fused = agreement_sem_inst(logits, scores)
+                here = best[index]
+                wins = (fused > here) | ((fused == here) & (c < stuff[index]))
+                claimed[index[~wins]] = 0
+                areas[k] += np.count_nonzero(wins)
+            del sem, maximum  # each row goes before the next is read
 
     kept = areas >= max(params.min_instance_area, 1)
     numbers = (np.cumsum(kept) * kept).astype(LABEL_DTYPE)
@@ -268,13 +276,13 @@ def panoptic_fuse(
     return sem_map, inst_map, part_map
 
 
-def _tile(tensor, channel_ids, rows: slice, size: int) -> dict:
-    """Each channel id's logits in row tile ``rows`` of ``tensor``, a row of
-    ``size`` pixels; a non-finite value raises ValidationError."""
-    values = _read(tensor, rows)
+def _channel(tensor, index: int, rows: slice, size: int) -> np.ndarray:
+    """Channel ``index``'s logits in row tile ``rows`` of ``tensor``, a row
+    of ``size`` pixels; a non-finite value raises ValidationError."""
+    values = read_rows(tensor, rows, index).reshape(size)
     if not _finite(values):
         raise ValidationError("logit tensor contains non-finite values")
-    return dict(zip(channel_ids, values.reshape(len(channel_ids), size)))
+    return values
 
 
 def _accept_proposals(proposals, params: FusionParams, inst_map: np.ndarray) -> list:
@@ -289,7 +297,7 @@ def _accept_proposals(proposals, params: FusionParams, inst_map: np.ndarray) -> 
     accepted = []
     for idx in order:
         prop = proposals[idx]
-        mask = _read(prop.mask_logits, slice(None)).reshape(-1)
+        mask = read_rows(prop.mask_logits, slice(None)).reshape(-1)
         if not _finite(mask):
             raise ValidationError("proposal mask logits contain non-finite values")
         if prop.confidence >= params.confidence_min:

@@ -151,19 +151,15 @@ def write_pnm(image: np.ndarray, path: str | Path) -> None:
     _write_raster(image, path, magic, np.uint8)
 
 
-def read_pgm16(path: str | Path) -> np.ndarray:
-    """Read a 16-bit binary PGM (maxval 65535, MSB first) as a new (H, W) uint16 array."""
-    path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        magic, width, height, maxval = _read_header(fh, path)
-        if magic != b"P5":
-            raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
-        if maxval != 65535:
-            raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
-        grid = _raster(fh, (height, width), np.uint16, path)
-    if np.little_endian:
-        grid.byteswap(inplace=True)
-    return grid
+def read_pgm16_header(fh, path: Path) -> tuple[int, int]:
+    """The (height, width) of the 16-bit binary PGM (maxval 65535, MSB
+    first) open, unbuffered, in ``fh``, which is left at the first sample."""
+    magic, width, height, maxval = _read_header(fh, path)
+    if magic != b"P5":
+        raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
+    if maxval != 65535:
+        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
+    return height, width
 
 
 def write_pgm16(grid: np.ndarray, path: str | Path) -> None:

@@ -121,17 +121,18 @@ def match_segments(
     with_parts[[c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]] = True
     tiles = []  # per tile: pairs, their counts, cell pairs, cell parts, cell counts
     for rows in containers.row_tiles(gt.shape):
-        gt_sem, pred_sem = gt.semantic_map[rows], pred.semantic_map[rows]
-        pixel_pairs = containers.segment_keys(gt_sem, gt.instance_map[rows]).astype(np.uint64)
+        gt_sem, gt_inst, gt_part, pred_sem, pred_inst, pred_part = (
+            containers.read_rows(m, rows) for m in gt.maps + pred.maps)
+        pixel_pairs = containers.segment_keys(gt_sem, gt_inst).astype(np.uint64)
         pixel_pairs <<= np.uint64(32)
-        pixel_pairs |= containers.segment_keys(pred_sem, pred.instance_map[rows])
+        pixel_pairs |= containers.segment_keys(pred_sem, pred_inst)
         pairs, pair_counts = np.unique(pixel_pairs, return_counts=True)
         # the pixels where either side's class has parts: the only pixels
         # a matched pair of such a class can cover
         where = (with_parts[gt_sem] | with_parts[pred_sem]).ravel()
         cells = np.searchsorted(pairs, pixel_pairs[where]).astype(np.uint64) << np.uint64(32)
-        cells |= gt.part_map[rows].ravel()[where].astype(np.uint64) << np.uint64(16)
-        cells |= pred.part_map[rows].ravel()[where]
+        cells |= gt_part.ravel()[where].astype(np.uint64) << np.uint64(16)
+        cells |= pred_part.ravel()[where]
         cells, cell_counts = np.unique(cells, return_counts=True)
         tiles.append((pairs, pair_counts, pairs[cells >> np.uint64(32)],
                       cells & np.uint64(0xFFFFFFFF), cell_counts))

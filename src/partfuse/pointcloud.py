@@ -339,6 +339,9 @@ def _least_squares_plane(points: np.ndarray) -> Plane:
     return Plane(normal=normal, offset=float(normal @ centroid))
 
 
+PAIR_BLOCK = 1 << 14  # pairs that euclidean_clusters and project_labels handle at once
+
+
 def euclidean_clusters(
     points: np.ndarray, radius: float = 0.01, min_points: int = 30
 ) -> np.ndarray:
@@ -357,12 +360,15 @@ def euclidean_clusters(
         return np.zeros(0, dtype=np.int64)
     n = pts.shape[0]
     # widen the query past rounding, then decide each edge on the exact d2
+    # in blocks of pairs, so that no float64 temporary grows with their count
     pairs = cKDTree(pts).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
-    diff = pts[pairs[:, 1]] - pts[pairs[:, 0]]
-    pairs = pairs[np.einsum("ij,ij->i", diff, diff) <= radius * radius]
-    graph = coo_matrix(
-        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
+    near = np.empty(len(pairs), dtype=bool)
+    for lo in range(0, len(pairs), PAIR_BLOCK):
+        diff = pts[pairs[lo : lo + PAIR_BLOCK, 1]] - pts[pairs[lo : lo + PAIR_BLOCK, 0]]
+        near[lo : lo + PAIR_BLOCK] = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+    i, j = (pairs[near, end].astype(np.int32) for end in (0, 1))
+    del pairs
+    graph = coo_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
     # csgraph numbers components in order of their lowest point index
     _, comp = connected_components(graph, directed=False)
     kept = np.bincount(comp) >= min_points

@@ -115,7 +115,7 @@ def test_criterion_2_structural_identity():
             )
             enhanced_part = agreement_part_sem(stack.part_logits, stack.semantic_logits)
             assert np.array_equal(enhanced_sem, enhanced_part)  # exact
-            part_map = part_wise_fuse(semantic, parts, tax)
+            part_map = part_wise_fuse(semantic, sorted(parts.items()), tax)
             assert np.array_equal(part_map, np.array([11, 12, 13])[enhanced_sem.argmax(axis=0)])
 
 

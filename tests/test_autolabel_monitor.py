@@ -291,6 +291,20 @@ def test_flip_suffixes_and_count():
     assert [s for s, _, _ in variants] == ["_id", "_rot180", "_vflip", "_hflip"]
 
 
+def test_flips_share_memory_with_their_input():
+    # the writers copy each map once, as they swap its byte order; the
+    # flips themselves copy nothing
+    image, triple = sample_pair()
+    for suffix, img, trip in augment_flips(image, triple):
+        assert np.shares_memory(img, image), suffix
+        for flipped, source in zip(
+            (trip.semantic_map, trip.instance_map, trip.part_map),
+            (triple.semantic_map, triple.instance_map, triple.part_map),
+        ):
+            assert np.shares_memory(flipped, source), suffix
+            assert not flipped.flags.writeable, suffix
+
+
 def test_vflip_is_involution():
     image, triple = sample_pair()
     _, v_img, v_trip = augment_flips(image, triple)[2]

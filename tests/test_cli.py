@@ -22,7 +22,7 @@ import partfuse
 
 from partfuse import cli, formats, fusion
 from partfuse.cli import main
-from partfuse.containers import InstanceProposal
+from partfuse.containers import InstanceProposal, tile_rows
 from partfuse.errors import FormatError, ValidationError
 from partfuse.imaging import write_pnm
 from partfuse.params import STRATEGIES
@@ -409,6 +409,27 @@ def test_eval_errors_resolve_in_directory_order(tmp_path, taxonomy_json):
     assert eval_three(taxonomy_json, gt_dir, [preds[1]]) == 2
     formats.write_label_triple(triple, gt_dir / "a")
     assert eval_three(taxonomy_json, gt_dir, [preds[0], preds[1]]) == 2
+
+
+@pytest.mark.parametrize("kind", [0, 2], ids=["sem", "part"])
+def test_eval_of_a_prediction_that_shrinks_after_it_was_opened(tmp_path, taxonomy_json,
+                                                               monkeypatch, caplog, kind):
+    # a prediction is read in row tiles from the files it opened: one that
+    # shrinks in between is a FormatError (exit 2), not a short read
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    opened = formats.open_label_triple
+
+    def open_then_truncate(stem):
+        triple = opened(stem)
+        if Path(stem).parent == pred_dir:
+            path = formats.triple_paths(stem)[kind]
+            os.truncate(path, path.stat().st_size - 3)
+        return triple
+
+    monkeypatch.setattr(formats, "open_label_triple", open_then_truncate)
+    args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), str(pred_dir)]
+    assert main(args) == 2
+    assert f"{formats.triple_paths(pred_dir / 'a')[kind]}: truncated" in caplog.text
 
 
 def test_report_renders_tsv(tmp_path, taxonomy_json, capsys):
@@ -1258,6 +1279,41 @@ def test_fuse_reports_a_nonfinite_mask_before_a_nonfinite_logit(tmp_path, taxono
         assert "proposal mask logits contain non-finite values" in caplog.text, logit
         assert "logit tensor contains" not in caplog.text, logit
         assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("channel", [BAG, BOTTLE], ids=["parent", "thing"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fuse_rejects_a_nonfinite_thing_logit_in_a_tile_without_its_instances(
+        tmp_path, taxonomy_json, caplog, strategy, channel):
+    # a bag and a bottle instance in the first row tile, a NaN in the last
+    # tile of one of their channels: every tile of every channel is checked
+    h, w = 3 * tile_rows(1024), 1024
+    sem = np.zeros((4, h, w), dtype=np.float32)  # channels follow the ids 1..4
+    sem[TABLE - 1] = 1.0
+    part = np.zeros((3, h, w), dtype=np.float32)
+    proposals = []
+    for k, class_id in enumerate((BAG, BOTTLE)):
+        mask = np.full((h, w), -8.0, dtype=np.float32)
+        mask[:4, 100 * k : 100 * k + 50] = 4.0
+        sem[class_id - 1, :4, 100 * k : 100 * k + 50] = 4.0
+        proposals.append(InstanceProposal(class_id, 0.9, mask))
+    for value in (None, np.nan):
+        inputs, out = tmp_path / f"in_{value}", tmp_path / f"out_{value}"
+        inputs.mkdir()
+        if value is not None:
+            sem[channel - 1, h - 1, w - 1] = value
+        write_tensor(sem, inputs / "b.sem.ppt1")
+        write_tensor(part, inputs / "b.part.ppt1")
+        write_proposals(proposals, inputs / "b.proposals.json", "b_p{}.ppt1")
+        caplog.clear()
+        code = main(fuse_args(taxonomy_json, out, inputs, "--strategy", strategy))
+        if value is None:  # both instances survive, but consensus voids the
+            assert code == 0  # bottle, whose pixels carry a bag part
+            instances = np.unique(formats.read_label_triple(out / "b").instance_map).tolist()
+            assert instances == ([0, 1] if strategy == "consensus" else [0, 1, 2])
+    assert code == 3
+    assert "logit tensor contains non-finite values" in caplog.text
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def write_many_proposals(directory, name, count, seed):

@@ -1,6 +1,6 @@
 """Peak memory of ``eval`` in a fresh interpreter: scoring a stem holds its
-two label triples and tile-sized temporaries, not frame-sized key
-arrays."""
+ground-truth triple, tiles of one prediction and tile-sized temporaries,
+not frame-sized key arrays."""
 
 from pathlib import Path
 
@@ -52,7 +52,8 @@ def test_eval_peak_grows_by_a_few_triples(tmp_path, taxonomy_json):
         args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt), *map(str, preds)]
         peaks[name] = peak_kb(args) * 1024
     triple = 3 * 512 * 1024 * np.dtype(np.uint16).itemsize
-    # measured 6.4-6.7 MB on x86-64 Linux (7.5-8.1 MB while label maps were read
-    # through a bytes copy); 2.75 triples, 8.25 MB, leave 1.5 MB
+    # measured 3.2-3.3 MB on x86-64 Linux since predictions are read in row
+    # tiles (6.4-6.5 MB while each was read whole, 7.5-8.1 MB while label maps
+    # were read through a bytes copy); 1.6 triples, 4.8 MB, leave 1.5 MB
     growth = peaks["frame"] - peaks["row"]
-    assert growth < 2.75 * triple, f"{growth / 2**20:.1f} MB above one row, {triple >> 20} MB triples"
+    assert growth < 1.6 * triple, f"{growth / 2**20:.1f} MB above one row, {triple >> 20} MB triples"

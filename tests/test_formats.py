@@ -233,12 +233,38 @@ def test_triple_missing_file(tmp_path):
 
 
 def test_pgm16_wrong_maxval(tmp_path):
-    from partfuse.imaging import read_pgm16
+    from partfuse.formats import open_pgm16
 
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
     with pytest.raises(FormatError, match="maxval"):
-        read_pgm16(path)
+        open_pgm16(path)
+
+
+def test_pgm16_rows_read_in_place(tmp_path):
+    from partfuse.formats import open_pgm16
+    from partfuse.imaging import write_pgm16
+
+    grid = np.arange(7 * 5, dtype=np.uint16).reshape(7, 5) * 1000
+    write_pgm16(grid, tmp_path / "m.pgm")
+    handle = open_pgm16(tmp_path / "m.pgm")
+    assert (handle.shape, handle.ndim, handle.dtype) == ((7, 5), 2, np.uint16)
+    for rows in (slice(None), slice(1, 4), slice(4, 9), slice(2, 2)):
+        back = handle.read(rows)
+        assert back.dtype == np.uint16 and np.array_equal(back, grid[rows])
+
+
+def test_pgm16_that_shrinks_after_it_was_opened(tmp_path):
+    from partfuse.formats import open_pgm16
+    from partfuse.imaging import write_pgm16
+
+    path = tmp_path / "m.pgm"
+    write_pgm16(np.ones((4, 4), dtype=np.uint16), path)
+    handle = open_pgm16(path)
+    assert handle.read(slice(0, 2)).tolist() == [[1] * 4] * 2
+    os.truncate(path, path.stat().st_size - 1)
+    with pytest.raises(FormatError, match="truncated"):
+        handle.read(slice(2, 4))
 
 
 def test_proposal_sidecar_round_trip(tmp_path):

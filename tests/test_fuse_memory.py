@@ -1,6 +1,6 @@
-"""Peak memory of ``fuse``: the resident input stays one tile of the
-logits or one mask, and the accepted footprints' mask logits, not the
-whole frame."""
+"""Peak memory of ``fuse``: the resident input stays a few channel rows
+of one tile of the logits or one mask, and the accepted footprints' mask
+logits, not the whole frame."""
 
 import weakref
 from pathlib import Path
@@ -51,32 +51,48 @@ def test_fuse_peak_grows_by_a_small_share_of_its_input(tmp_path, taxonomy_json):
         peaks[name] = peak_kb(args) * 1024
         assert (tmp_path / f"out_{name}" / f"{name}.inst.pgm").exists()
     assert size >= 32 << 20
-    # measured 4.9-5.0 MB on x86-64 Linux (6.9-7.3 MB before fuse held one tile
-    # and one mask and kept footprints in the instance map); 6.5 MB leaves 1.5 MB
+    # measured 4.4-4.6 MB on x86-64 Linux since fuse reads a tile channel by
+    # channel (4.8 MB while it held a tile of all channels, 6.9-7.3 MB before it
+    # held one tile and one mask); size / 12.8, 6.1 MB, leaves 1.5 MB
     growth = peaks["frame"] - peaks["row"]
-    assert growth < size / 12, f"{growth / 2**20:.1f} MB above one row for {size >> 20} MB of input"
+    assert growth < size / 12.8, f"{growth / 2**20:.1f} MB above one row for {size >> 20} MB of input"
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fuse_holds_one_tile_and_one_mask(tmp_path, taxonomy, monkeypatch, strategy):
-    """No array read for an earlier tile of the logits is alive when the
-    next tile's read starts, nor one read for an earlier mask when the
-    next mask's read starts."""
+    """Each channel of each tile is read once, on its own.  When a read
+    starts, no array read for an earlier tile or an earlier mask is alive,
+    and of the tile's own rows at most the semantic rows that part-wise
+    fusion keeps (the parents', until their class is scored) and two part
+    rows: the last one read, and a class's first, which is its running
+    maximum until the next one comes."""
     write_frame(tmp_path, "f", 3 * tile_rows(1024), 1024, 4)
     read = formats.TensorFile.read
-    reads = []  # (kind, tile row or mask file, weak reference to the memory read)
+    reads = []  # (kind, tile row or mask file, channel, weak reference to the memory read)
+    parent = taxonomy.semantic_ids.index(BAG)
+    kept = {("sem", parent)} if strategy == "partpanoptic" else set()
 
-    def tracked_read(self, rows=slice(None)):
+    def alive(kind, key):
+        return sorted(k for c, k, _, ref in reads if c == kind and k != key and ref() is not None)
+
+    def tracked_read(self, rows=slice(None), channel=None):
         kind = "tile" if self.path.name.endswith((".sem.ppt1", ".part.ppt1")) else "mask"
-        key = rows.start if kind == "tile" else self.path.name
-        alive = sorted(k for c, k, ref in reads if c == kind and k != key and ref() is not None)
-        assert not alive, f"{kind}s {alive} alive when {kind} {key} is read"
-        out = read(self, rows)
-        reads.append((kind, key, weakref.ref(out if out.base is None else out.base)))
+        key = self.path.name if kind == "mask" else rows.start
+        assert not alive(kind, key), f"{kind}s {alive(kind, key)} alive when {kind} {key} is read"
+        if kind == "tile":
+            own = [(tensor, c) for _, k, (tensor, c), ref in reads
+                   if k == key and ref() is not None]
+            parts = [c for tensor, c in own if tensor == "part"]
+            assert set(own) - {("part", c) for c in parts} <= kept, (key, own)
+            assert len(parts) <= 2, (key, own)
+        out = read(self, rows, channel)
+        tensor = self.path.name.split(".")[1]
+        reads.append((kind, key, (tensor, channel), weakref.ref(out if out.base is None else out.base)))
         return out
 
     monkeypatch.setattr(formats.TensorFile, "read", tracked_read)
     fuse(formats.read_sample(tmp_path / "f", taxonomy), taxonomy, strategy=strategy)
-    tiles = [key for kind, key, _ in reads if kind == "tile"]
-    assert sorted(set(tiles)) == [0, tile_rows(1024), 2 * tile_rows(1024)]
-    assert len(tiles) == 6 and len(reads) == 6 + 4
+    tiles = [(key, channel) for kind, key, channel, _ in reads if kind == "tile"]
+    channels = [("sem", c) for c in range(4)] + [("part", c) for c in range(3)]
+    assert sorted(tiles) == sorted((t * tile_rows(1024), c) for t in range(3) for c in channels)
+    assert len(reads) == len(tiles) + 4

@@ -72,7 +72,7 @@ def part_map_of(stack, taxonomy):
     """Part-wise fusion's part map over the whole frame."""
     return part_wise_fuse(
         dict(zip(stack.semantic_channel_ids, stack.semantic_logits)),
-        dict(zip(stack.part_channel_ids, stack.part_logits)),
+        sorted(zip(stack.part_channel_ids, stack.part_logits), key=lambda pair: pair[0]),
         taxonomy,
     )
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from partfuse import pointcloud
 from partfuse.autolabel_rgbd import LabeledPointCloud, RgbdLabelConfig, project_labels
 from partfuse.errors import FormatError, ValidationError
 from partfuse.pointcloud import (
@@ -334,6 +335,33 @@ def test_clusters_agree_with_union_find_oracle():
         got = euclidean_clusters(pts, radius=0.02, min_points=3)
         want = brute_force_clusters(pts, radius=0.02, min_points=3)
         assert np.array_equal(got, want)
+
+
+def test_clusters_agree_with_union_find_oracle_across_pair_blocks(monkeypatch):
+    monkeypatch.setattr(pointcloud, "PAIR_BLOCK", 7)
+    pts = np.random.default_rng(7).uniform(0, 0.2, (200, 3))
+    got = euclidean_clusters(pts, radius=0.02, min_points=3)
+    assert np.array_equal(got, brute_force_clusters(pts, radius=0.02, min_points=3))
+
+
+def test_clusters_peak_is_bounded_by_the_pair_count():
+    """The traced peak stays below 48 bytes per radius pair: the pairs, the
+    int32 edges and the graph, without float64 differences of every pair
+    (74 bytes per pair when all pairs were filtered at once; 35 now)."""
+    from scipy.spatial import cKDTree
+
+    pts = np.random.default_rng(8).random((20_000, 3))
+    pairs = len(cKDTree(pts).query_pairs(0.06, output_type="ndarray"))
+    assert pairs > 10 * pointcloud.PAIR_BLOCK
+    euclidean_clusters(pts[:100], radius=0.06)  # scipy's first-call allocations
+    tracemalloc.start()
+    try:
+        labels = euclidean_clusters(pts, radius=0.06, min_points=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.max() >= 1
+    assert peak < 48 * pairs, f"peak {peak / pairs:.1f} bytes per pair"
 
 
 # ------------------------------------------------------------- projection
