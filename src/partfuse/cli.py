@@ -268,19 +268,17 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         except (PartfuseError, OSError) as exc:
             return [exc] * len(pred_dirs)
         try:
-            gt.validate(taxonomy)
             gt_segments = derive_segments(gt, taxonomy)
             gt_error = None
         except ValidationError as exc:
             gt_error = exc
 
         def score(pred_dir: Path):
-            # read in row tiles by validate and again by match_segments; its
-            # files are closed on return, before the next one is opened
+            # read once, in row tiles, by match_segments, which checks it;
+            # its files are closed on return, before the next one is opened
             pred = formats.open_label_triple(pred_dir / stem)
             if gt_error is not None:
                 return gt_error
-            pred.validate(taxonomy)
             return match_segments(pred, gt, taxonomy, gt_segments)
 
         outcomes: list = []

@@ -4,6 +4,9 @@ A LabelTriple carries the three per-pixel label maps (semantic class,
 instance id, part class) as 16-bit grids; a LogitStack carries the raw
 per-pixel class scores plus per-instance mask proposals that fusion
 consumes.  Containers are immutable after construction.
+A triple is checked from its histogram of segment keys and the part ids
+it uses (``check_labels``), which ``LabelTriple.validate`` collects in
+one walk and ``derive_segments`` splits into segments.
 """
 
 from __future__ import annotations
@@ -82,49 +85,20 @@ class LabelTriple:
     def maps(self) -> tuple:
         return self.semantic_map, self.instance_map, self.part_map
 
-    def validate(self, taxonomy: ClassTaxonomy) -> None:
-        """Check domain invariants on loaded data (not assumed by readers).
-
-        Raises ValidationError if a map uses ids missing from the taxonomy
-        (the smallest is named), if instance ids appear outside thing-class
-        pixels, or if an instance id spans two semantic classes (the
-        smallest such id is named), checked in that order.  The facts are
-        collected in one pass over row tiles and checked at the end.
-        """
-        semantic_seen = np.zeros(MAX_ID + 1, dtype=bool)
+    def validate(self, taxonomy: ClassTaxonomy) -> tuple[np.ndarray, np.ndarray]:
+        """Check domain invariants on loaded data (not assumed by readers)
+        with ``check_labels`` and return the triple's histogram of
+        ``segment_keys``: the sorted distinct keys and each one's pixel
+        count, merged once from the histograms of its row tiles."""
         part_seen = np.zeros(MAX_ID + 1, dtype=bool)
-        thing = np.zeros(MAX_ID + 1, dtype=bool)
-        thing[[c for c in taxonomy.semantic_ids if taxonomy.is_thing(c)]] = True
-        # each instance's class on the first pixel seen, -1 before that
-        first_class = np.full(MAX_ID + 1, -1, dtype=np.int32)
-        spans = np.zeros(MAX_ID + 1, dtype=bool)
-        on_non_thing = False
+        tiles = []
         for rows in row_tiles(self.shape):
             sem, inst = read_rows(self.semantic_map, rows), read_rows(self.instance_map, rows)
-            semantic_seen[sem] = True
+            tiles.append(np.unique(segment_keys(sem, inst), return_counts=True))
             part_seen[read_rows(self.part_map, rows)] = True
-            nonzero = inst != 0
-            if not nonzero.any():
-                continue
-            inst_ids, classes = inst[nonzero], sem[nonzero]
-            on_non_thing = on_non_thing or not thing[classes].all()
-            fresh = first_class[inst_ids] < 0
-            first_class[inst_ids[fresh]] = classes[fresh]
-            spans[inst_ids[first_class[inst_ids] != classes]] = True
-
-        for sid in np.flatnonzero(semantic_seen):
-            if sid != VOID_ID and not taxonomy.has_semantic(int(sid)):
-                raise ValidationError(f"semantic map uses unknown class id {sid}")
-        for pid in np.flatnonzero(part_seen):
-            if pid != VOID_ID and not taxonomy.has_part(int(pid)):
-                raise ValidationError(f"part map uses unknown part id {pid}")
-        if on_non_thing:
-            raise ValidationError("instance ids present on non-thing pixels")
-        spanning = np.flatnonzero(spans)
-        if spanning.size:
-            raise ValidationError(
-                f"instance id {int(spanning[0])} spans more than one semantic class"
-            )
+        keys, counts = merge_histograms(*map(np.concatenate, zip(*tiles)))
+        check_labels(keys, part_seen, taxonomy)
+        return keys, counts
 
     @staticmethod
     def from_arrays(semantic, instance, part) -> "LabelTriple":
@@ -248,38 +222,54 @@ class PanopticSegment:
 def segment_keys(semantic: np.ndarray, instance: np.ndarray) -> np.ndarray:
     """Per-pixel segment key ``(class_id << 16) | instance_id`` of a tile
     of the semantic and instance maps, as a flat uint32 array; void pixels
-    carry key 0 whatever their instance bits."""
-    sem = semantic.ravel().astype(np.uint32)
-    keys = sem << np.uint32(16)
+    carry key 0 in a valid triple, which has no instance on void."""
+    keys = semantic.ravel().astype(np.uint32)
+    keys <<= np.uint32(16)
     keys |= instance.ravel()
-    keys[sem == VOID_ID] = 0
     return keys
 
 
-def segments_from_counts(counts: dict[int, int], taxonomy: ClassTaxonomy) -> list[PanopticSegment]:
-    """The panoptic segments of a ``segment_keys`` histogram, ordered by
-    (class, instance); key 0 (void) makes none, and a class missing from
-    the taxonomy raises ValidationError."""
-    segments: list[PanopticSegment] = []
-    for key, count in sorted(counts.items()):
-        if key == 0:
-            continue
-        taxonomy.semantic_class(key >> 16)
-        segments.append(PanopticSegment(key >> 16, key & 0xFFFF, count))
-    return segments
+def check_labels(keys: np.ndarray, part_seen: np.ndarray, taxonomy: ClassTaxonomy) -> None:
+    """Check a triple from its sorted distinct ``segment_keys`` and a bool
+    array that marks the part ids present.
+
+    Raises ValidationError if a map uses ids missing from the taxonomy
+    (the smallest is named), if instance ids appear outside thing-class
+    pixels, void included, or if an instance id spans two semantic
+    classes (the smallest such id is named), checked in that order.
+    """
+    # sets, not a bare np.unique, which loads numpy.ma (about 1 MB) on NumPy 2.4
+    classes, instances = keys >> 16, keys & 0xFFFF
+    for sid in sorted(set(classes.tolist()) - {VOID_ID}):
+        if not taxonomy.has_semantic(sid):
+            raise ValidationError(f"semantic map uses unknown class id {sid}")
+    for pid in np.flatnonzero(part_seen).tolist():
+        if pid != VOID_ID and not taxonomy.has_part(pid):
+            raise ValidationError(f"part map uses unknown part id {pid}")
+    owned = instances != 0
+    if not all(c != VOID_ID and taxonomy.is_thing(c) for c in set(classes[owned].tolist())):
+        raise ValidationError("instance ids present on non-thing pixels")
+    # the keys are distinct, so an id listed twice has two classes
+    ids, counts = np.unique(instances[owned], return_counts=True)
+    if (counts > 1).any():
+        raise ValidationError(
+            f"instance id {int(ids[counts > 1][0])} spans more than one semantic class")
+
+
+def segments_from_counts(keys: np.ndarray, counts: np.ndarray) -> list[PanopticSegment]:
+    """The panoptic segments of a checked ``segment_keys`` histogram,
+    ordered by (class, instance); key 0 (void) makes none."""
+    return [PanopticSegment(key >> 16, key & 0xFFFF, count)
+            for key, count in zip(keys.tolist(), counts.tolist()) if key != 0]
 
 
 def derive_segments(triple: LabelTriple, taxonomy: ClassTaxonomy) -> list[PanopticSegment]:
-    """Split a triple into panoptic segments, ordered by (class, instance).
+    """Split a triple into panoptic segments, ordered by (class, instance),
+    from the histogram ``triple.validate`` checks and returns; an invalid
+    triple raises its ValidationError.
 
     One segment per distinct (class_id, instance_id) pair with a non-void
     class.  Stuff segments are per class (instance 0), never split by
-    connectivity.  The segments partition the non-void pixels.  Each row
-    tile's key histogram is collected, and the histograms are merged once.
+    connectivity.  The segments partition the non-void pixels.
     """
-    tiles = [
-        np.unique(segment_keys(*(read_rows(m, rows) for m in triple.maps[:2])), return_counts=True)
-        for rows in row_tiles(triple.shape)
-    ]
-    keys, counts = merge_histograms(*map(np.concatenate, zip(*tiles)))
-    return segments_from_counts(dict(zip(keys.tolist(), counts.tolist())), taxonomy)
+    return segments_from_counts(*triple.validate(taxonomy))

@@ -21,7 +21,8 @@ pixel lists: pairwise intersections and void overlaps from the counts of
 histogram's marginals, and part overlaps from the counts of (segment
 pair, gt part, pred part).  Each histogram is collected tile by tile
 over row tiles of the two triples and merged once, so matching holds no
-frame-sized array besides the triples.
+frame-sized array besides the triples.  The same walk checks the
+prediction, so each prediction is read once.
 
 Scores aggregate over a dataset by pooling matched IoU sums and TP/FP/FN
 counts before the final quotient, never by averaging per-image scores.
@@ -34,7 +35,6 @@ without numpy.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -106,23 +106,31 @@ def match_segments(
     0), and its marginals give the segment areas.  A second histogram
     counts the (pair, gt part, pred part) cells of the pixels where either
     side's class has parts.  Both are collected over row tiles and merged
-    once.  ``gt_segments`` is the ground truth's ``derive_segments`` when
-    the caller scores several predictions against it.
+    once.  The same walk checks the prediction as ``LabelTriple.validate``
+    would, from that marginal and its part ids; a prediction of another
+    size reports a label error before the size.  ``gt_segments`` must be
+    ``derive_segments(gt, taxonomy)``, which checks the ground truth; a
+    caller scoring several predictions against one passes it.
     """
     import numpy as np
 
     from . import containers
 
+    if gt_segments is None:
+        gt_segments = containers.derive_segments(gt, taxonomy)
     if pred.shape != gt.shape:
+        pred.validate(taxonomy)
         raise ValidationError(
             f"prediction and ground truth differ in size: {pred.shape} vs {gt.shape}"
         )
     with_parts = np.zeros(MAX_ID + 1, dtype=bool)
     with_parts[[c for c in taxonomy.semantic_ids if taxonomy.parts_of(c)]] = True
+    pred_parts_seen = np.zeros(MAX_ID + 1, dtype=bool)
     tiles = []  # per tile: pairs, their counts, cell pairs, cell parts, cell counts
     for rows in containers.row_tiles(gt.shape):
         gt_sem, gt_inst, gt_part, pred_sem, pred_inst, pred_part = (
             containers.read_rows(m, rows) for m in gt.maps + pred.maps)
+        pred_parts_seen[pred_part] = True
         pixel_pairs = containers.segment_keys(gt_sem, gt_inst).astype(np.uint64)
         pixel_pairs <<= np.uint64(32)
         pixel_pairs |= containers.segment_keys(pred_sem, pred_inst)
@@ -142,16 +150,11 @@ def match_segments(
     cells |= cell_parts
     cells, cell_counts = containers.merge_histograms(cells, cell_counts)
 
-    intersections = dict(zip(pairs.tolist(), pair_counts.tolist()))
-    gt_area: Counter[int] = Counter()
-    pred_area: Counter[int] = Counter()
-    for combined, inter in intersections.items():
-        gt_area[combined >> 32] += inter
-        pred_area[combined & 0xFFFFFFFF] += inter
-    pred_by_key = {s.key: s for s in containers.segments_from_counts(pred_area, taxonomy)}
-    if gt_segments is None:
-        gt_segments = containers.segments_from_counts(gt_area, taxonomy)
+    pred_keys, pred_area = containers.merge_histograms(pairs & np.uint64(0xFFFFFFFF), pair_counts)
+    containers.check_labels(pred_keys, pred_parts_seen, taxonomy)
+    pred_by_key = {s.key: s for s in containers.segments_from_counts(pred_keys, pred_area)}
     gt_by_key = {s.key: s for s in gt_segments}
+    intersections = dict(zip(pairs.tolist(), pair_counts.tolist()))
     # a pair with gt key 0 (void) packs to the pred key alone
     void_overlap = {pk: intersections.get(pk, 0) for pk in pred_by_key}
 

@@ -395,7 +395,8 @@ def project(cloud: PointCloud, camera: CameraModel) -> Projection:
         & (v >= 0)
         & (v < camera.height)
     )
-    return Projection(u=u, v=v, depth=z, in_frame=in_frame)
+    # a copy, so the projection does not pin the N x 4 product
+    return Projection(u=u, v=v, depth=z.copy(), in_frame=in_frame)
 
 
 def load_camera(path: str | Path) -> CameraModel:

@@ -411,6 +411,109 @@ def test_eval_errors_resolve_in_directory_order(tmp_path, taxonomy_json):
     assert eval_three(taxonomy_json, gt_dir, [preds[0], preds[1]]) == 2
 
 
+def unknown_class(sem, inst, part):
+    sem[1, 0] = 99
+
+
+def unknown_part(sem, inst, part):
+    part[1, 0] = 77
+
+
+def instance_on_void(sem, inst, part):
+    inst[1, 0] = 2
+
+
+def spanning_instance(sem, inst, part):
+    sem[1, :5], inst[1, :5] = BOTTLE, 1  # instance 1 is a bag in row 0
+
+
+def wrong_size(sem, inst, part):
+    return np.zeros((4, 4), dtype=np.uint16)
+
+
+def wrong_size_and_unknown_class(sem, inst, part):
+    sem = np.zeros((4, 4), dtype=np.uint16)
+    sem[3, 3] = 99
+    return sem
+
+
+# fault of the ground truth (or None), fault of the prediction, the
+# message eval logs; a fault edits make_eval_dirs' 2x50 maps in place, or
+# returns the semantic map of an all-void triple of another size
+EVAL_FAULTS = {
+    "invalid-gt-first": (spanning_instance, unknown_class,
+                         "instance id 1 spans more than one semantic class"),
+    "invalid-gt-before-size": (spanning_instance, wrong_size,
+                               "instance id 1 spans more than one semantic class"),
+    "unknown-class": (None, unknown_class, "semantic map uses unknown class id 99"),
+    "unknown-part": (None, unknown_part, "part map uses unknown part id 77"),
+    "instance-on-void": (None, instance_on_void, "instance ids present on non-thing pixels"),
+    "spanning-instance": (None, spanning_instance,
+                          "instance id 1 spans more than one semantic class"),
+    "wrong-size": (None, wrong_size,
+                   "prediction and ground truth differ in size: (4, 4) vs (2, 50)"),
+    "wrong-size-and-unknown-class": (None, wrong_size_and_unknown_class,
+                                     "semantic map uses unknown class id 99"),
+}
+
+
+def write_fault(directory, fault):
+    maps = [m.copy() for m in read_triple_trio(directory / "a")]
+    sem = fault(*maps)
+    if sem is not None:
+        maps = [sem, np.zeros_like(sem), np.zeros_like(sem)]
+    formats.write_label_triple(make_triple(*maps), directory / "a")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(EVAL_FAULTS))
+def test_eval_error_precedence(tmp_path, taxonomy_json, caplog, case, jobs):
+    """The first fault of a pair decides exit code and message, at any
+    --jobs: the ground truth's, then the prediction's labels, then its
+    size; stem b of each directory is valid."""
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    for directory in (gt_dir, pred_dir):
+        formats.write_label_triple(formats.read_label_triple(directory / "a"), directory / "b")
+    gt_fault, pred_fault, message = EVAL_FAULTS[case]
+    if gt_fault is not None:
+        write_fault(gt_dir, gt_fault)
+    write_fault(pred_dir, pred_fault)
+    args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), "--jobs", jobs,
+            str(pred_dir)]
+    assert main(args) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [message]
+
+
+def test_eval_reads_each_prediction_once(tmp_path, taxonomy_json, monkeypatch):
+    """Every payload byte of a prediction's three maps is read exactly
+    once per pair, for two directories of two stems of three row tiles."""
+    h, w = 2 * tile_rows(1024) + 5, 1024
+    sem = np.full((h, w), TABLE, dtype=np.uint16)
+    inst = np.zeros_like(sem)
+    part = np.zeros_like(sem)
+    sem[: h // 2, 100:300], inst[: h // 2, 100:300], part[: h // 2, 100:200] = BAG, 1, SEAL
+    dirs = [tmp_path / name for name in ("gt", "p1", "p2")]
+    for directory in dirs:
+        directory.mkdir()
+        for stem in ("a", "b"):
+            formats.write_label_triple(make_triple(sem, inst, part), directory / stem)
+    read_bytes: dict[Path, int] = {}
+    read = formats.TensorFile.read
+
+    def counting(self, *args, **kwargs):
+        out = read(self, *args, **kwargs)
+        read_bytes[self.path] = read_bytes.get(self.path, 0) + out.nbytes
+        return out
+
+    monkeypatch.setattr(formats.TensorFile, "read", counting)
+    args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(dirs[0]), "--jobs", "1",
+            *map(str, dirs[1:])]
+    assert main(args) == 0
+    preds = [p for d in dirs[1:] for stem in ("a", "b") for p in formats.triple_paths(d / stem)]
+    assert {p: n for p, n in read_bytes.items() if p.parent != dirs[0]} == dict.fromkeys(
+        preds, h * w * 2)
+
+
 @pytest.mark.parametrize("kind", [0, 2], ids=["sem", "part"])
 def test_eval_of_a_prediction_that_shrinks_after_it_was_opened(tmp_path, taxonomy_json,
                                                                monkeypatch, caplog, kind):
@@ -1409,7 +1512,10 @@ def test_fuse_eval_and_report_load_no_scipy(tmp_path, taxonomy_json):
     for args in (fuse_args(taxonomy_json, out, inputs),
                  ["eval", *taxonomy, "--gt", str(out), "--tsv", str(tsv), str(out)],
                  ["report", *taxonomy, str(tsv)]):
-        assert loaded(fresh_run(args), "scipy") == [], args[0]
+        report = fresh_run(args)
+        assert loaded(report, "scipy") == [], args[0]
+        # nor numpy.ma, which a bare np.unique loads on NumPy 2.4 (about 1 MB)
+        assert "numpy.ma" not in report["modules"], args[0]
 
 
 def test_help_and_report_load_no_numpy(tmp_path, taxonomy_json):

@@ -382,6 +382,13 @@ def test_project_center_point():
     assert proj.in_frame[0]
 
 
+def test_projection_pins_no_homogeneous_product():
+    # each array is its own, not a view that keeps the N x 4 product alive
+    proj = project(cloud_of([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0]]), identity_camera())
+    assert proj.depth.tolist() == [1.0, 2.0]
+    assert all(a.base is None for a in (proj.u, proj.v, proj.depth, proj.in_frame))
+
+
 def test_project_behind_camera():
     cam = identity_camera()
     proj = project(cloud_of([[0.0, 0.0, -1.0]]), cam)

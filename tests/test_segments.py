@@ -3,6 +3,7 @@ import pytest
 
 from partfuse.containers import LabelTriple, derive_segments, tile_rows
 from partfuse.errors import ValidationError
+from partfuse.metrics import match_segments
 
 from conftest import BAG, BOTTLE, CENTER, MEDICAL_BAG, OTHER, SEAL, TABLE, make_triple
 
@@ -121,21 +122,21 @@ def test_from_arrays_keeps_every_id_in_range():
 
 def test_validate_messages_name_the_offending_id(taxonomy):
     sem = np.array([[BAG, 99], [TABLE, 98]], dtype=np.uint16)
-    with pytest.raises(ValidationError, match=r"^semantic map uses unknown class id 98$"):
-        make_triple(sem).validate(taxonomy)
+    assert validate_message((sem,), taxonomy) == "semantic map uses unknown class id 98"
     part = np.array([[SEAL, 77]], dtype=np.uint16)
-    with pytest.raises(ValidationError, match=r"^part map uses unknown part id 77$"):
-        make_triple(np.array([[BAG, BAG]]), part=part).validate(taxonomy)
+    assert validate_message((np.array([[BAG, BAG]]), None, part), taxonomy) == (
+        "part map uses unknown part id 77")
     sem = np.array([[BAG, TABLE]], dtype=np.uint16)
-    with pytest.raises(ValidationError, match=r"^instance ids present on non-thing pixels$"):
-        make_triple(sem, np.array([[1, 2]])).validate(taxonomy)
+    assert validate_message((sem, np.array([[1, 2]])), taxonomy) == (
+        "instance ids present on non-thing pixels")
+    sem = np.array([[BAG, 0]], dtype=np.uint16)  # an instance on void
+    assert validate_message((sem, np.array([[1, 2]])), taxonomy) == (
+        "instance ids present on non-thing pixels")
     # ids 5 and 3 both span two classes; the lower one is named
     sem = np.array([[BAG, BOTTLE, BAG, BOTTLE, BAG]], dtype=np.uint16)
     inst = np.array([[5, 5, 3, 3, 4]], dtype=np.uint16)
-    with pytest.raises(
-        ValidationError, match=r"^instance id 3 spans more than one semantic class$"
-    ):
-        make_triple(sem, inst).validate(taxonomy)
+    assert validate_message((sem, inst), taxonomy) == (
+        "instance id 3 spans more than one semantic class")
 
 
 def _validate_oracle(triple, taxonomy):
@@ -171,17 +172,13 @@ def test_validate_matches_sorting_oracle(taxonomy):
         inst = rng.integers(0, int(rng.integers(1, 6)), size=shape).astype(np.uint16)
         if rng.random() < 0.5:  # mostly consistent: one class per instance
             inst[~np.isin(sem, [BAG, BOTTLE, MEDICAL_BAG])] = 0
-        triple = make_triple(sem, inst, part)
-        expected = _validate_oracle(triple, taxonomy)
-        try:
-            triple.validate(taxonomy)
-            got = None
-        except ValidationError as exc:
-            got = str(exc)
-        assert got == expected
+        got = validate_message((sem, inst, part), taxonomy)
         kinds = ("unknown class", "unknown part", "non-thing", "spans")
-        outcomes.add(got and next(k for k in kinds if k in got))
-    assert outcomes == {None, "unknown class", "unknown part", "non-thing", "spans"}
+        kind = got and next(k for k in kinds if k in got)
+        if kind == "non-thing" and not (sem[inst != 0] == TABLE).any():
+            kind = "on void"
+        outcomes.add(kind)
+    assert outcomes == {None, "unknown class", "unknown part", "non-thing", "on void", "spans"}
 
 
 def tiled_frame(width=64):
@@ -200,14 +197,28 @@ def tiled_frame(width=64):
 
 
 def validate_message(maps, taxonomy):
+    """The message that each entry point that checks a triple raises for
+    ``maps``, or None: validate, derive_segments, and match_segments with
+    the triple as the prediction, or as the ground truth, against a valid
+    all-void triple of its shape.  All must give the oracle's outcome,
+    and a valid triple's validate its histogram of segment keys."""
     triple = make_triple(*maps)
-    try:
-        triple.validate(taxonomy)
-    except ValidationError as exc:
-        assert str(exc) == _validate_oracle(triple, taxonomy)
-        return str(exc)
-    assert _validate_oracle(triple, taxonomy) is None
-    return None
+    expected = _validate_oracle(triple, taxonomy)
+    void = make_triple(np.zeros(triple.shape, dtype=np.uint16))
+    checks = (triple.validate, lambda t: derive_segments(triple, t),
+              lambda t: match_segments(triple, void, t), lambda t: match_segments(void, triple, t))
+    for check in checks:
+        try:
+            check(taxonomy)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected, check
+    if expected is None:
+        keys = (triple.semantic_map.astype(np.uint32) << 16) | triple.instance_map
+        want = np.unique(keys, return_counts=True)
+        assert [a.tolist() for a in triple.validate(taxonomy)] == [a.tolist() for a in want]
+    return expected
 
 
 def test_validate_finds_each_error_in_the_last_tile(taxonomy):
@@ -223,6 +234,12 @@ def test_validate_finds_each_error_in_the_last_tile(taxonomy):
     bad = inst.copy()
     bad[last, 10] = 9  # on the table
     assert validate_message((sem, bad, part), taxonomy) == "instance ids present on non-thing pixels"
+    bad_sem = sem.copy()
+    bad_sem[last, 10] = 0  # an instance of the bag's tile, on void
+    bad_inst = inst.copy()
+    bad_inst[last, 10] = 3
+    assert validate_message((bad_sem, bad_inst, part), taxonomy) == (
+        "instance ids present on non-thing pixels")
     # instance 1 is a bag in the first tile and a bottle in the last
     bad_sem, bad_inst = sem.copy(), inst.copy()
     bad_sem[last, 10], bad_inst[last, 10] = BOTTLE, 1
