@@ -585,23 +585,6 @@ def _configure_logging() -> None:
     )
 
 
-def _raise_open_file_limit() -> None:
-    """Lift the soft open-file limit towards the hard one, best-effort:
-    every open PPT1 tensor holds a descriptor while it lives."""
-    try:
-        import resource
-    except ImportError:  # not POSIX
-        return
-    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    for target in (hard, 10240):  # macOS refuses a soft limit above OPEN_MAX
-        if soft < target <= hard:
-            try:
-                resource.setrlimit(resource.RLIMIT_NOFILE, (target, hard))
-                return
-            except (ValueError, OSError):
-                pass
-
-
 def main(argv=None) -> int:
     # the handlers' numpy and scipy each load an OpenBLAS whose threads
     # would spin idle: nothing here runs multi-threaded BLAS
@@ -609,7 +592,6 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    _raise_open_file_limit()
     try:
         args.handler(args, _merge_run_config(args))
     except ValidationError as exc:

@@ -121,7 +121,7 @@ def _label_map(values, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class InstanceProposal:
     """A candidate instance: thing class, confidence, full-frame mask logits
-    (an array or a formats.read_tensor handle).
+    (an array, or a formats.read_tensor handle, open or closed).
 
     Fusion checks the mask for non-finite values as it reads it."""
 

@@ -10,8 +10,11 @@ PPT1 layout:
 
 read_tensor checks a header against the file's length and returns a
 TensorFile: the open file, from which rows of the payload are read with
-positioned reads when they are needed.  Nothing is mapped or held, and
-a file that shrinks after it was opened fails the read with FormatError.
+positioned reads when they are needed.  read_proposals closes each mask
+once it is checked; a closed TensorFile opens its path again for each
+read.  Nothing is mapped, and a file that shrinks after it was opened,
+or that a closed handle's path no longer names, fails the read with
+FormatError.
 
 Label triples are stored as three 16-bit PGMs sharing one stem:
 ``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.
@@ -42,19 +45,31 @@ _MAGIC = b"PPT1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
 _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
+_PGM16 = np.dtype(">u2")
 
 
 class TensorFile:
-    """A PPT1 tensor or PGM label map whose header has been checked: its
-    ``path``, the ``shape``, ``ndim`` and native ``dtype`` of its payload
-    (``stored`` in the file, in either byte order), and the open file the
-    payload is read from, until the handle is garbage-collected or closed.
+    """A PPT1 tensor or PGM label map at ``path`` whose header has been
+    checked: ``parse_header(file, path, size)`` returns the ``stored``
+    dtype and the shape of its payload, which starts where the header
+    ends.  A handle has the payload's ``shape``, ``ndim`` and native
+    ``dtype``, and holds the open file the payload is read from until it
+    is garbage-collected or closed; a closed handle opens its path again
+    for each read, which fails if the path names another file by then.
     """
 
-    def __init__(self, path: Path, file, stored: np.dtype, shape: tuple[int, ...], offset: int):
-        if os.fstat(file.fileno()).st_size - offset < math.prod(shape) * stored.itemsize:
-            raise FormatError(f"{path}: truncated payload")
-        self.path, self._file, self._offset = path, file, offset
+    def __init__(self, path: Path, parse_header):
+        file = open(path, "rb", buffering=0)
+        try:
+            stat = os.fstat(file.fileno())
+            stored, shape = parse_header(file, path, stat.st_size)
+            offset = file.tell()
+            if stat.st_size - offset < math.prod(shape) * stored.itemsize:
+                raise FormatError(f"{path}: truncated payload")
+        except BaseException:
+            file.close()
+            raise
+        self.path, self._file, self._offset, self._stat = path, file, offset, stat
         self.dtype, self.shape, self.ndim = stored.newbyteorder("="), shape, len(shape)
         self._stored = stored
         self.close = weakref.finalize(self, file.close)
@@ -63,14 +78,24 @@ class TensorFile:
         """A new array of ``tensor[..., rows, :]``, or of ``tensor[channel,
         rows, :]`` of a rank-3 tensor: ``rows`` is a slice of step 1 of the
         second-to-last axis, and a tensor of rank below 2 is read whole.  A
-        file that has shrunk since it was opened raises FormatError.
+        file that has shrunk since it was opened, or that a closed handle's
+        path no longer names, raises FormatError.
         """
         *planes, h, w = (1, 1) + self.shape
         top, bottom, _ = rows.indices(h)
         first, count = (0, math.prod(planes)) if channel is None else (channel, 1)
         out = np.empty((count, max(bottom - top, 0), w), self.dtype)
-        for k, plane in enumerate(out, first):
-            self._fill(plane, (k * h + top) * w)
+        reopened = self._file.closed  # a closed handle opens its path for this read only
+        if reopened:
+            self._file = open(self.path, "rb", buffering=0)
+        try:
+            if reopened and not os.path.samestat(os.fstat(self._file.fileno()), self._stat):
+                raise FormatError(f"{self.path}: replaced since it was opened")
+            for k, plane in enumerate(out, first):
+                self._fill(plane, (k * h + top) * w)
+        finally:
+            if reopened:
+                self._file.close()
         if self._stored != self.dtype:  # swap in place: a 1-D cast onto itself
             flat = out.reshape(-1)
             np.copyto(flat, flat.view(self._stored))
@@ -92,48 +117,39 @@ class TensorFile:
 def open_pgm16(path: str | Path) -> TensorFile:
     """Open a 16-bit PGM label map and check its header against its
     length; the samples are read later, through the returned handle."""
-    path = Path(path)
-    fh = open(path, "rb", buffering=0)
-    try:
-        return TensorFile(path, fh, np.dtype(">u2"), read_pgm16_header(fh, path), fh.tell())
-    except BaseException:
-        fh.close()
-        raise
+    return TensorFile(Path(path), lambda fh, path, size: (_PGM16, read_pgm16_header(fh, path)))
+
+
+def _ppt1_header(fh, path: Path, size: int) -> tuple[np.dtype, tuple[int, ...]]:
+    if size < 8:
+        raise FormatError(f"{path}: file shorter than the fixed header")
+    header = fh.read(8)
+    if header[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic {header[:4]!r}")
+    code, rank = header[4], header[5]
+    if code not in _DTYPES:
+        raise FormatError(f"{path}: unknown dtype code {code}")
+    if rank > _MAX_RANK:
+        raise FormatError(f"{path}: rank {rank} exceeds maximum {_MAX_RANK}")
+    if header[6] != 0 or header[7] != 0:
+        raise FormatError(f"{path}: reserved header bytes are nonzero")
+    dims_end = 8 + 4 * rank
+    if size < dims_end:
+        raise FormatError(f"{path}: truncated dimension list")
+    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    count = math.prod(dims)
+    if count > _MAX_ELEMENTS:
+        raise FormatError(f"{path}: dimension product overflow ({count} elements)")
+    dtype = _DTYPES[code]
+    if size - dims_end > count * dtype.itemsize:
+        raise FormatError(f"{path}: trailing bytes after payload")
+    return dtype, dims
 
 
 def read_tensor(path: str | Path) -> TensorFile:
     """Open a PPT1 tensor file and check its header against its length;
     the payload is read later, through the returned handle."""
-    path = Path(path)
-    fh = open(path, "rb", buffering=0)
-    try:
-        size = os.fstat(fh.fileno()).st_size
-        if size < 8:
-            raise FormatError(f"{path}: file shorter than the fixed header")
-        header = fh.read(8 + 4 * _MAX_RANK)
-        if header[:4] != _MAGIC:
-            raise FormatError(f"{path}: bad magic {header[:4]!r}")
-        code, rank = header[4], header[5]
-        if code not in _DTYPES:
-            raise FormatError(f"{path}: unknown dtype code {code}")
-        if rank > _MAX_RANK:
-            raise FormatError(f"{path}: rank {rank} exceeds maximum {_MAX_RANK}")
-        if header[6] != 0 or header[7] != 0:
-            raise FormatError(f"{path}: reserved header bytes are nonzero")
-        dims_end = 8 + 4 * rank
-        if size < dims_end:
-            raise FormatError(f"{path}: truncated dimension list")
-        dims = struct.unpack(f"<{rank}I", header[8:dims_end]) if rank else ()
-        count = math.prod(dims)
-        if count > _MAX_ELEMENTS:
-            raise FormatError(f"{path}: dimension product overflow ({count} elements)")
-        dtype = _DTYPES[code]
-        if size - dims_end > count * dtype.itemsize:
-            raise FormatError(f"{path}: trailing bytes after payload")
-        return TensorFile(path, fh, dtype, dims, dims_end)
-    except BaseException:
-        fh.close()
-        raise
+    return TensorFile(Path(path), _ppt1_header)
 
 
 TRIPLE_SUFFIXES = (".sem.pgm", ".inst.pgm", ".part.pgm")
@@ -236,5 +252,6 @@ def read_proposals(path: str | Path) -> tuple[InstanceProposal, ...]:
             raise ValidationError(
                 f"{mask_path}: proposal mask must be rank 2, got rank {mask.ndim}"
             )
+        mask.close()  # fuse reads it once, opening it again
         out.append(InstanceProposal(entry.class_id, entry.confidence, mask))
     return tuple(out)

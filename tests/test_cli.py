@@ -1437,22 +1437,16 @@ def write_many_proposals(directory, name, count, seed):
 
 @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
 def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json):
-    """Every mapped tensor holds a descriptor while it lives: two frames of
-    2 + 100 tensors on 2 jobs need more than a soft limit of 64, which
-    ``main`` lifts towards the hard limit."""
-    import resource
-
-    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
-    if hard != resource.RLIM_INFINITY and hard < 1024:
-        pytest.skip(f"hard open-file limit {hard} is too low")
+    """A sample holds its two logit files open, and opens each proposal
+    mask only while it reads it: two frames of 100 proposals on 2 jobs fuse
+    under a soft and hard open-file limit of 64, to the same bytes."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     for i in range(2):
         write_many_proposals(inputs, f"img{i}", 100, seed=i)
     limited = (
         "import resource, sys\n"
-        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
-        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))\n"
         "from partfuse.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -1465,6 +1459,27 @@ def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json
     assert sorted(limited_tree) == [f"img{i}.{k}.pgm" for i in range(2)
                                     for k in ("inst", "part", "sem")]
     assert limited_tree == tree_bytes(tmp_path / "free")
+
+
+def test_fuse_of_a_mask_replaced_after_read_proposals(tmp_path, taxonomy_json,
+                                                      monkeypatch, caplog):
+    # a mask renamed over between its check in read_proposals and its read
+    # in fuse fails its sample (exit 2), rather than fuse a file never checked
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_many_proposals(inputs, "img0", 3, seed=0)
+    victim = inputs / "img0_p001.ppt1"
+    read = formats.read_proposals
+
+    def read_then_replace(path):
+        proposals = read(path)
+        write_tensor(np.zeros((8, 8), np.float32), tmp_path / "new.ppt1")
+        os.replace(tmp_path / "new.ppt1", victim)
+        return proposals
+
+    monkeypatch.setattr(formats, "read_proposals", read_then_replace)
+    assert main(fuse_args(taxonomy_json, tmp_path / "out", inputs, "--jobs", "1")) == 2
+    assert f"{victim}: replaced since it was opened" in caplog.text
 
 
 def test_cli_import_leaves_out_scipy_ndimage():

@@ -88,6 +88,26 @@ def test_tensor_read_rows(tmp_path):
         assert np.array_equal(back.read(rows), tensor[:, rows])
 
 
+@pytest.mark.parametrize("change, error", [("replace", "replaced since it was opened"),
+                                           ("truncate", "truncated payload")])
+def test_proposal_mask_that_changes_after_read_proposals(tmp_path, change, error):
+    # read_proposals closes each mask once it is checked, and a read opens
+    # it again: a path that names another file by then, or a shorter one,
+    # fails the read
+    mask = np.arange(16, dtype=np.float32).reshape(4, 4)
+    write_proposals([InstanceProposal(1, 0.9, mask)], tmp_path / "img.proposals.json")
+    (proposal,) = read_proposals(tmp_path / "img.proposals.json")
+    assert np.array_equal(proposal.mask_logits.read(), mask)
+    path = tmp_path / "proposal_000.ppt1"
+    if change == "replace":
+        write_tensor(mask + 1, tmp_path / "new.ppt1")
+        os.replace(tmp_path / "new.ppt1", path)
+    else:
+        os.truncate(path, path.stat().st_size - 4)
+    with pytest.raises(FormatError, match=error):
+        proposal.mask_logits.read()
+
+
 # opens a fuse sample with read_sample, truncates one of its files in
 # place, then fuses it and prints the FormatError that fuse raises
 TRUNCATE_THEN_FUSE = """
