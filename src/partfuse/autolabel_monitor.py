@@ -23,9 +23,8 @@ from .containers import LABEL_DTYPE, LabelTriple
 from .errors import ValidationError
 from . import imaging
 from .imaging import HsvRange
-from .autolabel_rgbd import PartColorRule, ordered_part_rules, rule_part_ids
+from .autolabel_rgbd import PartColorRule, rule_part_ids
 from .jsonio import decode
-from .taxonomy import ClassTaxonomy
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,7 @@ def extract_reference_mask(
 
 
 def extract_part_masks(
-    img_black: np.ndarray,
-    object_mask: np.ndarray,
-    config: MonitorLabelConfig,
-    taxonomy: ClassTaxonomy | None = None,
+    img_black: np.ndarray, object_mask: np.ndarray, config: MonitorLabelConfig
 ) -> ReferenceLabel:
     """Give the object's pixels part ids and an instance grid.
 
@@ -128,7 +124,6 @@ def extract_part_masks(
     """
     if img_black.shape[:2] != object_mask.shape:
         raise ValidationError("object mask dimensions disagree with captures")
-    rules = ordered_part_rules(config.part_rules, taxonomy, config.catchall_part_id)
     masked_black = np.where(object_mask[..., None], img_black, np.uint8(0))
     processed = imaging.quantize_colors(
         imaging.morphological_close(masked_black, config.closing_window),
@@ -136,7 +131,7 @@ def extract_part_masks(
     )
     part_grid = np.zeros(object_mask.shape, dtype=np.uint16)
     part_grid[object_mask] = rule_part_ids(
-        processed[object_mask], rules, config.catchall_part_id
+        processed[object_mask], config.part_rules, config.catchall_part_id
     )
 
     labels, sizes = imaging.connected_components(object_mask)

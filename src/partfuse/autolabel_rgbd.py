@@ -39,32 +39,26 @@ class PartColorRule:
     priority: int = 0
 
 
-def ordered_part_rules(
-    rules, taxonomy: ClassTaxonomy | None = None, catchall_part_id: int = 0
-) -> list[PartColorRule]:
-    """Rules in the order they are tried: descending priority, given order
-    among equals.  With a taxonomy, every rule's part id and a nonzero
-    catch-all must be part classes."""
-    if taxonomy is not None:
-        for rule in rules:
-            taxonomy.part_class(rule.part_id)
-        if catchall_part_id:
-            taxonomy.part_class(catchall_part_id)
-    return sorted(rules, key=lambda rule: -rule.priority)
-
-
 def check_class_ids(config, taxonomy: ClassTaxonomy) -> None:
-    """Raise ValidationError unless the config's object class, and its
-    background class when nonzero, are taxonomy classes."""
+    """Raise ValidationError unless every id the config labels with is a
+    taxonomy class: its object class, its background class when nonzero,
+    each part rule's part id, then its catch-all part when nonzero.  A
+    label run checks once, before any scene; the stages take ids as given."""
     taxonomy.semantic_class(config.object_class_id)
     if config.background_class_id:
         taxonomy.semantic_class(config.background_class_id)
+    for rule in config.part_rules:
+        taxonomy.part_class(rule.part_id)
+    if config.catchall_part_id:
+        taxonomy.part_class(config.catchall_part_id)
 
 
 def rule_part_ids(colors: np.ndarray, rules, catchall_part_id: int = 0) -> np.ndarray:
     """The part id of each uint8 RGB colour of ``colors`` (..., 3): that of
-    the first of ``rules``, taken in the order given, whose HSV range holds
-    it, else ``catchall_part_id``.  Both labellers give parts this way."""
+    the first of ``rules``, tried by descending priority and in the given
+    order among equal priorities, whose HSV range holds it, else
+    ``catchall_part_id``.  Both labellers give parts this way."""
+    rules = sorted(rules, key=lambda rule: -rule.priority)
     ids = np.array([rule.part_id for rule in rules] + [catchall_part_id])
     if ids.min() < 0 or ids.max() > np.iinfo(LABEL_DTYPE).max:
         raise ValidationError("part ids must fit in 16 bits")
@@ -163,10 +157,7 @@ def segment_objects(cloud: PointCloud, config: RgbdLabelConfig) -> LabeledPointC
 
 
 def label_parts(
-    labeled: LabeledPointCloud,
-    part_rules,
-    taxonomy: ClassTaxonomy | None = None,
-    catchall_part_id: int = 0,
+    labeled: LabeledPointCloud, part_rules, catchall_part_id: int = 0
 ) -> LabeledPointCloud:
     """Assign part ids to object points by colour thresholding.
 
@@ -174,18 +165,14 @@ def label_parts(
     the first match wins.  Unmatched object points receive the catch-all
     part id, or 0 if none is configured.
     """
-    rules = ordered_part_rules(part_rules, taxonomy, catchall_part_id)
     part = np.zeros(len(labeled.cloud), dtype=np.int64)
     obj = labeled.object_flag
-    part[obj] = rule_part_ids(labeled.cloud.rgb[obj], rules, catchall_part_id)
+    part[obj] = rule_part_ids(labeled.cloud.rgb[obj], part_rules, catchall_part_id)
     return replace(labeled, part_id=part)
 
 
 def project_labels(
-    labeled: LabeledPointCloud,
-    camera: CameraModel,
-    taxonomy: ClassTaxonomy,
-    config: RgbdLabelConfig,
+    labeled: LabeledPointCloud, camera: CameraModel, config: RgbdLabelConfig
 ) -> LabelTriple:
     """Carry per-point labels into pixel space by k-NN voting.
 
@@ -197,8 +184,6 @@ def project_labels(
     supporting voter is nearest.
     """
     from scipy.spatial import cKDTree
-
-    check_class_ids(config, taxonomy)
 
     proj = pointcloud.project(labeled.cloud, camera)
     idx = np.nonzero(proj.in_frame)[0]
@@ -302,7 +287,9 @@ def generate_rgbd_sample(
     taxonomy: ClassTaxonomy,
     config: RgbdLabelConfig,
 ) -> tuple[np.ndarray, LabelTriple]:
-    """Run the full pipeline on one capture; the image passes through."""
+    """Run the full pipeline on one capture, after check_class_ids; the
+    image passes through."""
+    check_class_ids(config, taxonomy)
     height, width = rgb.shape[:2]
     if (height, width) != (camera.height, camera.width):
         raise ValidationError(
@@ -310,10 +297,8 @@ def generate_rgbd_sample(
             f"{camera.width}x{camera.height}"
         )
     labeled = segment_objects(cloud, config)
-    labeled = label_parts(
-        labeled, config.part_rules, taxonomy, config.catchall_part_id
-    )
-    triple = project_labels(labeled, camera, taxonomy, config)
+    labeled = label_parts(labeled, config.part_rules, config.catchall_part_id)
+    triple = project_labels(labeled, camera, config)
     return rgb, triple
 
 

@@ -64,6 +64,10 @@ class RunConfig:
     fusion: FusionParams = FusionParams()
     file: dict = field(default_factory=dict)  # the --config file's JSON object
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+
 
 _SETTINGS = ("taxonomy", "out", "strategy", "seed", "jobs",
              *(f.name for f in fields(FusionParams)))
@@ -211,11 +215,10 @@ def _run_adopted(index: int):
 
 def cmd_fuse(args, cfg: RunConfig) -> None:
     from . import formats
-    from .fusion import fuse
+    from .fusion import check_strategy, fuse
 
-    if cfg.strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {cfg.strategy!r}; expected one of {STRATEGIES}")
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
+    check_strategy(cfg.strategy, taxonomy)
     out_dir = _ensure_out(cfg.out)
     stems = formats.find_stems(args.inputs, formats.SAMPLE_SUFFIXES)
     if not stems:
@@ -398,7 +401,7 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
         img_blue = read_pnm(scene / "blue.ppm")
         img_black = read_pnm(scene / "black.ppm")
         mask = extract_reference_mask(img_blue, img_black, label_cfg)
-        reference = extract_part_masks(img_black, mask, label_cfg, taxonomy)
+        reference = extract_part_masks(img_black, mask, label_cfg)
 
         emitted = []
 

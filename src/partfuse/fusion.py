@@ -316,6 +316,16 @@ def _accept_proposals(proposals, params: FusionParams, inst_map: np.ndarray) -> 
     return accepted
 
 
+def check_strategy(strategy: str, taxonomy: ClassTaxonomy) -> None:
+    """Raise ValidationError for an unknown strategy, or for "partpanoptic"
+    with a taxonomy without part classes.  fuse checks first, and the fuse
+    command once, before any frame."""
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == "partpanoptic" and not taxonomy.part_ids:
+        raise ValidationError("part-wise fusion requires at least one part class")
+
+
 def fuse(
     stack: LogitStack,
     taxonomy: ClassTaxonomy,
@@ -336,12 +346,9 @@ def fuse(
     A non-finite logit or mask value raises ValidationError, so nothing
     is returned for such a frame; the masks are checked before the logits.
     """
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    check_strategy(strategy, taxonomy)
     stack.validate(taxonomy)
     enhance = strategy == "partpanoptic"
-    if enhance and not stack.part_channel_ids:
-        raise ValidationError("part-wise fusion requires at least one part class")
     sem_map, inst_map, part_map = panoptic_fuse(
         stack, taxonomy, stack.instance_proposals, params, enhance
     )

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
-BASELINE_STRATEGIES = ("none", "consensus", "topdown")
-STRATEGIES = ("partpanoptic",) + BASELINE_STRATEGIES
+STRATEGIES = ("partpanoptic", "none", "consensus", "topdown")
 
 
 @dataclass(frozen=True)

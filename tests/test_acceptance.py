@@ -204,7 +204,7 @@ def test_criterion_4_metrics_vs_oracle(taxonomy):
         assert time.perf_counter() - started < 30.0
 
 
-def test_criterion_5_variant_a_end_to_end(taxonomy):
+def test_criterion_5_variant_a_end_to_end():
     with criterion(5, "RGB-D labelling: points, instances, projected labels"):
         started = time.perf_counter()
         cloud, truth, camera = build_rgbd_scene(seed=0, noise=0.001)
@@ -215,16 +215,14 @@ def test_criterion_5_variant_a_end_to_end(taxonomy):
         assert accuracy >= 0.99
         assert labeled.instance_id.max() == 2  # exactly two instances
 
-        labeled = label_parts(
-            labeled, config.part_rules, taxonomy, config.catchall_part_id
-        )
-        triple = project_labels(labeled, camera, taxonomy, config)
+        labeled = label_parts(labeled, config.part_rules, config.catchall_part_id)
+        triple = project_labels(labeled, camera, config)
         assert (triple.semantic_map != 0).any()
         assert np.array_equal(stacked(triple), vote_oracle(labeled, camera, config))
         assert time.perf_counter() - started < 10.0
 
 
-def test_criterion_6_variant_b_end_to_end(taxonomy):
+def test_criterion_6_variant_b_end_to_end():
     with criterion(6, "monitor labelling: mask IoU, part partition, composites"):
         started = time.perf_counter()
         img_blue, img_black, disk, _ = disk_scene()
@@ -234,7 +232,7 @@ def test_criterion_6_variant_b_end_to_end(taxonomy):
         union = (mask | disk).sum()
         assert inter / union >= 0.99
 
-        reference = extract_part_masks(img_black, mask, config, taxonomy)
+        reference = extract_part_masks(img_black, mask, config)
         seal = reference.part_grid == SEAL
         other = reference.part_grid == OTHER
         assert np.array_equal(seal | other, mask)
@@ -453,7 +451,7 @@ def test_criterion_9_overlay_rendering(tmp_path, taxonomy):
         img_blue, img_black, _, _ = disk_scene()
         config = monitor_config()
         mask = extract_reference_mask(img_blue, img_black, config)
-        reference = extract_part_masks(img_black, mask, config, taxonomy)
+        reference = extract_part_masks(img_black, mask, config)
         triple = reference.triple
 
         boxes = instance_boxes(triple)

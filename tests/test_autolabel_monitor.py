@@ -119,11 +119,11 @@ def test_remask_is_idempotent():
     assert np.array_equal(refilled, mask)
 
 
-def test_part_masks_partition_disk(taxonomy):
+def test_part_masks_partition_disk():
     img_blue, img_black, disk, top = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_black, mask, config, taxonomy)
+    reference = extract_part_masks(img_black, mask, config)
     seal = reference.part_grid == SEAL
     other = reference.part_grid == OTHER
     assert np.array_equal(seal | other, mask)
@@ -132,17 +132,17 @@ def test_part_masks_partition_disk(taxonomy):
     assert not reference.object_mask.flags.writeable
 
 
-def test_part_masks_no_rules_catchall(taxonomy):
+def test_part_masks_no_rules_catchall():
     img_blue, img_black, _, _ = disk_scene()
     config = MonitorLabelConfig(
         object_class_id=BAG, catchall_part_id=OTHER, part_rules=()
     )
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_black, mask, config, taxonomy)
+    reference = extract_part_masks(img_black, mask, config)
     assert np.array_equal(reference.part_grid, np.where(mask, OTHER, 0))
 
 
-def test_two_disks_two_instances(taxonomy):
+def test_two_disks_two_instances():
     size = 128
     yy, xx = np.mgrid[:size, :size]
     d1 = (xx - 32) ** 2 + (yy - 32) ** 2 <= 20 * 20
@@ -156,7 +156,7 @@ def test_two_disks_two_instances(taxonomy):
 
     config = monitor_config()
     mask = extract_reference_mask(render(BLUE_BG), render(BLACK_BG), config)
-    ref = extract_part_masks(render(BLACK_BG), mask, config, taxonomy)
+    ref = extract_part_masks(render(BLACK_BG), mask, config)
     assert ref.instance_grid.max() == 2
     # scan order: d1's top pixel comes first
     assert ref.instance_grid[32, 32] == 1
@@ -171,11 +171,11 @@ def test_extract_part_masks_refuses_instance_ids_past_16_bits():
         extract_part_masks(black, mask, monitor_config())
 
 
-def test_transfer_labels_copies_reference(taxonomy):
+def test_transfer_labels_copies_reference():
     img_blue, img_black, _, _ = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_black, mask, config, taxonomy)
+    reference = extract_part_masks(img_black, mask, config)
     rng = np.random.default_rng(0)
     t1 = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
     t2 = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
@@ -191,11 +191,11 @@ def test_transfer_labels_copies_reference(taxonomy):
     assert composite_synthetic(t1, reference, t2)[1] is triple1
 
 
-def test_transfer_labels_dim_mismatch(taxonomy):
+def test_transfer_labels_dim_mismatch():
     img_blue, img_black, _, _ = disk_scene()
     config = monitor_config()
     mask = extract_reference_mask(img_blue, img_black, config)
-    reference = extract_part_masks(img_black, mask, config, taxonomy)
+    reference = extract_part_masks(img_black, mask, config)
     small = np.zeros((16, 16, 3), dtype=np.uint8)
     with pytest.raises(ValidationError, match="dimensions"):
         transfer_labels(reference, small)

@@ -12,10 +12,10 @@ from partfuse.autolabel_rgbd import (
     PartColorRule,
     RgbdLabelConfig,
     _majority,
+    check_class_ids,
     generate_rgbd_sample,
     label_parts,
     load_rgbd_config,
-    ordered_part_rules,
     project_labels,
     rule_part_ids,
     segment_objects,
@@ -23,9 +23,8 @@ from partfuse.autolabel_rgbd import (
 from partfuse.errors import ValidationError
 from partfuse.imaging import HsvRange, rgb_to_hsv
 from partfuse.pointcloud import PointCloud, project
-from partfuse.taxonomy import validate_taxonomy
 
-from conftest import BAG, CENTER, HOSPITAL_TAXONOMY, OTHER, SEAL, TABLE
+from conftest import BAG, CENTER, OTHER, SEAL, TABLE
 from scenes import (
     SEAL_RANGE,
     back_project,
@@ -155,11 +154,13 @@ def test_label_parts_matches_per_point_oracle(seed):
 
 def rule_part_ids_per_colour(colors, rules, catchall):
     """Reference: convert each colour on its own and take the part id of
-    the first rule that holds it, in ``ordered_part_rules`` order."""
+    the first rule that holds it, by descending priority and in the given
+    order among equal priorities."""
+    order = sorted(range(len(rules)), key=lambda i: (-rules[i].priority, i))
     parts = []
     for rgb in colors:
         h, s, v = rgb_to_hsv(rgb)
-        hits = (r.part_id for r in ordered_part_rules(rules) if r.hsv_range.contains(h, s, v))
+        hits = (rules[i].part_id for i in order if rules[i].hsv_range.contains(h, s, v))
         parts.append(next(hits, catchall))
     return parts
 
@@ -195,10 +196,10 @@ def colours_and_rules(draw):
 def test_rule_part_ids_matches_per_colour_oracle(case):
     colors, rules, catchall = case
     expected = rule_part_ids_per_colour(colors, rules, catchall)
-    got = rule_part_ids(colors, ordered_part_rules(rules), catchall)
+    got = rule_part_ids(colors, rules, catchall)
     assert got.tolist() == expected
     # an image of the same colours gets the same ids, pixel by pixel
-    image = rule_part_ids(colors[None, ::-1], ordered_part_rules(rules), catchall)
+    image = rule_part_ids(colors[None, ::-1], rules, catchall)
     assert image.tolist() == [expected[::-1]]
 
 
@@ -210,11 +211,19 @@ def test_rule_part_ids_rejects_ids_beyond_16_bits():
         rule_part_ids(colors, [], catchall_part_id=-1)
 
 
-def test_label_parts_unknown_part_rejected(taxonomy):
-    labeled = hand_labeled([(220, 30, 30)], [True])
-    rules = (PartColorRule(part_id=999, hsv_range=SEAL_RANGE),)
-    with pytest.raises(ValidationError, match="unknown part"):
-        label_parts(labeled, rules, taxonomy)
+@pytest.mark.parametrize("config, message", [
+    (RgbdLabelConfig(BAG, part_rules=(PartColorRule(SEAL), PartColorRule(99))), "part class id 99"),
+    (RgbdLabelConfig(BAG, part_rules=(PartColorRule(99),), catchall_part_id=98), "part class id 99"),
+    (RgbdLabelConfig(BAG, catchall_part_id=98), "part class id 98"),
+    (RgbdLabelConfig(97, part_rules=(PartColorRule(99),)), "semantic class id 97"),
+    (MonitorLabelConfig(BAG, part_rules=(PartColorRule(99),)), "part class id 99"),
+    (MonitorLabelConfig(BAG, TABLE, catchall_part_id=98), "part class id 98"),
+], ids=["rgbd-rule", "rgbd-rule-first", "rgbd-catchall", "rgbd-class-first", "monitor-rule",
+        "monitor-catchall"])
+def test_check_class_ids_rejects_unknown_part_ids(taxonomy, config, message):
+    # class ids first, then each rule's part id, then the catch-all
+    with pytest.raises(ValidationError, match=f"unknown {message}$"):
+        check_class_ids(config, taxonomy)
 
 
 def single_point_labeled(u_target, v_target, camera):
@@ -233,7 +242,7 @@ def single_point_labeled(u_target, v_target, camera):
     )
 
 
-def test_project_labels_single_point(taxonomy):
+def test_project_labels_single_point():
     camera = overhead_camera(width=100, height=100)
     labeled = single_point_labeled(50.0, 50.0, camera)
     config = rgbd_config()
@@ -245,7 +254,7 @@ def test_project_labels_single_point(taxonomy):
         part_rules=config.part_rules,
         catchall_part_id=OTHER,
     )
-    triple = project_labels(labeled, camera, taxonomy, config)
+    triple = project_labels(labeled, camera, config)
     assert triple.semantic_map[50, 50] == BAG
     assert triple.instance_map[50, 50] == 1
     assert triple.part_map[50, 50] == SEAL
@@ -269,7 +278,7 @@ def labeled_from_rows(rows):
     )
 
 
-def test_project_labels_majority_vote(taxonomy):
+def test_project_labels_majority_vote():
     camera = overhead_camera(width=32, height=32, f=32.0)
     # five points projecting near one pixel: 4 table votes, 1 object vote
     base_u, base_v = 16.0, 16.0
@@ -285,12 +294,12 @@ def test_project_labels_majority_vote(taxonomy):
     config = RgbdLabelConfig(
         object_class_id=BAG, background_class_id=TABLE, knn_k=5, max_pixel_radius=2.0
     )
-    triple = project_labels(labeled, camera, taxonomy, config)
+    triple = project_labels(labeled, camera, config)
     assert triple.semantic_map[16, 16] == TABLE  # majority wins over nearest
     assert triple.instance_map[16, 16] == 0
 
 
-def test_project_labels_tie_goes_to_nearest_supporter(taxonomy):
+def test_project_labels_tie_goes_to_nearest_supporter():
     camera = overhead_camera(width=32, height=32, f=32.0)
     # 2 object votes, 2 table votes, nearest is object
     offsets = [(0.1, 0.0), (0.6, 0.0), (-0.7, 0.0), (0.0, 0.8)]
@@ -306,27 +315,27 @@ def test_project_labels_tie_goes_to_nearest_supporter(taxonomy):
     config = RgbdLabelConfig(
         object_class_id=BAG, background_class_id=TABLE, knn_k=4, max_pixel_radius=2.0
     )
-    triple = project_labels(labeled, camera, taxonomy, config)
+    triple = project_labels(labeled, camera, config)
     assert triple.semantic_map[16, 16] == BAG
     assert triple.instance_map[16, 16] == 1
 
 
-def test_project_labels_no_in_frame_points(taxonomy):
+def test_project_labels_no_in_frame_points():
     camera = overhead_camera(width=16, height=16, f=16.0)
     rows = [(5.0, 5.0, 0.0, True, 1, SEAL, False)]  # far outside the view
     labeled = labeled_from_rows(rows)
     config = RgbdLabelConfig(object_class_id=BAG, background_class_id=TABLE)
-    triple = project_labels(labeled, camera, taxonomy, config)
+    triple = project_labels(labeled, camera, config)
     assert (triple.semantic_map == 0).all()
     assert (triple.instance_map == 0).all()
 
 
-def test_project_labels_point_order_invariant(taxonomy):
+def test_project_labels_point_order_invariant():
     cloud, _, camera = build_rgbd_scene(seed=5)
     config = rgbd_config(seed=5)
     labeled = segment_objects(cloud, config)
-    labeled = label_parts(labeled, config.part_rules, taxonomy, config.catchall_part_id)
-    triple = project_labels(labeled, camera, taxonomy, config)
+    labeled = label_parts(labeled, config.part_rules, config.catchall_part_id)
+    triple = project_labels(labeled, camera, config)
 
     rng = np.random.default_rng(6)
     perm = rng.permutation(len(cloud))
@@ -337,7 +346,7 @@ def test_project_labels_point_order_invariant(taxonomy):
         part_id=labeled.part_id[perm],
         table_flag=labeled.table_flag[perm],
     )
-    shuffled_triple = project_labels(shuffled, camera, taxonomy, config)
+    shuffled_triple = project_labels(shuffled, camera, config)
     assert np.array_equal(triple.semantic_map, shuffled_triple.semantic_map)
     assert np.array_equal(triple.instance_map, shuffled_triple.instance_map)
     assert np.array_equal(triple.part_map, shuffled_triple.part_map)
@@ -393,8 +402,7 @@ def labeled_scene():
     cloud, _, camera = build_rgbd_scene(seed=0)
     config = rgbd_config(seed=0)
     labeled = label_parts(
-        segment_objects(cloud, config), config.part_rules,
-        validate_taxonomy(HOSPITAL_TAXONOMY), config.catchall_part_id,
+        segment_objects(cloud, config), config.part_rules, config.catchall_part_id
     )
     return labeled, camera, config
 
@@ -412,13 +420,13 @@ def every_nth_point(labeled: LabeledPointCloud, n: int) -> LabeledPointCloud:
 
 # None: more votes than the scene (thinned to every 40th point) has points
 @pytest.mark.parametrize("knn_k", [1, 2, 5, 40, None])
-def test_project_labels_matches_vote_oracle(taxonomy, labeled_scene, knn_k):
+def test_project_labels_matches_vote_oracle(labeled_scene, knn_k):
     labeled, camera, config = labeled_scene
     if knn_k is None:
         labeled = every_nth_point(labeled, 40)
         knn_k = int(project(labeled.cloud, camera).in_frame.sum()) + 7
     config = replace(config, knn_k=knn_k)
-    triple = project_labels(labeled, camera, taxonomy, config)
+    triple = project_labels(labeled, camera, config)
     assert (triple.semantic_map != 0).any()
     assert np.array_equal(stacked(triple), vote_oracle(labeled, camera, config))
 
@@ -470,7 +478,7 @@ def test_generate_rgbd_sample_end_to_end(taxonomy):
     ).all()
 
     labeled = segment_objects(cloud, config)
-    labeled = label_parts(labeled, config.part_rules, taxonomy, config.catchall_part_id)
+    labeled = label_parts(labeled, config.part_rules, config.catchall_part_id)
     # the votes themselves: test_project_labels_matches_vote_oracle
 
     # every emitted instance id is backed by an in-frame projected point
@@ -494,6 +502,10 @@ def test_generate_rgbd_sample_dims_checked(taxonomy):
     wrong = np.zeros((10, 10, 3), dtype=np.uint8)
     with pytest.raises(ValidationError, match="camera"):
         generate_rgbd_sample(wrong, cloud, camera, taxonomy, rgbd_config())
+    # the config's ids are checked first, before any other work
+    config = replace(rgbd_config(), catchall_part_id=98)
+    with pytest.raises(ValidationError, match="unknown part class id 98"):
+        generate_rgbd_sample(wrong, cloud, camera, taxonomy, config)
 
 
 @pytest.mark.parametrize("loader, config", [

@@ -27,7 +27,7 @@ from partfuse.errors import FormatError, ValidationError
 from partfuse.imaging import write_pnm
 from partfuse.params import STRATEGIES
 
-from conftest import BAG, BOTTLE, CENTER, OTHER, SEAL, TABLE, make_triple
+from conftest import BAG, BOTTLE, CENTER, HOSPITAL_TAXONOMY, OTHER, SEAL, TABLE, make_triple
 from scenes import (
     build_rgbd_scene,
     fresh_env,
@@ -663,17 +663,45 @@ def test_label_rgbd_malformed_ply_exit_code(tmp_path, taxonomy_json):
     assert code == 2
 
 
-@pytest.mark.parametrize("field, class_id", [("object_class_id", 99), ("object_class_id", 70000),
-                                             ("background_class_id", 99)])
-def test_label_rgbd_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, field, class_id):
+# a config id that is not a taxonomy class: (field, value) pairs, where
+# ("part_rules", id) gives the first part rule that id
+UNKNOWN_CONFIG_IDS = [("object_class_id", 99), ("object_class_id", 70000),
+                      ("background_class_id", 99), ("part_rules", 99), ("catchall_part_id", 98)]
+
+
+def with_config_id(config: Path, field: str, value: int) -> None:
+    raw = json.loads(config.read_text())
+    if field == "part_rules":
+        raw["part_rules"][0]["part_id"] = value
+    else:
+        raw[field] = value
+    config.write_text(json.dumps(raw))
+
+
+def refuse_scene_work(monkeypatch, module: str, stage: str) -> None:
+    """Make the first stage of a scene's work fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{stage} ran")
+
+    monkeypatch.setattr(f"partfuse.{module}.{stage}", refuse)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("field, class_id", UNKNOWN_CONFIG_IDS)
+def test_label_rgbd_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, monkeypatch,
+                                                      caplog, field, class_id, jobs):
     scenes = [write_rgbd_scene_dir(tmp_path, f"scene_{i}", seed=i) for i in range(2)]
     config = write_rgbd_config(tmp_path)
-    config.write_text(json.dumps({**json.loads(config.read_text()), field: class_id}))
-    out = tmp_path / "out"
-    args = ["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config", str(config),
-            "--out", str(out), "--keep-going", *map(str, scenes)]
-    assert main(args) == 3
-    assert not list(out.glob("*.pgm"))
+    with_config_id(config, field, class_id)
+    refuse_scene_work(monkeypatch, "autolabel_rgbd", "segment_objects")
+    for keep_going in ([], ["--keep-going"]):
+        out = tmp_path / f"out{keep_going}"
+        args = ["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config", str(config),
+                "--out", str(out), "--jobs", jobs, *keep_going, *map(str, scenes)]
+        caplog.clear()
+        assert main(args) == 3
+        assert f"class id {class_id}" in caplog.text
+        assert not list(out.iterdir())
 
 
 def write_monitor_dataset(tmp_path, seed=5):
@@ -746,31 +774,43 @@ def test_label_monitor_end_to_end(tmp_path, taxonomy_json):
     assert np.array_equal(t0.part_map, s0.part_map)
 
 
-@pytest.mark.parametrize("field, class_id", [("object_class_id", 99), ("object_class_id", 70000),
-                                             ("background_class_id", 99)])
-def test_label_monitor_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, field, class_id):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("field, class_id", UNKNOWN_CONFIG_IDS)
+def test_label_monitor_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, monkeypatch,
+                                                         caplog, field, class_id, jobs):
     root, backgrounds, config = write_monitor_dataset(tmp_path)
     for target in root.glob("*/target_*.ppm"):  # composites only
         target.unlink()
-    config.write_text(json.dumps({**json.loads(config.read_text()), field: class_id}))
-    out = tmp_path / "out"
-    args = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config),
-            "--out", str(out), "--backgrounds", str(backgrounds), "--composites", "2",
-            "--keep-going", str(root)]  # no scene runs, so none can be skipped
-    assert main(args) == 3
-    assert not list(out.glob("*.pgm"))
+    shutil.copytree(root / "scene_0", root / "scene_1")  # an item for each worker
+    with_config_id(config, field, class_id)
+    refuse_scene_work(monkeypatch, "autolabel_monitor", "extract_reference_mask")
+    for keep_going in ([], ["--keep-going"]):  # no scene runs, so none can be skipped
+        out = tmp_path / f"out{keep_going}"
+        args = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config),
+                "--out", str(out), "--backgrounds", str(backgrounds), "--composites", "2",
+                "--jobs", jobs, *keep_going, str(root)]
+        caplog.clear()
+        assert main(args) == 3
+        assert f"class id {class_id}" in caplog.text
+        assert not list(out.iterdir())
 
 
-def test_label_monitor_rejects_negative_composites_before_any_scene(
-    tmp_path, taxonomy_json, caplog
+@pytest.mark.parametrize("flag, value, message", [
+    ("--composites", "-3", "--composites must be >= 0, got -3"),
+    ("--jobs", "0", "jobs must be >= 1, got 0"),
+    ("--jobs", "-3", "jobs must be >= 1, got -3"),
+], ids=["composites--3", "jobs-0", "jobs--3"])
+def test_label_monitor_rejects_bad_counts_before_any_scene(
+    tmp_path, taxonomy_json, caplog, flag, value, message
 ):
     root, backgrounds, config = write_monitor_dataset(tmp_path)
     out = tmp_path / "out"
+    out.mkdir()
     args = ["label", "monitor", "--taxonomy", str(taxonomy_json), "--config", str(config),
-            "--out", str(out), "--backgrounds", str(backgrounds), "--composites", "-3",
+            "--out", str(out), "--backgrounds", str(backgrounds), flag, value,
             "--keep-going", str(root)]  # no scene runs, so none can be skipped
     assert main(args) == 3
-    assert "--composites must be >= 0, got -3" in caplog.text
+    assert message in caplog.text
     assert not list(out.iterdir())
 
 
@@ -1092,6 +1132,31 @@ def test_fuse_failure_commits_same_tree_for_any_jobs(
         kinds = ("sem", "inst", "part")
         expected = {f"img{i}.{k}.pgm" for i in kept if i != broken for k in kinds}
         assert set(trees[0]) == expected
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fuse_checks_strategy_before_any_frame(tmp_path, monkeypatch, caplog, jobs):
+    """Part-wise fusion needs part classes: with a taxonomy that has none,
+    partpanoptic fails the run before any frame is read, and the baselines
+    fuse the same frames."""
+    taxonomy = tmp_path / "partless.json"
+    taxonomy.write_text(json.dumps({**HOSPITAL_TAXONOMY, "part_classes": []}))
+    inputs = write_fuse_inputs(tmp_path, 2)
+    for stem in ("img0", "img1"):
+        write_tensor(np.zeros((0, 8, 8), dtype=np.float32), inputs / f"{stem}.part.ppt1")
+    assert main(fuse_args(taxonomy, tmp_path / "none", inputs, "--strategy", "none")) == 0
+    assert len(list((tmp_path / "none").iterdir())) == 6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame was read")
+
+    monkeypatch.setattr(formats, "read_sample", refuse)
+    for flags in ([], ["--keep-going"]):
+        out = tmp_path / f"out{flags}"
+        caplog.clear()
+        assert main(fuse_args(taxonomy, out, inputs, "--jobs", jobs, *flags)) == 3
+        assert "part-wise fusion requires at least one part class" in caplog.text
+        assert not out.exists()
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -1807,6 +1872,7 @@ DROP = object()
 @pytest.mark.parametrize(
     "target, where, value",
     [("fuse-config", ["jobs"], "<1e400>"),
+     ("fuse-config", ["jobs"], 0),
      ("fuse-config", ["min_instance_area"], "<1e400>"),
      ("fuse-config", ["seed"], "3"),
      ("proposals", [0, "class_id"], "<1e400>"),
@@ -1820,7 +1886,7 @@ DROP = object()
      ("fuse-taxonomy", ["semantic_classes", 0, "is_thing"], DROP),
      ("fuse-taxonomy", ["part_classes"], 5),
      ("fuse-taxonomy", ["part_classes", 0, "parent_semantic_id"], [1])],
-    ids=["jobs-1e400", "min-area-1e400", "seed-string", "class-id-1e400", "ransac-1e400",
+    ids=["jobs-1e400", "jobs-0", "min-area-1e400", "seed-string", "class-id-1e400", "ransac-1e400",
          "pmf-window-1.5", "hsv-unknown-key", "closing-1e400", "width-1e400", "cx-nan",
          "no-name", "no-is-thing", "part-classes-5", "parent-list"],
 )

@@ -15,6 +15,7 @@ from partfuse.fusion import (
     FusionParams,
     agreement_part_sem,
     agreement_sem_inst,
+    check_strategy,
     fuse,
     panoptic_fuse,
     part_wise_fuse,
@@ -399,6 +400,12 @@ def test_baseline_unknown_strategy():
     tax, stack, _ = conflict_fixture()
     with pytest.raises(ValidationError, match="strategy"):
         fuse(stack, tax, None, "bogus")
+    # part-wise fusion needs part classes; the baselines run without them
+    partless = thing_stuff_taxonomy()
+    with pytest.raises(ValidationError, match="at least one part class"):
+        check_strategy("partpanoptic", partless)
+    for strategy in STRATEGIES[1:]:
+        check_strategy(strategy, partless)
 
 
 def test_fuse_part_panoptic_coherent_scene():

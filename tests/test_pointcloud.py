@@ -515,44 +515,44 @@ def projection_oracle(labeled, width, height, config):
     return maps
 
 
-def assert_matches_projection_oracle(labeled, width, height, config, taxonomy):
-    triple = project_labels(labeled, plane_camera(width, height), taxonomy, config)
+def assert_matches_projection_oracle(labeled, width, height, config):
+    triple = project_labels(labeled, plane_camera(width, height), config)
     want = projection_oracle(labeled, width, height, config)
     got = np.stack([triple.semantic_map, triple.instance_map, triple.part_map])
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("knn_k", range(1, 8))
-def test_project_labels_matches_oracle_on_ties(taxonomy, knn_k):
+def test_project_labels_matches_oracle_on_ties(knn_k):
     rng = np.random.default_rng(100 + knn_k)
     for radius in (1.0, 1.5, 3.0):
         labeled = tie_heavy_scene(rng, 12, 9, int(rng.integers(3, 40)))
         config = RgbdLabelConfig(
             object_class_id=1, background_class_id=4, knn_k=knn_k, max_pixel_radius=radius
         )
-        assert_matches_projection_oracle(labeled, 12, 9, config, taxonomy)
+        assert_matches_projection_oracle(labeled, 12, 9, config)
 
 
-def test_project_labels_knn_k_above_point_count(taxonomy):
+def test_project_labels_knn_k_above_point_count():
     rng = np.random.default_rng(11)
     uv = np.vstack([rng.integers(0, 16, (8, 2)) / 2.0, [[20.0, 3.0], [3.0, 20.0]]])
     labeled = labeled_at(uv, rng)  # 8 points in frame, 2 outside
     config = RgbdLabelConfig(
         object_class_id=1, background_class_id=4, knn_k=20, max_pixel_radius=4.0
     )
-    assert_matches_projection_oracle(labeled, 10, 8, config, taxonomy)
+    assert_matches_projection_oracle(labeled, 10, 8, config)
 
 
-def test_project_labels_knn_k_64(taxonomy):
+def test_project_labels_knn_k_64():
     rng = np.random.default_rng(12)
     labeled = tie_heavy_scene(rng, 10, 8, 80)
     config = RgbdLabelConfig(
         object_class_id=1, background_class_id=4, knn_k=64, max_pixel_radius=2.0
     )
-    assert_matches_projection_oracle(labeled, 10, 8, config, taxonomy)
+    assert_matches_projection_oracle(labeled, 10, 8, config)
 
 
-def test_project_labels_rejects_ids_beyond_16_bits(taxonomy):
+def test_project_labels_rejects_ids_beyond_16_bits():
     labeled = labeled_at(np.array([[1.0, 1.0]]), np.random.default_rng(14))
     labeled = LabeledPointCloud(
         cloud=labeled.cloud,
@@ -563,7 +563,7 @@ def test_project_labels_rejects_ids_beyond_16_bits(taxonomy):
     )
     config = RgbdLabelConfig(object_class_id=1, background_class_id=4)
     with pytest.raises(ValidationError, match="16 bits"):
-        project_labels(labeled, plane_camera(4, 4), taxonomy, config)
+        project_labels(labeled, plane_camera(4, 4), config)
 
 
 def test_clusters_radius_is_inclusive_on_lattice():
