@@ -44,6 +44,8 @@ class MonitorLabelConfig:
     def __post_init__(self):
         if self.closing_window < 1 or self.closing_window % 2 == 0:
             raise ValidationError("closing_window must be odd and >= 1")
+        if not 1 <= self.quantize_levels <= 256:
+            raise ValidationError("quantize_levels must be in [1, 256]")
         if self.min_component_area <= 0:
             raise ValidationError("min_component_area must be positive")
         object.__setattr__(self, "part_rules", tuple(self.part_rules))

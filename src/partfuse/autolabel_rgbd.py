@@ -111,6 +111,12 @@ class RgbdLabelConfig:
     max_pixel_radius: float = 3.0
 
     def __post_init__(self):
+        if self.ransac_iterations < 1:
+            raise ValidationError("ransac_iterations must be >= 1")
+        if self.ransac_threshold <= 0:
+            raise ValidationError("ransac_threshold must be positive")
+        if self.cluster_radius < 0:
+            raise ValidationError("cluster_radius must be >= 0")
         if self.knn_k < 1:
             raise ValidationError("knn_k must be >= 1")
         if self.max_pixel_radius <= 0:

@@ -1,12 +1,13 @@
 """Command-line surface: fuse, eval, label, overlay, augment, report.
 
-Exit codes: 0 on success, 2 on I/O errors (unreadable files, corrupt
-PPT1/PNM/PLY containers, a worker process that died), 3 on validation
-errors (malformed JSON inputs, missing required inputs, bad taxonomy or
-dimensions, unknown strategy).  Handlers raise; ``main`` alone maps an
-error to its code.  Messages go to standard error; verbosity is
-controlled by the PARTFUSE_LOG environment variable (error, warn, info,
-debug).
+Exit codes: 0 on success; 2 on usage errors, which argparse reports (an
+unknown or missing required flag, a bad flag value), and on I/O errors
+(unreadable files, corrupt PPT1/PNM/PLY containers, a worker process
+that died); 3 on validation errors (malformed JSON inputs, missing
+required inputs, bad taxonomy, settings or dimensions, unknown
+strategy).  Handlers raise; ``main`` alone maps an error to its code.
+Messages go to standard error; verbosity is controlled by the
+PARTFUSE_LOG environment variable (error, warn, info, debug).
 
 All commands are deterministic: rerunning with the same inputs and seed
 produces byte-identical outputs, and --jobs only changes wall time and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import logging
 import os
@@ -98,7 +100,6 @@ def _directory(raw, what: str) -> Path:
 def _ensure_out(out: Path | None) -> Path:
     if out is None:
         raise ValidationError("an output directory is required (--out)")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -116,21 +117,21 @@ def _run_items(
     PartfuseError.  Where ``fork`` is not available, the items run in the
     calling thread.
 
-    With ``out_dir``, each item writes its files into its own new staging
-    directory ``stage`` under ``out_dir``.  The calling thread then moves
-    them into ``out_dir`` with ``os.replace``, item by item in input order,
-    so no file there is ever half-written and, where two items write the
-    same name, the later item wins.  An item's ``.sem.pgm`` files go in
-    last, after their destinations are removed, so a commit that stops
-    part way leaves each label triple old, new or without its
+    With ``out_dir``, created here, each item writes its files into its
+    own new staging directory ``stage`` under it.  The calling thread then
+    moves them into ``out_dir`` with ``os.replace``, item by item in input
+    order, so no file there is ever half-written and, where two items
+    write the same name, the later item wins.  An item's ``.sem.pgm``
+    files go in last, after their destinations are removed, so a commit
+    that stops part way leaves each label triple old, new or without its
     ``.sem.pgm``, never mixed.  Without ``out_dir``, ``stage`` is None.
 
     The first failure in input order stops the run and is raised: later
     items are cancelled or their staged files discarded, so what reaches
     ``out_dir`` does not depend on ``jobs``.  With ``keep_going``, a failed
     item is logged and skipped instead.  Returns ``(results, errors)``:
-    the committed items' results and the skipped items' errors, each in
-    input order."""
+    the committed items' results and the failed items' errors, in input
+    order; each error is a copy, as a worker sends it, with no traceback."""
     items = list(items)
     started = time.perf_counter()
     results: list = []
@@ -138,6 +139,7 @@ def _run_items(
     stage_root = None
     if out_dir is not None:
         from .formats import TRIPLE_SUFFIXES
+        out_dir.mkdir(parents=True, exist_ok=True)
         stage_root = Path(tempfile.mkdtemp(prefix=".partfuse-stage-", dir=out_dir))
 
     def run(index: int):
@@ -150,7 +152,7 @@ def _run_items(
                 try:
                     result, stage = outcome()
                 except (PartfuseError, OSError) as exc:
-                    errors.append(exc)
+                    errors.append(copy.copy(exc))
                     if not keep_going:
                         raise
                     log.warning("item failed: %s", exc)
@@ -264,17 +266,17 @@ def cmd_eval(args, cfg: RunConfig) -> None:
 
     def work(stem: str, _stage) -> list:
         """Match every prediction against one ground-truth triple, read
-        and validated once.  Each entry is a MatchResult or the error that
-        scoring this directory on its own would have raised first."""
+        and validated once.  Each entry is a MatchResult or a copy of the
+        error that scoring this directory on its own would have raised first."""
         try:
             gt = formats.read_label_triple(gt_dir / stem)
         except (PartfuseError, OSError) as exc:
-            return [exc] * len(pred_dirs)
+            return [copy.copy(exc)] * len(pred_dirs)
         try:
             gt_segments = derive_segments(gt, taxonomy)
             gt_error = None
         except ValidationError as exc:
-            gt_error = exc
+            gt_error = copy.copy(exc)
 
         def score(pred_dir: Path):
             # read once, in row tiles, by match_segments, which checks it;
@@ -289,7 +291,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
             try:
                 outcomes.append(score(pred_dir))
             except (PartfuseError, OSError) as exc:
-                outcomes.append(exc)
+                outcomes.append(copy.copy(exc))
         return outcomes
 
     per_stem, _ = _run_items(stems if pred_dirs else [], work, cfg.jobs)
@@ -333,8 +335,6 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
 
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
-    if not args.config:
-        raise ValidationError("label rgbd requires --config")
     label_cfg = replace(load_rgbd_config(cfg.file), seed=cfg.seed)
     check_class_ids(label_cfg, taxonomy)
 
@@ -372,8 +372,6 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
 
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     out_dir = _ensure_out(cfg.out)
-    if not args.config:
-        raise ValidationError("label monitor requires --config")
     label_cfg = load_monitor_config(cfg.file)
     check_class_ids(label_cfg, taxonomy)
     if args.composites < 0:
@@ -537,12 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
     label_sub = p_label.add_subparsers(dest="variant", required=True)
 
     p_rgbd = label_sub.add_parser("rgbd", help="label RGB + point-cloud scenes")
-    _add_flags(p_rgbd, "taxonomy", "config", "out", "seed", "jobs", "keep_going")
+    p_mon = label_sub.add_parser("monitor", help="label monitor-background scenes")
+    for p_variant in (p_rgbd, p_mon):  # a labelling run needs its config file
+        _add_flags(p_variant, "taxonomy", "out", "seed", "jobs", "keep_going")
+        p_variant.add_argument("--config", required=True, **_FLAGS["config"])
     p_rgbd.add_argument("scenes", nargs="+", help="scene directories")
     p_rgbd.set_defaults(handler=cmd_label_rgbd)
 
-    p_mon = label_sub.add_parser("monitor", help="label monitor-background scenes")
-    _add_flags(p_mon, "taxonomy", "config", "out", "seed", "jobs", "keep_going")
     p_mon.add_argument("--backgrounds", help="directory of background PPMs")
     p_mon.add_argument(
         "--composites", type=int, default=0, help="synthetic composites per scene"

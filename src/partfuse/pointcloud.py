@@ -67,8 +67,10 @@ class Plane:
         normal = np.ascontiguousarray(self.normal, dtype=np.float64)
         if normal.shape != (3,):
             raise ValidationError("plane normal must be a 3-vector")
-        if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(normal) - 1.0) <= 1e-9:  # a NaN normal fails too
             raise ValidationError("plane normal must have unit length")
+        if not np.isfinite(self.offset):
+            raise ValidationError(f"plane offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", normal)
         normal.setflags(write=False)
 
@@ -290,6 +292,9 @@ def ransac_plane(
     n = pts.shape[0]
     if n < 3:
         raise ValidationError(f"plane fitting needs >= 3 points, got {n}")
+    if n_iterations < 1 or not distance_threshold > 0:
+        raise ValidationError("ransac needs n_iterations >= 1 and distance_threshold > 0, "
+                              f"got {n_iterations} and {distance_threshold}")
 
     rng = SplitMix64(seed)
     best_count = -1

@@ -663,13 +663,20 @@ def test_label_rgbd_malformed_ply_exit_code(tmp_path, taxonomy_json):
     assert code == 2
 
 
-# a config id that is not a taxonomy class: (field, value) pairs, where
-# ("part_rules", id) gives the first part rule that id
-UNKNOWN_CONFIG_IDS = [("object_class_id", 99), ("object_class_id", 70000),
-                      ("background_class_id", 99), ("part_rules", 99), ("catchall_part_id", 98)]
+def bad_config(field, value, message=None):
+    """A config value the run rejects before any scene, and what the error
+    says: by default, that the value is not a taxonomy class id."""
+    return pytest.param(field, value, message or f"class id {value}", id=f"{field}-{value}")
 
 
-def with_config_id(config: Path, field: str, value: int) -> None:
+# a config id that is not a taxonomy class, where ("part_rules", id) gives
+# the first part rule that id
+UNKNOWN_CONFIG_IDS = [bad_config(*case) for case in [
+    ("object_class_id", 99), ("object_class_id", 70000), ("background_class_id", 99),
+    ("part_rules", 99), ("catchall_part_id", 98)]]
+
+
+def with_config_id(config: Path, field: str, value) -> None:
     raw = json.loads(config.read_text())
     if field == "part_rules":
         raw["part_rules"][0]["part_id"] = value
@@ -687,12 +694,16 @@ def refuse_scene_work(monkeypatch, module: str, stage: str) -> None:
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("field, class_id", UNKNOWN_CONFIG_IDS)
+@pytest.mark.parametrize("field, value, message", UNKNOWN_CONFIG_IDS + [
+    bad_config("ransac_iterations", 0, "ransac_iterations must be >= 1"),
+    bad_config("ransac_threshold", 0, "ransac_threshold must be positive"),
+    bad_config("ransac_threshold", -1, "ransac_threshold must be positive"),
+    bad_config("cluster_radius", -0.01, "cluster_radius must be >= 0")])
 def test_label_rgbd_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, monkeypatch,
-                                                      caplog, field, class_id, jobs):
+                                                      caplog, field, value, message, jobs):
     scenes = [write_rgbd_scene_dir(tmp_path, f"scene_{i}", seed=i) for i in range(2)]
     config = write_rgbd_config(tmp_path)
-    with_config_id(config, field, class_id)
+    with_config_id(config, field, value)
     refuse_scene_work(monkeypatch, "autolabel_rgbd", "segment_objects")
     for keep_going in ([], ["--keep-going"]):
         out = tmp_path / f"out{keep_going}"
@@ -700,8 +711,8 @@ def test_label_rgbd_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, m
                 "--out", str(out), "--jobs", jobs, *keep_going, *map(str, scenes)]
         caplog.clear()
         assert main(args) == 3
-        assert f"class id {class_id}" in caplog.text
-        assert not list(out.iterdir())
+        assert message in caplog.text
+        assert not out.exists()
 
 
 def write_monitor_dataset(tmp_path, seed=5):
@@ -775,14 +786,16 @@ def test_label_monitor_end_to_end(tmp_path, taxonomy_json):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("field, class_id", UNKNOWN_CONFIG_IDS)
+@pytest.mark.parametrize("field, value, message", UNKNOWN_CONFIG_IDS + [
+    bad_config("quantize_levels", 0, "quantize_levels must be in [1, 256]"),
+    bad_config("quantize_levels", 257, "quantize_levels must be in [1, 256]")])
 def test_label_monitor_checks_class_ids_before_any_scene(tmp_path, taxonomy_json, monkeypatch,
-                                                         caplog, field, class_id, jobs):
+                                                         caplog, field, value, message, jobs):
     root, backgrounds, config = write_monitor_dataset(tmp_path)
     for target in root.glob("*/target_*.ppm"):  # composites only
         target.unlink()
     shutil.copytree(root / "scene_0", root / "scene_1")  # an item for each worker
-    with_config_id(config, field, class_id)
+    with_config_id(config, field, value)
     refuse_scene_work(monkeypatch, "autolabel_monitor", "extract_reference_mask")
     for keep_going in ([], ["--keep-going"]):  # no scene runs, so none can be skipped
         out = tmp_path / f"out{keep_going}"
@@ -791,8 +804,8 @@ def test_label_monitor_checks_class_ids_before_any_scene(tmp_path, taxonomy_json
                 "--jobs", jobs, *keep_going, str(root)]
         caplog.clear()
         assert main(args) == 3
-        assert f"class id {class_id}" in caplog.text
-        assert not list(out.iterdir())
+        assert message in caplog.text
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -1159,6 +1172,44 @@ def test_fuse_checks_strategy_before_any_frame(tmp_path, monkeypatch, caplog, jo
         assert not out.exists()
 
 
+# a run that fails a check before its first item: (command line after
+# --out, the exit code, what the error says); "{t}" is the taxonomy
+# file, "{c}" a labelling config, "{d}" a directory with no inputs and
+# "{m}" one that does not exist
+FAILED_CHECKS = {
+    "fuse-no-inputs": (["fuse", "--taxonomy", "{t}", "{d}"], 3, "no inputs found"),
+    "augment-missing": (["augment", "{m}"], 3, "dataset directory not found"),
+    "augment-empty": (["augment", "{d}"], 3, "no samples in"),
+    "rgbd-no-config": (["label", "rgbd", "--taxonomy", "{t}", "{d}"], 2, "--config"),
+    "rgbd-missing-scene": (["label", "rgbd", "--taxonomy", "{t}", "--config", "{c}", "{m}"], 3,
+                           "scene directory not found"),
+    "monitor-missing-root": (["label", "monitor", "--taxonomy", "{t}", "--config", "{c}", "{m}"],
+                             3, "dataset root not found"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(FAILED_CHECKS))
+def test_a_run_that_fails_a_check_creates_no_out(tmp_path, taxonomy_json, caplog, capsys,
+                                                 case, jobs):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "config.json").write_text(json.dumps({"object_class_id": BAG}))
+    command, code, message = FAILED_CHECKS[case]
+    paths = {"{t}": str(taxonomy_json), "{c}": str(tmp_path / "config.json"),
+             "{d}": str(tmp_path / "empty"), "{m}": str(tmp_path / "missing")}
+    *options, inputs = [paths.get(word, word) for word in command]
+    for keep_going in ([], ["--keep-going"]):
+        out = tmp_path / "out" / "nested"
+        args = [*options, "--out", str(out), "--jobs", jobs, *keep_going, inputs]
+        caplog.clear()
+        try:
+            assert main(args) == code
+        except SystemExit as usage:  # argparse reports a missing required flag
+            assert usage.code == code
+        assert message in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="--jobs N forks its workers")
 
@@ -1249,6 +1300,24 @@ def test_worker_processes_return_results_and_errors_in_input_order():
     ]
     with pytest.raises(ValidationError, match="^item 2 is bad$"):
         cli._run_items(range(6), work, 2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_kept_errors_hold_no_traceback_cause_or_context(jobs):
+    """A failed item's error is kept as a forked worker sends it back: its
+    class and message, holding none of the frames that raised it."""
+    def work(item, stage):
+        try:
+            raise KeyError(item)
+        except KeyError as exc:
+            raise ValidationError(f"item {item} is bad") from exc
+
+    results, errors = cli._run_items(range(3), work, jobs, keep_going=True)
+    assert results == []
+    assert [(type(e), str(e)) for e in errors] == [
+        (ValidationError, f"item {i} is bad") for i in range(3)]
+    for error in errors:
+        assert (error.__traceback__, error.__cause__, error.__context__) == (None, None, None)
 
 
 @needs_fork
@@ -1500,6 +1569,19 @@ def write_many_proposals(directory, name, count, seed):
     (directory / f"{name}.proposals.json").write_text(json.dumps(entries))
 
 
+def main_under_open_file_limit(args) -> subprocess.CompletedProcess:
+    """Run ``main(args)`` in a fresh interpreter whose soft and hard
+    open-file limits are 64."""
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))\n"
+        "from partfuse.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run([sys.executable, "-c", limited, *args], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
 def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json):
     """A sample holds its two logit files open, and opens each proposal
@@ -1509,21 +1591,55 @@ def test_fuse_many_proposals_under_a_low_open_file_limit(tmp_path, taxonomy_json
     inputs.mkdir()
     for i in range(2):
         write_many_proposals(inputs, f"img{i}", 100, seed=i)
-    limited = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))\n"
-        "from partfuse.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    args = fuse_args(taxonomy_json, tmp_path / "limited", inputs, "--jobs", "2")
-    child = subprocess.run([sys.executable, "-c", limited, *args], env=fresh_env(),
-                           capture_output=True, text=True, timeout=120)
+    child = main_under_open_file_limit(
+        fuse_args(taxonomy_json, tmp_path / "limited", inputs, "--jobs", "2"))
     assert child.returncode == 0, child.stderr
     assert main(fuse_args(taxonomy_json, tmp_path / "free", inputs, "--jobs", "2")) == 0
     limited_tree = tree_bytes(tmp_path / "limited")
     assert sorted(limited_tree) == [f"img{i}.{k}.pgm" for i in range(2)
                                     for k in ("inst", "part", "sem")]
     assert limited_tree == tree_bytes(tmp_path / "free")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fuse_keep_going_over_more_failed_frames_than_open_files(tmp_path, taxonomy_json,
+                                                                 jobs):
+    """A failed frame holds none of its open logit files once it is
+    logged: under an open-file limit of 64, each of 80 frames with a NaN
+    logit logs its own error, at any --jobs."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(80):
+        write_nonfinite_sample(inputs, f"img{i:02d}", ("stuff",), np.nan)
+    child = main_under_open_file_limit(
+        fuse_args(taxonomy_json, tmp_path / "out", inputs, "--jobs", jobs, "--keep-going"))
+    assert child.returncode == 0, child.stderr
+    failures = [line for line in child.stderr.splitlines() if "item failed" in line]
+    assert len(failures) == 80, child.stderr
+    assert all("logit tensor contains non-finite values" in line for line in failures), failures
+    assert sorted((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_NOFILE is POSIX")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_of_many_invalid_predictions_under_a_low_open_file_limit(tmp_path, taxonomy_json,
+                                                                      jobs):
+    """A prediction that fails its check holds none of its three open
+    label maps: under an open-file limit of 64, 60 stems whose second
+    prediction uses an unknown class fail on that class, at any --jobs."""
+    gt_dir, good, bad = (tmp_path / name for name in ("gt", "good", "bad"))
+    for directory in (gt_dir, good, bad):
+        directory.mkdir()
+    table = make_triple(np.full((2, 8), TABLE))
+    unknown = make_triple(np.where(np.arange(8) == 0, 99, np.full((2, 8), TABLE)))
+    for k in range(60):
+        for directory, triple in ((gt_dir, table), (good, table), (bad, unknown)):
+            formats.write_label_triple(triple, directory / f"s{k:04d}")
+    child = main_under_open_file_limit(["eval", "--taxonomy", str(taxonomy_json), "--gt",
+                                        str(gt_dir), "--jobs", jobs, str(good), str(bad)])
+    assert child.returncode == 3, child.stderr
+    assert child.stderr.strip().endswith("semantic map uses unknown class id 99"), child.stderr
 
 
 def test_fuse_of_a_mask_replaced_after_read_proposals(tmp_path, taxonomy_json,
@@ -1762,6 +1878,15 @@ def test_report_rejects_tsv_eval_never_writes(tmp_path, taxonomy_json, caplog, e
     tsv.write_text("\n".join(edit(lines)) + "\n")
     assert main(["report", "--taxonomy", str(taxonomy_json), str(tsv)]) == 3
     assert f"{tsv}: {message}" in caplog.text
+
+
+def test_overlay_into_a_new_directory_writes_its_image(tmp_path, taxonomy_json):
+    write_overlay_inputs(tmp_path)
+    out_path = tmp_path / "new" / "deeper" / "o.ppm"
+    assert main(overlay_args(taxonomy_json, tmp_path, out_path)) == 0
+    assert sorted(out_path.parent.iterdir()) == [out_path]
+    assert main(overlay_args(taxonomy_json, tmp_path, tmp_path / "o.ppm")) == 0
+    assert out_path.read_bytes() == (tmp_path / "o.ppm").read_bytes()
 
 
 def test_overlay_failed_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):

@@ -96,3 +96,33 @@ def test_fuse_holds_one_tile_and_one_mask(tmp_path, taxonomy, monkeypatch, strat
     channels = [("sem", c) for c in range(4)] + [("part", c) for c in range(3)]
     assert sorted(tiles) == sorted((t * tile_rows(1024), c) for t in range(3) for c in channels)
     assert len(reads) == len(tiles) + 4
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_fuse_peak_does_not_grow_with_failed_frames(tmp_path, taxonomy_json):
+    """A frame that fails in its last row tile, after its maps are fused,
+    holds none of them once it is logged: at --jobs 1, ten such frames
+    peak where one does."""
+    frame = tmp_path / "frame"
+    frame.mkdir()
+    write_frame(frame, "f", 512, 1024, 8)
+    with open(frame / "f.sem.ppt1", "r+b") as sem:  # a NaN at the last table logit
+        sem.seek(-4, 2)
+        sem.write(np.float32(np.nan).tobytes())
+    peaks = {}
+    for count in (1, 10):
+        inputs = tmp_path / f"in_{count}"
+        inputs.mkdir()
+        for k in range(count):  # each frame links the one frame's files
+            for suffix in formats.SAMPLE_SUFFIXES:
+                (inputs / f"f{k}{suffix}").symlink_to(frame / f"f{suffix}")
+        for mask in frame.glob("f_p*.ppt1"):
+            (inputs / mask.name).symlink_to(mask)
+        args = ["fuse", "--taxonomy", str(taxonomy_json), "--out", str(tmp_path / f"out_{count}"),
+                "--keep-going", str(inputs)]
+        peaks[count] = peak_kb(args) * 1024
+        assert list((tmp_path / f"out_{count}").iterdir()) == []
+    # measured 37 MB for one frame and 85 MB for ten while each failure
+    # kept its traceback; 3 MB is one frame's three fused label maps
+    growth = peaks[10] - peaks[1]
+    assert growth < 3 << 20, f"{growth / 2**20:.1f} MB above one failed frame"

@@ -10,6 +10,7 @@ from partfuse.autolabel_rgbd import LabeledPointCloud, RgbdLabelConfig, project_
 from partfuse.errors import FormatError, ValidationError
 from partfuse.pointcloud import (
     CameraModel,
+    Plane,
     PmfParams,
     PointCloud,
     Projection,
@@ -231,6 +232,25 @@ def test_ransac_exact_plane():
 def test_ransac_too_few_points():
     with pytest.raises(ValidationError, match=">= 3"):
         ransac_plane(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("settings", [{"n_iterations": 0}, {"distance_threshold": 0.0},
+                                      {"distance_threshold": -1.0},
+                                      {"distance_threshold": math.nan}])
+def test_ransac_rejects_settings_that_fit_no_plane(settings):
+    # a threshold of 0 would fit a plane to one point, and a negative one
+    # would have no inliers to refit
+    pts = np.column_stack([np.arange(9.0) % 3, np.arange(9.0) // 3, np.zeros(9)])
+    with pytest.raises(ValidationError, match="n_iterations >= 1 and distance_threshold > 0"):
+        ransac_plane(pts, **settings)
+
+
+@pytest.mark.parametrize("normal, offset", [((1.0, 0.0, 0.0), math.nan),
+                                            ((1.0, 0.0, 0.0), math.inf),
+                                            ((math.nan, 0.0, 0.0), 0.0)])
+def test_plane_rejects_nonfinite_values(normal, offset):
+    with pytest.raises(ValidationError, match="plane (normal|offset)"):
+        Plane(normal=np.array(normal), offset=offset)
 
 
 def test_ransac_collinear_points():
