@@ -192,31 +192,26 @@ def project_labels(
     from scipy.spatial import cKDTree
 
     proj = pointcloud.project(labeled.cloud, camera)
-    idx = np.nonzero(proj.in_frame)[0]
+    idx = np.flatnonzero(proj.in_frame)
+    coords = np.empty((idx.size, 2))
+    coords[:, 0] = proj.u[idx]
+    coords[:, 1] = proj.v[idx]
+    del proj  # its arrays, about 25 bytes a point, go before the vote
     shape = (camera.height, camera.width)
     maps = np.zeros((3, camera.height * camera.width), dtype=np.uint16)
     if idx.size == 0:
         return LabelTriple(*maps.reshape(3, *shape))
 
-    votes = np.stack(
-        [
-            np.where(
-                labeled.object_flag[idx],
-                config.object_class_id,
-                np.where(labeled.table_flag[idx], config.background_class_id, 0),
-            ),
-            labeled.instance_id[idx],
-            labeled.part_id[idx],
-        ]
-    )
-    if votes.min() < 0 or votes.max() > np.iinfo(np.uint16).max:
-        raise ValidationError("label ids must fit in 16 bits")
-    votes = votes.astype(np.uint16)
-
-    coords = np.stack([proj.u[idx], proj.v[idx]], axis=1)
-    del proj  # its arrays, about 50 bytes a point, go before the vote
+    semantic = np.where(labeled.object_flag[idx], config.object_class_id,
+                        np.where(labeled.table_flag[idx], config.background_class_id, 0))
+    votes = np.empty((3, idx.size), dtype=np.uint16)
+    for row, ids in zip(votes, (semantic, labeled.instance_id[idx], labeled.part_id[idx])):
+        if ids.min() < 0 or ids.max() > np.iinfo(np.uint16).max:
+            raise ValidationError("label ids must fit in 16 bits")
+        row[:] = ids
+    del idx, semantic, ids
     tree = cKDTree(coords)
-    k = min(config.knn_k, idx.size)
+    k = min(config.knn_k, len(coords))
     step = max(1, pointcloud.PAIR_BLOCK // (k + 1))  # (pixel, neighbour) pairs, k + 1 at least
     for start in range(0, maps.shape[1], step):
         pixels = np.arange(start, min(start + step, maps.shape[1]))

@@ -16,8 +16,10 @@ sized here for tabletop scenes rather than airborne scans.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -155,9 +157,11 @@ class Projection(NamedTuple):
 def read_ply(path: str | Path) -> PointCloud:
     """Read an ASCII PLY with float x,y,z and uchar red,green,blue.
 
-    Every malformed input (bad header, non-numeric or missing fields,
-    colours that are not integers in 0..255, non-ASCII bytes) raises
-    FormatError.
+    The body is parsed and checked in chunks of POINT_BLOCK rows, into
+    arrays sized by the header's vertex count once the file's size shows
+    room for that many rows.  Every malformed input (bad header, a vertex
+    count the rows do not match, non-numeric or missing fields, colours
+    that are not integers in 0..255, non-ASCII bytes) raises FormatError.
     """
     path = Path(path)
     with open(path, encoding="ascii") as fh:
@@ -178,10 +182,9 @@ def read_ply(path: str | Path) -> PointCloud:
                 elif tokens[0] == "element":
                     if len(tokens) != 3 or tokens[1] != "vertex":
                         raise FormatError(f"{path}: only a vertex element is supported")
-                    try:
-                        count = int(tokens[2])
-                    except ValueError:
-                        raise FormatError(f"{path}: bad vertex count {tokens[2]!r}") from None
+                    if not tokens[2].isdecimal():
+                        raise FormatError(f"{path}: bad vertex count {tokens[2]!r}")
+                    count = int(tokens[2])
                 elif tokens[0] == "property":
                     if count is None:
                         raise FormatError(f"{path}: property before element")
@@ -200,30 +203,40 @@ def read_ply(path: str | Path) -> PointCloud:
             if missing:
                 raise FormatError(f"{path}: missing vertex properties {missing}")
 
-            table = np.empty((0, len(props)))
-            body = fh.tell()
-            # streamed; loadtxt warns on a body without rows; blank lines are skipped
-            if any(map(str.strip, fh)):
-                fh.seek(body)
+            # each field takes a character and a separator, but the last may end the file
+            room = (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // (2 * len(props))
+            if count > room:
+                raise FormatError(f"{path}: header announces {count} vertices "
+                                  f"but the file has room for {room}")
+            col = [props.index(name) for name in _PLY_PROPERTIES]
+            xyz, rgb = np.empty((count, 3)), np.empty((count, 3), dtype=np.uint8)
+            filled = 0
+            # loadtxt skips blank lines, but warns of them under max_rows
+            rows = itertools.filterfalse(str.isspace, fh)
+            for first in rows:
+                if filled == count:
+                    raise FormatError(f"{path}: header announces {count} vertices "
+                                      "but the file has more")
                 try:
-                    table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+                    chunk = np.loadtxt(itertools.chain([first], rows), comments=None,
+                                       ndmin=2, max_rows=min(POINT_BLOCK, count - filled))
                 except UnicodeDecodeError:  # a ValueError, reported below
                     raise
                 except ValueError as exc:
                     raise FormatError(f"{path}: malformed vertex rows: {exc}") from exc
+                if chunk.shape[1] != len(props):
+                    raise FormatError(f"{path}: vertex rows have {chunk.shape[1]} fields")
+                colours = chunk[:, col[3:]]
+                if not ((colours >= 0) & (colours <= 255) & (colours == np.floor(colours))).all():
+                    raise FormatError(f"{path}: colours must be integers in 0..255")
+                xyz[filled : filled + len(chunk)] = chunk[:, col[:3]]
+                rgb[filled : filled + len(chunk)] = colours
+                filled += len(chunk)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not an ASCII PLY file: {exc}") from exc
-    if table.shape[0] != count:
-        raise FormatError(
-            f"{path}: header announces {count} vertices but file has {table.shape[0]}"
-        )
-    if table.shape[1] != len(props):
-        raise FormatError(f"{path}: vertex rows have {table.shape[1]} fields")
-    col = [props.index(name) for name in _PLY_PROPERTIES]
-    rgb = table[:, col[3:]]
-    if not ((rgb >= 0) & (rgb <= 255) & (rgb == np.floor(rgb))).all():
-        raise FormatError(f"{path}: colours must be integers in 0..255")
-    return PointCloud(table[:, col[:3]], rgb.astype(np.uint8))
+    if filled != count:
+        raise FormatError(f"{path}: header announces {count} vertices but file has {filled}")
+    return PointCloud(xyz, rgb)
 
 
 def _windowed(surface: np.ndarray, radius: int, pad_value: float, op) -> np.ndarray:
@@ -344,7 +357,8 @@ def _least_squares_plane(points: np.ndarray) -> Plane:
     return Plane(normal=normal, offset=float(normal @ centroid))
 
 
-PAIR_BLOCK = 1 << 14  # pairs that euclidean_clusters and project_labels handle at once
+PAIR_BLOCK = 1 << 14  # (pixel, neighbour) pairs that project_labels handles at once
+POINT_BLOCK = 1 << 11  # points that read_ply, euclidean_clusters and project handle at once
 
 
 def euclidean_clusters(
@@ -353,7 +367,11 @@ def euclidean_clusters(
     """Cluster id per point: connected components of the fixed-radius
     neighbour graph, whose edges join points at distance <= ``radius``.
     Components smaller than ``min_points`` get id 0; survivors are
-    numbered 1..N in order of their lowest point index."""
+    numbered 1..N in order of their lowest point index.
+
+    The pairs are found and checked one block of POINT_BLOCK points at a
+    time, and after each block the graph so far is folded to one edge per
+    point, so memory grows with the points, not with their pairs."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
@@ -364,44 +382,67 @@ def euclidean_clusters(
     if pts.size == 0:
         return np.zeros(0, dtype=np.int64)
     n = pts.shape[0]
-    # widen the query past rounding, then decide each edge on the exact d2
-    # in blocks of pairs, so that no float64 temporary grows with their count
-    pairs = cKDTree(pts).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
-    near = np.empty(len(pairs), dtype=bool)
-    for lo in range(0, len(pairs), PAIR_BLOCK):
-        diff = pts[pairs[lo : lo + PAIR_BLOCK, 1]] - pts[pairs[lo : lo + PAIR_BLOCK, 0]]
-        near[lo : lo + PAIR_BLOCK] = np.einsum("ij,ij->i", diff, diff) <= radius * radius
-    i, j = (pairs[near, end].astype(np.int32) for end in (0, 1))
-    del pairs
-    graph = coo_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
-    # csgraph numbers components in order of their lowest point index
-    _, comp = connected_components(graph, directed=False)
+    trees = [cKDTree(pts[lo : lo + POINT_BLOCK]) for lo in range(0, n, POINT_BLOCK)]
+    # the graph so far, folded to one edge per point: to its component's lowest index
+    i = j = np.zeros(0, dtype=np.int32)
+    for p in range(len(trees)):
+        i, j = (np.concatenate(ends) for ends in zip((i, j), _pairs_within(pts, trees, p, radius)))
+        graph = coo_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
+        # csgraph numbers components in order of their lowest point index
+        _, comp = connected_components(graph, directed=False)
+        del graph
+        lowest = np.unique(comp, return_index=True)[1].astype(np.int32)[comp]
+        i = np.flatnonzero(lowest != np.arange(n)).astype(np.int32)
+        j = lowest[i]
     kept = np.bincount(comp) >= min_points
     return np.where(kept, np.cumsum(kept), 0)[comp]
 
 
+def _pairs_within(pts: np.ndarray, trees: list, p: int, radius: float):
+    """The int32 pairs (a, b), a < b, of points at distance <= ``radius``
+    whose point a lies in block ``p``: within it, then with each later block."""
+    reach = radius * (1 + 1e-9)  # past rounding; each pair is then decided on the exact d2
+    tree, lo = trees[p], p * POINT_BLOCK
+    pairs = [tree.query_pairs(reach, output_type="ndarray") + lo]
+    for q in range(p + 1, len(trees)):
+        near = tree.sparse_distance_matrix(trees[q], reach, output_type="ndarray")
+        pairs.append(np.stack([near["i"] + lo, near["j"] + q * POINT_BLOCK], axis=1))
+    a, b = np.concatenate(pairs).astype(np.int32).T
+    del pairs
+    diff = pts[b]
+    diff -= pts[a]
+    keep = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+    return a[keep], b[keep]
+
+
 def project(cloud: PointCloud, camera: CameraModel) -> Projection:
-    """Project all points through the pinhole model.
+    """Project all points through the pinhole model, in blocks of
+    POINT_BLOCK points.
 
     in_frame is True only for points in front of the camera whose
     projection lands inside the image rectangle.
     """
-    xyz = cloud.xyz
-    ones = np.ones((len(cloud), 1))
-    cam = (np.hstack([xyz, ones]) @ camera.extrinsic.T)[:, :3]
-    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = camera.fx * x / z + camera.cx
-        v = camera.fy * y / z + camera.cy
+    n = len(cloud)
+    u, v, depth = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, POINT_BLOCK):
+        # the last block overlaps the one before: numpy multiplies a lone row
+        # another way, so a one-row block would round unlike the whole product
+        lo = max(0, min(lo, n - POINT_BLOCK))
+        xyz = cloud.xyz[lo : lo + POINT_BLOCK]
+        cam = np.hstack([xyz, np.ones((len(xyz), 1))]) @ camera.extrinsic.T
+        x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u[lo : lo + POINT_BLOCK] = camera.fx * x / z + camera.cx
+            v[lo : lo + POINT_BLOCK] = camera.fy * y / z + camera.cy
+        depth[lo : lo + POINT_BLOCK] = z
     in_frame = (
-        (z > 0)
+        (depth > 0)
         & (u >= 0)
         & (u < camera.width)
         & (v >= 0)
         & (v < camera.height)
     )
-    # a copy, so the projection does not pin the N x 4 product
-    return Projection(u=u, v=v, depth=z.copy(), in_frame=in_frame)
+    return Projection(u=u, v=v, depth=depth, in_frame=in_frame)
 
 
 def load_camera(path: str | Path) -> CameraModel:

@@ -69,20 +69,21 @@ def overhead_camera(width=128, height=96, f=120.0, z=0.7):
     )
 
 
-def build_rgbd_scene(seed=0, noise=0.001, with_boxes=True):
+def build_rgbd_scene(seed=0, noise=0.001, with_boxes=True, density=1):
     """Plane plus two boxes with known per-point membership.
 
     Returns (cloud, truth, camera) where truth is 0 for plane points and
     1/2 for the two boxes.  Box tops are red (seal part), everything else
-    on the boxes is white; the plane is gray.
+    on the boxes is white; the plane is gray.  ``density`` divides the
+    point spacing, so the same scene has ``density**2`` times the points.
     """
     rng = np.random.default_rng(seed)
-    plane = plane_points()
+    plane = plane_points(n=1 + 66 * density, spacing=0.009 / density)
     parts = [plane]
     truth = [np.zeros(len(plane), dtype=np.int64)]
     if with_boxes:
-        box1 = box_points(0.10, 0.10)
-        box2 = box_points(0.40, 0.40)
+        box1 = box_points(0.10, 0.10, spacing=0.008 / density)
+        box2 = box_points(0.40, 0.40, spacing=0.008 / density)
         parts += [box1, box2]
         truth += [
             np.full(len(box1), 1, dtype=np.int64),

@@ -558,10 +558,10 @@ def test_report_renders_tsv(tmp_path, taxonomy_json, capsys):
     assert "75.0" in out
 
 
-def write_rgbd_scene_dir(tmp_path, name="scene_0", seed=0):
+def write_rgbd_scene_dir(tmp_path, name="scene_0", seed=0, density=1):
     scene = tmp_path / name
     scene.mkdir()
-    cloud, _, camera = build_rgbd_scene(seed=seed)
+    cloud, _, camera = build_rgbd_scene(seed=seed, density=density)
     write_pnm(scene_image(camera), scene / "rgb.ppm")
     write_ply(cloud, scene / "cloud.ply")
     save_camera(camera, scene / "camera.json")
