@@ -249,20 +249,14 @@ def cmd_eval(args, cfg: RunConfig) -> None:
     if not stems:
         raise ValidationError(f"no label triples in {gt_dir}")
 
-    # Directories are checked in argument order; the first bad one is
-    # reported only after the directories before it have been scored.
-    pred_dirs: list[Path] = []
-    dir_error: ValidationError | None = None
-    for pred_raw in args.pred_dirs:
-        pred_dir = Path(pred_raw)
+    # every directory is checked, in argument order, before any stem is scored
+    pred_dirs = [Path(p) for p in args.pred_dirs]
+    for pred_dir in pred_dirs:
         if not pred_dir.is_dir():
-            dir_error = ValidationError(f"prediction directory not found: {pred_dir}")
-            break
+            raise ValidationError(f"prediction directory not found: {pred_dir}")
         missing = [s for s in stems if not formats.triple_paths(pred_dir / s)[0].exists()]
         if missing:
-            dir_error = ValidationError(f"{pred_dir} is missing predictions for {missing[:5]}")
-            break
-        pred_dirs.append(pred_dir)
+            raise ValidationError(f"{pred_dir} is missing predictions for {missing[:5]}")
 
     def work(stem: str, _stage) -> list:
         """Match every prediction against one ground-truth triple, read
@@ -294,7 +288,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
                 outcomes.append(copy.copy(exc))
         return outcomes
 
-    per_stem, _ = _run_items(stems if pred_dirs else [], work, cfg.jobs)
+    per_stem, _ = _run_items(stems, work, cfg.jobs)
     rows: list[tuple[str, MetricReport]] = []
     for column, pred_dir in enumerate(pred_dirs):
         matches = [outcomes[column] for outcomes in per_stem]
@@ -302,11 +296,9 @@ def cmd_eval(args, cfg: RunConfig) -> None:
         if error is not None:
             raise error
         rows.append((pred_dir.name, aggregate_dataset(matches, taxonomy)))
-    if dir_error is not None:
-        raise dir_error
 
-    tables = [render_table(rows, taxonomy, percent=args.percent, metric=metric, corner=corner)
-              for metric, corner in (("pq", "PQ"), ("part_pq", "PartPQ"))]
+    tables = [render_table(rows, taxonomy, percent=args.percent, metric=metric)
+              for metric in ("pq", "part_pq")]
     sys.stdout.write("\n".join(tables))
     if args.tsv:
         tsv_path = Path(args.tsv)
@@ -326,7 +318,6 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
     from . import formats
     from .autolabel_rgbd import (check_class_ids, generate_rgbd_sample, load_rgbd_config,
                                  provenance_record)
-    from .imaging import read_pnm, write_pnm
     from .pointcloud import load_camera, read_ply
 
     # what the stages import lazily, loaded before --jobs forks its workers
@@ -344,11 +335,11 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
         for name in ("rgb.ppm", "cloud.ply", "camera.json"):
             if not (scene / name).exists():
                 raise ValidationError(f"{scene} is missing {name}")
-        rgb = read_pnm(scene / "rgb.ppm")
+        rgb = formats.read_pnm(scene / "rgb.ppm")
         cloud = read_ply(scene / "cloud.ply")
         camera = load_camera(scene / "camera.json")
         image, triple = generate_rgbd_sample(rgb, cloud, camera, taxonomy, label_cfg)
-        write_pnm(image, stage / f"{scene.name}.ppm")
+        formats.write_pnm(image, stage / f"{scene.name}.ppm")
         formats.write_label_triple(triple, stage / scene.name)
         record = provenance_record(scene.name, cloud, triple, label_cfg)
         write_json(stage / f"{scene.name}.provenance.json", record)
@@ -364,7 +355,6 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
                                     extract_reference_mask, load_monitor_config,
                                     provenance_record, transfer_labels)
     from .autolabel_rgbd import check_class_ids
-    from .imaging import read_pnm, write_pnm
     from .rng import SplitMix64, splitmix64_nth
 
     # what the stages import lazily, loaded before --jobs forks its workers
@@ -396,26 +386,26 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
         for name in ("blue.ppm", "black.ppm"):
             if not (scene / name).exists():
                 raise ValidationError(f"{scene} is missing {name}")
-        img_blue = read_pnm(scene / "blue.ppm")
-        img_black = read_pnm(scene / "black.ppm")
+        img_blue = formats.read_pnm(scene / "blue.ppm")
+        img_black = formats.read_pnm(scene / "black.ppm")
         mask = extract_reference_mask(img_blue, img_black, label_cfg)
         reference = extract_part_masks(img_black, mask, label_cfg)
 
         emitted = []
 
         def emit(name: str, image, triple) -> None:
-            write_pnm(image, stage / f"{name}.ppm")
+            formats.write_pnm(image, stage / f"{name}.ppm")
             formats.write_label_triple(triple, stage / name)
             emitted.append(name)
 
         for target_path in sorted(scene.glob("target_*.ppm")):
-            target = read_pnm(target_path)
+            target = formats.read_pnm(target_path)
             emit(f"{scene.name}_{target_path.stem}", *transfer_labels(reference, target))
 
         # composites draw backgrounds from a per-scene splitmix64 stream
         rng = SplitMix64(splitmix64_nth(cfg.seed, ordinal + 1))
         for i in range(args.composites):
-            bg = read_pnm(backgrounds[rng.below(len(backgrounds))])
+            bg = formats.read_pnm(backgrounds[rng.below(len(backgrounds))])
             emit(f"{scene.name}_synth_{i:03d}", *composite_synthetic(img_black, reference, bg))
 
         record = provenance_record(scene.name, cfg.seed, reference, emitted, label_cfg)
@@ -431,21 +421,20 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
 
 def cmd_overlay(args, cfg: RunConfig) -> None:
     from . import formats
-    from .imaging import read_pnm, write_pnm
     from .overlay import default_overlay_spec, load_colors, render_overlay
 
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     image_path = Path(args.image)
     if not image_path.exists():
         raise ValidationError(f"image not found: {image_path}")
-    image = read_pnm(image_path)
+    image = formats.read_pnm(image_path)
     triple = formats.read_label_triple(args.triple_stem)
     spec = default_overlay_spec(taxonomy, alpha=args.alpha, draw_boxes=not args.no_boxes)
     if args.colors:
         spec = load_colors(args.colors, spec)
     rendered = render_overlay(image, triple, spec)
     output = Path(args.output)
-    _run_items([output], lambda path, stage: write_pnm(rendered, stage / path.name), 1,
+    _run_items([output], lambda path, stage: formats.write_pnm(rendered, stage / path.name), 1,
                out_dir=output.parent)
 
 
@@ -455,7 +444,6 @@ def cmd_overlay(args, cfg: RunConfig) -> None:
 def cmd_augment(args, cfg: RunConfig) -> None:
     from . import formats
     from .autolabel_monitor import augment_flips
-    from .imaging import read_pnm, write_pnm
 
     out_dir = _ensure_out(cfg.out)
     dataset = _directory(args.dataset, "dataset directory")
@@ -464,10 +452,10 @@ def cmd_augment(args, cfg: RunConfig) -> None:
         raise ValidationError(f"no samples in {dataset}")
 
     def work(stem: str, stage: Path):
-        image = read_pnm(dataset / f"{stem}.ppm")
+        image = formats.read_pnm(dataset / f"{stem}.ppm")
         triple = formats.read_label_triple(dataset / stem)
         for suffix, img, trip in augment_flips(image, triple):
-            write_pnm(img, stage / f"{stem}{suffix}.ppm")
+            formats.write_pnm(img, stage / f"{stem}{suffix}.ppm")
             formats.write_label_triple(trip, stage / f"{stem}{suffix}")
         return stem
 
@@ -483,7 +471,7 @@ def cmd_report(args, cfg: RunConfig) -> None:
     taxonomy = _load_taxonomy_checked(cfg.taxonomy)
     rows = [(Path(p).stem, report_from_tsv(p, taxonomy)) for p in args.tsv_files]
     sys.stdout.write(
-        render_table(rows, taxonomy, percent=args.percent, metric="part_pq", corner="PartPQ"))
+        render_table(rows, taxonomy, percent=args.percent, metric="part_pq"))
 
 
 # ---------------------------------------------------------------- parser

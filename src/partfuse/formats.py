@@ -1,4 +1,5 @@
-"""Bit-exact container I/O: PPT1 tensors, label-triple PGMs, proposal sidecars.
+"""Bit-exact container I/O: PPT1 tensors, binary PNM images and label
+maps, label-triple PGMs, proposal sidecars.
 
 PPT1 layout:
     bytes 0-3   ASCII "PPT1"
@@ -16,10 +17,13 @@ read.  Nothing is mapped, and a file that shrinks after it was opened,
 or that a closed handle's path no longer names, fails the read with
 FormatError.
 
-Label triples are stored as three 16-bit PGMs sharing one stem:
+Images are 8-bit binary PNMs, P5 (H, W) or P6 (H, W, 3); label maps
+are 16-bit P5 PGMs, most significant byte first; one header parser
+reads both.  Label triples are three label maps sharing one stem:
 ``<stem>.sem.pgm``, ``<stem>.inst.pgm``, ``<stem>.part.pgm``.
 open_pgm16, the PGM row reader, returns a TensorFile of a label map in
-the same way.  A fuse sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1``
+the same way; read_pnm reads a whole image through one and closes it.
+A fuse sample is ``<stem>.sem.ppt1``, ``<stem>.part.ppt1``
 and ``<stem>.proposals.json``.
 """
 
@@ -37,7 +41,6 @@ import numpy as np
 from . import containers
 from .containers import InstanceProposal, LabelTriple
 from .errors import FormatError, ValidationError
-from .imaging import read_pgm16_header, write_pgm16
 from .jsonio import decode, read_json
 from .taxonomy import ClassTaxonomy
 
@@ -45,11 +48,11 @@ _MAGIC = b"PPT1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
 _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 40  # dim products beyond this are treated as corrupt
-_PGM16 = np.dtype(">u2")
+_PNM_DTYPES = {255: np.dtype("u1"), 65535: np.dtype(">u2")}  # by maxval
 
 
 class TensorFile:
-    """A PPT1 tensor or PGM label map at ``path`` whose header has been
+    """A PPT1 tensor or PNM raster at ``path`` whose header has been
     checked: ``parse_header(file, path, size)`` returns the ``stored``
     dtype and the shape of its payload, which starts where the header
     ends.  A handle has the payload's ``shape``, ``ndim`` and native
@@ -91,8 +94,9 @@ class TensorFile:
         try:
             if reopened and not os.path.samestat(os.fstat(self._file.fileno()), self._stat):
                 raise FormatError(f"{self.path}: replaced since it was opened")
-            for k, plane in enumerate(out, first):
-                self._fill(plane, (k * h + top) * w)
+            runs = [out] if bottom - top == h else out  # whole planes lie back to back
+            for k, run in enumerate(runs, first):
+                self._fill(run, (k * h + top) * w)
         finally:
             if reopened:
                 self._file.close()
@@ -114,10 +118,99 @@ class TensorFile:
             view = view[n:]
 
 
+def _pnm_header(fh, path: Path, maxval: int) -> tuple[np.dtype, tuple[int, ...]]:
+    """The stored dtype and shape of the binary PNM open, unbuffered, in
+    ``fh``, whose maxval must be ``maxval``: 255 takes P5 (H, W) and P6
+    (H, W, 3) uint8, 65535 takes P5 (H, W) uint16, MSB first.  ``fh`` is
+    left at the first sample.
+
+    Whitespace separates tokens; '#' starts a comment running to end of line.
+    Exactly one whitespace byte follows the maxval token before the raster.
+    """
+    magic = fh.read(2)
+    if len(magic) < 2 or magic[0:1] != b"P":
+        raise FormatError(f"{path}: not a PNM file (bad magic)")
+    if magic not in (b"P5", b"P6"):
+        raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
+
+    tokens: list[int] = []
+    byte = fh.read(1)
+    while len(tokens) < 3:
+        if byte.isspace():
+            byte = fh.read(1)
+        elif byte == b"#":
+            if not fh.readline().endswith(b"\n"):
+                raise FormatError(f"{path}: unterminated comment in header")
+            byte = fh.read(1)
+        else:
+            tok = bytearray()
+            while byte and not byte.isspace():
+                tok += byte
+                byte = fh.read(1)
+            if not tok.isdigit():
+                raise FormatError(f"{path}: malformed header token {bytes(tok)!r}")
+            tokens.append(int(tok))
+    if not byte:  # the single whitespace byte after maxval, read already
+        raise FormatError(f"{path}: header ends before raster data")
+    width, height, found = tokens
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
+    if maxval == 65535 and magic != b"P5":
+        raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
+    if found != maxval:
+        raise FormatError(f"{path}: expected maxval {maxval}, got {found}")
+    return _PNM_DTYPES[maxval], (height, width) if magic == b"P5" else (height, width, 3)
+
+
 def open_pgm16(path: str | Path) -> TensorFile:
     """Open a 16-bit PGM label map and check its header against its
     length; the samples are read later, through the returned handle."""
-    return TensorFile(Path(path), lambda fh, path, size: (_PGM16, read_pgm16_header(fh, path)))
+    return TensorFile(Path(path), lambda fh, path, size: _pnm_header(fh, path, 65535))
+
+
+def read_pnm(path: str | Path) -> np.ndarray:
+    """Read an 8-bit binary PGM or PPM as a read-only (H, W) or (H, W, 3)
+    uint8 array."""
+    raster = TensorFile(Path(path), lambda fh, path, size: _pnm_header(fh, path, 255))
+    try:
+        image = raster.read()
+    finally:
+        raster.close()
+    image.setflags(write=False)
+    return image
+
+
+def _write_raster(arr: np.ndarray, path: str | Path, magic: bytes, dtype) -> None:
+    """Write ``arr`` under a PNM header whose maxval is ``dtype``'s largest
+    value, samples most-significant byte first; refuse any other dtype,
+    whose values the cast could wrap."""
+    if arr.dtype != dtype:
+        raise FormatError(f"cannot write {arr.dtype} samples as PNM; expected {np.dtype(dtype)}")
+    h, w = arr.shape[:2]
+    header = magic + f"\n{w} {h}\n{np.iinfo(dtype).max}\n".encode("ascii")
+    # copies only to swap the byte order or to gather a strided view
+    samples = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder(">"))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(samples)
+
+
+def write_pnm(image: np.ndarray, path: str | Path) -> None:
+    """Write uint8 (H, W) as P5 or (H, W, 3) as P6, maxval 255."""
+    if image.ndim == 2:
+        magic = b"P5"
+    elif image.ndim == 3 and image.shape[2] == 3:
+        magic = b"P6"
+    else:
+        raise FormatError(f"cannot write array of shape {image.shape} as PNM")
+    _write_raster(image, path, magic, np.uint8)
+
+
+def write_pgm16(grid: np.ndarray, path: str | Path) -> None:
+    """Write uint16 (H, W) as P5 with maxval 65535, MSB first."""
+    if grid.ndim != 2:
+        raise FormatError(f"cannot write array of shape {grid.shape} as PGM")
+    _write_raster(grid, path, b"P5", np.uint16)
 
 
 def _ppt1_header(fh, path: Path, size: int) -> tuple[np.dtype, tuple[int, ...]]:

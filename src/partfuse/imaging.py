@@ -1,10 +1,10 @@
-"""Raster primitives: PNM I/O, morphology, quantization, HSV thresholds,
-connected components, hole filling and boundary masks.
+"""Image operations: morphology, quantization, HSV thresholds, connected
+components, hole filling and boundary masks.
 
-Images are uint8 arrays, (H, W) or (H, W, 3); the PNM writers refuse any
-other dtype rather than wrap its values.  Masks are 2-D bool arrays.
-Connected components come numbered in raster order of their first pixel,
-as ``ndimage.label`` itself numbers them.
+Images are uint8 arrays, (H, W) or (H, W, 3), which ``formats`` reads
+and writes as PNM.  Masks are 2-D bool arrays.  Connected components
+come numbered in raster order of their first pixel, as ``ndimage.label``
+itself numbers them.
 
 Morphological operators use clipped windows (neighbourhoods intersected
 with the image domain), which keeps closing extensive and idempotent all
@@ -15,14 +15,14 @@ that use it: it is most of the CLI's start-up time, and ``fuse``,
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
+# unused here: perfbench/spans.py still names these two imaging.read_pnm and
+# imaging.write_pnm, and it wraps every partfuse binding of each function
+from .formats import read_pnm, write_pnm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,114 +59,6 @@ class HsvRange:
             & (v >= self.v_min)
             & (v <= self.v_max)
         )
-
-
-def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
-    """Parse magic, width, height, maxval, leaving ``fh`` at the first raster byte.
-
-    Whitespace separates tokens; '#' starts a comment running to end of line.
-    Exactly one whitespace byte follows the maxval token before the raster.
-    """
-    magic = fh.read(2)
-    if len(magic) < 2 or magic[0:1] != b"P":
-        raise FormatError(f"{path}: not a PNM file (bad magic)")
-    if magic not in (b"P5", b"P6"):
-        raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
-
-    tokens: list[int] = []
-    byte = fh.read(1)
-    while len(tokens) < 3:
-        if byte.isspace():
-            byte = fh.read(1)
-        elif byte == b"#":
-            if not fh.readline().endswith(b"\n"):
-                raise FormatError(f"{path}: unterminated comment in header")
-            byte = fh.read(1)
-        else:
-            tok = bytearray()
-            while byte and not byte.isspace():
-                tok += byte
-                byte = fh.read(1)
-            if not tok.isdigit():
-                raise FormatError(f"{path}: malformed header token {bytes(tok)!r}")
-            tokens.append(int(tok))
-    if not byte:  # the single whitespace byte after maxval, read already
-        raise FormatError(f"{path}: header ends before raster data")
-    width, height, maxval = tokens
-    if width <= 0 or height <= 0:
-        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
-    return magic, width, height, maxval
-
-
-def _raster(fh, shape: tuple[int, ...], dtype, path: Path) -> np.ndarray:
-    """A new array of the ``shape`` samples that follow in the unbuffered ``fh``."""
-    if os.fstat(fh.fileno()).st_size - fh.tell() < math.prod(shape) * np.dtype(dtype).itemsize:
-        raise FormatError(f"{path}: truncated raster data")
-    out = np.empty(shape, dtype)
-    view = memoryview(out.reshape(-1).view(np.uint8))
-    while view and (n := fh.readinto(view)):
-        view = view[n:]
-    if view:  # the file shrank since it was opened
-        raise FormatError(f"{path}: truncated raster data")
-    return out
-
-
-def _write_raster(arr: np.ndarray, path: str | Path, magic: bytes, dtype) -> None:
-    """Write ``arr`` under a PNM header whose maxval is ``dtype``'s largest
-    value, samples most-significant byte first; refuse any other dtype,
-    whose values the cast could wrap."""
-    if arr.dtype != dtype:
-        raise FormatError(f"cannot write {arr.dtype} samples as PNM; expected {np.dtype(dtype)}")
-    h, w = arr.shape[:2]
-    header = magic + f"\n{w} {h}\n{np.iinfo(dtype).max}\n".encode("ascii")
-    # copies only to swap the byte order or to gather a strided view
-    samples = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder(">"))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(samples)
-
-
-def read_pnm(path: str | Path) -> np.ndarray:
-    """Read an 8-bit binary PGM or PPM as a read-only (H, W) or (H, W, 3)
-    uint8 array."""
-    path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        magic, width, height, maxval = _read_header(fh, path)
-        if maxval != 255:
-            raise FormatError(f"{path}: expected maxval 255, got {maxval}")
-        shape = (height, width) if magic == b"P5" else (height, width, 3)
-        image = _raster(fh, shape, np.uint8, path)
-    image.setflags(write=False)
-    return image
-
-
-def write_pnm(image: np.ndarray, path: str | Path) -> None:
-    """Write uint8 (H, W) as P5 or (H, W, 3) as P6, maxval 255."""
-    if image.ndim == 2:
-        magic = b"P5"
-    elif image.ndim == 3 and image.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise FormatError(f"cannot write array of shape {image.shape} as PNM")
-    _write_raster(image, path, magic, np.uint8)
-
-
-def read_pgm16_header(fh, path: Path) -> tuple[int, int]:
-    """The (height, width) of the 16-bit binary PGM (maxval 65535, MSB
-    first) open, unbuffered, in ``fh``, which is left at the first sample."""
-    magic, width, height, maxval = _read_header(fh, path)
-    if magic != b"P5":
-        raise FormatError(f"{path}: 16-bit label maps must be P5, got {magic!r}")
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
-    return height, width
-
-
-def write_pgm16(grid: np.ndarray, path: str | Path) -> None:
-    """Write uint16 (H, W) as P5 with maxval 65535, MSB first."""
-    if grid.ndim != 2:
-        raise FormatError(f"cannot write array of shape {grid.shape} as PGM")
-    _write_raster(grid, path, b"P5", np.uint16)
 
 
 def _check_window(window: int) -> None:

@@ -401,14 +401,15 @@ def render_table(
     taxonomy: ClassTaxonomy,
     percent: bool = False,
     metric: str = "part_pq",
-    corner: str = "strategy",
 ) -> str:
     """Render reports as a text table: one row per label, one column per
-    class plus a total column; '-' marks classes absent from ground truth."""
-    if metric not in ("pq", "part_pq"):
+    class plus a total column; '-' marks classes absent from ground truth.
+    The corner cell names the metric, PQ or PartPQ."""
+    corners = {"pq": "PQ", "part_pq": "PartPQ"}
+    if metric not in corners:
         raise ValidationError(f"unknown metric {metric!r}")
     names = [taxonomy.semantic_class(c).name for c in taxonomy.semantic_ids]
-    header = [corner] + names + ["total"]
+    header = [corners[metric]] + names + ["total"]
 
     def fmt(value: float | None) -> str:
         if value is None:

@@ -28,7 +28,7 @@ from partfuse.fusion import (
     semantic_wise_fuse,
     sigmoid_rescaled,
 )
-from partfuse.imaging import read_pnm, write_pnm
+from partfuse.formats import read_pnm, write_pnm
 from partfuse.metrics import aggregate_dataset, match_segments, part_pq
 from partfuse.overlay import default_overlay_spec, instance_boxes, render_overlay
 from partfuse.taxonomy import validate_taxonomy

@@ -24,7 +24,7 @@ from partfuse import cli, formats, fusion
 from partfuse.cli import main
 from partfuse.containers import InstanceProposal, tile_rows
 from partfuse.errors import FormatError, ValidationError
-from partfuse.imaging import write_pnm
+from partfuse.formats import read_pnm, write_pnm
 from partfuse.params import STRATEGIES
 
 from conftest import BAG, BOTTLE, CENTER, HOSPITAL_TAXONOMY, OTHER, SEAL, TABLE, make_triple
@@ -276,7 +276,6 @@ def test_eval_multiple_strategies(tmp_path, taxonomy_json, capsys):
 
 
 def test_overlay_alpha_and_boxes_flags(tmp_path, taxonomy_json):
-    from partfuse.imaging import read_pnm
     from partfuse.overlay import default_overlay_spec
     from partfuse.taxonomy import load_taxonomy
 
@@ -388,8 +387,10 @@ def test_eval_three_dirs_invalid_ground_truth_exit_code(tmp_path, taxonomy_json)
 
 
 def test_eval_errors_resolve_in_directory_order(tmp_path, taxonomy_json):
-    # the first directory with a fault decides the exit code, as if the
-    # directories were scored one after another
+    # a missing or incomplete directory, wherever it is listed, fails the
+    # run (3) before any stem is scored; otherwise the first directory with
+    # a faulty prediction decides the exit code, as if the directories were
+    # scored one after another
     gt_dir, preds = make_three_pred_dirs(tmp_path)
     truncate(preds[1] / "b.sem.pgm")  # corrupt: 2
     formats.write_label_triple(  # invalid: 3
@@ -399,6 +400,7 @@ def test_eval_errors_resolve_in_directory_order(tmp_path, taxonomy_json):
     missing = tmp_path / "absent"
     assert eval_three(taxonomy_json, gt_dir, [preds[0], preds[2], missing]) == 3
     assert eval_three(taxonomy_json, gt_dir, [preds[0], missing, preds[1]]) == 3
+    assert eval_three(taxonomy_json, gt_dir, [preds[1], missing]) == 3
     # a corrupt prediction is read before the ground truth is validated
     triple = formats.read_label_triple(gt_dir / "a")
     formats.write_label_triple(
@@ -946,8 +948,6 @@ def test_augment_writes_four_variants(tmp_path):
     assert len(ppms) == 8  # 2 samples x 4 variants
     assert "s0_vflip.ppm" in ppms and "s1_rot180.ppm" in ppms
     # re-flipping the vflip output reproduces the original
-    from partfuse.imaging import read_pnm
-
     original = read_pnm(dataset / "s0.ppm")
     vflip = read_pnm(out / "s0_vflip.ppm")
     assert np.array_equal(vflip[::-1, :], original)
@@ -1022,8 +1022,6 @@ def test_overlay_all_void_passthrough(tmp_path, taxonomy_json):
         ]
     )
     assert code == 0
-    from partfuse.imaging import read_pnm
-
     assert np.array_equal(read_pnm(out_path), image)
 
 
@@ -1728,7 +1726,8 @@ def test_help_and_report_load_no_numpy(tmp_path, taxonomy_json):
 def test_fuse_and_eval_load_no_labelling_modules(tmp_path, taxonomy_json):
     inputs, out, tsv = write_fuse_eval_inputs(tmp_path)
     taxonomy = ["--taxonomy", str(taxonomy_json)]
-    labelling = ("partfuse.autolabel_", "partfuse.pointcloud", "partfuse.overlay")
+    labelling = ("partfuse.autolabel_", "partfuse.pointcloud", "partfuse.overlay",
+                 "partfuse.imaging")
     fuse = fresh_run(fuse_args(taxonomy_json, out, inputs))
     assert loaded(fuse, *labelling) == []
     assert "partfuse.fusion" in fuse["modules"]
@@ -1798,8 +1797,6 @@ def test_overlay_colors_table_overrides_class_colour(tmp_path, taxonomy_json):
     out_path = tmp_path / "o.ppm"
     args = overlay_args(taxonomy_json, tmp_path, out_path, "--alpha", "1.0", "--colors", str(colors))
     assert main(args) == 0
-    from partfuse.imaging import read_pnm
-
     assert (read_pnm(out_path) == (10, 20, 30)).all()
 
 
@@ -1890,9 +1887,7 @@ def test_overlay_into_a_new_directory_writes_its_image(tmp_path, taxonomy_json):
 
 
 def test_overlay_failed_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatch):
-    import partfuse.imaging
-
-    write_raster = partfuse.imaging._write_raster
+    write_raster = formats._write_raster
 
     def half_then_fail(arr, path, *args):
         write_raster(arr, path, *args)
@@ -1901,7 +1896,7 @@ def test_overlay_failed_write_leaves_no_file(tmp_path, taxonomy_json, monkeypatc
 
     write_overlay_inputs(tmp_path)
     # the binding write_pnm calls
-    monkeypatch.setattr(partfuse.imaging, "_write_raster", half_then_fail)
+    monkeypatch.setattr(formats, "_write_raster", half_then_fail)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert main(overlay_args(taxonomy_json, tmp_path, out_dir / "o.ppm")) == 2

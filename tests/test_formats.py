@@ -7,10 +7,14 @@ import pytest
 
 from partfuse.errors import FormatError, ValidationError
 from partfuse.formats import (
+    TensorFile,
     read_label_triple,
+    read_pnm,
     read_proposals,
     read_tensor,
     write_label_triple,
+    write_pgm16,
+    write_pnm,
 )
 from partfuse.containers import InstanceProposal
 
@@ -234,8 +238,6 @@ def test_triple_round_trip_byte_identical(tmp_path):
 
 
 def test_triple_dimension_mismatch(tmp_path):
-    from partfuse.imaging import write_pgm16
-
     stem = tmp_path / "bad"
     write_pgm16(np.zeros((4, 4), dtype=np.uint16), tmp_path / "bad.sem.pgm")
     write_pgm16(np.zeros((4, 5), dtype=np.uint16), tmp_path / "bad.inst.pgm")
@@ -245,8 +247,6 @@ def test_triple_dimension_mismatch(tmp_path):
 
 
 def test_triple_missing_file(tmp_path):
-    from partfuse.imaging import write_pgm16
-
     write_pgm16(np.zeros((4, 4), dtype=np.uint16), tmp_path / "x.sem.pgm")
     with pytest.raises(FormatError, match="missing"):
         read_label_triple(tmp_path / "x")
@@ -263,7 +263,6 @@ def test_pgm16_wrong_maxval(tmp_path):
 
 def test_pgm16_rows_read_in_place(tmp_path):
     from partfuse.formats import open_pgm16
-    from partfuse.imaging import write_pgm16
 
     grid = np.arange(7 * 5, dtype=np.uint16).reshape(7, 5) * 1000
     write_pgm16(grid, tmp_path / "m.pgm")
@@ -276,7 +275,6 @@ def test_pgm16_rows_read_in_place(tmp_path):
 
 def test_pgm16_that_shrinks_after_it_was_opened(tmp_path):
     from partfuse.formats import open_pgm16
-    from partfuse.imaging import write_pgm16
 
     path = tmp_path / "m.pgm"
     write_pgm16(np.ones((4, 4), dtype=np.uint16), path)
@@ -285,6 +283,27 @@ def test_pgm16_that_shrinks_after_it_was_opened(tmp_path):
     os.truncate(path, path.stat().st_size - 1)
     with pytest.raises(FormatError, match="truncated"):
         handle.read(slice(2, 4))
+
+
+def test_read_pnm_is_one_payload_pass_and_holds_no_descriptor(tmp_path, monkeypatch):
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("no /proc/self/fd to list open descriptors")
+    image = np.random.default_rng(3).integers(0, 256, (480, 640, 3)).astype(np.uint8)
+    path = tmp_path / "vga.ppm"
+    write_pnm(image, path)
+    fill, fills = TensorFile._fill, []
+
+    def counted(self, out, element):
+        fills.append(out.size)
+        fill(self, out, element)
+
+    monkeypatch.setattr(TensorFile, "_fill", counted)
+    before = sorted(os.listdir(fd_dir))
+    back = read_pnm(path)
+    assert sorted(os.listdir(fd_dir)) == before
+    assert fills == [image.size]  # one fill of the whole image, not one per row
+    assert np.array_equal(back, image) and not back.flags.writeable
 
 
 def test_proposal_sidecar_round_trip(tmp_path):

@@ -20,7 +20,8 @@ from partfuse.autolabel_rgbd import PartColorRule, RgbdLabelConfig, load_rgbd_co
 from partfuse.cli import _SETTINGS, _merge_run_config
 from partfuse.containers import InstanceProposal
 from partfuse.errors import FormatError, ValidationError
-from partfuse.imaging import HsvRange, read_pnm, write_pnm
+from partfuse.formats import read_pnm, write_pnm
+from partfuse.imaging import HsvRange
 from partfuse.jsonio import read_json
 from partfuse.overlay import default_overlay_spec, load_colors
 from partfuse.pointcloud import (

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from partfuse.errors import FormatError, ValidationError
+from partfuse.formats import read_pnm, write_pgm16, write_pnm
 from partfuse.imaging import (
     HsvRange,
     boundary_mask,
@@ -13,11 +14,8 @@ from partfuse.imaging import (
     first_hsv_range,
     morphological_close,
     quantize_colors,
-    read_pnm,
     rgb_to_hsv,
     threshold_hsv,
-    write_pgm16,
-    write_pnm,
 )
 
 from conftest import BAG, SEAL, TABLE

@@ -576,7 +576,9 @@ def test_render_table_shapes(taxonomy):
     report = part_pq(pred, gt, taxonomy)
     text = render_table([("M_P", report)], taxonomy, percent=True)
     lines = text.splitlines()
-    assert lines[0].split()[:2] == ["strategy", "transfusion_bag"]
+    assert lines[0].split()[:2] == ["PartPQ", "transfusion_bag"]
+    pq = render_table([("M_P", report)], taxonomy, metric="pq")
+    assert pq.split()[0] == "PQ"
     assert "75.0" in lines[1]
     assert "-" in lines[1]  # absent classes rendered as dashes
     ratio = render_table([("M_P", report)], taxonomy, percent=False)
