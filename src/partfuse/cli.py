@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success; 2 on usage errors, which argparse reports (an
 unknown or missing required flag, a bad flag value), and on I/O errors
-(unreadable files, corrupt PPT1/PNM/PLY containers, a worker process
-that died); 3 on validation errors (malformed JSON inputs, missing
-required inputs, bad taxonomy, settings or dimensions, unknown
+(existing files that cannot be read, corrupt PPT1/PNM/PLY containers, a
+worker process that died); 3 on validation errors (a missing input file,
+which errors.open_input reports, malformed JSON inputs, no taxonomy or
+output directory, bad taxonomy, settings or dimensions, unknown
 strategy).  Handlers raise; ``main`` alone maps an error to its code.
 Messages go to standard error; verbosity is controlled by the
 PARTFUSE_LOG environment variable (error, warn, info, debug).
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING
 from .errors import PartfuseError, ValidationError
 from .jsonio import decode, read_json, write_json
 from .params import STRATEGIES, FusionParams
-from .taxonomy import ClassTaxonomy, load_taxonomy
+from .taxonomy import load_taxonomy
 
 if TYPE_CHECKING:
     from .metrics import MetricReport
@@ -56,7 +57,8 @@ class RunConfig:
     """Settings that a flag or the --config file can give.  A flag beats
     the file and the file beats the default; a subcommand without the flag
     takes the file's value.  The file's values have the JSON types of
-    these fields and of FusionParams' fields."""
+    these fields and of FusionParams' fields.  A subcommand with the
+    --taxonomy or --out flag requires that setting."""
 
     taxonomy: Path | None = None
     out: Path | None = None
@@ -81,13 +83,11 @@ def _merge_run_config(args) -> RunConfig:
     given.update((key, value) for key in _SETTINGS
                  if (value := getattr(args, key, None)) is not None)
     config = decode(RunConfig, given, "run config")
-    return replace(config, fusion=decode(FusionParams, given, "run config"), file=file)
-
-
-def _load_taxonomy_checked(path: Path | None) -> ClassTaxonomy:
-    if path is None:
-        raise ValidationError("a taxonomy file is required (--taxonomy)")
-    return load_taxonomy(path)
+    config = replace(config, fusion=decode(FusionParams, given, "run config"), file=file)
+    for key, what in (("taxonomy", "a taxonomy file"), ("out", "an output directory")):
+        if hasattr(args, key) and getattr(config, key) is None:
+            raise ValidationError(f"{what} is required (--{key})")
+    return config
 
 
 def _directory(raw, what: str) -> Path:
@@ -95,12 +95,6 @@ def _directory(raw, what: str) -> Path:
     if not path.is_dir():
         raise ValidationError(f"{what} not found: {path}")
     return path
-
-
-def _ensure_out(out: Path | None) -> Path:
-    if out is None:
-        raise ValidationError("an output directory is required (--out)")
-    return out
 
 
 def _run_items(
@@ -219,9 +213,8 @@ def cmd_fuse(args, cfg: RunConfig) -> None:
     from . import formats
     from .fusion import check_strategy, fuse
 
-    taxonomy = _load_taxonomy_checked(cfg.taxonomy)
+    taxonomy = load_taxonomy(cfg.taxonomy)
     check_strategy(cfg.strategy, taxonomy)
-    out_dir = _ensure_out(cfg.out)
     stems = formats.find_stems(args.inputs, formats.SAMPLE_SUFFIXES)
     if not stems:
         raise ValidationError("no inputs found")
@@ -232,7 +225,7 @@ def cmd_fuse(args, cfg: RunConfig) -> None:
         log.info("fused %s", stem.name)
         return stem.name
 
-    _run_items(stems, work, cfg.jobs, args.keep_going, out_dir)
+    _run_items(stems, work, cfg.jobs, args.keep_going, cfg.out)
 
 
 # ---------------------------------------------------------------- eval
@@ -243,7 +236,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
     from .containers import derive_segments
     from .metrics import aggregate_dataset, match_segments, render_table, report_to_tsv
 
-    taxonomy = _load_taxonomy_checked(cfg.taxonomy)
+    taxonomy = load_taxonomy(cfg.taxonomy)
     gt_dir = _directory(args.gt, "ground truth directory")
     stems = [s.name for s in formats.find_stems([gt_dir], formats.TRIPLE_SUFFIXES)]
     if not stems:
@@ -324,17 +317,13 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
     import scipy.sparse.csgraph  # noqa: F401
     import scipy.spatial  # noqa: F401
 
-    taxonomy = _load_taxonomy_checked(cfg.taxonomy)
-    out_dir = _ensure_out(cfg.out)
+    taxonomy = load_taxonomy(cfg.taxonomy)
     label_cfg = replace(load_rgbd_config(cfg.file), seed=cfg.seed)
     check_class_ids(label_cfg, taxonomy)
 
     scenes = [_directory(s, "scene directory") for s in args.scenes]
 
     def work(scene: Path, stage: Path):
-        for name in ("rgb.ppm", "cloud.ply", "camera.json"):
-            if not (scene / name).exists():
-                raise ValidationError(f"{scene} is missing {name}")
         rgb = formats.read_pnm(scene / "rgb.ppm")
         cloud = read_ply(scene / "cloud.ply")
         camera = load_camera(scene / "camera.json")
@@ -346,7 +335,7 @@ def cmd_label_rgbd(args, cfg: RunConfig) -> None:
         log.info("labelled scene %s", scene.name)
         return scene.name
 
-    _run_items(scenes, work, cfg.jobs, args.keep_going, out_dir)
+    _run_items(scenes, work, cfg.jobs, args.keep_going, cfg.out)
 
 
 def cmd_label_monitor(args, cfg: RunConfig) -> None:
@@ -360,8 +349,7 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
     # what the stages import lazily, loaded before --jobs forks its workers
     import scipy.ndimage  # noqa: F401
 
-    taxonomy = _load_taxonomy_checked(cfg.taxonomy)
-    out_dir = _ensure_out(cfg.out)
+    taxonomy = load_taxonomy(cfg.taxonomy)
     label_cfg = load_monitor_config(cfg.file)
     check_class_ids(label_cfg, taxonomy)
     if args.composites < 0:
@@ -383,9 +371,6 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
 
     def work(item, stage: Path):
         ordinal, scene = item
-        for name in ("blue.ppm", "black.ppm"):
-            if not (scene / name).exists():
-                raise ValidationError(f"{scene} is missing {name}")
         img_blue = formats.read_pnm(scene / "blue.ppm")
         img_black = formats.read_pnm(scene / "black.ppm")
         mask = extract_reference_mask(img_blue, img_black, label_cfg)
@@ -413,7 +398,7 @@ def cmd_label_monitor(args, cfg: RunConfig) -> None:
         log.info("labelled scene %s (%d samples)", scene.name, len(emitted))
         return scene.name
 
-    _run_items(list(enumerate(scenes)), work, cfg.jobs, args.keep_going, out_dir)
+    _run_items(list(enumerate(scenes)), work, cfg.jobs, args.keep_going, cfg.out)
 
 
 # ---------------------------------------------------------------- overlay
@@ -423,11 +408,8 @@ def cmd_overlay(args, cfg: RunConfig) -> None:
     from . import formats
     from .overlay import default_overlay_spec, load_colors, render_overlay
 
-    taxonomy = _load_taxonomy_checked(cfg.taxonomy)
-    image_path = Path(args.image)
-    if not image_path.exists():
-        raise ValidationError(f"image not found: {image_path}")
-    image = formats.read_pnm(image_path)
+    taxonomy = load_taxonomy(cfg.taxonomy)
+    image = formats.read_pnm(args.image)
     triple = formats.read_label_triple(args.triple_stem)
     spec = default_overlay_spec(taxonomy, alpha=args.alpha, draw_boxes=not args.no_boxes)
     if args.colors:
@@ -445,7 +427,6 @@ def cmd_augment(args, cfg: RunConfig) -> None:
     from . import formats
     from .autolabel_monitor import augment_flips
 
-    out_dir = _ensure_out(cfg.out)
     dataset = _directory(args.dataset, "dataset directory")
     stems = sorted(p.stem for p in dataset.glob("*.ppm"))
     if not stems:
@@ -459,7 +440,7 @@ def cmd_augment(args, cfg: RunConfig) -> None:
             formats.write_label_triple(trip, stage / f"{stem}{suffix}")
         return stem
 
-    _run_items(stems, work, cfg.jobs, args.keep_going, out_dir)
+    _run_items(stems, work, cfg.jobs, args.keep_going, cfg.out)
 
 
 # ---------------------------------------------------------------- report
@@ -468,7 +449,7 @@ def cmd_augment(args, cfg: RunConfig) -> None:
 def cmd_report(args, cfg: RunConfig) -> None:
     from .metrics import render_table, report_from_tsv
 
-    taxonomy = _load_taxonomy_checked(cfg.taxonomy)
+    taxonomy = load_taxonomy(cfg.taxonomy)
     rows = [(Path(p).stem, report_from_tsv(p, taxonomy)) for p in args.tsv_files]
     sys.stdout.write(
         render_table(rows, taxonomy, percent=args.percent, metric="part_pq"))

@@ -15,7 +15,8 @@ positioned reads when they are needed.  read_proposals closes each mask
 once it is checked; a closed TensorFile opens its path again for each
 read.  Nothing is mapped, and a file that shrinks after it was opened,
 or that a closed handle's path no longer names, fails the read with
-FormatError.
+FormatError.  A TensorFile opens its file through errors.open_input, so
+a missing file raises ValidationError; no reader here looks for it first.
 
 Images are 8-bit binary PNMs, P5 (H, W) or P6 (H, W, 3); label maps
 are 16-bit P5 PGMs, most significant byte first; one header parser
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import containers
 from .containers import InstanceProposal, LabelTriple
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, open_input
 from .jsonio import decode, read_json
 from .taxonomy import ClassTaxonomy
 
@@ -62,7 +63,7 @@ class TensorFile:
     """
 
     def __init__(self, path: Path, parse_header):
-        file = open(path, "rb", buffering=0)
+        file = open_input(path, "rb", buffering=0)
         try:
             stat = os.fstat(file.fileno())
             stored, shape = parse_header(file, path, stat.st_size)
@@ -147,8 +148,8 @@ def _pnm_header(fh, path: Path, maxval: int) -> tuple[np.dtype, tuple[int, ...]]
             while byte and not byte.isspace():
                 tok += byte
                 byte = fh.read(1)
-            if not tok.isdigit():
-                raise FormatError(f"{path}: malformed header token {bytes(tok)!r}")
+            if not tok.isdigit() or len(tok) > 20:  # int() refuses 4,301 digits
+                raise FormatError(f"{path}: malformed header token {bytes(tok)!r:.40}")
             tokens.append(int(tok))
     if not byte:  # the single whitespace byte after maxval, read already
         raise FormatError(f"{path}: header ends before raster data")
@@ -277,11 +278,8 @@ def find_stems(inputs, suffixes: tuple[str, ...]) -> list[Path]:
 
 def read_sample(stem: Path, taxonomy: ClassTaxonomy) -> containers.LogitStack:
     """The fuse sample at ``stem`` as a LogitStack whose channels follow
-    the taxonomy; a missing file raises ValidationError."""
+    the taxonomy."""
     paths = [stem.with_name(stem.name + suffix) for suffix in SAMPLE_SUFFIXES]
-    for path in paths:
-        if not path.exists():
-            raise ValidationError(f"missing input file {path}")
     sem, part, proposals = read_tensor(paths[0]), read_tensor(paths[1]), read_proposals(paths[2])
     if sem.ndim != 3 or part.ndim != 3:
         raise ValidationError(f"{stem}: logit tensors must be rank 3")
@@ -297,11 +295,7 @@ def read_sample(stem: Path, taxonomy: ClassTaxonomy) -> containers.LogitStack:
 def open_label_triple(stem: str | Path) -> LabelTriple:
     """Open ``<stem>.{sem,inst,part}.pgm`` as a LabelTriple of open_pgm16
     handles, whose rows are read when they are needed."""
-    sem_p, inst_p, part_p = triple_paths(stem)
-    for p in (sem_p, inst_p, part_p):
-        if not p.exists():
-            raise FormatError(f"missing label map file {p}")
-    sem, inst, part = open_pgm16(sem_p), open_pgm16(inst_p), open_pgm16(part_p)
+    sem, inst, part = map(open_pgm16, triple_paths(stem))
     if not (sem.shape == inst.shape == part.shape):
         raise ValidationError(
             f"label triple {stem}: dimension mismatch "

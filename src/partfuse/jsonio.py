@@ -3,9 +3,9 @@
 ``read_json`` parses a file strictly: UTF-8, standard JSON whose numbers
 are finite and whose integers fit in 64 bits, and the expected top-level
 type.  ``decode`` builds a dataclass from the parsed value, checking each
-value against its field's type.  Every fault in a file's bytes raises
-ValidationError (exit 3); a file that cannot be read stays an OSError
-(exit 2).  ``write_json`` writes every JSON output.
+value against its field's type.  A missing file and every fault in the
+bytes raise ValidationError (exit 3); a file that cannot be read stays
+an OSError (exit 2).  ``write_json`` writes every JSON output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import typing
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, open_input
 
 # a field type -> a test of the JSON value it takes, and its name in messages
 _SCALARS = {
@@ -48,10 +48,8 @@ def _constant(name: str):
 
 def read_json(path: str | Path, top: type):
     """The JSON value in ``path``, which must be a ``top`` (dict or list)."""
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: file not found") from None
+    with open_input(path) as fh:
+        data = fh.read()
     try:
         value = json.loads(
             data.decode("utf-8"),

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import ValidationError, open_input
 from .taxonomy import MAX_ID, ClassTaxonomy
 
 if TYPE_CHECKING:
@@ -348,9 +348,8 @@ def report_from_tsv(path: str | Path, taxonomy: ClassTaxonomy) -> MetricReport:
     per_class: dict[int, ClassReport] = {}
     total = None
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise ValidationError(f"TSV file not found: {path}") from None
+        with open_input(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:

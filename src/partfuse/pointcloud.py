@@ -26,11 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, open_input
 from .jsonio import decode, read_json
 from .rng import SplitMix64
 
 _PLY_PROPERTIES = ("x", "y", "z", "red", "green", "blue")
+MAX_PMF_CELLS = 1 << 22  # the filter's height grid: 32 MB of float64
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def read_ply(path: str | Path) -> PointCloud:
     that are not integers in 0..255, non-ASCII bytes) raises FormatError.
     """
     path = Path(path)
-    with open(path, encoding="ascii") as fh:
+    with open_input(path, "r", encoding="ascii") as fh:
         try:
             if fh.readline().strip() != "ply":
                 raise FormatError(f"{path}: not a PLY file")
@@ -182,8 +183,8 @@ def read_ply(path: str | Path) -> PointCloud:
                 elif tokens[0] == "element":
                     if len(tokens) != 3 or tokens[1] != "vertex":
                         raise FormatError(f"{path}: only a vertex element is supported")
-                    if not tokens[2].isdecimal():
-                        raise FormatError(f"{path}: bad vertex count {tokens[2]!r}")
+                    if not tokens[2].isdecimal() or len(tokens[2]) > 20:  # as in _pnm_header
+                        raise FormatError(f"{path}: bad vertex count {tokens[2]!r:.40}")
                     count = int(tokens[2])
                 elif tokens[0] == "property":
                     if count is None:
@@ -262,6 +263,10 @@ def progressive_morphological_filter(
     xyz = cloud.xyz
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     cell = params.cell_size
+    with np.errstate(over="ignore"):  # a cell_size near 0 counts infinitely many cells
+        cells = math.prod(np.floor(np.ptp(xyz[:, :2], axis=0) / cell) + 1)
+    if cells > MAX_PMF_CELLS:
+        raise ValidationError(f"pmf cell_size {cell}: {cells:.4g} grid cells, max {MAX_PMF_CELLS}")
     ix = np.floor((x - x.min()) / cell).astype(np.int64)
     iy = np.floor((y - y.min()) / cell).astype(np.int64)
 

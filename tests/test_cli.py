@@ -313,8 +313,8 @@ def test_eval_finds_ground_truth_stems_by_any_map(tmp_path, taxonomy_json, caplo
     for kind in removed:
         (gt_dir / f"b.{kind}.pgm").unlink()
     args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), str(pred_dir)]
-    assert main(args) == 2
-    assert f"missing label map file {gt_dir / 'b.sem.pgm'}" in caplog.text
+    assert main(args) == 3
+    assert f"{gt_dir / 'b.sem.pgm'}: file not found" in caplog.text
 
 
 def test_a_file_named_only_by_a_suffix_names_no_empty_stem(tmp_path, taxonomy_json, caplog):
@@ -323,7 +323,7 @@ def test_a_file_named_only_by_a_suffix_names_no_empty_stem(tmp_path, taxonomy_js
     (tmp_path / ".sem.ppt1").write_bytes(b"")
     fuse = ["fuse", "--taxonomy", str(taxonomy_json), "--out", str(tmp_path / "out")]
     assert main([*fuse, str(tmp_path / ".sem.ppt1")]) == 3
-    assert "missing input file" in caplog.text
+    assert f"{tmp_path / '.sem.ppt1.sem.ppt1'}: file not found" in caplog.text
     gt_dir, pred_dir = make_eval_dirs(tmp_path)
     (gt_dir / ".sem.pgm").write_bytes(b"")
     args = ["eval", "--taxonomy", str(taxonomy_json), "--gt", str(gt_dir), str(pred_dir)]
@@ -923,6 +923,18 @@ def test_label_rgbd_pmf_window_beyond_the_grid(tmp_path, taxonomy_json):
     assert trees[0] == trees[1]
 
 
+def test_label_rgbd_pmf_grid_beyond_its_bound(tmp_path, taxonomy_json, caplog, capfd):
+    scene = write_rgbd_scene_dir(tmp_path)
+    config = write_rgbd_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()), "pmf": {"cell_size": 1e-7}}))
+    args = ["label", "rgbd", "--taxonomy", str(taxonomy_json), "--config", str(config),
+            "--out", str(tmp_path / "out"), str(scene)]
+    assert main(args) == 3
+    (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "cell_size 1e-07" in error
+    assert "Traceback" not in caplog.text + capfd.readouterr().err
+
+
 def write_augment_dataset(tmp_path, seed=6):
     dataset = tmp_path / "samples"
     dataset.mkdir()
@@ -993,9 +1005,9 @@ def test_dotted_stems_write_their_own_files(tmp_path, taxonomy_json, command):
 
 def test_augment_unreadable_sample_exit_code(tmp_path):
     dataset = write_augment_dataset(tmp_path)
-    (dataset / "s0.sem.pgm").unlink()  # break one sample: an I/O error
+    (dataset / "s0.sem.pgm").unlink()  # break one sample: a missing input file
     code = main(["augment", "--out", str(tmp_path / "aug"), str(dataset)])
-    assert code == 2
+    assert code == 3
     code = main(
         ["augment", "--out", str(tmp_path / "aug2"), "--keep-going", str(dataset)]
     )
@@ -1358,8 +1370,8 @@ def committed_stem(directory, stem):
     missing."""
     try:
         formats.read_label_triple(directory / stem)
-    except FormatError as exc:
-        assert "missing label map file" in str(exc)
+    except ValidationError as exc:
+        assert str(exc).endswith("file not found")
         return None
     return {p.name: p.read_bytes() for p in directory.iterdir() if p.name.startswith(f"{stem}.")}
 
@@ -1661,6 +1673,25 @@ def test_fuse_of_a_mask_replaced_after_read_proposals(tmp_path, taxonomy_json,
     assert f"{victim}: replaced since it was opened" in caplog.text
 
 
+def test_fuse_of_a_mask_removed_after_read_proposals(tmp_path, taxonomy_json,
+                                                     monkeypatch, caplog):
+    # an input changed during the run (exit 2), not a missing input (exit 3)
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_many_proposals(inputs, "img0", 3, seed=0)
+    victim = inputs / "img0_p001.ppt1"
+    read = formats.read_proposals
+
+    def read_then_remove(path):
+        proposals = read(path)
+        victim.unlink()
+        return proposals
+
+    monkeypatch.setattr(formats, "read_proposals", read_then_remove)
+    assert main(fuse_args(taxonomy_json, tmp_path / "out", inputs, "--jobs", "1")) == 2
+    assert f"No such file or directory: '{victim}'" in caplog.text
+
+
 def test_cli_import_leaves_out_scipy_ndimage():
     check = "import sys, partfuse.cli; assert 'scipy.ndimage' not in sys.modules"
     subprocess.run([sys.executable, "-c", check], env=fresh_env(), check=True, timeout=60)
@@ -1788,6 +1819,13 @@ def write_overlay_inputs(tmp_path):
 def overlay_args(taxonomy_json, tmp_path, out_path, *extra):
     return ["overlay", "--taxonomy", str(taxonomy_json), *extra,
             str(tmp_path / "img.ppm"), str(tmp_path / "img"), str(out_path)]
+
+
+def test_overlay_of_a_header_integer_of_5000_digits(tmp_path, taxonomy_json, caplog):
+    write_overlay_inputs(tmp_path)
+    (tmp_path / "img.ppm").write_bytes(b"P6\n" + b"9" * 5000 + b" 6\n255\n" + bytes(108))
+    assert main(overlay_args(taxonomy_json, tmp_path, tmp_path / "o.ppm")) == 2
+    assert "malformed header token" in caplog.records[-1].getMessage()
 
 
 def test_overlay_colors_table_overrides_class_colour(tmp_path, taxonomy_json):
@@ -1965,6 +2003,76 @@ def test_non_utf8_text_input_exit_code(tmp_path, taxonomy_json, caplog, target, 
     assert main(args) == code
     assert caplog.records[-1].levelname == "ERROR"
     assert "Traceback" not in caplog.text
+
+
+def missing_input_case(tmp_path, taxonomy_json, row):
+    """The command line of a run that succeeds, as a function of its
+    output directory, the input file ``row`` deletes from it and, for a
+    batch command of two items, a file that the other item commits."""
+    taxonomy = ["--taxonomy", str(taxonomy_json)]
+    if row in ("fuse-part", "fuse-mask"):
+        for i in range(2):
+            write_many_proposals(tmp_path, f"img{i}", 2, seed=i)
+        path = tmp_path / ("img0.part.ppt1" if row == "fuse-part" else "img0_p001.ppt1")
+        return lambda out: fuse_args(taxonomy_json, out, tmp_path), path, "img1.sem.pgm"
+    if row.startswith("rgbd"):
+        scenes = [write_rgbd_scene_dir(tmp_path, f"scene_{i}") for i in range(2)]
+        config = write_rgbd_config(tmp_path)
+        path = scenes[0] / ("cloud.ply" if row == "rgbd-cloud" else "camera.json")
+        return (lambda out: ["label", "rgbd", *taxonomy, "--config", str(config),
+                             "--out", str(out), *map(str, scenes)]), path, "scene_1.sem.pgm"
+    if row == "monitor-black":
+        root, _, config = write_monitor_dataset(tmp_path)
+        shutil.copytree(root / "scene_0", root / "scene_1")
+        return (lambda out: ["label", "monitor", *taxonomy, "--config", str(config),
+                             "--out", str(out), str(root)]), root / "scene_0" / "black.ppm", \
+            "scene_1.provenance.json"
+    if row == "augment-part":
+        dataset = write_augment_dataset(tmp_path)
+        return (lambda out: ["augment", "--out", str(out), str(dataset)]), \
+            dataset / "s0.part.pgm", "s1_id.ppm"
+    if row.startswith("eval"):
+        gt_dir, pred_dir = make_eval_dirs(tmp_path)
+        for directory in (gt_dir, pred_dir):  # two stems, so --jobs 2 forks
+            formats.write_label_triple(formats.read_label_triple(directory / "a"), directory / "b")
+        path = gt_dir / "a.inst.pgm" if row == "eval-gt-inst" else pred_dir / "a.part.pgm"
+        return lambda out: ["eval", *taxonomy, "--gt", str(gt_dir), str(pred_dir)], path, None
+    if row.startswith("overlay"):
+        write_overlay_inputs(tmp_path)
+        path = tmp_path / ("img.ppm" if row == "overlay-image" else "img.inst.pgm")
+        return lambda out: overlay_args(taxonomy_json, tmp_path, out / "o.ppm"), path, None
+    gt_dir, pred_dir = make_eval_dirs(tmp_path)
+    tsv = tmp_path / "m.tsv"
+    assert main(["eval", *taxonomy, "--gt", str(gt_dir), "--tsv", str(tsv), str(pred_dir)]) == 0
+    return lambda out: ["report", *taxonomy, str(tsv)], tsv, None
+
+
+@pytest.mark.parametrize("row", ["fuse-part", "fuse-mask", "eval-gt-inst", "eval-pred-part",
+                                 "rgbd-cloud", "rgbd-camera", "monitor-black", "overlay-image",
+                                 "overlay-inst", "augment-part", "report-tsv"])
+def test_a_missing_input_file_is_one_validation_error(tmp_path, taxonomy_json, caplog, capfd,
+                                                      row):
+    """Whichever input names it, a missing file exits 3 with one error
+    line, "<path>: file not found", at every --jobs; a batch run with
+    --keep-going skips its item and commits the other."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    argv, path, committed = missing_input_case(inputs, taxonomy_json, row)
+    path.unlink()
+    takes_jobs = argv(tmp_path)[0] in ("fuse", "label", "augment", "eval")
+    for jobs in ("1", "2") if takes_jobs else ("1",):
+        caplog.clear()
+        out = tmp_path / f"out{jobs}"
+        assert main([*argv(out), *(["--jobs", jobs] if takes_jobs else [])]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"{path}: file not found"]
+        assert "Traceback" not in caplog.text + capfd.readouterr().err
+    if committed is not None:
+        caplog.clear()
+        out = tmp_path / "kept"
+        assert main([*argv(out), "--jobs", "2", "--keep-going"]) == 0
+        assert (out / committed).exists()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 @pytest.mark.parametrize("variant", ["rgbd", "monitor"])

@@ -248,7 +248,7 @@ def test_triple_dimension_mismatch(tmp_path):
 
 def test_triple_missing_file(tmp_path):
     write_pgm16(np.zeros((4, 4), dtype=np.uint16), tmp_path / "x.sem.pgm")
-    with pytest.raises(FormatError, match="missing"):
+    with pytest.raises(ValidationError, match="x.inst.pgm: file not found"):
         read_label_triple(tmp_path / "x")
 
 

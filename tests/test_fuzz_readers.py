@@ -300,3 +300,34 @@ def test_only_the_json_reader_parses_json():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders.append(f"{module.name}:{node.lineno}")
     assert offenders == []
+
+
+def calls_in(node, scope: str):
+    """(the dotted name of the innermost class or function around it, the
+    call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            yield scope, child
+        yield from calls_in(child, inner)
+
+
+def test_only_the_input_opener_opens_files():
+    """Every input file is opened by errors.open_input, which reports a
+    missing one as ValidationError.  The builtin open is called only
+    there, in formats._write_raster, which opens an output, and in
+    TensorFile.read, which opens a closed handle's path again; no module
+    reads a file through Path.read_bytes, Path.read_text or an open method."""
+    allowed = {"errors.open_input", "formats._write_raster", "formats.TensorFile.read"}
+    offenders = []
+    for module in sorted(Path(partfuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for scope, call in calls_in(tree, module.stem):
+            func = call.func
+            opens = isinstance(func, ast.Name) and func.id == "open" and scope not in allowed
+            if opens or isinstance(func, ast.Attribute) and func.attr in (
+                    "open", "read_bytes", "read_text"):
+                offenders.append(f"{module.name}:{call.lineno}")
+    assert offenders == []

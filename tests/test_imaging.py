@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from partfuse.errors import FormatError, ValidationError
-from partfuse.formats import read_pnm, write_pgm16, write_pnm
+from partfuse.formats import open_pgm16, read_pnm, write_pgm16, write_pnm
 from partfuse.imaging import (
     HsvRange,
     boundary_mask,
@@ -55,6 +55,17 @@ def test_pnm_wrong_maxval(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(FormatError, match="maxval"):
         read_pnm(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n" + b"9" * 5000 + b" 2\n255\n",
+                                    b"P5\n2 2\n" + b"9" * 5000 + b"\n"], ids=["width", "maxval"])
+@pytest.mark.parametrize("reader", [read_pnm, open_pgm16])
+def test_pnm_header_integer_of_5000_digits(tmp_path, header, reader):
+    """int() refuses more than 4,300 digits with a plain ValueError."""
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(8))
+    with pytest.raises(FormatError, match="malformed header token"):
+        reader(path)
 
 
 def test_pnm_bad_magic(tmp_path):

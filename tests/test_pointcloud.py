@@ -112,6 +112,7 @@ PLY_HEADER = (
         PLY_HEADER.format(n=0) + "\n0 0 0 1 2 3\n",
         PLY_HEADER.format(n=-1),
         PLY_HEADER.format(n=10**12) + "0 0 0 1 2 3\n",  # no room for the rows it announces
+        PLY_HEADER.format(n="9" * 5000),  # more digits than int() converts
         # blank lines across the boundaries of 2-row chunks, then a row too many
         PLY_HEADER.format(n=4) + "0 0 0 1 2 3\n0 0 0 1 2 3\n\n \n" * 2 + "0 0 0 1 2 3\n",
         PLY_HEADER.format(n=3) + "0 0 0 1 2 3\n0 0 0 1 2 3\n\n0 0 0 1 2\n",  # ragged in chunk 2
@@ -231,6 +232,27 @@ def test_pmf_separates_box_from_plane():
     box_part = mask[len(plane) :]
     assert plane_part.mean() >= 0.99
     assert (~box_part).mean() >= 0.99
+
+
+def test_pmf_refuses_a_grid_beyond_its_bound_before_allocating():
+    """1,000 points over 0.5 m at a cell of 1e-7 m would ask for 2.5e13
+    float64 heights (181 TiB); a subnormal cell counts infinitely many."""
+    rng = np.random.default_rng(4)
+    cloud = cloud_of(np.column_stack([rng.uniform(0, 0.5, (1000, 2)), np.zeros(1000)]))
+    for cell_size, cells in ((1e-7, r"2\.\d+e\+13"), (1e-320, "inf")):
+        tracemalloc.start()
+        try:
+            message = rf"cell_size 1e-.*: {cells} grid cells, max 4194304"
+            with pytest.raises(ValidationError, match=message):
+                progressive_morphological_filter(cloud, PmfParams(cell_size=cell_size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # a grid of the bound's size is taken
+    side = math.isqrt(pointcloud.MAX_PMF_CELLS) - 1
+    params = PmfParams(cell_size=0.5 / side, max_window=1)
+    assert progressive_morphological_filter(cloud, params).shape == (1000,)
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (1, 3), (1, 1)])
